@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Iterable, Sequence
 
 from repro import obs
@@ -133,46 +134,31 @@ def parallel_map(fn, items, *, workers: int | None = None) -> list:
     parallel sweep is bit-identical to a serial one — determinism is not
     negotiable (the tests compare the two directly).
     """
-    if workers is not None and workers < 0:
-        raise ConfigurationError(f"workers must be >= 0, got {workers!r}")
-    items = list(items)
-    if workers in (None, 0, 1) or len(items) <= 1:
-        if not obs.enabled():
-            return [fn(item) for item in items]
-        results = []
-        for item in items:
-            started = time.perf_counter()
-            results.append(fn(item))
-            obs.observe(
-                "runner.item_seconds", time.perf_counter() - started,
-                mode="serial",
-            )
-        obs.inc("runner.items", len(items), mode="serial")
-        return results
-    from concurrent.futures import ProcessPoolExecutor
-    from functools import partial
+    # Lazy: gridrun imports results_io, which imports the figure
+    # drivers that import this module.
+    from repro.experiments.gridrun import is_serial, ordered_map
 
+    items = list(items)
     if not obs.enabled():
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            return list(executor.map(fn, items))
-    # Timed wrapper: each worker reports its busy seconds back with the
+        return list(ordered_map(fn, items, workers))
+    # Timed wrapper: each call reports its busy seconds back with the
     # result, so the parent can account pool utilization without any
     # cross-process metrics plumbing.  Values and order are unchanged.
     started = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        timed = list(executor.map(partial(_timed_call, fn), items))
+    timed = list(ordered_map(partial(_timed_call, fn), items, workers))
     wall = time.perf_counter() - started
-    results = [result for result, _ in timed]
-    busy = sum(seconds for _, seconds in timed)
+    mode = "serial" if is_serial(workers, len(items)) else "process"
     for _, seconds in timed:
-        obs.observe("runner.item_seconds", seconds, mode="process")
-    obs.inc("runner.items", len(items), mode="process")
-    obs.set_gauge("runner.workers", workers, mode="process")
-    if wall > 0:
-        obs.set_gauge(
-            "runner.utilization", busy / (workers * wall), mode="process"
-        )
-    return results
+        obs.observe("runner.item_seconds", seconds, mode=mode)
+    obs.inc("runner.items", len(items), mode=mode)
+    if mode == "process":
+        busy = sum(seconds for _, seconds in timed)
+        obs.set_gauge("runner.workers", workers, mode=mode)
+        if wall > 0:
+            obs.set_gauge(
+                "runner.utilization", busy / (workers * wall), mode=mode
+            )
+    return [result for result, _ in timed]
 
 
 def _timed_call(fn, item) -> tuple:

@@ -1,13 +1,9 @@
-"""Declarative, resumable parameter sweeps over the benchmark clusters.
+"""Declarative parameter sweeps over the benchmark clusters.
 
-The paper's figures are all sweeps over ``R × NS × heuristic``; this
-module generalizes them into one engine: a :class:`SweepGrid` names the
-axes declaratively, :func:`run_sweep` chunks the cartesian product
-deterministically across a :class:`~concurrent.futures.ProcessPoolExecutor`,
-and every completed chunk is appended to an NDJSON journal via the
-:mod:`~repro.experiments.results_io` envelope — so an interrupted sweep
-resumes exactly where it stopped, and an interrupted-then-resumed sweep
-equals a single uninterrupted one row for row (tested).
+The paper's figures are all sweeps over ``R × NS × heuristic``: a
+:class:`SweepGrid` names the axes and :func:`run_sweep` evaluates them
+through :func:`repro.experiments.gridrun.run_grid`, which owns the
+chunking, the process-pool fan-out and the resumable journal.
 
 Each point runs through the memoized kernels of
 :mod:`repro.core.makespan` and the bookkeeping-free fast path of
@@ -19,37 +15,26 @@ runs through the vectorized kernels of :mod:`repro.core.batch` instead,
 one array evaluation per ``(cluster, NS, NM, heuristic)`` group per
 chunk — bit-identical rows, same journal, same resume semantics (see
 ``run_sweep``'s ``batch`` parameter).
-
-Journal format (one envelope per line)::
-
-    {"figure": "generic", ..., "data": {"kind": "sweep-grid", "data": {...}}}
-    {"figure": "generic", ..., "data": {"kind": "sweep-rows", "data": {...}}}
-    ...
-
-The first line pins the grid; resuming against a journal written for a
-different grid is a :class:`~repro.exceptions.ConfigurationError`.  A
-torn final line (the process died mid-write) is discarded on resume.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro import obs
 from repro.core.heuristics import HeuristicName, plan_grouping
 from repro.core.makespan import (
     cached_simulated_makespan,
-    makespan_cache_stats,
     set_makespan_cache_enabled,
 )
 from repro.exceptions import ConfigurationError, SchedulingError
+from repro.experiments.gridrun import GridKind, run_grid
 from repro.experiments.results_io import (
     GenericResult,
     dump_result,
-    load_result,
     register_codec,
 )
 from repro.experiments.runner import ALL_HEURISTICS, resource_sweep
@@ -372,36 +357,8 @@ def _eval_chunk(
         set_makespan_cache_enabled(previous)
 
 
-def _evaluate(
-    chunks: list[tuple[SweepPoint, ...]],
-    workers: int | None,
-    use_cache: bool,
-    batch: bool,
-) -> Iterator[tuple[SweepRow, ...]]:
-    """Yield chunk results in order, serially or across a process pool.
-
-    Mirrors :func:`repro.experiments.runner.parallel_map`'s contract —
-    ``workers in (None, 0, 1)`` is serial, order is preserved, parallel
-    output is bit-identical to serial — but yields incrementally so the
-    caller can journal each chunk the moment it completes.
-    """
-    if workers is not None and workers < 0:
-        raise ConfigurationError(f"workers must be >= 0, got {workers!r}")
-    if workers in (None, 0, 1) or len(chunks) <= 1:
-        for chunk in chunks:
-            yield _eval_chunk(chunk, use_cache, batch)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-    from functools import partial
-
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        yield from executor.map(
-            partial(_eval_chunk, use_cache=use_cache, batch=batch), chunks
-        )
-
-
 # ---------------------------------------------------------------------------
-# Journal.
+# Journal codec.
 # ---------------------------------------------------------------------------
 
 
@@ -417,63 +374,20 @@ def _rows_line(rows: Iterable[SweepRow]) -> str:
     )
 
 
-def _load_journal(path: Path, grid: SweepGrid) -> dict[tuple, SweepRow] | None:
-    """Rows already journaled for ``grid``, keyed by point identity.
-
-    Returns ``None`` when the journal holds nothing usable (empty file,
-    or a torn first line from a sweep killed mid-write) — the caller
-    starts fresh.  A journal written for a *different* grid, or corrupt
-    anywhere before its final line, raises
-    :class:`~repro.exceptions.ConfigurationError`; only the final line
-    may be torn, because every earlier line was flushed whole.
-    """
-    lines = path.read_text().splitlines()
-    done: dict[tuple, SweepRow] = {}
-    grid_seen = False
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        last = index == len(lines) - 1
-        try:
-            envelope = load_result(line)
-        except ConfigurationError:
-            if last:
-                break  # torn trailing write — discard and re-evaluate
-            raise ConfigurationError(
-                f"corrupt sweep journal {path} at line {index + 1}"
-            ) from None
-        if not isinstance(envelope, GenericResult):
-            raise ConfigurationError(
-                f"sweep journal {path} line {index + 1} holds "
-                f"{type(envelope).__name__}, not a sweep envelope"
-            )
-        if not grid_seen:
-            if envelope.kind != "sweep-grid":
-                raise ConfigurationError(
-                    f"sweep journal {path} does not start with a grid line"
-                )
-            if envelope.data.get("grid") != grid.as_dict():
-                raise ConfigurationError(
-                    f"sweep journal {path} was written for a different grid; "
-                    f"pass resume=False (or a fresh path) to overwrite it"
-                )
-            grid_seen = True
-            continue
-        if envelope.kind != "sweep-rows":
-            raise ConfigurationError(
-                f"sweep journal {path} line {index + 1} has unexpected "
-                f"kind {envelope.kind!r}"
-            )
-        for raw in envelope.data.get("rows", ()):
-            try:
-                row = SweepRow.from_dict(raw)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigurationError(
-                    f"sweep journal {path} line {index + 1} holds a "
-                    f"malformed row: {exc}"
-                ) from exc
-            done[row.point.key()] = row
-    return done if grid_seen else None
+_SWEEP = GridKind(
+    name="sweep",
+    what="grid",
+    grid_line=_grid_line,
+    rows_line=_rows_line,
+    row_from_dict=SweepRow.from_dict,
+    chunk_size=DEFAULT_CHUNK_SIZE,
+    span="sweep.run",
+    runs_metric="sweep.runs",
+    points_metric="sweep.points",
+    chunks_metric="sweep.chunks",
+    seconds_metric="sweep.seconds",
+    resumed_metric="sweep.resumed_points",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -530,65 +444,14 @@ def run_sweep(
     call's work — ordered by grid position.
     """
     use_batch = (not obs.enabled()) if batch is None else bool(batch)
-    points = grid.points()
-    journal = Path(journal_path) if journal_path is not None else None
-    done: dict[tuple, SweepRow] = {}
-    fresh_journal = journal is not None
-    if journal is not None and resume and journal.exists():
-        loaded = _load_journal(journal, grid)
-        if loaded is not None:
-            done = loaded
-            fresh_journal = False
-
-    pending = [point for point in points if point.key() not in done]
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_SIZE
-    elif chunk_size < 1:
-        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size!r}")
-    chunks = [
-        tuple(pending[i : i + chunk_size])
-        for i in range(0, len(pending), chunk_size)
-    ]
-    if max_chunks is not None:
-        if max_chunks < 0:
-            raise ConfigurationError(f"max_chunks must be >= 0, got {max_chunks!r}")
-        chunks = chunks[:max_chunks]
-
-    handle = None
-    if journal is not None:
-        handle = journal.open("w" if fresh_journal else "a")
-        if fresh_journal:
-            handle.write(_grid_line(grid) + "\n")
-            handle.flush()
-
-    started = time.perf_counter()
-    evaluated = 0
-    try:
-        with obs.span(
-            "sweep.run", points=grid.size, pending=len(pending), chunks=len(chunks)
-        ):
-            for rows in _evaluate(chunks, workers, use_cache, use_batch):
-                for row in rows:
-                    done[row.point.key()] = row
-                evaluated += len(rows)
-                if handle is not None:
-                    handle.write(_rows_line(rows) + "\n")
-                    handle.flush()
-                obs.inc("sweep.points", len(rows))
-                obs.inc("sweep.chunks")
-    finally:
-        if handle is not None:
-            handle.close()
-
-    if obs.enabled():
-        obs.observe("sweep.seconds", time.perf_counter() - started)
-        obs.inc("sweep.runs")
-        stats = makespan_cache_stats()
-        for kind, counters in stats.items():
-            obs.set_gauge(
-                "makespan.cache_size", counters["size"], kind=kind
-            )
-        obs.set_gauge("sweep.resumed_points", len(done) - evaluated)
-
-    rows = tuple(done[point.key()] for point in points if point.key() in done)
+    rows = run_grid(
+        _SWEEP,
+        grid,
+        partial(_eval_chunk, use_cache=use_cache, batch=use_batch),
+        workers=workers,
+        chunk_size=chunk_size,
+        journal_path=journal_path,
+        resume=resume,
+        max_chunks=max_chunks,
+    )
     return SweepResult(grid=grid, rows=rows)

@@ -234,180 +234,54 @@ def run_campaign_with_failure(
 ) -> RecoveryPlan:
     """Run a campaign, fail one cluster mid-flight, and recover.
 
-    Raises :class:`MiddlewareError` when the named cluster is not in the
-    grid, is the only cluster, or fails after its work already finished
-    (nothing to recover — the caller should handle that case directly).
+    The one-crash case of :func:`run_campaign_with_faults`, reported as
+    a :class:`RecoveryPlan`.  Raises :class:`MiddlewareError` when the
+    named cluster is not in the grid, is the only cluster, or fails
+    after its work already finished (nothing to recover — the caller
+    should handle that case directly).
     """
-    heuristic = HeuristicName(heuristic)
-    link = link if link is not None else DataTransferModel()
     names = list(grid.names)
-    if failure.cluster_name not in names:
+    name = failure.cluster_name
+    if name not in names:
         raise MiddlewareError(
-            f"cannot fail unknown cluster {failure.cluster_name!r}; grid "
-            f"has {names}"
+            f"cannot fail unknown cluster {name!r}; grid has {names}"
         )
     if len(grid) < 2:
         raise MiddlewareError(
             "recovery needs at least one surviving cluster"
         )
-
-    # Original campaign (Section 5).
-    spec = EnsembleSpec(scenarios, months)
-    vectors = [performance_vector(c, spec, heuristic) for c in grid]
-    repartition = repartition_dags(vectors, scenarios)
-    finish = {
-        name: (vectors[i][repartition.counts[i] - 1] if repartition.counts[i] else 0.0)
-        for i, name in enumerate(names)
-    }
-    original_makespan = repartition.makespan
-
-    failed_index = names.index(failure.cluster_name)
-    failed_cluster = grid[failed_index]
-    local = repartition.scenarios_on(failed_index)
+    crash = FaultEvent(FaultKind.CRASH, name, failure.at_time)
+    report = run_campaign_with_faults(
+        grid, scenarios, months, FaultTrace.of([crash]),
+        heuristic=heuristic, link=link,
+    )
+    local = report.original_repartition.scenarios_on(names.index(name))
     if not local:
         raise MiddlewareError(
-            f"cluster {failure.cluster_name!r} was assigned no scenarios; "
-            f"its failure is free"
+            f"cluster {name!r} was assigned no scenarios; its failure is free"
         )
-    if failure.at_time >= finish[failure.cluster_name]:
+    outcome = report.events[0]
+    if not outcome.applied:
         raise MiddlewareError(
-            f"cluster {failure.cluster_name!r} finished at "
-            f"{finish[failure.cluster_name]:.0f}s, before the failure at "
+            f"cluster {name!r} finished at "
+            f"{report.cluster_finish[name]:.0f}s, before the failure at "
             f"{failure.at_time:.0f}s — nothing to recover"
         )
-
-    # What survived on the failed cluster?
-    detection_started = time.perf_counter()
-    done_local, pending_local, lost, _in_flight = _months_done_at(
-        failed_cluster, len(local), months, heuristic, failure.at_time
-    )
-    completed = {
-        global_id: done_local[i] for i, global_id in enumerate(local)
-    }
-    pending = {
-        global_id: pending_local[i] for i, global_id in enumerate(local)
-    }
-    remaining = {
-        global_id: months - done for global_id, done in completed.items()
-        if months - done > 0
-    }
-    interrupted = sorted(
-        global_id
-        for global_id in completed
-        if remaining.get(global_id, 0) > 0 or pending[global_id] > 0
-    )
-    obs.inc("recovery.failures_detected", cluster=failure.cluster_name)
-    obs.log_event(
-        _log, "recovery.failure_detected",
-        cluster=failure.cluster_name,
-        at_time_s=failure.at_time,
-        interrupted_scenarios=interrupted,
-        lost_work_processor_seconds=lost,
-        detection_seconds=time.perf_counter() - detection_started,
-    )
-
-    # Greedy reassignment, longest-remaining first, exact evaluation.
-    survivors = [
-        (name, grid[i]) for i, name in enumerate(names) if i != failed_index
-    ]
-    assigned: dict[str, dict[int, int]] = {name: {} for name, _ in survivors}
-    assigned_posts: dict[str, int] = {name: 0 for name, _ in survivors}
-    reassignment: dict[int, str] = {}
-    for scenario in sorted(
-        interrupted, key=lambda s: (-remaining.get(s, 0), s)
-    ):
-        decision_started = time.perf_counter()
-        migration = link.migration_penalty(completed[scenario])
-        best_name = None
-        best_finish = float("inf")
-        for name, cluster in survivors:
-            trial = dict(assigned[name])
-            if remaining.get(scenario, 0) > 0:
-                trial[scenario] = remaining[scenario]
-            candidate = _appended_finish(
-                cluster,
-                max(finish[name], failure.at_time),
-                trial,
-                assigned_posts[name] + pending[scenario],
-                migration,
-            )
-            if candidate < best_finish:
-                best_finish = candidate
-                best_name = name
-        assert best_name is not None
-        if remaining.get(scenario, 0) > 0:
-            assigned[best_name][scenario] = remaining[scenario]
-        assigned_posts[best_name] += pending[scenario]
-        reassignment[scenario] = best_name
-        # Recovery latency: how long past the failure instant this
-        # scenario's work now runs on its new home (simulated seconds).
-        recovery_latency = best_finish - failure.at_time
-        obs.inc(
-            "recovery.resubmissions",
-            source=failure.cluster_name,
-            target=best_name,
-        )
-        obs.observe(
-            "recovery.resubmission_latency_seconds",
-            recovery_latency,
-            target=best_name,
-        )
-        obs.log_event(
-            _log, "recovery.resubmission",
-            scenario=scenario,
-            source=failure.cluster_name,
-            target=best_name,
-            remaining_months=remaining.get(scenario, 0),
-            pending_posts=pending[scenario],
-            migration_penalty_s=migration,
-            projected_finish_s=best_finish,
-            recovery_latency_s=recovery_latency,
-            decision_seconds=time.perf_counter() - decision_started,
-        )
-
-    cluster_finish: dict[str, float] = {}
-    for name, cluster in survivors:
-        has_work = bool(assigned[name]) or assigned_posts[name] > 0
-        migration = max(
-            (
-                link.migration_penalty(completed[s])
-                for s, target in reassignment.items()
-                if target == name
-            ),
-            default=0.0,
-        )
-        cluster_finish[name] = _appended_finish(
-            cluster,
-            max(finish[name], failure.at_time) if has_work else finish[name],
-            assigned[name],
-            assigned_posts[name],
-            migration,
-        )
-
-    makespan = max(cluster_finish.values())
-    obs.set_gauge("recovery.makespan_seconds", makespan)
-    obs.set_gauge(
-        "recovery.delay_seconds", makespan - original_makespan
-    )
-    obs.log_event(
-        _log, "recovery.completed",
-        cluster=failure.cluster_name,
-        resubmissions=len(reassignment),
-        makespan_s=makespan,
-        original_makespan_s=original_makespan,
-        delay_s=makespan - original_makespan,
-        lost_work_processor_seconds=lost,
-    )
+    # Scenarios the crash did not interrupt had finished every month.
     return RecoveryPlan(
         failure=failure,
-        original_repartition=repartition,
-        original_makespan=original_makespan,
-        completed_months=completed,
-        pending_posts=pending,
-        reassignment=reassignment,
-        cluster_finish=cluster_finish,
-        makespan=makespan,
-        lost_work_seconds=lost,
+        original_repartition=report.original_repartition,
+        original_makespan=report.original_makespan,
+        completed_months={
+            s: outcome.completed_months.get(s, months) for s in local
+        },
+        pending_posts={s: outcome.pending_posts.get(s, 0) for s in local},
+        reassignment=outcome.reassignment,
+        cluster_finish={
+            n: finish for n, finish in report.cluster_finish.items() if n != name
+        },
+        makespan=report.makespan,
+        lost_work_seconds=outcome.lost_work_seconds,
     )
 
 
@@ -613,10 +487,8 @@ def run_campaign_with_faults(
     Unlike the single-failure API — which raises on a failure that has
     nothing to recover — events hitting an idle, finished, or already
     -down cluster are recorded as no-ops: a trace generator cannot know
-    the schedule.  An empty trace returns the unperturbed plan, and a
-    trace with one crash event reproduces
-    :func:`run_campaign_with_failure`'s plan bit-for-bit (both paths
-    run the identical replay, greedy, and finish computations).
+    the schedule.  An empty trace returns the unperturbed plan;
+    :func:`run_campaign_with_failure` is the one-crash case.
 
     Raises :class:`MiddlewareError` for an event naming a cluster not
     in the grid, or when a failure leaves no candidate cluster at all.

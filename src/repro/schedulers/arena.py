@@ -9,14 +9,12 @@ a seeded :class:`~repro.faults.trace.FaultTrace`.  The result reports
 the paper's own metric — gain over basic — plus win/loss matrices and
 per-scheduler decision latency.
 
-Races journal NDJSON-style exactly like sweeps
-(:mod:`repro.experiments.sweep`): the first line pins the grid
-identity, each completed chunk appends a rows line, a resumed race is
-bit-for-bit equal to an uninterrupted one, and only a torn final line
-is forgiven.  Rows deliberately carry **no timings**: decision latency
-is a property of the host that ran the race, so it flows through the
-``latency_sink`` argument and the ``scheduler.decide_seconds`` metric,
-never the journal — resume equality depends on it.
+Races run, journal and resume through
+:func:`repro.experiments.gridrun.run_grid`, like sweeps.  Rows
+deliberately carry **no timings**: decision latency is a property of
+the host that ran the race, so it flows through the ``latency_sink``
+argument and the ``scheduler.decide_seconds`` metric, never the
+journal — resume equality depends on it.
 
 Fault axis entries are labels: ``"none"`` (fault-free) or
 ``"seed-<n>"`` (a trace drawn by :func:`~repro.faults.trace.generate_trace`
@@ -30,21 +28,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
-from repro import obs
 from repro.core.heuristics import HeuristicName, plan_grouping
 from repro.core.makespan import (
     cached_simulated_makespan,
-    makespan_cache_stats,
     set_makespan_cache_enabled,
 )
 from repro.exceptions import ConfigurationError, SchedulingError
+from repro.experiments.gridrun import GridKind, run_grid
 from repro.experiments.results_io import (
     GenericResult,
     dump_result,
-    load_result,
     register_codec,
 )
 from repro.experiments.runner import resource_sweep
@@ -594,35 +591,8 @@ def _eval_chunk(
     )
 
 
-def _evaluate(
-    chunks: list[tuple[ArenaPoint, ...]],
-    config: _ChaosConfig,
-    workers: int | None,
-    use_cache: bool,
-) -> Iterator[tuple[tuple[ArenaRow, ...], tuple[float, ...]]]:
-    """Yield chunk results in order, serially or across a process pool.
-
-    Same contract as the sweep engine: ``workers in (None, 0, 1)`` is
-    serial, order is preserved, and parallel rows are bit-identical to
-    serial ones (latencies, of course, are not — they are measurements).
-    """
-    if workers is not None and workers < 0:
-        raise ConfigurationError(f"workers must be >= 0, got {workers!r}")
-    if workers in (None, 0, 1) or len(chunks) <= 1:
-        for chunk in chunks:
-            yield _eval_chunk(chunk, config, use_cache)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-    from functools import partial
-
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        yield from executor.map(
-            partial(_eval_chunk, config=config, use_cache=use_cache), chunks
-        )
-
-
 # ---------------------------------------------------------------------------
-# Journal.
+# Journal codec.
 # ---------------------------------------------------------------------------
 
 
@@ -640,61 +610,20 @@ def _rows_line(rows: Iterable[ArenaRow]) -> str:
     )
 
 
-def _load_journal(path: Path, grid: ArenaGrid) -> dict[tuple, ArenaRow] | None:
-    """Rows already journaled for ``grid``, keyed by point identity.
-
-    Same contract as the sweep journal loader: ``None`` means nothing
-    usable (start fresh), a different grid or corruption before the
-    final line raises :class:`~repro.exceptions.ConfigurationError`,
-    and only a torn final line is forgiven.
-    """
-    lines = path.read_text().splitlines()
-    done: dict[tuple, ArenaRow] = {}
-    grid_seen = False
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        last = index == len(lines) - 1
-        try:
-            envelope = load_result(line)
-        except ConfigurationError:
-            if last:
-                break  # torn trailing write — discard and re-evaluate
-            raise ConfigurationError(
-                f"corrupt arena journal {path} at line {index + 1}"
-            ) from None
-        if not isinstance(envelope, GenericResult):
-            raise ConfigurationError(
-                f"arena journal {path} line {index + 1} holds "
-                f"{type(envelope).__name__}, not an arena envelope"
-            )
-        if not grid_seen:
-            if envelope.kind != "arena-grid":
-                raise ConfigurationError(
-                    f"arena journal {path} does not start with a grid line"
-                )
-            if envelope.data.get("grid") != grid.as_dict():
-                raise ConfigurationError(
-                    f"arena journal {path} was written for a different race; "
-                    f"pass resume=False (or a fresh path) to overwrite it"
-                )
-            grid_seen = True
-            continue
-        if envelope.kind != "arena-rows":
-            raise ConfigurationError(
-                f"arena journal {path} line {index + 1} has unexpected "
-                f"kind {envelope.kind!r}"
-            )
-        for raw in envelope.data.get("rows", ()):
-            try:
-                row = ArenaRow.from_dict(raw)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigurationError(
-                    f"arena journal {path} line {index + 1} holds a "
-                    f"malformed row: {exc}"
-                ) from exc
-            done[row.point.key()] = row
-    return done if grid_seen else None
+_ARENA = GridKind(
+    name="arena",
+    what="race",
+    grid_line=_grid_line,
+    rows_line=_rows_line,
+    row_from_dict=ArenaRow.from_dict,
+    chunk_size=DEFAULT_CHUNK_SIZE,
+    span="arena.race",
+    runs_metric="arena.races",
+    points_metric="arena.points",
+    chunks_metric="arena.chunks",
+    seconds_metric="arena.seconds",
+    resumed_metric="arena.resumed_points",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -727,72 +656,26 @@ def run_arena(
     process).  Latency also flows through the
     ``scheduler.decide_seconds`` metric when observability is on.
     """
-    points = grid.points()
+    def collect(
+        result: tuple[tuple[ArenaRow, ...], tuple[float, ...]],
+    ) -> tuple[ArenaRow, ...]:
+        rows, latencies = result
+        if latency_sink is not None:
+            for row, latency in zip(rows, latencies):
+                latency_sink.setdefault(row.point.scheduler, []).append(latency)
+        return rows
+
     config = _ChaosConfig(grid.seed, grid.mtbf_hours, grid.mttr_hours)
-    journal = Path(journal_path) if journal_path is not None else None
-    done: dict[tuple, ArenaRow] = {}
-    fresh_journal = journal is not None
-    if journal is not None and resume and journal.exists():
-        loaded = _load_journal(journal, grid)
-        if loaded is not None:
-            done = loaded
-            fresh_journal = False
-
-    pending = [point for point in points if point.key() not in done]
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_SIZE
-    elif chunk_size < 1:
-        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size!r}")
-    chunks = [
-        tuple(pending[i : i + chunk_size])
-        for i in range(0, len(pending), chunk_size)
-    ]
-    if max_chunks is not None:
-        if max_chunks < 0:
-            raise ConfigurationError(
-                f"max_chunks must be >= 0, got {max_chunks!r}"
-            )
-        chunks = chunks[:max_chunks]
-
-    handle = None
-    if journal is not None:
-        handle = journal.open("w" if fresh_journal else "a")
-        if fresh_journal:
-            handle.write(_grid_line(grid) + "\n")
-            handle.flush()
-
-    started = time.perf_counter()
-    evaluated = 0
-    try:
-        with obs.span(
-            "arena.race",
-            points=grid.size, pending=len(pending), chunks=len(chunks),
-            schedulers=len(grid.schedulers),
-        ):
-            for rows, latencies in _evaluate(chunks, config, workers, use_cache):
-                for row, latency in zip(rows, latencies):
-                    done[row.point.key()] = row
-                    if latency_sink is not None:
-                        latency_sink.setdefault(
-                            row.point.scheduler, []
-                        ).append(latency)
-                evaluated += len(rows)
-                if handle is not None:
-                    handle.write(_rows_line(rows) + "\n")
-                    handle.flush()
-                obs.inc("arena.points", len(rows))
-                obs.inc("arena.chunks")
-    finally:
-        if handle is not None:
-            handle.close()
-
-    if obs.enabled():
-        obs.observe("arena.seconds", time.perf_counter() - started)
-        obs.inc("arena.races")
-        stats = makespan_cache_stats()
-        for kind, counters in stats.items():
-            obs.set_gauge("makespan.cache_size", counters["size"], kind=kind)
-        obs.set_gauge("arena.resumed_points", len(done) - evaluated)
-
-    rows = tuple(done[point.key()] for point in points if point.key() in done)
+    rows = run_grid(
+        _ARENA,
+        grid,
+        partial(_eval_chunk, config=config, use_cache=use_cache),
+        workers=workers,
+        chunk_size=chunk_size,
+        journal_path=journal_path,
+        resume=resume,
+        max_chunks=max_chunks,
+        collect=collect,
+        schedulers=len(grid.schedulers),
+    )
     return ArenaResult(grid=grid, rows=rows)
