@@ -8,7 +8,7 @@ heuristic)`` cells at fixed ``(NS, NM)``:
   offers);
 * **batch kernels** — :func:`repro.core.batch.batch_plan_groupings`,
   the numpy Eq 1-5 + capacity-axis knapsack-DP path the sweep engine
-  auto-selects.
+  plans through by default, observed or not.
 
 The >=5x speedup assertion is the tentpole's acceptance floor; both
 legs run cold (cache cleared before each timed pass) and the parity of

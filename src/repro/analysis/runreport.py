@@ -35,6 +35,7 @@ from typing import Any, Mapping, Sequence
 from repro._version import __version__
 from repro.analysis.svg import svg_gantt, svg_histogram, svg_line_chart
 from repro.exceptions import ConfigurationError
+from repro.experiments.gridrun import journal_lines
 from repro.experiments.results_io import GenericResult, load_result
 
 __all__ = [
@@ -458,22 +459,26 @@ def report_for_journal(journal_path: str | Path) -> str:
 
     Reads the journal directly — no store required — and charts
     makespan against resources per heuristic, plus the distribution of
-    feasible makespans and the grid header.
+    feasible makespans and the grid header.  Lines are read by the grid
+    runner's rule (:func:`repro.experiments.gridrun.journal_lines`), so
+    the journal of a run killed mid-write renders its complete lines.
     """
     path = Path(journal_path)
     try:
-        lines = [
-            line
-            for line in path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+        data = path.read_bytes()
     except OSError as exc:
         raise ConfigurationError(
             f"cannot read journal {journal_path}: {exc}"
         ) from None
-    if not lines:
-        raise ConfigurationError(f"journal {journal_path} is empty")
-    header = load_result(lines[0])
+    envelopes = [
+        envelope
+        for _line, envelope, _end in journal_lines(data, f"journal {path}")
+    ]
+    if not envelopes:
+        raise ConfigurationError(
+            f"journal {journal_path} holds no complete line"
+        )
+    header = envelopes[0]
     if not isinstance(header, GenericResult) or header.kind not in (
         "sweep-grid", "arena-grid",
     ):
@@ -484,8 +489,7 @@ def report_for_journal(journal_path: str | Path) -> str:
     rows_kind = "arena-rows" if header.kind == "arena-grid" else "sweep-rows"
     grid = header.data.get("grid", {})
     rows: list[dict[str, Any]] = []
-    for line in lines[1:]:
-        chunk = load_result(line)
+    for chunk in envelopes[1:]:
         if isinstance(chunk, GenericResult) and chunk.kind == rows_kind:
             rows.extend(chunk.data.get("rows", []))
     if header.kind == "arena-grid":

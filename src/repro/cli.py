@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-batch", action="store_true",
         help=(
             "force the scalar planning oracle instead of the vectorized "
-            "batch kernels (auto-selected when no trace/metrics are needed)"
+            "batch kernels (the default, with or without --metrics-out)"
         ),
     )
     psw.add_argument(
@@ -892,7 +892,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
                 resume=not args.no_resume,
                 max_chunks=args.max_chunks,
                 use_cache=not args.no_cache,
-                batch=False if args.no_batch else None,
+                batch=not args.no_batch,
             )
         extra = finalize_obs(args)
 

@@ -25,10 +25,12 @@ the journaled points, so an interrupted-then-resumed run equals one
 uninterrupted run row for row, and writes the same journal bytes.
 
 Torn tails: a line counts only when it ends in ``\\n`` and parses.  A
-run killed mid-write leaves a final line that does not, so the loader
-drops it and the file is truncated to the end of the last line that
-counts before anything is appended.  Any other line that does not
-parse is corruption, and an error.
+run killed mid-write leaves a final line that does not, so
+:func:`journal_lines` drops it and the file is truncated to the end of
+the last line that counts before anything is appended.  Any other line
+that does not parse is corruption, and an error.  Every journal reader
+(the resume loader here, the run report) goes through
+:func:`journal_lines`.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from repro.core.makespan import makespan_cache_stats
 from repro.exceptions import ConfigurationError
 from repro.experiments.results_io import GenericResult, load_result
 
-__all__ = ["GridKind", "is_serial", "ordered_map", "run_grid"]
+__all__ = ["GridKind", "is_serial", "journal_lines", "ordered_map", "run_grid"]
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,34 @@ def _pool_map(
         yield from executor.map(fn, items)
 
 
+def journal_lines(data: bytes, label: str) -> Iterator[tuple[int, Any, int]]:
+    """The lines of a journal that count, parsed.
+
+    Yields ``(line number, envelope, end offset)`` for each non-blank
+    line that ends in ``\\n`` and parses, where the end offset is the
+    byte just past its newline.  The final non-blank line may be torn —
+    unterminated, or cut mid-write — and is dropped; any earlier line
+    that does not parse is corruption, a
+    :class:`~repro.exceptions.ConfigurationError` naming ``label``.
+    """
+    pieces = data.split(b"\n")
+    last = max((i for i, piece in enumerate(pieces) if piece.strip()), default=-1)
+    offset = 0
+    for index, piece in enumerate(pieces):
+        offset += len(piece) + 1
+        if index == len(pieces) - 1 or not piece.strip():
+            continue  # no newline yet (a torn write) or a blank line
+        try:
+            envelope = load_result(piece.decode())
+        except (ConfigurationError, UnicodeDecodeError):
+            if index == last:
+                return  # torn final write — discard it
+            raise ConfigurationError(
+                f"corrupt {label} at line {index + 1}"
+            ) from None
+        yield index + 1, envelope, offset
+
+
 def _load_journal(
     path: Path, kind: GridKind, grid: Any
 ) -> tuple[dict[tuple, Any], int] | None:
@@ -113,28 +143,15 @@ def _load_journal(
     grid line) and the caller starts fresh.  Only the final line may
     be torn, because every earlier line was flushed whole.
     """
-    pieces = path.read_bytes().split(b"\n")
-    last = max((i for i, piece in enumerate(pieces) if piece.strip()), default=-1)
     label = f"{kind.name} journal {path}"
     done: dict[tuple, Any] = {}
     grid_seen = False
-    end = offset = 0
-    for index, piece in enumerate(pieces):
-        offset += len(piece) + 1
-        if index == len(pieces) - 1 or not piece.strip():
-            continue  # no newline yet (a torn write) or a blank line
-        try:
-            envelope = load_result(piece.decode())
-        except (ConfigurationError, UnicodeDecodeError):
-            if index == last:
-                break  # torn final write — discard and re-evaluate
-            raise ConfigurationError(
-                f"corrupt {label} at line {index + 1}"
-            ) from None
+    end = 0
+    for line, envelope, offset in journal_lines(path.read_bytes(), label):
         if not isinstance(envelope, GenericResult):
             article = "an" if kind.name[0] in "aeiou" else "a"
             raise ConfigurationError(
-                f"{label} line {index + 1} holds "
+                f"{label} line {line} holds "
                 f"{type(envelope).__name__}, not {article} {kind.name} envelope"
             )
         if not grid_seen:
@@ -150,14 +167,14 @@ def _load_journal(
             continue
         if envelope.kind != f"{kind.name}-rows":
             raise ConfigurationError(
-                f"{label} line {index + 1} has unexpected kind {envelope.kind!r}"
+                f"{label} line {line} has unexpected kind {envelope.kind!r}"
             )
         for raw in envelope.data.get("rows", ()):
             try:
                 row = kind.row_from_dict(raw)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigurationError(
-                    f"{label} line {index + 1} holds a malformed row: {exc}"
+                    f"{label} line {line} holds a malformed row: {exc}"
                 ) from exc
             done[row.point.key()] = row
         end = offset

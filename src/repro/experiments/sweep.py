@@ -9,12 +9,12 @@ Each point runs through the memoized kernels of
 :mod:`repro.core.makespan` and the bookkeeping-free fast path of
 :mod:`repro.simulation.engine`; the heuristic axis iterates innermost so
 the points sharing a ``(cluster, R, NS, NM)`` kernel land in the same
-chunk — and therefore the same worker-process cache.  When no cell
-needs a trace or per-plan metrics (observability disabled), planning
-runs through the vectorized kernels of :mod:`repro.core.batch` instead,
-one array evaluation per ``(cluster, NS, NM, heuristic)`` group per
-chunk — bit-identical rows, same journal, same resume semantics (see
-``run_sweep``'s ``batch`` parameter).
+chunk — and therefore the same worker-process cache.  Planning runs
+through the vectorized kernels of :mod:`repro.core.batch`, one array
+evaluation per ``(cluster, NS, NM, heuristic)`` group per chunk, with
+observability on or off; the point-by-point scalar planner stays as the
+oracle ``batch=False`` selects — bit-identical rows, same journal, same
+resume semantics.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from repro import obs
 from repro.core.heuristics import HeuristicName, plan_grouping
 from repro.core.makespan import (
     cached_simulated_makespan,
@@ -404,7 +403,7 @@ def run_sweep(
     resume: bool = True,
     max_chunks: int | None = None,
     use_cache: bool = True,
-    batch: bool | None = None,
+    batch: bool = True,
 ) -> SweepResult:
     """Evaluate a grid, journaling each chunk so the sweep is resumable.
 
@@ -433,21 +432,19 @@ def run_sweep(
         point, which the benchmarks use as the baseline).
     batch:
         Plan each chunk through the vectorized kernels of
-        :mod:`repro.core.batch` instead of point-by-point scalar calls.
-        ``None`` (the default) auto-selects: batch when observability is
-        disabled (no cell needs a trace or per-plan metrics), scalar
-        otherwise.  ``False`` forces the scalar oracle path; ``True``
-        forces batch even with observability on (rows are identical
-        either way — only the per-plan spans/metrics differ).
+        :mod:`repro.core.batch` (the default, observed or not).
+        ``False`` forces the point-by-point scalar oracle.  Rows and
+        journal bytes are identical either way; under observability
+        only the scalar path emits per-plan spans and metrics, while
+        the batch path reports ``batch.plans``.
 
     Returns the rows evaluated so far — journaled history plus this
     call's work — ordered by grid position.
     """
-    use_batch = (not obs.enabled()) if batch is None else bool(batch)
     rows = run_grid(
         _SWEEP,
         grid,
-        partial(_eval_chunk, use_cache=use_cache, batch=use_batch),
+        partial(_eval_chunk, use_cache=use_cache, batch=batch),
         workers=workers,
         chunk_size=chunk_size,
         journal_path=journal_path,

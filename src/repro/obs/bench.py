@@ -681,10 +681,10 @@ def _bench_kernels() -> float:
     Plans fig7- and fig8-shaped grids (every heuristic x every
     ``(cluster, R)`` cell at NS=10, NM=12) through
     :func:`repro.core.batch.batch_plan_groupings` — the vectorized
-    Eq 1–5 + knapsack-DP path the sweep auto-selects.  One config is one
-    planned ``(cluster, R, heuristic)`` cell.  ``benchmarks/
-    bench_kernels.py`` additionally asserts the >=5x ratio over the
-    memoized scalar path on the same grids.
+    Eq 1–5 + knapsack-DP path every sweep plans through by default.
+    One config is one planned ``(cluster, R, heuristic)`` cell.
+    ``benchmarks/bench_kernels.py`` additionally asserts the >=5x ratio
+    over the memoized scalar path on the same grids.
     """
     from repro.core.batch import batch_plan_groupings
     from repro.core.heuristics import HeuristicName

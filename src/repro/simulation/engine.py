@@ -25,21 +25,20 @@ Complexity: ``O(NS·NM · (NS + log NS))`` for the main phase and
 (10 × 1800 months) simulates in well under a second.
 
 Two implementations
-    The *reference* path carries per-task records and per-event metrics
-    hooks and scans the waiting set linearly — readable, instrumented,
-    and the arbiter of correctness.  The *fast* path replays the exact
-    same policy with heaps and no bookkeeping; it runs whenever neither
-    traces nor metrics are requested.  Both produce bit-identical
-    makespans (the scheduling decisions, and therefore every float
-    operation on event times, are the same) — the differential-oracle
-    tests pin this, and the ``fast`` argument of :func:`simulate` exists
-    so they can force either path.
+    The *reference* path carries per-task records and scans the waiting
+    set linearly — readable, and the arbiter of correctness.  The *fast*
+    path replays the exact same policy with heaps and no records; it
+    runs whenever no trace is requested, with observability on or off.
+    Both produce bit-identical makespans (the scheduling decisions, and
+    therefore every float operation on event times, are the same) and,
+    while collection is on, publish identical metrics — the
+    differential-oracle tests pin both, and the ``fast`` argument of
+    :func:`simulate` exists so they can force either path.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro import obs
@@ -55,14 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.hooks import FaultHook
 
 __all__ = ["simulate", "simulate_on_cluster"]
-
-
-@dataclass
-class _EngineStats:
-    """Per-run accounting collected only while observability is enabled."""
-
-    events: int = 0
-    tasks_per_group: list[int] = field(default_factory=list)
 
 
 def simulate(
@@ -93,12 +84,14 @@ def simulate(
         Reject groupings with more groups than scenarios (the paper's
         rule).  Disable only for deliberately degenerate test inputs.
     fast:
-        ``None`` (default) picks automatically: the bookkeeping-free
-        fast path when neither traces nor metrics are requested, the
-        instrumented reference path otherwise.  ``True``/``False``
-        force one implementation — forcing ``True`` is incompatible
-        with ``record_trace`` and skips metrics; forcing ``False``
-        exists for differential testing and baseline benchmarks.
+        ``None`` (default) picks automatically: the heap-based fast
+        path unless ``record_trace`` asks for per-task records, which
+        only the reference path produces.  Observability does not
+        enter the choice — both paths publish the same metrics while
+        collection is on.  ``True``/``False`` force one
+        implementation — forcing ``True`` is incompatible with
+        ``record_trace``; forcing ``False`` exists for differential
+        testing and baseline benchmarks.
     faults:
         A compiled :class:`~repro.faults.hooks.FaultHook` for this
         cluster.  A no-op hook (or ``None``) leaves every path —
@@ -137,48 +130,39 @@ def simulate(
     group_times = [timing.main_time(g) for g in grouping.group_sizes]
     tp = timing.post_time()
 
-    stats = _EngineStats() if obs.enabled() else None
-    use_fast = (not record_trace and stats is None) if fast is None else fast
+    # Main tasks per group, counted only while collection is on.
+    tasks_per_group = [0] * len(group_times) if obs.enabled() else None
+    records: tuple[TaskRecord, ...] = ()
+    use_fast = not record_trace if fast is None else fast
     if use_fast:
         if record_trace:
             raise SimulationError(
                 "fast=True cannot record traces; use fast=False or fast=None"
             )
-        ready_times, group_last_end = _run_main_phase_fast(spec, group_times)
+        ready_times, group_last_end = _run_main_phase_fast(
+            spec, group_times, tasks_per_group
+        )
         main_makespan = ready_times[-1] if ready_times else 0.0
         post_makespan = _run_post_phase_fast(
             grouping, ready_times, group_last_end, tp
         )
-        return SimulationResult(
-            makespan=max(main_makespan, post_makespan),
-            main_makespan=main_makespan,
-            grouping=grouping,
-            spec=spec,
-            cluster_name=cluster_name,
-            records=(),
+    else:
+        ranges = proc_ranges(grouping)
+        main_records, post_ready, group_last_end = _run_main_phase(
+            spec, group_times, ranges, record_trace, tasks_per_group
         )
-
-    ranges = proc_ranges(grouping)
-    if stats is not None:
-        stats.tasks_per_group = [0] * len(group_times)
-
-    main_records, post_ready, group_last_end = _run_main_phase(
-        spec, group_times, ranges, record_trace, stats
-    )
-    main_makespan = max((end for _, _, _, end in post_ready), default=0.0)
-
-    post_records, post_makespan = _run_post_phase(
-        grouping, post_ready, group_last_end, ranges, tp, record_trace
-    )
+        main_makespan = max((end for _, _, _, end in post_ready), default=0.0)
+        post_records, post_makespan = _run_post_phase(
+            grouping, post_ready, group_last_end, ranges, tp, record_trace
+        )
+        if record_trace:
+            records = tuple(main_records + post_records)
 
     makespan = max(main_makespan, post_makespan)
-    records: tuple[TaskRecord, ...] = ()
-    if record_trace:
-        records = tuple(main_records + post_records)
-    if stats is not None:
+    if tasks_per_group is not None:
         _publish_stats(
-            stats, cluster_name, spec, group_times, group_last_end,
-            makespan, main_makespan, len(post_ready),
+            tasks_per_group, cluster_name, spec, group_times, group_last_end,
+            makespan, main_makespan,
         )
     return SimulationResult(
         makespan=makespan,
@@ -213,46 +197,42 @@ def simulate_on_cluster(
 
 
 def _publish_stats(
-    stats: _EngineStats,
+    tasks_per_group: list[int],
     cluster_name: str,
     spec: EnsembleSpec,
     group_times: list[float],
     group_last_end: list[float],
     makespan: float,
     main_makespan: float,
-    n_posts: int,
 ) -> None:
     """Flush one run's accounting to the global metrics registry.
 
-    *Waves* is the deepest group's task count — how many times the
-    busiest group turned around; *idle seconds* is the main phase's
-    processor-level slack: for each group, the gap between its last
-    task's end and the time it spent computing, weighted by nothing
-    (group-level, matching the paper's per-group reasoning).
+    Both engine paths call this once per run with the same values.
+    Each of the ``NS·NM`` main tasks is one dispatched completion event
+    and releases one post task.  *Waves* is the deepest group's task
+    count — how many times the busiest group turned around; *idle
+    seconds* is the main phase's processor-level slack: for each group,
+    the gap between its last task's end and the time it spent
+    computing, weighted by nothing (group-level, matching the paper's
+    per-group reasoning).
     """
+    n_tasks = spec.scenarios * spec.months
     obs.inc("simulation.runs", cluster=cluster_name)
-    obs.inc(
-        "simulation.tasks",
-        spec.scenarios * spec.months,
-        cluster=cluster_name,
-        kind="main",
-    )
-    obs.inc("simulation.tasks", n_posts, cluster=cluster_name, kind="post")
-    obs.inc("engine.events_dispatched", stats.events, cluster=cluster_name)
+    obs.inc("simulation.tasks", n_tasks, cluster=cluster_name, kind="main")
+    obs.inc("simulation.tasks", n_tasks, cluster=cluster_name, kind="post")
+    obs.inc("engine.events_dispatched", n_tasks, cluster=cluster_name)
     obs.set_gauge(
         "simulation.makespan_seconds", makespan, cluster=cluster_name
     )
     obs.set_gauge(
         "simulation.main_makespan_seconds", main_makespan, cluster=cluster_name
     )
-    if stats.tasks_per_group:
-        obs.set_gauge(
-            "engine.waves", max(stats.tasks_per_group), cluster=cluster_name
-        )
+    if tasks_per_group:
+        obs.set_gauge("engine.waves", max(tasks_per_group), cluster=cluster_name)
         idle = sum(
             last_end - tasks * gt
             for last_end, tasks, gt in zip(
-                group_last_end, stats.tasks_per_group, group_times,
+                group_last_end, tasks_per_group, group_times,
                 strict=True,
             )
         )
@@ -266,11 +246,12 @@ def _run_main_phase(
     group_times: list[float],
     ranges: list[range],
     record_trace: bool,
-    stats: _EngineStats | None = None,
+    tasks_per_group: list[int] | None = None,
 ) -> tuple[list[TaskRecord], list[tuple[float, int, int, float]], list[float]]:
     """Schedule every main task; return (records, post-ready list, last ends).
 
-    ``post_ready`` entries are ``(ready_time, scenario, month, main_end)``
+    When ``tasks_per_group`` is a list, each task placed on group ``g``
+    adds one to ``tasks_per_group[g]``.  ``post_ready`` entries are ``(ready_time, scenario, month, main_end)``
     tuples emitted in completion order (``ready_time == main_end``; the
     duplication keeps the post phase free of record lookups).
     """
@@ -304,8 +285,8 @@ def _run_main_phase(
             heapq.heappush(running, (end, group, scenario))
             waiting.remove(scenario)
             unstarted -= 1
-            if stats is not None:
-                stats.tasks_per_group[group] += 1
+            if tasks_per_group is not None:
+                tasks_per_group[group] += 1
             if record_trace:
                 records.append(
                     TaskRecord(
@@ -327,8 +308,6 @@ def _run_main_phase(
 
     while running:
         now, group, scenario = heapq.heappop(running)
-        if stats is not None:
-            stats.events += 1
         month = months_done[scenario]
         months_done[scenario] += 1
         group_last_end[group] = now
@@ -393,9 +372,11 @@ def _run_post_phase(
 
 
 def _run_main_phase_fast(
-    spec: EnsembleSpec, group_times: list[float]
+    spec: EnsembleSpec,
+    group_times: list[float],
+    tasks_per_group: list[int] | None = None,
 ) -> tuple[list[float], list[float]]:
-    """The main phase without records or metrics; heaps replace scans.
+    """The main phase without records; heaps replace scans.
 
     Replays :func:`_run_main_phase` decision-for-decision: the waiting
     set becomes a heap of ``(months_done, wait_since, scenario)`` (keys
@@ -406,6 +387,9 @@ def _run_main_phase_fast(
     the reference path.  Returns ``(ready_times, group_last_end)`` with
     ready times in completion order — nondecreasing, so the last entry
     is the main-phase makespan and the post phase needs no sort.
+    ``tasks_per_group`` counts placements as in :func:`_run_main_phase`;
+    callers pass ``None`` unless collection is on, so the unobserved
+    loop pays one ``is not None`` test per task.
     """
     ns, nm = spec.scenarios, spec.months
     months_done = [0] * ns
@@ -428,6 +412,8 @@ def _run_main_phase_fast(
             _, _, scenario = pop(waiting)
             push(running, (now + gt, group, scenario))
             unstarted -= 1
+            if tasks_per_group is not None:
+                tasks_per_group[group] += 1
         if not running:
             break
         now, group, scenario = pop(running)

@@ -155,7 +155,7 @@ def test_fig10_golden_via_incremental_builders() -> None:
 
 
 def test_batched_sweep_matches_scalar_rows(tmp_path) -> None:
-    """fig8-shaped grid: forced batch == forced scalar == auto, row for row.
+    """fig8-shaped grid: batch == scalar == the default, row for row.
 
     Also crosses the journal boundary in mixed modes: a batched run
     interrupted after one chunk and *resumed with the scalar oracle*

@@ -15,9 +15,11 @@ Fixtures are regenerated (and the diff reviewed) with::
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
+from repro import obs
 from repro.experiments import fig7, fig8, fig10
 from repro.experiments.results_io import dump_result, load_result
 from tests.data.regenerate_golden import GOLDEN_PARAMS, HERE
@@ -28,11 +30,22 @@ def _golden(name: str):
     return load_result(path.read_text())
 
 
+# The unobserved cases keep the ids the two-argument parametrization gave.
 @pytest.mark.parametrize(
-    "name, module", [("fig7", fig7), ("fig8", fig8), ("fig10", fig10)]
+    "name, module, observed",
+    [
+        pytest.param(
+            name, module, observed,
+            id=f"{name}-{module.__name__}" + ("-observed" if observed else ""),
+        )
+        for observed in (False, True)
+        for name, module in (("fig7", fig7), ("fig8", fig8), ("fig10", fig10))
+    ],
 )
-def test_figure_matches_golden(name, module) -> None:
-    fresh = module.run(**GOLDEN_PARAMS[name])
+def test_figure_matches_golden(name, module, observed) -> None:
+    """Observing a figure run must not change a single bit of it."""
+    with obs.session() if observed else nullcontext():
+        fresh = module.run(**GOLDEN_PARAMS[name])
     assert fresh == _golden(name)
 
 

@@ -238,18 +238,22 @@ def test_fast_path_matches_reference_bit_for_bit(instance) -> None:
     assert auto.main_makespan == reference.main_makespan
 
 
-def test_fast_path_matches_instrumented_reference() -> None:
-    """With metrics live the engine takes the reference path — same result."""
-    timing = TableTimingModel(
-        {g: 1500.0 - 90.0 * (g - 4) for g in GROUP_SIZES}, post_seconds=180.0
-    )
-    spec = EnsembleSpec(7, 9)
-    grouping = Grouping.from_sizes([5, 5, 8], 21, post_pool=3)
-    fast = simulate(grouping, spec, timing)
-    with obs.session():
-        instrumented = simulate(grouping, spec, timing)
-    assert instrumented.makespan == fast.makespan
-    assert instrumented.main_makespan == fast.main_makespan
+@given(engine_instances())
+@settings(max_examples=100, deadline=None)
+def test_fast_path_publishes_reference_metrics(instance) -> None:
+    """Under observation both engine paths give the same makespans and
+    publish the same registry, series by series."""
+    grouping, spec, timing = instance
+    with obs.session() as (registry, _tracer):
+        reference = simulate(grouping, spec, timing, fast=False)
+        reference_metrics = registry.as_dict()
+    with obs.session() as (registry, _tracer):
+        fast = simulate(grouping, spec, timing)
+        fast_metrics = registry.as_dict()
+    assert fast.makespan == reference.makespan
+    assert fast.main_makespan == reference.main_makespan
+    assert fast_metrics == reference_metrics
+    assert reference_metrics["counters"]["engine.events_dispatched"]
 
 
 def test_record_trace_incompatible_with_forced_fast() -> None:
