@@ -20,20 +20,45 @@ Post-task phase
     optimal for equal-length tasks with release dates on identical
     machines, so the simulator never under-reports a heuristic.
 
-Complexity: ``O(NS·NM · (NS + log NS))`` for the main phase and
-``O(NS·NM · log R)`` for the post phase; a full paper-scale experiment
-(10 × 1800 months) simulates in well under a second.
-
 Two implementations
     The *reference* path carries per-task records and scans the waiting
-    set linearly — readable, and the arbiter of correctness.  The *fast*
-    path replays the exact same policy with heaps and no records; it
-    runs whenever no trace is requested, with observability on or off.
-    Both produce bit-identical makespans (the scheduling decisions, and
-    therefore every float operation on event times, are the same) and,
-    while collection is on, publish identical metrics — the
-    differential-oracle tests pin both, and the ``fast`` argument of
-    :func:`simulate` exists so they can force either path.
+    set linearly — readable, and the arbiter of correctness.  Its main
+    phase costs ``O(NS·NM · (NS + log NS))`` and its post phase
+    ``O(NS·NM · log R)``.  The *fast* path replays the exact same policy
+    without records; it runs whenever no trace is requested, with
+    observability on or off.  Both produce bit-identical makespans (the
+    scheduling decisions, and therefore every float operation on event
+    times, are the same) and, while collection is on, publish identical
+    metrics — the differential-oracle and regime tests pin both, and the
+    ``fast`` argument of :func:`simulate` exists so they can force
+    either path.
+
+Fast-path regimes
+    The fast main phase picks one of three regimes from the grouping
+    alone:
+
+    * *Uniform waves* — every ``T[g]`` equal and ``k <= NS``.  Each
+      wave advances the ``k`` least-advanced scenarios by one month, so
+      no two scenarios are ever more than one month apart; when one
+      finishes, every unfinished scenario has exactly its last month
+      left, and no group idles while work remains.  The phase is then
+      ``ceil(NS·NM / k)`` waves of ``T`` each, built in closed form in
+      ``O(NS·NM / k)`` Python steps (plus ``O(NS·NM)`` list filling
+      in C).
+    * *Saturated loop* — otherwise, while every group is busy, the group
+      a completion frees is the one that takes the next scenario, so
+      one event is one ``heappushpop`` on the waiting heap and one
+      ``heapreplace`` on the running heap: ``O(NS·NM · log NS)``.
+    * *General step* — from the first time a group idles with work left
+      (a lagging scenario still runs on a slow group while the others
+      have finished), and for ``k > NS``, each event pops and pushes
+      the three heaps separately, at the same ``O(log NS)`` per event
+      and a constant factor more.
+
+    The fast post phase peeks at the earliest free processor and
+    replaces it with the post's end, ``O(NS·NM · log R)``.  A full
+    paper-scale experiment (10 × 1800 months) simulates in well under a
+    second.
 """
 
 from __future__ import annotations
@@ -376,46 +401,74 @@ def _run_main_phase_fast(
     group_times: list[float],
     tasks_per_group: list[int] | None = None,
 ) -> tuple[list[float], list[float]]:
-    """The main phase without records; heaps replace scans.
+    """The main phase without records, in one of three regimes.
 
-    Replays :func:`_run_main_phase` decision-for-decision: the waiting
-    set becomes a heap of ``(months_done, wait_since, scenario)`` (keys
-    are frozen while a scenario waits, so entries never go stale) and
-    the free-group sort becomes a heap of ``(T[g], g)``.  Identical
-    choices mean identical float arithmetic on event times, so the
+    Replays :func:`_run_main_phase` decision-for-decision, so the
     returned ready times and group last-ends are bit-for-bit those of
     the reference path.  Returns ``(ready_times, group_last_end)`` with
     ready times in completion order — nondecreasing, so the last entry
     is the main-phase makespan and the post phase needs no sort.
     ``tasks_per_group`` counts placements as in :func:`_run_main_phase`;
-    callers pass ``None`` unless collection is on, so the unobserved
-    loop pays one ``is not None`` test per task.
+    callers pass ``None`` unless collection is on.
+
+    Uniform groupings go to :func:`_uniform_waves`.  Otherwise the
+    waiting set is a heap of ``(months_done, wait_since, scenario)``
+    (keys are frozen while a scenario waits, so entries never go
+    stale), the free groups a heap of ``(T[g], g)`` and the running
+    tasks a heap of ``(end, group, scenario)``.  Every key is unique, so
+    the order a heap yields does not depend on how it was built, and
+    the saturated loop's fused ``heappushpop``/``heapreplace`` choose
+    exactly what the general step's separate pops and pushes would (see
+    the module docstring for when each runs).
     """
     ns, nm = spec.scenarios, spec.months
-    months_done = [0] * ns
-    unstarted = ns * nm
+    n_groups = len(group_times)
+    if 0 < n_groups <= ns and min(group_times) == max(group_times):
+        return _uniform_waves(ns * nm, n_groups, group_times[0], tasks_per_group)
 
-    # Both comprehensions produce ascending sequences — already valid heaps.
-    waiting: list[tuple[int, float, int]] = [(0, 0.0, s) for s in range(ns)]
-    idle: list[tuple[float, int]] = sorted(
-        (gt, g) for g, gt in enumerate(group_times)
-    )
-    running: list[tuple[float, int, int]] = []
-    group_last_end = [0.0] * len(group_times)
+    # Kick-off: the fastest min(k, NS) groups take scenarios 0, 1, ...
+    # at time 0.  Every list below is ascending — already a valid heap.
+    free = sorted((gt, g) for g, gt in enumerate(group_times))
+    started = min(n_groups, ns)
+    running: list[tuple[float, int, int]] = [
+        (gt, g, s) for s, (gt, g) in enumerate(free[:started])
+    ]
+    idle: list[tuple[float, int]] = free[started:]
+    waiting: list[tuple[int, float, int]] = [
+        (0, 0.0, s) for s in range(started, ns)
+    ]
+    if tasks_per_group is not None:
+        for _, g, _ in running:
+            tasks_per_group[g] += 1
+    months_done = [0] * ns
+    unstarted = ns * nm - started
+    group_last_end = [0.0] * n_groups
     ready_times: list[float] = []
 
     push, pop = heapq.heappush, heapq.heappop
-    now = 0.0
-    while True:
-        while idle and waiting and unstarted > 0:
-            gt, group = pop(idle)
-            _, _, scenario = pop(waiting)
-            push(running, (now + gt, group, scenario))
-            unstarted -= 1
-            if tasks_per_group is not None:
-                tasks_per_group[group] += 1
-        if not running:
+    pushpop, replace = heapq.heappushpop, heapq.heapreplace
+    # Saturated: no group idles, so each completion restarts its group.
+    while unstarted > 0 and not idle:
+        now, group, scenario = running[0]
+        done = months_done[scenario] + 1
+        months_done[scenario] = done
+        group_last_end[group] = now
+        ready_times.append(now)
+        if done < nm:
+            scenario = pushpop(waiting, (done, now, scenario))[2]
+        elif waiting:
+            scenario = pop(waiting)[2]
+        else:
+            pop(running)
+            idle.append((group_times[group], group))
             break
+        replace(running, (now + group_times[group], group, scenario))
+        unstarted -= 1
+        if tasks_per_group is not None:
+            tasks_per_group[group] += 1
+
+    # General step: a group idles with work left, or the phase drains.
+    while running:
         now, group, scenario = pop(running)
         done = months_done[scenario] + 1
         months_done[scenario] = done
@@ -424,6 +477,13 @@ def _run_main_phase_fast(
         if done < nm:
             push(waiting, (done, now, scenario))
         push(idle, (group_times[group], group))
+        while idle and waiting and unstarted > 0:
+            gt, group = pop(idle)
+            _, _, scenario = pop(waiting)
+            push(running, (now + gt, group, scenario))
+            unstarted -= 1
+            if tasks_per_group is not None:
+                tasks_per_group[group] += 1
 
     if unstarted != 0 or waiting:
         raise SimulationError(
@@ -431,6 +491,35 @@ def _run_main_phase_fast(
             f"{len(waiting)} waiting scenarios — engine invariant broken"
         )
     return ready_times, group_last_end
+
+
+def _uniform_waves(
+    n_tasks: int,
+    k: int,
+    gt: float,
+    tasks_per_group: list[int] | None,
+) -> tuple[list[float], list[float]]:
+    """The main phase of ``k <= NS`` groups of equal time ``gt``, in closed form.
+
+    No group idles while work remains (see the module docstring), so the
+    phase is ``W = ceil(NS·NM / k)`` waves ending at
+    ``t_w = t_{w-1} + gt`` from ``t_0 = 0.0`` — the very additions the
+    event loop performs.  Groups free in index order within a wave, so
+    the last wave's ``last`` tasks run on groups ``0..last-1``, which
+    end at ``t_W``; the others end at ``t_{W-1}``.
+    """
+    waves = -(-n_tasks // k)
+    last = n_tasks - (waves - 1) * k
+    ready_times: list[float] = []
+    t = 0.0
+    for _ in range(waves - 1):
+        t += gt
+        ready_times += [t] * k
+    previous, t = t, t + gt
+    ready_times += [t] * last
+    if tasks_per_group is not None:
+        tasks_per_group[:] = [waves] * last + [waves - 1] * (k - last)
+    return ready_times, [t] * last + [previous] * (k - last)
 
 
 def _run_post_phase_fast(
@@ -446,7 +535,9 @@ def _run_post_phase_fast(
     ready list arrives sorted (main-phase completion order), and posts of
     equal ready time are interchangeable: whatever order they claim the
     two earliest processors in, the resulting pool and end-time multisets
-    are identical, hence the same makespan as the reference path.
+    are identical, hence the same makespan as the reference path.  Each
+    post takes the earliest processor and returns it at the post's end,
+    one ``heapreplace``.
     """
     pool: list[float] = [0.0] * grouping.post_pool
     for group, size in enumerate(grouping.group_sizes):
@@ -461,12 +552,12 @@ def _run_post_phase_fast(
             )
         return 0.0
 
-    push, pop = heapq.heappush, heapq.heappop
+    replace = heapq.heapreplace
     makespan = 0.0
     for ready in ready_times:
-        free_at = pop(pool)
+        free_at = pool[0]
         end = (free_at if free_at > ready else ready) + tp
-        push(pool, end)
+        replace(pool, end)
         if end > makespan:
             makespan = end
     return makespan
