@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service import QueueConfig, ServiceClient, serve_in_thread
+from repro.service import ServiceClient, serve_in_thread
 
 BATCH = 20  # submissions per timed round
 
@@ -22,9 +22,7 @@ BATCH = 20  # submissions per timed round
 def server(tmp_path_factory):
     """One in-process server shared by the whole module."""
     db_path = tmp_path_factory.mktemp("service") / "runs.db"
-    handle = serve_in_thread(
-        db_path, queue_config=QueueConfig(max_workers=2)
-    )
+    handle = serve_in_thread(db_path, workers=2)
     yield handle
     # Graceful stop waits only for in-flight jobs; the (large) backlog
     # of queued sleep jobs simply stays in the throwaway store.

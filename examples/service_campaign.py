@@ -19,7 +19,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro.service import QueueConfig, RunStore, ServiceClient, serve_in_thread
+from repro.service import RunStore, ServiceClient, serve_in_thread
 
 SCENARIOS = (6, 10, 14)  # three ensemble sizes, one campaign each
 
@@ -41,9 +41,7 @@ def submit_campaign(port: int, scenarios: int) -> str:
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         db_path = Path(tmp) / "runs.db"
-        handle = serve_in_thread(
-            db_path, queue_config=QueueConfig(max_workers=2)
-        )
+        handle = serve_in_thread(db_path, workers=2)
         print(f"campaign service on 127.0.0.1:{handle.port} (db={db_path})\n")
 
         try:

@@ -454,11 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
     psrv.add_argument("--port", type=int, default=4321)
     psrv.add_argument(
         "--workers", type=int, default=2,
-        help="worker processes (concurrent jobs)",
+        help="local pool workers (concurrent jobs; 0 = fleet-only)",
     )
     psrv.add_argument(
         "--job-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-job wall-clock budget (default: unlimited)",
+        help="per-job deadline; the job's child is killed past it "
+        "(default: unlimited)",
     )
     psrv.add_argument(
         "--max-attempts", type=int, default=3,
@@ -502,12 +503,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="lease renewal period; must be < lease/2 (default: 5)",
     )
     pwrk.add_argument(
+        "--job-timeout", type=float, default=None, metavar="SECONDS",
+        help="per-job deadline; the job's child is killed past it "
+        "(default: unlimited)",
+    )
+    pwrk.add_argument(
         "--max-jobs", type=int, default=None, metavar="N",
         help="exit after N executed jobs (default: run until stopped)",
     )
     pwrk.add_argument(
         "--poll-seed", type=int, default=None,
-        help="seed for the idle-poll jitter stream",
+        help="seed for the idle-poll and retry jitter stream",
     )
     pwrk.add_argument(
         "--fleet-chaos-rate", type=float, default=0.0, metavar="P",
@@ -1388,14 +1394,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> str:
     import asyncio
 
-    from repro.service.queue import QueueConfig
+    from repro.service.fleet import WorkerConfig
     from repro.service.server import CampaignServer
 
-    config = QueueConfig(
-        max_workers=args.workers,
-        job_timeout=args.job_timeout,
-        max_attempts=args.max_attempts,
-    )
     chaos = None
     if args.chaos_rate > 0:
         from repro.faults.chaos import ChaosConfig
@@ -1404,7 +1405,9 @@ def _cmd_serve(args: argparse.Namespace) -> str:
     store_url = args.store if args.store is not None else args.db
     reap_interval = args.reap_interval if args.reap_interval > 0 else None
     server = CampaignServer(
-        store_url, host=args.host, port=args.port, queue_config=config,
+        store_url, host=args.host, port=args.port, workers=args.workers,
+        max_attempts=args.max_attempts,
+        worker_config=WorkerConfig(job_timeout=args.job_timeout),
         chaos=chaos, reap_interval=reap_interval,
     )
 
@@ -1412,7 +1415,7 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         port = await server.start()
         print(
             f"campaign service listening on {args.host}:{port} "
-            f"(store={store_url}, workers={config.max_workers}) — "
+            f"(store={store_url}, workers={args.workers}) — "
             f"Ctrl-C drains and stops",
             flush=True,
         )
@@ -1435,16 +1438,19 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
     chaos = None
     if args.fleet_chaos_rate > 0:
-        from repro.faults.chaos import FleetChaosConfig
+        from repro.faults.chaos import PROCESS_ACTIONS, ChaosConfig
 
-        chaos = FleetChaosConfig.storm(
-            seed=args.fleet_chaos_seed, rate=args.fleet_chaos_rate
+        chaos = ChaosConfig.storm(
+            seed=args.fleet_chaos_seed,
+            rate=args.fleet_chaos_rate,
+            actions=PROCESS_ACTIONS,
         )
     config = WorkerConfig(
         lease_seconds=args.lease_seconds,
         heartbeat_interval=args.heartbeat_interval,
+        job_timeout=args.job_timeout,
         max_jobs=args.max_jobs,
-        poll_seed=args.poll_seed,
+        seed=args.poll_seed,
     )
     stop = threading.Event()
     for sig in (signal.SIGINT, signal.SIGTERM):

@@ -16,9 +16,9 @@ rest of the codebase can be tested and measured under failure:
   monthly restart-file checkpoints (finished months are safe, the
   month in flight is lost);
 * :mod:`repro.faults.chaos` — the service-level injector:
-  :class:`ChaosConfig`/:class:`ChaosMonkey` arm the job queue with
-  deterministic worker crashes, forced timeouts, and transient
-  executor errors.
+  :class:`ChaosConfig`/:class:`ChaosMonkey` arm a service worker with
+  deterministic job crashes, forced timeouts, transient executor
+  errors, worker kills, and store partitions.
 
 Campaign-level replanning over a trace lives in
 :func:`repro.middleware.recovery.run_campaign_with_faults`; the

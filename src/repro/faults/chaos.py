@@ -1,32 +1,35 @@
 """Service-layer chaos injection — deterministic fault storms.
 
-The campaign service's retry/backoff and crash-recovery paths
-(:mod:`repro.service.queue`, ``RunStore.recover_interrupted``) were
-historically exercised by single hand-crafted faults.  A
-:class:`ChaosConfig` instead arms the dispatcher with a *seeded*
-monkey that, on each job execution, may inject one of three failure
-modes the real worker pool exhibits:
+A :class:`ChaosConfig` arms a :class:`~repro.service.fleet.FleetWorker`
+(a ``repro-oa worker`` process or one of the server's own pool
+workers) with a *seeded* monkey that, on each claimed execution, may
+inject one of six failure modes (:data:`CHAOS_ACTIONS`):
 
-* ``crash`` — the worker process dies (the pool is rebuilt, the
-  execution counts as a failed attempt);
-* ``timeout`` — the job exceeds its wall-clock budget (same handling
-  as a real :class:`asyncio.TimeoutError`);
-* ``error`` — a transient executor exception (plain failed attempt,
-  no pool rebuild).
+* in-pool modes (:data:`POOL_ACTIONS`), each consuming the attempt
+  through the worker's one failure/retry routine:
+
+  - ``crash`` — the job's child process dies (it is killed and a fresh
+    child takes the next job);
+  - ``timeout`` — the job overruns its deadline (same handling as a
+    real deadline: the child is killed);
+  - ``error`` — a transient executor exception (plain failed attempt);
+
+* process modes (:data:`PROCESS_ACTIONS`), which hit the worker itself
+  and are recovered by leases instead:
+
+  - ``kill`` — SIGKILL right after the claim (the lease is never
+    released);
+  - ``kill-heartbeat`` — SIGKILL after one successful lease renewal
+    (the lease looks *fresh* when the worker dies);
+  - ``partition`` — the worker is cut off from the store mid-job:
+    heartbeats stop, the job still "completes", and the owner-checked
+    write must lose.
 
 Decisions are a pure function of ``(seed, run_id, attempt)`` — not of
-scheduler interleaving — so a chaotic campaign is *replayable*: the
-same submissions under the same seed hit the same storms, which is what
-lets the chaos suite assert exact outcomes.  Injection happens behind
-the flag (``JobQueue(..., chaos=ChaosConfig(...))`` or ``repro-oa
-serve --chaos-rate``); a ``None`` config costs nothing.
-
-The worker fleet gets its own monkey: :class:`FleetChaosConfig` /
-:class:`FleetChaosMonkey` inject *process-level* failures
-(:data:`FLEET_CHAOS_ACTIONS` — SIGKILL after claim, SIGKILL during
-heartbeat, store partition) into :class:`~repro.service.fleet.
-FleetWorker`, exercising lease expiry, reaper reassignment, and
-owner-checked completion instead of in-pool retry paths.
+scheduler interleaving or of which worker claimed the run — so a
+chaotic campaign is *replayable*: the same submissions under the same
+seed hit the same storms, which is what lets the chaos suite assert
+exact outcomes.  A ``None`` config (or all rates zero) costs nothing.
 """
 
 from __future__ import annotations
@@ -39,33 +42,30 @@ from repro.exceptions import ServiceError
 
 __all__ = [
     "CHAOS_ACTIONS",
+    "POOL_ACTIONS",
+    "PROCESS_ACTIONS",
     "ChaosConfig",
     "ChaosMonkey",
-    "FLEET_CHAOS_ACTIONS",
-    "FleetChaosConfig",
-    "FleetChaosMonkey",
 ]
 
 _log = obs.get_logger(__name__)
 
-#: Injectable failure modes, in decision-threshold order.
-CHAOS_ACTIONS: tuple[str, ...] = ("crash", "timeout", "error")
+#: Failure modes a job execution can suffer inside a healthy worker.
+POOL_ACTIONS: tuple[str, ...] = ("crash", "timeout", "error")
 
-#: Fleet-level failure modes (decision-threshold order): ``kill`` is a
-#: SIGKILL right after the claim (the lease is never released),
-#: ``kill-heartbeat`` is a SIGKILL after one successful lease renewal
-#: (the lease looks *fresh* when the worker dies), and ``partition``
-#: cuts the worker off from the store mid-job — heartbeats stop, the
-#: job still "completes", and the owner-checked write must lose.
-FLEET_CHAOS_ACTIONS: tuple[str, ...] = ("kill", "kill-heartbeat", "partition")
+#: Failure modes that kill or partition the worker itself.
+PROCESS_ACTIONS: tuple[str, ...] = ("kill", "kill-heartbeat", "partition")
+
+#: Every injectable mode, in decision-threshold order.
+CHAOS_ACTIONS: tuple[str, ...] = POOL_ACTIONS + PROCESS_ACTIONS
 
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """Per-execution injection probabilities plus the seed.
+    """Per-execution injection probabilities (one per action) plus the seed.
 
-    Each rate is the probability that one job *execution* suffers that
-    failure mode; the three rates must sum to at most 1.  ``seed``
+    Each rate is the probability that one claimed execution suffers
+    that failure mode; the rates must sum to at most 1.  ``seed``
     anchors the deterministic decision stream.
     """
 
@@ -73,9 +73,12 @@ class ChaosConfig:
     crash_rate: float = 0.0
     timeout_rate: float = 0.0
     error_rate: float = 0.0
+    kill_rate: float = 0.0
+    kill_heartbeat_rate: float = 0.0
+    partition_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        rates = (self.crash_rate, self.timeout_rate, self.error_rate)
+        rates = self.rates
         if any(r < 0 or r > 1 for r in rates):
             raise ServiceError(
                 f"chaos rates must be in [0, 1], got {rates!r}",
@@ -88,24 +91,53 @@ class ChaosConfig:
             )
 
     @property
+    def rates(self) -> tuple[float, ...]:
+        """The rates in :data:`CHAOS_ACTIONS` order."""
+        return (
+            self.crash_rate,
+            self.timeout_rate,
+            self.error_rate,
+            self.kill_rate,
+            self.kill_heartbeat_rate,
+            self.partition_rate,
+        )
+
+    @property
     def total_rate(self) -> float:
         """Probability that an execution suffers *some* injection."""
-        return self.crash_rate + self.timeout_rate + self.error_rate
+        return sum(self.rates)
 
     @classmethod
-    def storm(cls, seed: int = 0, rate: float = 0.5) -> "ChaosConfig":
-        """A balanced storm splitting ``rate`` across all three modes."""
-        share = rate / 3.0
+    def storm(
+        cls,
+        seed: int = 0,
+        rate: float = 0.5,
+        actions: tuple[str, ...] = POOL_ACTIONS,
+    ) -> "ChaosConfig":
+        """A balanced storm splitting ``rate`` evenly over ``actions``.
+
+        ``serve --chaos-rate`` storms the in-pool modes (the default);
+        ``worker --fleet-chaos-rate`` storms :data:`PROCESS_ACTIONS`.
+        """
+        unknown = set(actions) - set(CHAOS_ACTIONS)
+        if not actions or unknown:
+            raise ServiceError(
+                f"storm actions must be a non-empty subset of "
+                f"{CHAOS_ACTIONS}, got {actions!r}",
+                code="bad-request",
+            )
+        share = rate / len(actions)
         return cls(
             seed=seed,
-            crash_rate=share,
-            timeout_rate=share,
-            error_rate=rate - 2 * share,
+            **{
+                f"{action.replace('-', '_')}_rate": share
+                for action in actions
+            },
         )
 
 
 class ChaosMonkey:
-    """The decision engine a :class:`~repro.service.queue.JobQueue` arms."""
+    """The decision engine a :class:`~repro.service.fleet.FleetWorker` arms."""
 
     def __init__(self, config: ChaosConfig) -> None:
         self.config = config
@@ -124,113 +156,7 @@ class ChaosMonkey:
             f"chaos:{self.config.seed}:{run_id}:{attempt}"
         ).random()
         threshold = 0.0
-        for action, rate in zip(
-            CHAOS_ACTIONS,
-            (
-                self.config.crash_rate,
-                self.config.timeout_rate,
-                self.config.error_rate,
-            ),
-            strict=True,
-        ):
-            threshold += rate
-            if roll < threshold:
-                return action
-        return None
-
-    def record(self, action: str, run_id: str, kind: str) -> None:
-        """Count one injection (metrics + structured log)."""
-        self.injected += 1
-        obs.inc("chaos.injected", action=action, kind=kind)
-        obs.log_event(
-            _log, "chaos.injected",
-            action=action, run_id=run_id, kind=kind, total=self.injected,
-        )
-
-
-@dataclass(frozen=True)
-class FleetChaosConfig:
-    """Per-execution fleet-failure probabilities plus the seed.
-
-    The worker-fleet counterpart of :class:`ChaosConfig`: instead of
-    in-pool failures, these modes kill or partition the *worker
-    process itself* (:data:`FLEET_CHAOS_ACTIONS`), exercising lease
-    expiry, the reaper, and owner-checked completion.  Rates are per
-    claimed execution and must sum to at most 1; ``seed`` anchors the
-    deterministic decision stream.
-    """
-
-    seed: int = 0
-    kill_rate: float = 0.0
-    kill_heartbeat_rate: float = 0.0
-    partition_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        rates = (
-            self.kill_rate,
-            self.kill_heartbeat_rate,
-            self.partition_rate,
-        )
-        if any(r < 0 or r > 1 for r in rates):
-            raise ServiceError(
-                f"fleet chaos rates must be in [0, 1], got {rates!r}",
-                code="bad-request",
-            )
-        if sum(rates) > 1.0 + 1e-12:
-            raise ServiceError(
-                f"fleet chaos rates must sum to <= 1, got {sum(rates)!r}",
-                code="bad-request",
-            )
-
-    @property
-    def total_rate(self) -> float:
-        """Probability that a claimed execution suffers *some* injection."""
-        return self.kill_rate + self.kill_heartbeat_rate + self.partition_rate
-
-    @classmethod
-    def storm(cls, seed: int = 0, rate: float = 0.5) -> "FleetChaosConfig":
-        """A balanced storm splitting ``rate`` across all three modes."""
-        share = rate / 3.0
-        return cls(
-            seed=seed,
-            kill_rate=share,
-            kill_heartbeat_rate=share,
-            partition_rate=rate - 2 * share,
-        )
-
-
-class FleetChaosMonkey:
-    """The decision engine a :class:`~repro.service.fleet.FleetWorker` arms.
-
-    Same determinism contract as :class:`ChaosMonkey` — decisions are a
-    pure function of ``(seed, run_id, attempt)``, independent of which
-    worker happens to claim the run, so a kill matrix replays
-    identically across fleet topologies.  The decision stream is
-    namespaced (``fleet-chaos:``) so arming both monkeys on one seed
-    never correlates their rolls.
-    """
-
-    def __init__(self, config: FleetChaosConfig) -> None:
-        self.config = config
-        self.injected = 0
-
-    def decide(self, run_id: str, attempt: int) -> str | None:
-        """Which fleet failure (if any) this claimed execution suffers."""
-        if self.config.total_rate <= 0.0:
-            return None
-        roll = random.Random(
-            f"fleet-chaos:{self.config.seed}:{run_id}:{attempt}"
-        ).random()
-        threshold = 0.0
-        for action, rate in zip(
-            FLEET_CHAOS_ACTIONS,
-            (
-                self.config.kill_rate,
-                self.config.kill_heartbeat_rate,
-                self.config.partition_rate,
-            ),
-            strict=True,
-        ):
+        for action, rate in zip(CHAOS_ACTIONS, self.config.rates, strict=True):
             threshold += rate
             if roll < threshold:
                 return action

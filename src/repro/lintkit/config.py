@@ -5,7 +5,7 @@ live next to the build metadata::
 
     [tool.reprolint]
     deterministic-packages = ["repro.core", "repro.simulation", ...]
-    wallclock-allow = ["repro.service.queue"]
+    wallclock-allow = ["repro.service.client"]
     engine-hot-paths = ["repro.simulation.engine", ...]
     async-packages = ["repro.service"]
     dispatch-abcs = ["repro.schedulers.base.Scheduler", ...]

@@ -633,15 +633,11 @@ def _bench_service() -> float:
     import tempfile
 
     from repro.service.client import ServiceClient
-    from repro.service.queue import QueueConfig
     from repro.service.server import serve_in_thread
 
     jobs = 6
     with tempfile.TemporaryDirectory() as tmp:
-        handle = serve_in_thread(
-            os.path.join(tmp, "bench.db"),
-            queue_config=QueueConfig(max_workers=2),
-        )
+        handle = serve_in_thread(os.path.join(tmp, "bench.db"), workers=2)
         try:
             with ServiceClient(port=handle.port) as client:
                 started = time.perf_counter()

@@ -1,15 +1,15 @@
-"""Cross-process trace context: one trace id across client, queue, worker.
+"""Cross-process trace context: one trace id across client, worker, child.
 
 A campaign submitted through the service touches at least three
-processes — the submitting client, the server's asyncio dispatcher,
-and a :class:`~concurrent.futures.ProcessPoolExecutor` worker (more
-after retries).  Each of them keeps its own :class:`~repro.obs.tracing.Tracer`
+processes — the submitting client, the worker that claims it (a
+server pool thread or a ``repro-oa worker``), and that worker's job
+child process (more after retries).  Each of them keeps its own :class:`~repro.obs.tracing.Tracer`
 with its own span-id namespace, so span ids alone cannot stitch a
 campaign back together.  The :class:`TraceContext` is the envelope that
 can: a ``trace_id`` minted once at submit time, carried through the
 NDJSON protocol, persisted on the run's store row, and re-hydrated
 inside every worker attempt, so every span of one campaign — client
-submit, queue dispatch, chaos injections, retries, the worker-side
+submit, each job attempt, chaos injections, retries, the child-side
 simulation spans — shares one ``trace_id`` in its args.
 
 The context travels as a plain dict (:meth:`TraceContext.to_wire` /

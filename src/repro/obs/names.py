@@ -104,7 +104,6 @@ METRIC_NAMES: frozenset[str] = frozenset(
         # worker fleet & leases
         "service.fleet_claims",
         "service.fleet_heartbeats",
-        "service.fleet_jobs_done",
         "service.lease_age_seconds",
         "service.lease_expired",
         "service.lease_lost",
@@ -138,7 +137,6 @@ SPAN_NAMES: frozenset[str] = frozenset(
         "sed.execute",
         "sed.handle_request",
         "service.client.submit",
-        "service.fleet.job",
         "service.job",
         "service.lease",
         "service.worker",

@@ -12,17 +12,18 @@ long-running server, survive restarts, and are shared between users:
   transition, result, error, and lease is durable;
 * :mod:`repro.service.workers` — the registry of job kinds (campaign,
   simulate, figure sweeps, ...) and the picklable worker entry point;
-* :mod:`repro.service.queue` — asyncio dispatcher over a
-  ``ProcessPoolExecutor`` with per-job timeout, bounded retry with
-  exponential backoff, and graceful drain;
-* :mod:`repro.service.fleet` — independent ``repro-oa worker``
-  processes claiming jobs with leases, renewing via heartbeat, and
-  recovering each other through the server's reaper;
+* :mod:`repro.service.fleet` — the one job-execution routine: a
+  :class:`FleetWorker` claims a job under a lease, runs it in its own
+  child process under a per-job deadline while heartbeating, and
+  completes with an owner-checked write or one shared retry-with-
+  backoff routine.  The server's local pool and every ``repro-oa
+  worker`` process are such workers, and the server's reaper recovers
+  the runs of any that die;
 * :mod:`repro.service.protocol` — versioned NDJSON wire protocol with
   typed error replies;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
-  asyncio TCP server (also the fleet's lease reaper) and the blocking
-  client with connect/read timeouts.
+  asyncio TCP server (local worker pool, wake-on-submit, lease reaper)
+  and the blocking client with connect/read timeouts.
 
 CLI: ``repro-oa serve | worker | submit | status | result | runs |
 cancel | health``.  See ``docs/SERVICE.md`` for the architecture and
@@ -39,7 +40,12 @@ from repro.service.backends import (
     backend_from_url,
 )
 from repro.service.client import ServiceClient
-from repro.service.fleet import FleetWorker, WorkerConfig, WorkerKilled
+from repro.service.fleet import (
+    FleetWorker,
+    WorkerConfig,
+    WorkerKilled,
+    full_jitter_backoff,
+)
 from repro.service.protocol import (
     ERROR_CODES,
     OPERATIONS,
@@ -47,7 +53,6 @@ from repro.service.protocol import (
     Request,
     Response,
 )
-from repro.service.queue import JobQueue, QueueConfig, full_jitter_backoff
 from repro.service.server import CampaignServer, ServerHandle, serve_in_thread
 from repro.service.store import (
     RUN_STATES,
@@ -80,14 +85,11 @@ __all__ = [
     "job_kinds",
     "validate_job",
     "execute_job",
-    # queue
-    "JobQueue",
-    "QueueConfig",
-    "full_jitter_backoff",
-    # fleet
+    # execution
     "FleetWorker",
     "WorkerConfig",
     "WorkerKilled",
+    "full_jitter_backoff",
     # protocol
     "PROTOCOL_VERSION",
     "OPERATIONS",

@@ -37,16 +37,21 @@ from dataclasses import dataclass
 from typing import Any
 
 __all__ = [
+    "LEASE_EXPIRED_ERROR",
     "LeaseView",
     "RUN_STATES",
     "RunRecord",
     "SCHEMA_VERSION",
     "StorageBackend",
+    "expired_lease_outcome",
 ]
 
 #: Current on-disk layout (see the schema history in the module
 #: docstring); stamped by every backend's migration chain.
 SCHEMA_VERSION = 3
+
+#: The recorded error of a run whose lease expired on its last attempt.
+LEASE_EXPIRED_ERROR = "lease expired on final attempt"
 
 #: Legal ``runs.state`` values, in lifecycle order.
 RUN_STATES: tuple[str, ...] = (
@@ -117,6 +122,19 @@ class LeaseView:
         return max(0.0, now - self.heartbeat_at)
 
 
+def expired_lease_outcome(record: RunRecord) -> tuple[str, str | None]:
+    """The ``(state, error)`` an expired lease leaves ``record`` in.
+
+    The reaper's one attempt-budget rule, shared by every backend: a
+    run whose expired attempt was its last (``attempts >=
+    max_attempts``) lands ``failed`` with :data:`LEASE_EXPIRED_ERROR`;
+    every other one is requeued with its error untouched.
+    """
+    if record.attempts >= record.max_attempts:
+        return "failed", LEASE_EXPIRED_ERROR
+    return "queued", record.error
+
+
 def params_to_json(params: dict[str, Any]) -> str:
     """Canonical serialization of a record's parameter dict."""
     return json.dumps(params)
@@ -174,7 +192,7 @@ class StorageBackend(ABC):
 
         Bumps ``attempts`` and stamps ``owner_id`` /
         ``lease_expires_at`` / ``heartbeat_at`` when a leased owner
-        claims; a legacy (``owner_id=None``) claim leaves the lease
+        claims; an ownerless (``owner_id=None``) claim leaves the lease
         columns NULL.  Returns the claimed record, or ``None`` when
         nothing is eligible at ``now``.
         """
@@ -220,24 +238,27 @@ class StorageBackend(ABC):
 
     @abstractmethod
     def expire_leases(self, now: float) -> list[RunRecord]:
-        """Requeue every running run whose lease deadline has passed.
+        """Reclaim every running run whose lease deadline has passed.
 
-        Only leased rows (``owner_id`` set) participate; legacy
-        in-process claims have no lease and are covered by
-        :meth:`recover_interrupted` instead.  Returns the expired
-        records *as they were at expiry* (owner and lease intact) so
-        the reaper can log who lost which run.
+        Only leased rows (``owner_id`` set) participate; ownerless
+        claims have no lease and are covered by
+        :meth:`recover_interrupted` instead.  Each run lands where
+        :func:`expired_lease_outcome` says — ``failed`` on its last
+        attempt, ``queued`` otherwise.  Returns the expired records
+        with that new ``state`` and ``error`` but owner, lease and
+        attempts as they were at expiry, so the reaper can log who
+        lost which run and count the outcome without deciding it again.
         """
 
     @abstractmethod
     def recover_interrupted(self, now: float) -> int:
-        """Requeue orphaned ``running`` rows on startup.
+        """Requeue ownerless ``running`` rows on startup.
 
-        Orphaned means either a legacy claim (``owner_id`` NULL — its
-        claimant was the dead server itself) or an *expired* lease.  A
-        live lease belongs to a healthy fleet worker and must be left
-        alone — the reaper, not recovery, handles it if the worker
-        later dies.  Returns the number of requeued rows.
+        Every claim the service makes is leased, so an ownerless
+        ``running`` row can only have been written by an older server
+        (or an ad-hoc unleased claim) that is gone now.  Leased rows
+        are never touched here: the reaper is their only recovery
+        path.  Returns the number of requeued rows.
         """
 
     # -- reads -------------------------------------------------------------

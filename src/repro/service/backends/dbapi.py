@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import replace
 from typing import Any, Sequence
 
 from repro.exceptions import ServiceError
@@ -30,6 +31,7 @@ from repro.service.backends.base import (
     LeaseView,
     RunRecord,
     StorageBackend,
+    expired_lease_outcome,
     params_to_json,
 )
 
@@ -318,7 +320,7 @@ class SQLRunBackend(StorageBackend):
             return cursor.rowcount == 1
 
     def expire_leases(self, now: float) -> list[RunRecord]:
-        """Requeue running runs whose lease deadline has passed."""
+        """Requeue (or, on the last attempt, fail) expired leases."""
         with self._lock:
             self._begin_exclusive()
             try:
@@ -329,16 +331,19 @@ class SQLRunBackend(StorageBackend):
                     f"{self._claim_select_suffix()}",
                     (now,),
                 ).fetchall()
-                expired = [_row_to_record(row) for row in rows]
-                for record in expired:
+                expired = []
+                for row in rows:
+                    record = _row_to_record(row)
+                    state, error = expired_lease_outcome(record)
                     self._execute(
-                        "UPDATE runs SET state = 'queued', not_before = 0,"
-                        " owner_id = NULL, lease_expires_at = NULL,"
-                        " heartbeat_at = NULL, updated_at = ?"
-                        " WHERE run_id = ? AND state = 'running'"
-                        " AND owner_id = ?",
-                        (now, record.run_id, record.owner_id),
+                        "UPDATE runs SET state = ?, error = ?,"
+                        " not_before = 0, owner_id = NULL,"
+                        " lease_expires_at = NULL, heartbeat_at = NULL,"
+                        " updated_at = ? WHERE run_id = ?"
+                        " AND state = 'running' AND owner_id = ?",
+                        (state, error, now, record.run_id, record.owner_id),
                     )
+                    expired.append(replace(record, state=state, error=error))
                 self._commit()
             except BaseException:
                 self._rollback()
@@ -346,15 +351,13 @@ class SQLRunBackend(StorageBackend):
         return expired
 
     def recover_interrupted(self, now: float) -> int:
-        """Requeue orphaned running rows (legacy claims, expired leases)."""
+        """Requeue ownerless running rows (unleased claims)."""
         with self._lock:
             cursor = self._execute(
                 "UPDATE runs SET state = 'queued', not_before = 0,"
-                " owner_id = NULL, lease_expires_at = NULL,"
-                " heartbeat_at = NULL, updated_at = ?"
-                " WHERE state = 'running'"
-                " AND (owner_id IS NULL OR lease_expires_at <= ?)",
-                (now, now),
+                " updated_at = ? WHERE state = 'running'"
+                " AND owner_id IS NULL",
+                (now,),
             )
             return cursor.rowcount
 

@@ -18,6 +18,7 @@ from repro.service.backends.base import (
     LeaseView,
     RunRecord,
     StorageBackend,
+    expired_lease_outcome,
 )
 
 __all__ = ["MemoryBackend"]
@@ -140,7 +141,7 @@ class MemoryBackend(StorageBackend):
             return True
 
     def expire_leases(self, now: float) -> list[RunRecord]:
-        """Requeue running runs whose lease deadline has passed."""
+        """Requeue (or, on the last attempt, fail) expired leases."""
         with self._lock:
             expired = [
                 row
@@ -151,39 +152,32 @@ class MemoryBackend(StorageBackend):
                 and row.lease_expires_at <= now
             ]
             expired.sort(key=lambda r: (r.lease_expires_at, r.run_id))
+            reported = []
             for row in expired:
+                state, error = expired_lease_outcome(row)
                 self._rows[row.run_id] = replace(
                     row,
-                    state="queued",
+                    state=state,
+                    error=error,
                     not_before=0.0,
                     owner_id=None,
                     lease_expires_at=None,
                     heartbeat_at=None,
                     updated_at=now,
                 )
-        return expired
+                reported.append(replace(row, state=state, error=error))
+        return reported
 
     def recover_interrupted(self, now: float) -> int:
-        """Requeue orphaned running rows (legacy claims, expired leases)."""
+        """Requeue ownerless running rows (unleased claims)."""
         with self._lock:
             count = 0
             for run_id in self._order:
                 row = self._rows[run_id]
-                if row.state != "running":
+                if row.state != "running" or row.owner_id is not None:
                     continue
-                if row.owner_id is not None and (
-                    row.lease_expires_at is None
-                    or row.lease_expires_at > now
-                ):
-                    continue  # live lease on a healthy worker
                 self._rows[run_id] = replace(
-                    row,
-                    state="queued",
-                    not_before=0.0,
-                    owner_id=None,
-                    lease_expires_at=None,
-                    heartbeat_at=None,
-                    updated_at=now,
+                    row, state="queued", not_before=0.0, updated_at=now
                 )
                 count += 1
             return count

@@ -1,6 +1,6 @@
 """SQLite storage backend — the dev default.
 
-One WAL-mode file, safe to share between the in-process dispatcher,
+One WAL-mode file, safe to share between the server's pool workers,
 CLI threads, and independent ``repro-oa worker`` processes on the same
 host.  The connection runs in autocommit (``isolation_level=None``)
 so the multi-statement claim and lease-expiry primitives can open an

@@ -27,7 +27,7 @@ from repro import obs
 from repro.exceptions import ServiceError
 from repro.obs.context import TraceContext, current_trace, mint_trace
 from repro.service import protocol
-from repro.service.queue import full_jitter_backoff
+from repro.service.fleet import full_jitter_backoff
 
 __all__ = ["ServiceClient"]
 
@@ -49,7 +49,7 @@ class ServiceClient:
     a hung server can no longer block a caller forever.  Failed
     *connection* attempts are retried ``connect_retries`` times with
     seeded full-jitter backoff
-    (:func:`~repro.service.queue.full_jitter_backoff`) — the seed
+    (:func:`~repro.service.fleet.full_jitter_backoff`) — the seed
     makes retry schedules replayable in tests.
     """
 

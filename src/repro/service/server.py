@@ -1,9 +1,10 @@
-"""The campaign server — asyncio TCP front-end over store and queue.
+"""The campaign server — asyncio TCP front-end over store and workers.
 
 One :class:`CampaignServer` owns the three moving parts: a
-:class:`~repro.service.store.RunStore` (durable state), a
-:class:`~repro.service.queue.JobQueue` (execution), and an asyncio TCP
-listener speaking the NDJSON protocol of
+:class:`~repro.service.store.RunStore` (durable state), a local pool
+of ``workers`` :class:`~repro.service.fleet.FleetWorker` threads
+(execution — the same leased routine a ``repro-oa worker`` process
+runs), and an asyncio TCP listener speaking the NDJSON protocol of
 :mod:`repro.service.protocol`.  Connections are cheap: each request
 line is answered with exactly one response line, and a client may hold
 the connection open for many requests.
@@ -18,11 +19,15 @@ Two hosting modes:
   Its handle exposes ``stop()`` (graceful) and ``kill()`` (abandon
   in-flight work — the crash-injection path).
 
-Worker-fleet duty: besides its own in-process queue, the server is
-the fleet's **reaper**.  A periodic task (``reap_interval``) calls
-:meth:`CampaignServer.reap_once`, which requeues runs whose lease a
-dead ``repro-oa worker`` stopped renewing — the reassignment path
-that makes a SIGKILLed worker's job land on a healthy one.  The
+The pool workers claim under owner ids the server mints, and a submit
+wakes them at once (:meth:`CampaignServer.kick`), so a closed-loop
+client never waits out an idle poll.  The server is also the
+**reaper**: a periodic task (``reap_interval``) calls
+:meth:`CampaignServer.reap_once`, which reclaims runs whose lease a
+dead worker stopped renewing — its own pool's after a crash, or a
+``repro-oa worker``'s.  That is the only recovery path for leased
+runs, so a crashed server's jobs resume once their leases lapse
+(within ``lease_seconds`` + ``reap_interval`` of the crash).  The
 ``health`` reply exposes the fleet state (live workers, leased jobs,
 reap counters) for probes and dashboards.
 """
@@ -41,7 +46,12 @@ from repro.exceptions import ServiceError
 from repro.faults.chaos import ChaosConfig
 from repro.obs.context import mint_trace
 from repro.service import protocol
-from repro.service.queue import JobQueue, QueueConfig
+from repro.service.fleet import (
+    FleetWorker,
+    WorkerConfig,
+    WorkerKilled,
+    publish_gauges,
+)
 from repro.service.store import RunStore
 from repro.service.workers import job_kinds, validate_job
 
@@ -58,9 +68,17 @@ class CampaignServer:
     (:func:`repro.service.backends.backend_from_url`); the name is
     historical.
 
-    ``clock`` supplies the store's timestamps and the health report's
-    uptime; injectable (default :func:`time.time`) so tests can pin
-    wall-clock-derived state instead of racing real time.
+    ``workers`` is the size of the local pool; ``0`` disables it — the
+    fleet-only topology, where the server just serves and reaps while
+    ``repro-oa worker`` processes execute.  ``max_attempts`` is the
+    default per-run execution budget (a submit may override it), and
+    ``worker_config`` tunes every pool worker (lease, deadline,
+    backoff).  ``chaos`` arms the pool workers with seeded fault
+    injection.
+
+    ``clock`` supplies the store's and workers' timestamps and the
+    health report's uptime; injectable (default :func:`time.time`) so
+    tests can pin wall-clock-derived state instead of racing real time.
     """
 
     def __init__(
@@ -69,22 +87,37 @@ class CampaignServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        queue_config: QueueConfig | None = None,
+        workers: int = 2,
+        max_attempts: int = 3,
+        worker_config: WorkerConfig | None = None,
         chaos: "ChaosConfig | None" = None,
         clock: Callable[[], float] = time.time,
         reap_interval: float | None = 1.0,
     ) -> None:
+        if workers < 0:
+            raise ServiceError(
+                f"workers must be >= 0, got {workers!r}", code="bad-request"
+            )
         self.db_path = db_path
         self.host = host
         self._requested_port = port
-        self.queue_config = queue_config or QueueConfig()
+        self.workers = workers
+        self.max_attempts = max_attempts
+        self.worker_config = worker_config or WorkerConfig()
         self.chaos = chaos
         self._clock = clock
         #: Reaper period in seconds; ``None`` disables the periodic
         #: task (``reap_once`` stays callable — the test hook).
         self.reap_interval = reap_interval
         self.store: RunStore | None = None
-        self.queue: JobQueue | None = None
+        #: The live pool workers (a slot's worker is replaced when
+        #: chaos kills it).
+        self.pool: list[FleetWorker] = []
+        self._pool_threads: list[threading.Thread] = []
+        self._stopping = threading.Event()
+        #: One wake event per pool slot, so a slot consuming its kick
+        #: never swallows another slot's.
+        self._wakes: list[threading.Event] = []
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.Task] = set()
         self._writers: set[asyncio.StreamWriter] = set()
@@ -102,15 +135,28 @@ class CampaignServer:
         return self._port
 
     async def start(self) -> int:
-        """Open the store, recover, start the queue and listener.
+        """Open the store, recover, start the pool and listener.
 
         Returns the bound port (useful with ``port=0``).
         """
         if self._server is not None:
             raise ServiceError("server already started", code="internal")
         self.store = RunStore(self.db_path, clock=self._clock)
-        self.queue = JobQueue(self.store, self.queue_config, chaos=self.chaos)
-        recovered = await self.queue.start()
+        recovered = self.store.recover_interrupted()
+        publish_gauges(self.store)
+        self._stopping.clear()
+        self._wakes = [threading.Event() for _ in range(self.workers)]
+        self._pool_threads = [
+            threading.Thread(
+                target=self._work,
+                args=(wake,),
+                name=f"repro-worker-{slot}",
+                daemon=True,
+            )
+            for slot, wake in enumerate(self._wakes)
+        ]
+        for thread in self._pool_threads:
+            thread.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self._requested_port
         )
@@ -121,13 +167,63 @@ class CampaignServer:
         obs.log_event(
             _log, "service.started",
             host=self.host, port=self._port, db=self.db_path,
-            recovered=recovered, workers=self.queue_config.max_workers,
+            recovered=recovered, workers=self.workers,
             backend=self.store.backend.name,
         )
         return self._port
 
+    def kick(self) -> None:
+        """Wake idle pool workers (call after a submit or a reap)."""
+        for wake in self._wakes:
+            wake.set()
+
+    def _work(self, wake: threading.Event) -> None:
+        """One pool slot: a leased worker, replaced if chaos kills it.
+
+        Its idle sleep ends early on :meth:`kick`.  A kick landing
+        between the wait and the clear is not lost: this slot is awake
+        and about to claim anyway.
+        """
+        assert self.store is not None
+
+        def idle(delay: float) -> None:
+            wake.wait(delay)
+            wake.clear()
+
+        while not self._stopping.is_set():
+            worker = FleetWorker(
+                self.store,
+                self.worker_config,
+                clock=self._clock,
+                sleep=idle,
+                chaos=self.chaos,
+            )
+            self.pool.append(worker)
+            try:
+                worker.run_forever(self._stopping)
+            except WorkerKilled:
+                continue  # its run stays leased until the reaper
+            finally:
+                self.pool.remove(worker)
+
+    def _stop_pool(self, graceful: bool) -> None:
+        """Stop the pool threads; graceful lets in-flight jobs finish."""
+        self._stopping.set()
+        if not graceful:
+            for worker in list(self.pool):
+                worker.abandon()
+        self.kick()
+        for thread in self._pool_threads:
+            thread.join()
+        self._pool_threads = []
+
     async def stop(self, *, graceful: bool = True) -> None:
-        """Close the listener and stop the queue; graceful finishes jobs."""
+        """Close the listener and stop the pool; graceful finishes jobs.
+
+        The non-graceful path abandons in-flight jobs: their children
+        are killed and their rows stay ``running`` under the pool's
+        leases — exactly what a crash leaves behind.
+        """
         if self._reaper is not None:
             self._reaper.cancel()
             try:
@@ -148,10 +244,9 @@ class CampaignServer:
             await asyncio.gather(*self._connections, return_exceptions=True)
         self._connections.clear()
         self._writers.clear()
-        if self.queue is not None:
-            await self.queue.stop(graceful=graceful)
-            self.queue = None
+        await asyncio.to_thread(self._stop_pool, graceful)
         if self.store is not None:
+            publish_gauges(self.store)
             self.store.close()
             self.store = None
         self._port = None
@@ -184,15 +279,16 @@ class CampaignServer:
                 obs.log_event(_log, "service.reap_error")
 
     def reap_once(self, now: float | None = None) -> int:
-        """One reaper pass: requeue runs whose lease has expired.
+        """One reaper pass: reclaim runs whose lease has expired.
 
         An expired lease means its worker stopped heartbeating — it
-        was SIGKILLed, partitioned, or hung past its deadline.  The
-        run goes back to ``queued`` with ``trace_id`` and attempt
-        count intact, so the next claimant (another fleet worker, or
-        this server's own queue) continues the same traced story.
-        Returns the number of reassigned runs.  Callable directly
-        with a pinned ``now`` — the deterministic test hook.
+        was SIGKILLed, partitioned, or its host crashed.  The run goes
+        back to ``queued`` with ``trace_id`` and attempt count intact,
+        so the next claimant (a fleet worker, or this server's own
+        pool) continues the same traced story — unless the lost
+        attempt was its last, in which case it lands ``failed``.
+        Returns the number of expired leases.  Callable directly with
+        a pinned ``now`` — the deterministic test hook.
         """
         assert self.store is not None
         now = self._clock() if now is None else now
@@ -200,8 +296,16 @@ class CampaignServer:
             expired = self.store.expire_leases(now)
             for record in expired:
                 self.lease_stats["expired"] += 1
-                self.lease_stats["reassigned"] += 1
                 obs.inc("service.lease_expired", kind=record.kind)
+                if record.state == "failed":
+                    obs.inc("service.jobs_failed", kind=record.kind)
+                    obs.log_event(
+                        _log, "service.lease_failed",
+                        run_id=record.run_id, kind=record.kind,
+                        lost_owner=record.owner_id, attempt=record.attempts,
+                    )
+                    continue
+                self.lease_stats["reassigned"] += 1
                 obs.inc("service.lease_reassignments", kind=record.kind)
                 obs.log_event(
                     _log, "service.lease_reassigned",
@@ -215,8 +319,9 @@ class CampaignServer:
                     "service.lease_age_seconds",
                     max(view.age(now) for view in live),
                 )
-        if expired and self.queue is not None:
-            self.queue.kick()
+            publish_gauges(self.store)
+        if expired:
+            self.kick()
         return len(expired)
 
     def fleet_health(self, now: float | None = None) -> dict[str, Any]:
@@ -288,7 +393,7 @@ class CampaignServer:
     # -- operations --------------------------------------------------------
 
     def _dispatch(self, request: protocol.Request) -> dict[str, Any]:
-        assert self.store is not None and self.queue is not None
+        assert self.store is not None
         handler = getattr(self, f"_op_{request.op}")
         return handler(request.payload)
 
@@ -316,9 +421,7 @@ class CampaignServer:
                 code="bad-params",
             )
         clean = validate_job(kind, params)
-        max_attempts = payload.get(
-            "max_attempts", self.queue_config.max_attempts
-        )
+        max_attempts = payload.get("max_attempts", self.max_attempts)
         if not isinstance(max_attempts, int) or max_attempts < 1:
             raise ServiceError(
                 f"max_attempts must be a positive integer, "
@@ -340,7 +443,7 @@ class CampaignServer:
             kind, clean, max_attempts=max_attempts, trace_id=trace_id
         )
         obs.inc("service.submissions", kind=kind)
-        self.queue.kick()
+        self.kick()
         return {
             "run_id": run_id,
             "state": "queued",
@@ -399,7 +502,7 @@ class CampaignServer:
             "version": __version__,
             "protocol": protocol.PROTOCOL_VERSION,
             "uptime_seconds": self._clock() - self._started_at,
-            "workers": self.queue_config.max_workers,
+            "workers": self.workers,
             "queue_depth": counts["queued"],
             "jobs": counts,
             "kinds": [kind.name for kind in job_kinds()],
@@ -413,7 +516,9 @@ class ServerHandle:
     def __init__(self, thread: threading.Thread, loop, server, port: int):
         self._thread = thread
         self._loop = loop
-        self._server = server
+        #: The running :class:`CampaignServer` (its ``pool`` lists the
+        #: live workers).
+        self.server = server
         self.port = port
 
     def _shutdown(self, graceful: bool) -> None:
@@ -421,7 +526,7 @@ class ServerHandle:
             return
 
         async def _stop() -> None:
-            await self._server.stop(graceful=graceful)
+            await self.server.stop(graceful=graceful)
 
         future = asyncio.run_coroutine_threadsafe(_stop(), self._loop)
         future.result(timeout=60)
@@ -442,7 +547,9 @@ def serve_in_thread(
     *,
     host: str = "127.0.0.1",
     port: int = 0,
-    queue_config: QueueConfig | None = None,
+    workers: int = 2,
+    max_attempts: int = 3,
+    worker_config: WorkerConfig | None = None,
     chaos: ChaosConfig | None = None,
     clock: Callable[[], float] = time.time,
     reap_interval: float | None = 1.0,
@@ -450,7 +557,8 @@ def serve_in_thread(
     """Start a :class:`CampaignServer` on a daemon thread; returns its handle.
 
     The call blocks until the listener is bound, so ``handle.port`` is
-    immediately usable by a client.  ``chaos`` arms the queue with
+    immediately usable by a client.  The keyword arguments are
+    :class:`CampaignServer`'s; ``chaos`` arms the pool workers with
     deterministic fault injection (the chaos-test path).
     """
     import concurrent.futures
@@ -458,7 +566,8 @@ def serve_in_thread(
     started: concurrent.futures.Future = concurrent.futures.Future()
     loop = asyncio.new_event_loop()
     server = CampaignServer(
-        db_path, host=host, port=port, queue_config=queue_config,
+        db_path, host=host, port=port, workers=workers,
+        max_attempts=max_attempts, worker_config=worker_config,
         chaos=chaos, clock=clock, reap_interval=reap_interval,
     )
 

@@ -7,10 +7,10 @@ backoff deadline, lease ownership, and — once finished — either the
 serialized result envelope
 (:func:`repro.experiments.results_io.dump_result`) or the recorded
 error.  The store is the *only* durable state of the campaign service:
-a server restart replays :meth:`RunStore.recover_interrupted` and
-resumes exactly where the previous process died, and a worker-fleet
-deployment shares one store between the server and every ``repro-oa
-worker`` process.
+every execution is a leased claim, so after a crash the reaper
+(:meth:`RunStore.expire_leases`) resumes the dead workers' runs once
+their leases lapse, and a worker-fleet deployment shares one store
+between the server and every ``repro-oa worker`` process.
 
 Storage is pluggable (:mod:`repro.service.backends`): SQLite remains
 the dev default, ``postgres://`` DSNs select the server-grade DB-API
@@ -20,11 +20,12 @@ minting, timestamps from the injected clock, typed
 :class:`~repro.exceptions.ServiceError` raising — so every backend
 behaves identically to callers.
 
-Leases (schema v3): a fleet worker claims with ``owner_id`` and a
-lease deadline, renews via :meth:`heartbeat`, and completes with an
+Leases (schema v3): a worker claims with ``owner_id`` and a lease
+deadline, renews via :meth:`heartbeat`, and completes with an
 owner-checked write.  If the worker dies, the server's reaper
 (:meth:`expire_leases`) requeues the run for another worker — exactly
-once, because every completion is a compare-and-set on (state, owner).
+once, because every completion is a compare-and-set on (state, owner)
+— or fails it when the lost attempt was its last.
 """
 
 from __future__ import annotations
@@ -158,10 +159,9 @@ class RunStore:
         with the owner and a ``lease_expires_at`` deadline
         ``lease_seconds`` from now, which the owner must renew via
         :meth:`heartbeat` before it passes or the reaper reassigns the
-        run.  Without an owner (the in-process dispatcher) the claim is
-        legacy-style — no lease, covered by
-        :meth:`recover_interrupted` because the claimant's lifetime is
-        the server's own.
+        run.  Every service worker claims this way; an ownerless claim
+        (ad-hoc scripts) has no lease and is only recovered by
+        :meth:`recover_interrupted` at the next server start.
         """
         now = self._clock() if now is None else now
         lease_expires_at: float | None = None
@@ -267,26 +267,30 @@ class RunStore:
         return self.get(run_id)
 
     def recover_interrupted(self) -> int:
-        """Requeue orphaned ``running`` rows on startup (crash recovery).
+        """Requeue ownerless ``running`` rows on startup.
 
-        Called on server startup *before* the dispatcher starts.
-        Orphaned means a legacy in-process claim (its claimant was the
-        dead server itself) or an already-expired lease.  A run whose
-        lease is still live belongs to a healthy fleet worker and is
-        left untouched — the reaper handles it if that worker later
-        dies.  The interrupted attempt stays counted.  Returns the
-        number of recovered runs.
+        Called on server startup before its workers start.  Only
+        unleased claims qualify — rows written by an older server or an
+        ad-hoc ownerless claim, whose claimant is gone.  Leased rows
+        are left to the reaper (:meth:`expire_leases`), live or not.
+        The interrupted attempt stays counted.  Returns the number of
+        recovered runs.
         """
         return self.backend.recover_interrupted(self._clock())
 
     def expire_leases(self, now: float | None = None) -> list[RunRecord]:
-        """Requeue runs whose lease deadline has passed (the reaper).
+        """Reclaim runs whose lease deadline has passed (the reaper).
 
-        Returns the expired records as they were at expiry — owner and
-        lease intact — so the caller can log and count who lost which
-        run.  Requeued runs keep their ``trace_id`` and attempt count,
-        which is how a reassigned execution stays correlated with the
-        original submission.
+        A run whose expired attempt was its last (``attempts >=
+        max_attempts``) lands ``failed`` with the error ``"lease expired
+        on final attempt"``, so a job that kills every worker claiming
+        it cannot be reassigned forever; every other one is requeued.
+        Returns the expired records with their new ``state`` and
+        ``error`` but owner, lease and attempts as they were at expiry,
+        so the caller can log and count who lost which run and how it
+        ended.  Requeued runs keep their ``trace_id`` and
+        attempt count, which is how a reassigned execution stays
+        correlated with the original submission.
         """
         now = self._clock() if now is None else now
         return self.backend.expire_leases(now)

@@ -15,12 +15,12 @@ module-level (picklable), takes only plain values, and returns the
 serialized result string, so nothing non-picklable ever crosses the
 process boundary.
 
-Two execution hosts share this entry point: the server's in-process
-pool (:mod:`repro.service.queue`, via ``execute_job_traced`` when
-observability is on) and the horizontally-scaled fleet workers
-(:mod:`repro.service.fleet`), which call :func:`execute_job` directly
-inside their own ``service.fleet.job`` span.  Job kinds therefore must
-stay host-agnostic: pure functions of their validated parameters, no
+Every execution goes through one routine,
+:class:`~repro.service.fleet.FleetWorker` — whether the worker is a
+thread of the server's pool or a ``repro-oa worker`` process — which
+ships this entry point (``execute_job_traced`` when observability is
+on) to its own child process.  Job kinds therefore must stay
+host-agnostic: pure functions of their validated parameters, no
 reliance on which process or machine runs them — that is what makes a
 lease reassignment mid-campaign safe.
 """
@@ -684,7 +684,7 @@ def execute_job(kind: str, params: dict[str, Any]) -> str:
     Returns the result serialized with
     :func:`repro.experiments.results_io.dump_result`.  Library errors
     propagate as :class:`~repro.exceptions.ReproError` subclasses —
-    they pickle cleanly back to the dispatcher, which decides between
+    they pickle cleanly back to the worker, which decides between
     retry and terminal failure.
     """
     from repro.experiments.results_io import dump_result
@@ -706,26 +706,26 @@ def execute_job_traced(
     params: dict[str, Any],
     trace: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """Run one job inside a worker-local observability session.
+    """Run one job inside a child-local observability session.
 
     The cross-process half of trace propagation: ``trace`` is a
     :meth:`~repro.obs.context.TraceContext.to_wire` dict minted at
-    submit time.  It is re-hydrated here — inside the pool worker — so
-    the job's own instrumentation (campaign spans, SeD execution spans,
-    planner spans) records under the same trace as the dispatcher that
-    sent it.  The worker's span buffer travels back in the returned
-    envelope, which stays picklable::
+    submit time.  It is re-hydrated here — inside the worker's job
+    child — so the job's own instrumentation (campaign spans, SeD
+    execution spans, planner spans) records under the same trace as
+    the worker that sent it.  The child's span buffer travels back in
+    the returned envelope, which stays picklable::
 
         {"result": <dump_result string>,
          "spans": [<Chrome complete-span event dicts>],
-         "worker_pid": <os pid of this worker>}
+         "worker_pid": <os pid of this child>}
 
-    The dispatcher grafts the spans onto its own tracer
-    (``pid=WORKER_PID``, tid = the worker's os pid) and persists only
+    The worker grafts the spans onto its own tracer
+    (``pid=WORKER_PID``, tid = the child's os pid) and persists only
     ``result``, so the store contract of :func:`execute_job` is
     unchanged.  On failure the exception propagates exactly as from
     :func:`execute_job` (the attempt's spans are dropped with the
-    worker's session — the dispatcher's ``service.job`` span still
+    child's session — the worker's ``service.job`` span still
     records the failed attempt).
     """
     from repro import obs

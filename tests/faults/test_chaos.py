@@ -1,43 +1,34 @@
-"""Service chaos testing: seeded storms against the queue and store."""
+"""Service chaos testing: seeded storms against the execution routine."""
 
 from __future__ import annotations
 
-import asyncio
+import time
 from collections import Counter
 
 import pytest
 
 from repro.exceptions import ServiceError
-from repro.faults.chaos import CHAOS_ACTIONS, ChaosConfig, ChaosMonkey
-from repro.service.queue import JobQueue, QueueConfig
+from repro.faults.chaos import (
+    CHAOS_ACTIONS,
+    POOL_ACTIONS,
+    ChaosConfig,
+    ChaosMonkey,
+)
+from repro.service.client import ServiceClient
+from repro.service.fleet import FleetWorker
+from repro.service.server import serve_in_thread
 from repro.service.store import RunStore
+from tests.service.conftest import drain, fast_config
 
 
-def _fast_config(**overrides) -> QueueConfig:
-    defaults = dict(
-        max_workers=1,
-        backoff_base=0.01,
-        backoff_factor=1.5,
-        backoff_cap=0.05,
-        poll_interval=0.01,
-    )
+def _fast_config(**overrides):
+    defaults = dict(backoff_base=0.01, backoff_factor=1.5, backoff_cap=0.05)
     defaults.update(overrides)
-    return QueueConfig(**defaults)
+    return fast_config(**defaults)
 
 
-def _drain(store: RunStore, config: QueueConfig, chaos, *, timeout=120.0):
-    """Run a chaotic queue until every submitted run is terminal."""
-
-    async def scenario() -> int:
-        queue = JobQueue(store, config, chaos=chaos)
-        await queue.start()
-        try:
-            await queue.join(timeout=timeout)
-        finally:
-            await queue.stop()
-        return queue.chaos.injected if queue.chaos else 0
-
-    return asyncio.run(scenario())
+def _injected(workers) -> int:
+    return sum(w.chaos.injected for w in workers if w.chaos is not None)
 
 
 class TestChaosConfig:
@@ -56,6 +47,10 @@ class TestChaosConfig:
         assert config.seed == 9
         assert config.total_rate == pytest.approx(0.6)
         assert config.crash_rate == pytest.approx(0.2)
+        # The default storm hits the in-pool modes only.
+        assert config.kill_rate == config.partition_rate == 0.0
+        with pytest.raises(ServiceError):
+            ChaosConfig.storm(rate=0.5, actions=("meteor",))
 
 
 class TestChaosMonkey:
@@ -91,8 +86,9 @@ class TestChaosMonkey:
         seen = Counter(
             monkey.decide(f"run-{i}", 1) for i in range(200)
         )
-        for action in CHAOS_ACTIONS:
+        for action in POOL_ACTIONS:
             assert seen[action] > 0
+        assert set(seen) <= {None, *CHAOS_ACTIONS}
 
 
 class TestQueueInjection:
@@ -104,32 +100,38 @@ class TestQueueInjection:
                 store.submit("sleep", {"seconds": 0}, max_attempts=6)
                 for _ in range(6)
             ]
-            injected = _drain(
-                store,
-                _fast_config(),
-                ChaosConfig(seed=5, error_rate=0.5),
+            workers = drain(
+                store, _fast_config(), chaos=ChaosConfig(seed=5, error_rate=0.5)
             )
             states = {store.get(i).state for i in ids}
             assert states <= {"done", "failed"}
-            assert injected >= 1
+            assert _injected(workers) >= 1
 
     def test_chaos_off_means_no_monkey(self, tmp_path) -> None:
         with RunStore(tmp_path / "runs.db") as store:
-            queue = JobQueue(store, _fast_config(), chaos=ChaosConfig())
-            assert queue.chaos is None
+            worker = FleetWorker(store, _fast_config(), chaos=ChaosConfig())
+            assert worker.chaos is None
 
-    def test_injection_consumes_the_attempt(self, tmp_path) -> None:
+    def test_injection_consumes_the_attempt(
+        self, tmp_path, monkeypatch
+    ) -> None:
         # Certain error injection: a run with max_attempts=2 fails after
         # exactly two injected executions and never runs for real.
+        submitted = []
+        monkeypatch.setattr(
+            FleetWorker, "_submit", lambda self, *job: submitted.append(job)
+        )
         with RunStore(tmp_path / "runs.db") as store:
             run_id = store.submit("sleep", {"seconds": 0}, max_attempts=2)
-            _drain(
-                store, _fast_config(), ChaosConfig(seed=1, error_rate=1.0)
+            (worker,) = drain(
+                store, _fast_config(), chaos=ChaosConfig(seed=1, error_rate=1.0)
             )
             record = store.get(run_id)
             assert record.state == "failed"
             assert record.attempts == 2
             assert "chaos" in record.error
+            assert worker.stats["claims"] == 2
+            assert submitted == []  # nothing ever reached a child
 
 
 @pytest.mark.chaos
@@ -138,7 +140,9 @@ class TestChaosStorm:
 
     def test_storm_leaves_every_run_terminal(self, tmp_path) -> None:
         # A mixed storm over many runs: >= 20 injections, every run
-        # terminal, and exactly one result row per submission.
+        # terminal, and exactly one result row per submission.  Crash
+        # and timeout injections really kill the job child, so the
+        # storm also churns through fresh children.
         config = ChaosConfig(
             seed=7, crash_rate=0.1, timeout_rate=0.1, error_rate=0.4
         )
@@ -147,8 +151,8 @@ class TestChaosStorm:
                 store.submit("sleep", {"seconds": 0}, max_attempts=8)
                 for _ in range(40)
             ]
-            injected = _drain(store, _fast_config(max_workers=2), config)
-            assert injected >= 20
+            workers = drain(store, _fast_config(), workers=2, chaos=config)
+            assert _injected(workers) >= 20
             states = [store.get(i).state for i in ids]
             assert set(states) <= {"done", "failed"}
             # No duplicate rows: every submission is exactly one run.
@@ -160,18 +164,16 @@ class TestChaosStorm:
                 assert store.get(run_id).result
 
     def test_storm_survives_kill_and_recovery(self, tmp_path) -> None:
-        # Chaos plus a mid-storm crash of the whole service: the next
-        # start recovers interrupted rows and still drains to terminal.
-        from repro.service.server import serve_in_thread
-
+        # Chaos plus a mid-storm crash of the whole service: the
+        # killed pool's runs stay leased, and a restarted server's
+        # reaper reclaims them once the (short) leases lapse, then its
+        # pool drains everything to terminal.
         db = tmp_path / "runs.db"
         config = ChaosConfig(seed=11, error_rate=0.4, timeout_rate=0.1)
-        queue_config = _fast_config(max_workers=2)
+        worker_config = _fast_config(lease_seconds=0.5, heartbeat_interval=0.1)
         handle = serve_in_thread(
-            db, queue_config=queue_config, chaos=config
+            db, workers=2, worker_config=worker_config, chaos=config
         )
-        from repro.service.client import ServiceClient
-
         try:
             with ServiceClient(port=handle.port) as client:
                 ids = [
@@ -183,10 +185,22 @@ class TestChaosStorm:
         finally:
             handle.kill()  # crash-style: in-flight rows stay 'running'
 
-        with RunStore(db) as store:
-            store.recover_interrupted()
-            _drain(store, queue_config, config)
-            states = [store.get(i).state for i in ids]
-            assert set(states) <= {"done", "failed"}
-            listed = store.list_runs(None, limit=1000)
-            assert sorted(r.run_id for r in listed) == sorted(ids)
+        handle = serve_in_thread(
+            db,
+            workers=2,
+            worker_config=worker_config,
+            chaos=config,
+            reap_interval=0.05,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            with RunStore(db) as store:
+                while store.unfinished():
+                    assert time.monotonic() < deadline, "storm not drained"
+                    time.sleep(0.05)
+                states = [store.get(i).state for i in ids]
+                assert set(states) <= {"done", "failed"}
+                listed = store.list_runs(None, limit=1000)
+                assert sorted(r.run_id for r in listed) == sorted(ids)
+        finally:
+            handle.stop()

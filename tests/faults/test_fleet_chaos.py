@@ -2,18 +2,17 @@
 
 Deterministic scenarios on a fake clock cover each cell of the matrix
 (kill mid-job, kill during heartbeat, kill the reaper's server,
-partition a worker from the store), including the ISSUE's acceptance
-proof: a SIGKILLed worker's job is reassigned exactly once within one
-lease interval, with the original ``trace_id`` surviving into the
-final Chrome trace.  The ``chaos``-marked tests at the bottom race a
-real 3-worker fleet (threads, then real processes under SIGKILL).
+partition a worker from the store, a job that kills every worker),
+including the acceptance proof: a SIGKILLed worker's job is reassigned
+exactly once within one lease interval, with the original
+``trace_id`` surviving into the final Chrome trace.  The
+``chaos``-marked tests at the bottom race a real 3-worker fleet
+(threads, then real processes under SIGKILL).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import signal
 import subprocess
 import sys
 import threading
@@ -25,13 +24,12 @@ import pytest
 from repro import obs
 from repro.exceptions import ServiceError
 from repro.faults.chaos import (
-    FLEET_CHAOS_ACTIONS,
-    ChaosMonkey,
+    CHAOS_ACTIONS,
+    POOL_ACTIONS,
+    PROCESS_ACTIONS,
     ChaosConfig,
-    FleetChaosConfig,
-    FleetChaosMonkey,
+    ChaosMonkey,
 )
-import repro.service.fleet as fleet_mod
 from repro.service.backends import MemoryBackend
 from repro.service.fleet import FleetWorker, WorkerConfig, WorkerKilled
 from repro.service.store import RunStore
@@ -60,42 +58,55 @@ def _worker(store, clock, owner, **kwargs) -> FleetWorker:
     )
 
 
+def _killer(seed: int = 1, **rates: float) -> ChaosConfig:
+    return ChaosConfig(seed=seed, **rates)
+
+
 class TestFleetChaosConfig:
     def test_rejects_bad_rates(self) -> None:
         with pytest.raises(ServiceError):
-            FleetChaosConfig(kill_rate=-0.1)
+            ChaosConfig(kill_rate=-0.1)
         with pytest.raises(ServiceError):
-            FleetChaosConfig(kill_rate=0.6, partition_rate=0.5)
+            ChaosConfig(kill_rate=0.6, partition_rate=0.5)
+        with pytest.raises(ServiceError):
+            ChaosConfig(crash_rate=0.6, kill_heartbeat_rate=0.5)
 
     def test_storm_splits_rate(self) -> None:
-        config = FleetChaosConfig.storm(seed=4, rate=0.6)
+        config = ChaosConfig.storm(seed=4, rate=0.6, actions=PROCESS_ACTIONS)
         assert config.seed == 4
         assert config.total_rate == pytest.approx(0.6)
+        assert config.kill_heartbeat_rate == pytest.approx(0.2)
+        assert config.crash_rate == config.error_rate == 0.0
 
     def test_actions_cover_the_matrix(self) -> None:
-        assert FLEET_CHAOS_ACTIONS == ("kill", "kill-heartbeat", "partition")
+        assert PROCESS_ACTIONS == ("kill", "kill-heartbeat", "partition")
+        assert CHAOS_ACTIONS == POOL_ACTIONS + PROCESS_ACTIONS
 
 
 class TestFleetChaosMonkey:
     def test_decisions_are_deterministic(self) -> None:
-        monkey = FleetChaosMonkey(FleetChaosConfig.storm(seed=5, rate=0.9))
+        monkey = ChaosMonkey(
+            ChaosConfig.storm(seed=5, rate=0.9, actions=PROCESS_ACTIONS)
+        )
         keys = [(f"r{i}", a) for i in range(10) for a in (1, 2)]
         first = [monkey.decide(*k) for k in keys]
         assert first == [monkey.decide(*k) for k in keys]
         assert any(d is not None for d in first)
+        assert set(first) <= {None, *PROCESS_ACTIONS}
 
-    def test_stream_is_namespaced_from_queue_chaos(self) -> None:
-        # Same seed, same run, same attempt — but the fleet stream must
-        # not correlate with the queue monkey's.
-        fleet = FleetChaosMonkey(FleetChaosConfig(seed=7, kill_rate=0.5))
-        queue = ChaosMonkey(ChaosConfig(seed=7, crash_rate=0.5))
+    def test_one_stream_serves_every_mode(self) -> None:
+        # One decision stream: the same seed and rate hit the same
+        # executions whichever mode the rate is put on.
+        pool = ChaosMonkey(ChaosConfig(seed=7, crash_rate=0.5))
+        process = ChaosMonkey(ChaosConfig(seed=7, kill_rate=0.5))
         keys = [(f"r{i}", 1) for i in range(64)]
-        fleet_hits = [fleet.decide(*k) is not None for k in keys]
-        queue_hits = [queue.decide(*k) is not None for k in keys]
-        assert fleet_hits != queue_hits
+        pool_hits = [pool.decide(*k) is not None for k in keys]
+        process_hits = [process.decide(*k) is not None for k in keys]
+        assert pool_hits == process_hits
+        assert any(pool_hits) and not all(pool_hits)
 
     def test_certain_rate_picks_the_only_action(self) -> None:
-        monkey = FleetChaosMonkey(FleetChaosConfig(partition_rate=1.0))
+        monkey = ChaosMonkey(ChaosConfig(partition_rate=1.0))
         assert all(
             monkey.decide(f"r{i}", 1) == "partition" for i in range(8)
         )
@@ -118,7 +129,7 @@ class TestKillMatrix:
             )
             w1 = _worker(
                 store, clock, "w1",
-                chaos=FleetChaosConfig(seed=1, kill_rate=1.0),
+                chaos=_killer(kill_rate=1.0),
             )
             with pytest.raises(WorkerKilled):
                 w1.run_once()
@@ -151,7 +162,7 @@ class TestKillMatrix:
             # and w2's execution span carries it.
             chrome = tracer.to_chrome_json()
             assert "feedface00000001" in chrome
-            spans = [s for s in tracer.spans if s.name == "service.fleet.job"]
+            spans = [s for s in tracer.spans if s.name == "service.job"]
             assert len(spans) == 1  # w1 died before executing
             claims = registry.as_dict()["counters"]["service.fleet_claims"]
             assert sum(series["value"] for series in claims) == 2
@@ -165,7 +176,7 @@ class TestKillMatrix:
             run_id = store.submit("sleep", {"seconds": 0})
             w1 = _worker(
                 store, clock, "w1",
-                chaos=FleetChaosConfig(seed=1, kill_heartbeat_rate=1.0),
+                chaos=_killer(kill_heartbeat_rate=1.0),
             )
             with pytest.raises(WorkerKilled):
                 w1.run_once()
@@ -183,24 +194,22 @@ class TestKillMatrix:
 
     def test_kill_reapers_server_recovery_on_restart(self, tmp_path) -> None:
         # The reaper's own host dies next: nothing sweeps the dead
-        # worker's lease... until a replacement server opens the store
-        # and recover_interrupted — which agrees with the reaper on
-        # ownership — requeues exactly the expired lease.
+        # worker's lease... until a replacement server opens the store.
+        # Its start-up pass leaves leased rows alone; its reaper — the
+        # only recovery path for leases — requeues the expired one.
         clock = FakeClock()
         path = tmp_path / "runs.db"
         with RunStore(path, clock=clock) as store:
             run_id = store.submit("sleep", {"seconds": 0})
-            w1 = _worker(
-                store, clock, "w1",
-                chaos=FleetChaosConfig(seed=1, kill_rate=1.0),
-            )
+            w1 = _worker(store, clock, "w1", chaos=_killer(kill_rate=1.0))
             with pytest.raises(WorkerKilled):
                 w1.run_once()
         # No server, no reaper; the lease quietly expires on disk.
         clock.advance(30.0)
         with RunStore(path, clock=clock) as restarted:
-            assert restarted.recover_interrupted() == 1
-            assert restarted.recover_interrupted() == 0  # exactly once
+            assert restarted.recover_interrupted() == 0
+            assert [r.run_id for r in restarted.expire_leases()] == [run_id]
+            assert restarted.expire_leases() == []  # exactly once
             record = restarted.get(run_id)
             assert record.state == "queued"
             assert record.owner_id is None
@@ -213,38 +222,62 @@ class TestKillMatrix:
         # owner-checked CAS refuses it — w2's result stands.
         clock = FakeClock()
         with RunStore(MemoryBackend(), clock=clock) as store:
-            run_id = store.submit("sleep", {"seconds": 0})
-            w1 = _worker(
-                store, clock, "w1",
-                chaos=FleetChaosConfig(seed=1, partition_rate=1.0),
-            )
+            run_id = store.submit("sleep", {"seconds": 0.5})
+            w1 = _worker(store, clock, "w1", chaos=_killer(partition_rate=1.0))
             w2 = _worker(store, clock, "w2")
-
-            def long_job(kind, params):
-                # Only w1's execution is intercepted; w2 (below) must
-                # run the real job kind again.
-                fleet_mod.execute_job = original
-                # w1's execution straddles its own lease expiry.
-                assert w1._partitioned  # heartbeats are being dropped
-                assert w1.heartbeat_now(run_id)  # ... and go nowhere
-                assert store.get(run_id).heartbeat_at == clock.now
-                clock.advance(20.0)
-                assert [r.run_id for r in store.expire_leases()] == [run_id]
-                assert w2.run_once() == "done"
-                return '{"by": "w1"}'
-
-            original = fleet_mod.execute_job
-            fleet_mod.execute_job = long_job
-            try:
-                assert w1.run_once() == "lease-lost"
-            finally:
-                fleet_mod.execute_job = original
+            outcome: list = []
+            racer = threading.Thread(target=lambda: outcome.append(w1.run_once()))
+            racer.start()
+            deadline = time.monotonic() + 30.0
+            while store.get(run_id).state != "running":
+                assert time.monotonic() < deadline, "w1 never claimed"
+                time.sleep(0.01)
+            # w1's execution straddles its own lease expiry.
+            assert w1._partitioned  # heartbeats are being dropped
+            assert w1.heartbeat_now(run_id)  # ... and go nowhere
+            assert store.get(run_id).heartbeat_at == clock.now
+            clock.advance(20.0)
+            assert [r.run_id for r in store.expire_leases()] == [run_id]
+            assert w2.run_once() == "done"
+            racer.join(timeout=30.0)
+            assert outcome == ["lease-lost"]
             final = store.get(run_id)
             assert final.state == "done"
             assert final.attempts == 2
-            assert json.loads(final.result) != {"by": "w1"}
+            assert final.owner_id is None
             assert w1.stats["lease-lost"] == 1
+            assert w1.stats["heartbeats"] == 0  # none reached the store
             assert w2.stats["done"] == 1
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_job_that_kills_every_worker_fails_on_budget(
+        self, backend, tmp_path
+    ) -> None:
+        # A job that SIGKILLs every worker claiming it must not be
+        # reassigned forever: the reaper fails it once the expired
+        # attempt was the last — after exactly max_attempts claims.
+        clock = FakeClock()
+        url = MemoryBackend() if backend == "memory" else tmp_path / "r.db"
+        with RunStore(url, clock=clock) as store:
+            run_id = store.submit("sleep", {"seconds": 0}, max_attempts=2)
+            claims = 0
+            for incarnation in range(10):
+                if store.get(run_id).finished:
+                    break
+                worker = _worker(
+                    store, clock, f"w{incarnation}", chaos=_killer(kill_rate=1.0)
+                )
+                with pytest.raises(WorkerKilled):
+                    worker.run_once()
+                claims += worker.stats["claims"]
+                clock.advance(15.0)
+                assert [r.run_id for r in store.expire_leases()] == [run_id]
+            final = store.get(run_id)
+            assert claims == 2
+            assert final.state == "failed"
+            assert final.attempts == 2
+            assert final.error == "lease expired on final attempt"
+            assert final.owner_id is None
 
 
 @pytest.mark.chaos
@@ -278,13 +311,14 @@ class TestFleetStorm:
                         WorkerConfig(
                             lease_seconds=0.5,
                             heartbeat_interval=0.1,
-                            poll_seed=slot,
                             backoff_base=0.01,
                             backoff_cap=0.02,
-                            backoff_seed=slot,
+                            seed=slot,
                         ),
                         owner_id=f"w{slot}.{incarnation}",
-                        chaos=FleetChaosConfig.storm(seed=slot, rate=0.25),
+                        chaos=ChaosConfig.storm(
+                            seed=slot, rate=0.25, actions=PROCESS_ACTIONS
+                        ),
                     )
                     try:
                         worker.run_forever(stop)

@@ -26,8 +26,8 @@ def declared_ok(kind: str, now: float) -> None:
     # The registered fleet/lease names pass untouched.
     obs.inc("service.fleet_claims", kind=kind)
     obs.inc("service.fleet_heartbeats", owner="w1")
-    obs.inc("service.fleet_jobs_done", kind=kind)
-    with obs.span("service.fleet.job", kind=kind):
+    obs.inc("service.jobs_done", kind=kind)
+    with obs.span("service.job", kind=kind):
         pass
     with obs.span("service.lease", reap=True):
         pass

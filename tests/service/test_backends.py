@@ -157,6 +157,8 @@ class TestContract:
         assert backend.fetch("legacy").state == "running"
 
     def test_recover_interrupted_respects_live_leases(self, backend) -> None:
+        # The start-up pass requeues only ownerless rows: leased ones,
+        # live or expired, belong to the reaper.
         backend.insert(_record("legacy", created_at=90.0))
         backend.insert(_record("expired", created_at=91.0))
         backend.insert(_record("live", created_at=92.0))
@@ -164,12 +166,37 @@ class TestContract:
         backend.claim_next(100.0, owner_id="w1", lease_expires_at=110.0)
         backend.claim_next(100.0, owner_id="w2", lease_expires_at=500.0)
         recovered = backend.recover_interrupted(200.0)
-        assert recovered == 2
+        assert recovered == 1
         assert backend.fetch("legacy").state == "queued"
-        assert backend.fetch("expired").state == "queued"
+        expired = backend.fetch("expired")
+        assert (expired.state, expired.owner_id) == ("running", "w1")
         live = backend.fetch("live")
         assert live.state == "running"
         assert live.owner_id == "w2"
+
+    def test_expire_leases_fails_runs_on_their_last_attempt(
+        self, backend
+    ) -> None:
+        # The reaper honours the attempt budget: an expired lease on the
+        # final attempt fails the run instead of requeueing it.
+        backend.insert(_record("spent", created_at=90.0, max_attempts=1))
+        backend.insert(_record("spare", created_at=91.0, max_attempts=2))
+        backend.claim_next(100.0, owner_id="w1", lease_expires_at=110.0)
+        backend.claim_next(100.0, owner_id="w2", lease_expires_at=110.0)
+        expired = backend.expire_leases(150.0)
+        # The reaper reads each outcome off the returned records, which
+        # still name the owner that lost them.
+        assert {r.run_id: (r.state, r.owner_id) for r in expired} == {
+            "spent": ("failed", "w1"),
+            "spare": ("queued", "w2"),
+        }
+        spent = backend.fetch("spent")
+        assert spent.state == "failed"
+        assert spent.error == "lease expired on final attempt"
+        assert spent.owner_id is None
+        spare = backend.fetch("spare")
+        assert spare.state == "queued"
+        assert spare.error is None
 
     def test_live_leases_view(self, backend) -> None:
         backend.insert(_record("a", created_at=90.0))

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.exceptions import ServiceError
-from repro.service.queue import QueueConfig
+from repro.service.fleet import WorkerConfig
 from repro.service.server import serve_in_thread
 
 
@@ -14,9 +14,8 @@ from repro.service.server import serve_in_thread
 def handle(tmp_path):
     h = serve_in_thread(
         tmp_path / "runs.db",
-        queue_config=QueueConfig(
-            max_workers=1, backoff_base=0.02, backoff_cap=0.1
-        ),
+        workers=1,
+        worker_config=WorkerConfig(backoff_base=0.02, backoff_cap=0.1),
     )
     yield h
     h.stop()
@@ -114,6 +113,7 @@ class TestFleetVerbs:
         assert args.lease_seconds == 15.0
         assert args.heartbeat_interval == 5.0
         assert args.max_jobs is None
+        assert args.job_timeout is None
         assert args.fleet_chaos_rate == 0.0
 
     def test_health_parser_defaults(self) -> None:

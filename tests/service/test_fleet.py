@@ -8,21 +8,26 @@ run whose lease is live on a healthy worker.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-import repro.service.fleet as fleet_mod
 from repro.exceptions import ServiceError
 from repro.service.backends import MemoryBackend
 from repro.service.client import ServiceClient
+from repro.service import fleet
 from repro.service.fleet import (
     FleetWorker,
     WorkerConfig,
     mint_owner_id,
 )
-from repro.service.queue import QueueConfig
 from repro.service.server import serve_in_thread
 from repro.service.store import RunStore
 
@@ -49,14 +54,29 @@ def store(clock) -> RunStore:
         yield s
 
 
-def _worker(store, clock, **config) -> FleetWorker:
+def _worker(store, clock, owner="w1", **config) -> FleetWorker:
     return FleetWorker(
         store,
         WorkerConfig(**config),
-        owner_id="w1",
+        owner_id=owner,
         clock=clock,
         sleep=lambda _s: None,
     )
+
+
+def _run_in_thread(worker: FleetWorker) -> tuple[threading.Thread, list]:
+    """Start ``worker.run_once()`` on a thread; the list gets its outcome."""
+    outcome: list = []
+    thread = threading.Thread(target=lambda: outcome.append(worker.run_once()))
+    thread.start()
+    return thread, outcome
+
+
+def _await_running(store, run_id: str) -> None:
+    deadline = time.monotonic() + 30.0
+    while store.get(run_id).state != "running":
+        assert time.monotonic() < deadline, "run never claimed"
+        time.sleep(0.01)
 
 
 class TestWorkerConfig:
@@ -72,6 +92,7 @@ class TestWorkerConfig:
             {"heartbeat_interval": 0.0},
             {"lease_seconds": 10.0, "heartbeat_interval": 5.0},  # == /2
             {"lease_seconds": 10.0, "heartbeat_interval": 9.0},
+            {"job_timeout": 0.0},
         ],
     )
     def test_bad_tunables_rejected(self, kwargs) -> None:
@@ -105,22 +126,13 @@ class TestRunOnce:
         }
 
     def test_claim_stamps_lease_from_fake_clock(self, store, clock) -> None:
-        run_id = store.submit("sleep", {"seconds": 0})
-
-        seen = {}
-
-        def probe(kind, params):
-            seen["record"] = store.get(run_id)
-            return "{}"
-
+        run_id = store.submit("sleep", {"seconds": 0.3})
         worker = _worker(store, clock, lease_seconds=15.0)
-        original = fleet_mod.execute_job
-        fleet_mod.execute_job = probe
-        try:
-            worker.run_once()
-        finally:
-            fleet_mod.execute_job = original
-        mid = seen["record"]
+        thread, outcome = _run_in_thread(worker)
+        _await_running(store, run_id)
+        mid = store.get(run_id)
+        thread.join(timeout=30.0)
+        assert outcome == ["done"]
         assert mid.owner_id == "w1"
         assert mid.lease_expires_at == clock.now + 15.0
         assert mid.heartbeat_at == clock.now
@@ -130,7 +142,7 @@ class TestRunOnce:
             "sleep", {"seconds": 0, "fail": True}, max_attempts=3
         )
         worker = _worker(
-            store, clock, backoff_base=2.0, backoff_cap=2.0, backoff_seed=7
+            store, clock, backoff_base=2.0, backoff_cap=2.0, seed=7
         )
         assert worker.run_once() == "retried"
         record = store.get(run_id)
@@ -167,30 +179,24 @@ class TestRunOnce:
 
 class TestLeaseLost:
     def _race(self, store, clock, worker, run_id, finish_as_w2: bool):
-        """Patch execute_job so the lease is stolen mid-execution."""
-
-        def stolen(kind, params):
-            # The reaper fires while w1 executes: lease expires, the
-            # run is reassigned to w2 ...
-            clock.advance(100.0)
-            assert [r.run_id for r in store.expire_leases()] == [run_id]
-            store.claim_next(owner_id="w2", lease_seconds=15.0)
-            if finish_as_w2:
-                # ... who finishes it before w1 comes back.
-                store.mark_done(run_id, '{"by": "w2"}', owner_id="w2")
-            return '{"by": "w1"}'
-
-        original = fleet_mod.execute_job
-        fleet_mod.execute_job = stolen
-        try:
-            return worker.run_once()
-        finally:
-            fleet_mod.execute_job = original
+        """Steal the lease while ``worker`` executes; returns its outcome."""
+        thread, outcome = _run_in_thread(worker)
+        _await_running(store, run_id)
+        # The reaper fires while w1 executes: lease expires, the run is
+        # reassigned to w2 ...
+        clock.advance(100.0)
+        assert [r.run_id for r in store.expire_leases()] == [run_id]
+        store.claim_next(owner_id="w2", lease_seconds=15.0)
+        if finish_as_w2:
+            # ... who finishes it before w1 comes back.
+            store.mark_done(run_id, '{"by": "w2"}', owner_id="w2")
+        thread.join(timeout=30.0)
+        return outcome[0]
 
     def test_result_discarded_when_still_running_elsewhere(
         self, store, clock
     ) -> None:
-        run_id = store.submit("sleep", {"seconds": 0})
+        run_id = store.submit("sleep", {"seconds": 0.5})
         worker = _worker(store, clock, lease_seconds=15.0)
         assert self._race(store, clock, worker, run_id, False) == "lease-lost"
         record = store.get(run_id)
@@ -202,7 +208,7 @@ class TestLeaseLost:
         self, store, clock
     ) -> None:
         # Exactly-once: w2's result must not be overwritten by w1's.
-        run_id = store.submit("sleep", {"seconds": 0})
+        run_id = store.submit("sleep", {"seconds": 0.5})
         worker = _worker(store, clock, lease_seconds=15.0)
         assert self._race(store, clock, worker, run_id, True) == "lease-lost"
         record = store.get(run_id)
@@ -212,9 +218,9 @@ class TestLeaseLost:
 
 class TestHeartbeatPump:
     def test_pump_renews_during_long_job(self, tmp_path) -> None:
-        # Real clock on purpose: the pump is a real side thread.  The
-        # job outlasts several heartbeat intervals; the lease must be
-        # renewed past its original deadline while the job runs.
+        # Real clock on purpose: renewals happen while the worker waits
+        # on a real child.  The job outlasts several heartbeat
+        # intervals; the lease must be renewed while the job runs.
         with RunStore(tmp_path / "runs.db") as store:
             run_id = store.submit("sleep", {"seconds": 0.45})
             worker = FleetWorker(
@@ -228,6 +234,51 @@ class TestHeartbeatPump:
             record = store.get(run_id)
             assert record.state == "done"
             assert time.time() - claimed_at < 5.0  # pump stopped promptly
+
+
+class TestJobChild:
+    @pytest.mark.parametrize(
+        "default", multiprocessing.get_all_start_methods()
+    )
+    def test_job_runs_whatever_the_default_start_method(
+        self, tmp_path, default
+    ) -> None:
+        # The child's parent-watch holds only for a forked child, whose
+        # parent is the worker; under a forkserver default (Linux from
+        # Python 3.14) an unpinned child's parent is the fork server,
+        # and it would exit before running the job.
+        previous = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method(default, force=True)
+        try:
+            with RunStore(tmp_path / "runs.db") as store:
+                run_id = store.submit("sleep", {"seconds": 0.3})
+                worker = FleetWorker(store, WorkerConfig(), owner_id="w1")
+                try:
+                    assert worker.run_once() == "done"
+                    os.kill(worker.child_pid, 0)  # it outlived its job
+                finally:
+                    worker.close()
+                assert store.get(run_id).state == "done"
+        finally:
+            multiprocessing.set_start_method(previous, force=True)
+
+    def test_child_of_an_already_dead_worker_exits_at_once(self) -> None:
+        # A worker SIGKILLed between starting its child and the child's
+        # initializer has re-parented the child before it can look: it
+        # must still exit rather than wait on a job nobody will collect.
+        gone = subprocess.Popen([sys.executable, "-c", "pass"])
+        gone.wait()
+        pool = ProcessPoolExecutor(
+            max_workers=1,
+            mp_context=fleet._MP_CONTEXT,
+            initializer=fleet._child_init,
+            initargs=(gone.pid,),
+        )
+        try:
+            with pytest.raises(BrokenProcessPool):
+                pool.submit(time.sleep, 30.0).result(timeout=10.0)
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 class TestRunForever:
@@ -250,7 +301,7 @@ class TestRunForever:
 
         worker = FleetWorker(
             store,
-            WorkerConfig(poll_seed=11, poll_base=0.05, poll_cap=1.0),
+            WorkerConfig(seed=11, poll_base=0.05, poll_cap=1.0),
             owner_id="w1",
             clock=clock,
             sleep=sleeper,
@@ -261,12 +312,37 @@ class TestRunForever:
         # Idle polling backs off (jittered, bounded by the cap).
         assert all(0 <= s <= 1.0 for s in sleeps)
 
+    def test_idle_sleep_capped_at_next_retry(self, store, clock) -> None:
+        # A run waiting out its retry backoff is claimed the moment it
+        # becomes eligible: the idle sleep never overshoots its deadline.
+        run_id = store.submit("sleep", {"seconds": 0})
+        store.claim_next(owner_id="w0", lease_seconds=15.0)
+        store.requeue_for_retry(
+            run_id, "boom", not_before=clock.now + 0.02, owner_id="w0"
+        )
+        sleeps: list[float] = []
+
+        def sleeper(seconds: float) -> None:
+            sleeps.append(seconds)
+            clock.advance(seconds)
+
+        worker = FleetWorker(
+            store,
+            WorkerConfig(poll_base=5.0, poll_cap=5.0, seed=3, max_jobs=1),
+            owner_id="w1",
+            clock=clock,
+            sleep=sleeper,
+        )
+        assert worker.run_forever()["done"] == 1
+        assert sleeps and all(s <= 0.02 for s in sleeps)
+
 
 class TestServerRestartAgreement:
-    """Satellite regression: recover_interrupted vs the lease reaper.
+    """A restart leaves leases to the reaper.
 
     A server restart must not steal a run whose lease is live on a
-    healthy worker — and must still reap one whose lease has expired.
+    healthy worker — and its reaper must still reclaim one whose lease
+    has expired.
     """
 
     def test_restart_keeps_live_lease_and_reaps_dead_one(
@@ -283,15 +359,10 @@ class TestServerRestartAgreement:
             claimed = seed.claim_next(owner_id="w-dying", lease_seconds=1.5)
             assert claimed.run_id == orphaned
 
-        # "Restart": a fresh server opens the same store.  Both leases
-        # are live at startup, so recover_interrupted must touch
-        # neither; only the reaper — once w-dying's lease lapses — may
-        # requeue `orphaned`.
-        handle = serve_in_thread(
-            db_path,
-            queue_config=QueueConfig(max_workers=1, poll_interval=0.02),
-            reap_interval=0.05,
-        )
+        # "Restart": a fresh server opens the same store.  Its start-up
+        # pass touches no leased row; only the reaper — once w-dying's
+        # lease lapses — may requeue `orphaned`.
+        handle = serve_in_thread(db_path, workers=1, reap_interval=0.05)
         try:
             with ServiceClient("127.0.0.1", handle.port) as client:
                 deadline = time.time() + 10.0
@@ -300,7 +371,7 @@ class TestServerRestartAgreement:
                         break
                     time.sleep(0.05)
                 # The orphaned run was reaped, requeued, and executed
-                # by the restarted server's own queue ...
+                # by the restarted server's own pool ...
                 final = client.status(orphaned)
                 assert final["state"] == "done"
                 assert final["attempts"] == 2
@@ -323,15 +394,11 @@ class TestFleetOnlyTopology:
     def test_workers_zero_leaves_execution_to_the_fleet(
         self, tmp_path
     ) -> None:
-        # max_workers=0 is the dedicated-server topology from
+        # workers=0 is the dedicated-server topology from
         # docs/DEPLOYMENT.md: the server serves, recovers, and reaps,
         # but never executes — only fleet workers do.
         db_path = str(tmp_path / "runs.db")
-        handle = serve_in_thread(
-            db_path,
-            queue_config=QueueConfig(max_workers=0),
-            reap_interval=0.05,
-        )
+        handle = serve_in_thread(db_path, workers=0, reap_interval=0.05)
         try:
             with ServiceClient("127.0.0.1", handle.port) as client:
                 run_id = client.submit("sleep", {"seconds": 0})

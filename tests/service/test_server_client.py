@@ -11,7 +11,7 @@ import pytest
 from repro import obs
 from repro.exceptions import ServiceError
 from repro.service.client import ServiceClient
-from repro.service.queue import QueueConfig
+from repro.service.fleet import WorkerConfig
 from repro.service.server import serve_in_thread
 from repro.service.store import RunStore
 
@@ -23,13 +23,27 @@ def db_path(tmp_path):
     return tmp_path / "runs.db"
 
 
-def _serve(db_path, **config):
-    return serve_in_thread(db_path, queue_config=QueueConfig(**config))
+def _serve(db_path, workers=2, reap_interval=1.0, **config):
+    return serve_in_thread(
+        db_path,
+        workers=workers,
+        worker_config=WorkerConfig(**config),
+        reap_interval=reap_interval,
+    )
+
+
+
+def _gauge(registry, name, state=None):
+    """A gauge's current value (``None`` before its first set)."""
+    for series in registry.as_dict()["gauges"].get(name, []):
+        if state is None or series["labels"].get("state") == state:
+            return series["value"]
+    return None
 
 
 class TestOperations:
     def test_health(self, db_path) -> None:
-        handle = _serve(db_path, max_workers=2)
+        handle = _serve(db_path, workers=2)
         try:
             with ServiceClient(port=handle.port) as client:
                 health = client.health()
@@ -38,6 +52,30 @@ class TestOperations:
                 assert health["queue_depth"] == 0
                 assert "campaign" in health["kinds"]
                 assert set(health["jobs"]) >= {"queued", "done", "failed"}
+        finally:
+            handle.stop()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_submit_wakes_idle_pool(self, db_path, workers) -> None:
+        # Idle polls of up to 5 s: only the submits' wake-ups can get
+        # the jobs claimed this fast.  With two workers, each kick of a
+        # back-to-back burst must reach a worker, so the 0.6 s jobs run
+        # side by side (one after the other would take 1.2 s).
+        handle = _serve(
+            db_path, workers=workers, poll_base=5.0, poll_cap=5.0
+        )
+        try:
+            with ServiceClient(port=handle.port) as client:
+                time.sleep(0.3)  # the workers are asleep by now
+                started = time.monotonic()
+                run_ids = [
+                    client.submit("sleep", {"seconds": 0.6})
+                    for _ in range(workers)
+                ]
+                for run_id in run_ids:
+                    status = client.wait(run_id, timeout=30.0)
+                    assert status["state"] == "done"
+                assert time.monotonic() - started < 1.1
         finally:
             handle.stop()
 
@@ -57,7 +95,7 @@ class TestOperations:
             handle.stop()
 
     def test_status_result_list_cancel(self, db_path) -> None:
-        handle = _serve(db_path, max_workers=1)
+        handle = _serve(db_path, workers=1)
         try:
             with ServiceClient(port=handle.port) as client:
                 with pytest.raises(ServiceError) as exc:
@@ -93,7 +131,7 @@ class TestAcceptance:
     def test_concurrent_campaigns_and_stored_results(self, db_path) -> None:
         # ISSUE acceptance: >=3 campaigns submitted concurrently, all
         # reach 'done', results readable straight from SQLite.
-        handle = _serve(db_path, max_workers=2)
+        handle = _serve(db_path, workers=2)
         try:
             def submit_one(index: int) -> str:
                 with ServiceClient(port=handle.port) as client:
@@ -121,9 +159,12 @@ class TestAcceptance:
                 assert envelope["data"]["data"]["makespan"] > 0
 
     def test_kill_and_restart_resumes_queue(self, db_path) -> None:
-        # ISSUE acceptance: kill the server mid-queue, restart on the
-        # same store, every job still reaches 'done'.
-        handle = _serve(db_path, max_workers=1)
+        # Kill the server mid-queue, restart on the same store, every
+        # job still reaches 'done': the killed pool's run stays leased
+        # until its (short) lease lapses and the new server's reaper
+        # reclaims it.
+        lease = dict(lease_seconds=1.0, heartbeat_interval=0.2)
+        handle = _serve(db_path, workers=1, **lease)
         ids = []
         try:
             with ServiceClient(port=handle.port) as client:
@@ -145,7 +186,7 @@ class TestAcceptance:
             assert counts["running"] + counts["queued"] == len(ids)
             assert counts["running"] >= 1
 
-        handle = _serve(db_path, max_workers=2)
+        handle = _serve(db_path, workers=2, reap_interval=0.1, **lease)
         try:
             with ServiceClient(port=handle.port) as client:
                 for run_id in ids:
@@ -186,6 +227,27 @@ class TestAcceptance:
 
 
 class TestObservability:
+    def test_gauges_move_without_the_reaper(self, db_path) -> None:
+        # No reaper pass: the workers publish queue and in-flight state
+        # on every claim and completion themselves.
+        with obs.session() as (registry, _tracer):
+            handle = _serve(db_path, workers=1, reap_interval=None)
+            try:
+                with ServiceClient(port=handle.port) as client:
+                    run_id = client.submit("sleep", {"seconds": 0.5})
+                    deadline = time.monotonic() + 10.0
+                    while _gauge(registry, "service.active_jobs") != 1.0:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.01)
+                    assert _gauge(registry, "service.queue_depth") == 0.0
+                    client.wait(run_id, timeout=30.0)
+                    while _gauge(registry, "service.active_jobs") != 0.0:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.01)
+                    assert _gauge(registry, "service.jobs", "done") == 1.0
+            finally:
+                handle.stop()
+
     def test_metrics_cover_queue_depth_and_states(self, db_path) -> None:
         with obs.session() as (registry, _tracer):
             handle = _serve(db_path, backoff_base=0.02, backoff_cap=0.1)

@@ -2,7 +2,7 @@
 
 The run observatory's acceptance path: a submission through the live
 server must carry a single trace id that is visible in the client's
-own span, the store row, the queue's dispatch spans (including retry
+own span, the store row, the worker's job spans (including retry
 attempts after a worker is killed mid-job), the worker-side spans
 shipped back in the result envelope, and the exported Chrome trace.
 """
@@ -21,7 +21,7 @@ from repro.exceptions import ServiceError
 from repro.obs.context import TraceContext, use_trace
 from repro.obs.tracing import WORKER_PID
 from repro.service.client import ServiceClient
-from repro.service.queue import QueueConfig
+from repro.service.fleet import WorkerConfig
 from repro.service.server import serve_in_thread
 from repro.service.store import RunStore
 
@@ -31,8 +31,10 @@ def db_path(tmp_path):
     return tmp_path / "runs.db"
 
 
-def _serve(db_path, **config):
-    return serve_in_thread(str(db_path), queue_config=QueueConfig(**config))
+def _serve(db_path, workers=1, **config):
+    return serve_in_thread(
+        str(db_path), workers=workers, worker_config=WorkerConfig(**config)
+    )
 
 
 def _spans_for(tracer, trace_id, name=None):
@@ -50,7 +52,7 @@ class TestTraceCorrelation:
         # yields a single trace_id visible in the client, the store row,
         # the worker-side simulation spans, and the Chrome export.
         with obs.session(fresh=True) as (_registry, tracer):
-            handle = _serve(db_path, max_workers=1)
+            handle = _serve(db_path)
             try:
                 with ServiceClient(port=handle.port) as client:
                     run_id = client.submit(
@@ -105,10 +107,10 @@ class TestTraceCorrelation:
     def test_trace_survives_worker_kill_and_retry(self, db_path) -> None:
         # ISSUE acceptance: submit -> kill the pool worker mid-job ->
         # retry -> done, with ONE trace_id across the client submit,
-        # both queue dispatch attempts, the surviving worker attempt,
+        # both job attempts, the surviving child attempt,
         # and the store row.
         with obs.session(fresh=True) as (_registry, tracer):
-            handle = _serve(db_path, max_workers=1, backoff_base=0.1)
+            handle = _serve(db_path, backoff_base=0.1)
             try:
                 with ServiceClient(port=handle.port) as client:
                     # Warm the single-process pool and learn its OS pid
@@ -156,7 +158,7 @@ class TestTraceCorrelation:
 
     def test_client_supplied_trace_is_honored(self, db_path) -> None:
         with obs.session(fresh=True):
-            handle = _serve(db_path, max_workers=1)
+            handle = _serve(db_path)
             try:
                 with ServiceClient(port=handle.port) as client:
                     # Explicit context object.
@@ -184,7 +186,7 @@ class TestTraceCorrelation:
     def test_server_mints_when_client_sends_none(self, db_path) -> None:
         # A bare-protocol submit without trace_id (an older client)
         # still gets a server-minted id: every stored run is joinable.
-        handle = _serve(db_path, max_workers=1)
+        handle = _serve(db_path)
         try:
             with ServiceClient(port=handle.port) as client:
                 reply = client._request(
@@ -200,7 +202,7 @@ class TestTraceCorrelation:
             handle.stop()
 
     def test_malformed_trace_id_is_rejected(self, db_path) -> None:
-        handle = _serve(db_path, max_workers=1)
+        handle = _serve(db_path)
         try:
             with ServiceClient(port=handle.port) as client:
                 for bad in (123, "", ["x"]):
@@ -220,10 +222,10 @@ class TestTraceCorrelation:
     def test_untraced_submissions_still_work_when_obs_off(
         self, db_path
     ) -> None:
-        # Collection off: the queue takes the uninstrumented fast path
+        # Collection off: the worker takes the uninstrumented fast path
         # but the correlation id still lands in the store.
         assert not obs.enabled()
-        handle = _serve(db_path, max_workers=1)
+        handle = _serve(db_path)
         try:
             with ServiceClient(port=handle.port) as client:
                 run_id = client.submit("sleep", {"seconds": 0})
