@@ -43,11 +43,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import Sequence
 
 from repro._version import __version__
 
-__all__ = ["add_obs_flags", "build_parser", "finalize_obs", "main"]
+__all__ = ["add_obs_flags", "build_parser", "finalize_obs", "main", "parse_command"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,76 +74,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("fig3to6", help="schedule-shape phenomena with Gantt proofs (Figures 3-6)")
 
-    sub.add_parser("fig9", help="protocol sequence diagram from a live run (Figure 9)")
+    p9 = sub.add_parser(
+        "fig9", help="protocol sequence diagram from a live run (Figure 9)"
+    )
+    _add_kind_flags(p9, "fig9")
 
     p7 = sub.add_parser("fig7", help="optimal grouping vs resources (Figure 7)")
-    _add_sweep_args(p7, r_max=120, step=1)
+    _add_figure_args(p7, "fig7")
 
     p8 = sub.add_parser("fig8", help="homogeneous-cluster gains (Figure 8)")
-    _add_sweep_args(p8, r_max=120, step=1)
+    _add_figure_args(p8, "fig8")
     p8.add_argument(
         "--workers", type=int, default=None,
         help="fan resource points out over N worker processes",
     )
 
     p10 = sub.add_parser("fig10", help="grid gains with repartition (Figure 10)")
-    _add_sweep_args(p10, r_max=99, step=4)
-    p10.add_argument(
-        "--clusters",
-        type=int,
-        nargs="+",
-        default=[2, 3, 4, 5],
-        help="cluster counts to sweep (default: 2 3 4 5)",
-    )
+    _add_figure_args(p10, "fig10")
 
     psw = sub.add_parser(
         "sweep",
         help="batched parameter-grid sweep through the memoized kernels",
     )
-    psw.add_argument(
-        "--clusters", nargs="+", default=["sagittaire"], metavar="NAME",
-        help="benchmark cluster names (default: sagittaire)",
-    )
-    psw.add_argument("--r-min", type=int, default=11)
-    psw.add_argument("--r-max", type=int, default=120)
-    psw.add_argument("--step", type=int, default=1)
-    psw.add_argument(
-        "--scenarios", type=int, nargs="+", default=[10],
-        help="NS values to sweep (default: 10)",
-    )
-    psw.add_argument(
-        "--months", type=int, nargs="+", default=[12],
-        help="NM values to sweep (default: 12)",
-    )
-    psw.add_argument(
-        "--heuristics", nargs="+", default=None,
-        choices=["basic", "redistribute", "allpost_end", "knapsack"],
-        help="heuristics to sweep (default: all four)",
-    )
-    psw.add_argument(
-        "--workers", type=int, default=None,
-        help="fan chunks out over N worker processes",
-    )
-    psw.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="points per journaled chunk (default: 32)",
-    )
-    psw.add_argument(
-        "--max-chunks", type=int, default=None,
-        help="stop after N chunks (resume later from the journal)",
-    )
-    psw.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="NDJSON journal: completed chunks append here and a rerun resumes",
-    )
-    psw.add_argument(
-        "--no-resume", action="store_true",
-        help="overwrite the journal instead of resuming from it",
-    )
-    psw.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the memoized makespan kernels (baseline timing)",
-    )
+    _add_kind_flags(psw, "sweep")
+    _add_journal_args(psw)
     psw.add_argument(
         "--no-batch", action="store_true",
         help=(
@@ -160,61 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
         "arena",
         help="race registered schedulers across figure grids and fault traces",
     )
-    par.add_argument(
-        "--grids", nargs="+", default=["fig7"],
-        choices=["fig7", "fig8", "fig10"],
-        help="figure-shaped race presets (default: fig7)",
-    )
-    par.add_argument(
-        "--schedulers", nargs="+", default=["all"], metavar="NAME",
-        help="registered scheduler names, or 'all' (default: all)",
-    )
-    par.add_argument(
-        "--faults", nargs="+", type=int, default=[], metavar="SEED",
-        help="seeded fault-trace entries for the fault axis (default: none)",
-    )
-    par.add_argument(
-        "--no-fault-free", action="store_true",
-        help="drop the fault-free entry from the fault axis",
-    )
-    par.add_argument(
-        "--seed", type=int, default=0,
-        help="seed handed to stochastic schedulers (default: 0)",
-    )
-    par.add_argument("--r-min", type=int, default=None)
-    par.add_argument("--r-max", type=int, default=None)
-    par.add_argument("--step", type=int, default=None)
-    par.add_argument("--scenarios", type=int, default=None)
-    par.add_argument("--months", type=int, default=None)
-    par.add_argument("--mtbf-hours", type=float, default=6.0)
-    par.add_argument("--mttr-hours", type=float, default=1.0)
-    par.add_argument(
-        "--workers", type=int, default=None,
-        help="fan chunks out over N worker processes",
-    )
-    par.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="points per journaled chunk (default: 16)",
-    )
-    par.add_argument(
-        "--max-chunks", type=int, default=None,
-        help="stop after N chunks (resume later from the journal)",
-    )
-    par.add_argument(
-        "--out", metavar="PATH", default=None,
-        help=(
-            "NDJSON journal: completed chunks append here and a rerun "
-            "resumes (with several --grids, the preset name is suffixed)"
-        ),
-    )
-    par.add_argument(
-        "--no-resume", action="store_true",
-        help="overwrite the journal instead of resuming from it",
-    )
-    par.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the memoized makespan kernels (baseline timing)",
-    )
+    _add_kind_flags(par, "arena", repeat="preset")
+    _add_journal_args(par)
     par.add_argument(
         "--table", action="store_true",
         help="print every evaluated row, not just the standings",
@@ -224,15 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("ablations", help="design-decision ablation studies")
 
     ps = sub.add_parser("simulate", help="simulate one cluster schedule")
-    ps.add_argument("--cluster", default="sagittaire", help="benchmark cluster name")
-    ps.add_argument("--resources", type=int, default=53)
-    ps.add_argument("--scenarios", type=int, default=10)
-    ps.add_argument("--months", type=int, default=12)
-    ps.add_argument(
-        "--heuristic",
-        default="knapsack",
-        choices=["basic", "redistribute", "allpost_end", "knapsack"],
-    )
+    _add_kind_flags(ps, "simulate")
     ps.add_argument("--gantt", action="store_true", help="render an ASCII Gantt chart")
     ps.add_argument(
         "--trace-json", metavar="PATH", default=None,
@@ -241,15 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_obs_flags(ps)
 
     pc = sub.add_parser("campaign", help="full middleware campaign on a grid")
-    pc.add_argument("--clusters", type=int, default=3)
-    pc.add_argument("--resources", type=int, default=40)
-    pc.add_argument("--scenarios", type=int, default=10)
-    pc.add_argument("--months", type=int, default=12)
-    pc.add_argument(
-        "--heuristic",
-        default="knapsack",
-        choices=["basic", "redistribute", "allpost_end", "knapsack"],
-    )
+    _add_kind_flags(pc, "campaign")
     pc.add_argument("--show-messages", action="store_true")
     add_obs_flags(pc)
 
@@ -274,28 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         "faults",
         help="campaign replanned through a seeded multi-failure trace",
     )
-    pf.add_argument("--clusters", type=int, default=3)
-    pf.add_argument("--resources", type=int, default=30)
-    pf.add_argument("--scenarios", type=int, default=9)
-    pf.add_argument("--months", type=int, default=24)
-    pf.add_argument(
-        "--heuristic",
-        default="knapsack",
-        choices=["basic", "redistribute", "allpost_end", "knapsack"],
-    )
-    pf.add_argument("--seed", type=int, default=0)
-    pf.add_argument(
-        "--mtbf-hours", type=float, default=6.0,
-        help="mean time between failures per cluster (hours)",
-    )
-    pf.add_argument(
-        "--mttr-hours", type=float, default=1.0,
-        help="mean outage duration (hours)",
-    )
-    pf.add_argument(
-        "--outages-only", action="store_true",
-        help="no permanent crashes: every cluster eventually rejoins",
-    )
+    _add_kind_flags(pf, "faults")
     pf.add_argument(
         "--resilience", action="store_true",
         help=(
@@ -537,12 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     psub = sub.add_parser("submit", help="queue a job on a running service")
     _add_service_endpoint(psub, timeout=False)
+    from repro.service.workers import job_kinds
+
     psub.add_argument(
         "--kind", required=True,
-        help=(
-            "job kind (campaign, simulate, fig7, fig8, fig9, fig10, sweep, arena, "
-            "sleep)"
-        ),
+        help="job kind: " + ", ".join(kind.name for kind in job_kinds()),
     )
     psub.add_argument(
         "--param", action="append", default=[], metavar="KEY=VALUE",
@@ -640,15 +504,65 @@ def _add_service_endpoint(
         )
 
 
-def _add_sweep_args(
-    parser: argparse.ArgumentParser, *, r_max: int, step: int
+def _add_kind_flags(
+    parser: argparse.ArgumentParser, kind: str, *, repeat: str | None = None
 ) -> None:
+    """Declare job kind ``kind``'s parameter table as this verb's flags.
+
+    Each parameter becomes ``--name-with-dashes`` (or the table's own
+    spelling); list parameters take several values, choices become
+    argparse choices, and every token is converted and checked by the
+    table itself.  ``repeat`` names a scalar parameter that takes
+    several values here: the verb runs one job per value.
+    :func:`parse_command` validates the parsed values as a whole.
+    """
+    from repro.service.workers import job_kind
+
+    for param in job_kind(kind).params:
+        flag = param.cli_flag
+        if flag is None:
+            continue
+        default = param.default
+        if param.type is bool:
+            parser.add_argument(
+                f"--{flag}", action="store_const", const=not default,
+                default=default,
+                help=f"do not {param.help}" if default else param.help,
+            )
+            continue
+        many = param.many or param.name == repeat
+        if callable(default):
+            default = None  # a library-owned default: filled in by validation
+        elif param.name == repeat:
+            default = [default]
+        elif many and default is not None:
+            default = list(default)
+        parser.add_argument(
+            f"--{flag}",
+            type=partial(_flag_value, param),
+            nargs="+" if many else None,
+            default=default,
+            choices=None if callable(param.choices) else param.choices,
+            help=param.help + (
+                "" if default is None else " (default: %(default)s)"
+            ),
+        )
+    parser.set_defaults(job_kind=kind, job_repeat=repeat)
+
+
+def _flag_value(param, token: str):
+    """One command-line token, converted and checked by its table entry."""
+    from repro.exceptions import ServiceError
+
+    try:
+        return param.convert_item(token)
+    except ServiceError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _add_figure_args(parser: argparse.ArgumentParser, kind: str) -> None:
+    _add_kind_flags(parser, kind)
     add_obs_flags(parser)
-    parser.add_argument("--scenarios", type=int, default=10)
-    parser.add_argument("--months", type=int, default=60)
-    parser.add_argument("--r-min", type=int, default=11)
-    parser.add_argument("--r-max", type=int, default=r_max)
-    parser.add_argument("--step", type=int, default=step)
     parser.add_argument("--no-plot", action="store_true", help="table output only")
     parser.add_argument(
         "--csv", metavar="PATH", default=None,
@@ -657,6 +571,30 @@ def _add_sweep_args(
     parser.add_argument(
         "--svg", metavar="PATH", default=None,
         help="also render the figure to a standalone SVG file",
+    )
+
+
+def _add_journal_args(parser: argparse.ArgumentParser) -> None:
+    """The resumable-journal flags shared by ``sweep`` and ``arena``."""
+    parser.add_argument(
+        "--max-chunks", type=int, default=None,
+        help="stop after N chunks (resume later from the journal)",
+    )
+    parser.add_argument(
+        "--out", metavar="PATH", default=None,
+        help=(
+            "NDJSON journal: completed chunks append here and a rerun "
+            "resumes (an arena with several --grids suffixes the preset "
+            "name)"
+        ),
+    )
+    parser.add_argument(
+        "--no-resume", action="store_true",
+        help="overwrite the journal instead of resuming from it",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="bypass the memoized makespan kernels (baseline timing)",
     )
 
 
@@ -747,10 +685,11 @@ def _cmd_fig3to6(_args: argparse.Namespace) -> str:
     return fig3to6.render(fig3to6.run())
 
 
-def _cmd_fig9(_args: argparse.Namespace) -> str:
+def _cmd_fig9(args: argparse.Namespace) -> str:
     from repro.experiments import fig9_protocol
+    from repro.service.workers import fig9_exchange
 
-    return fig9_protocol.render(fig9_protocol.run())
+    return fig9_protocol.render(fig9_exchange(args.params))
 
 
 def _run_figure(args: argparse.Namespace, name: str, runner):
@@ -773,17 +712,7 @@ def _run_figure(args: argparse.Namespace, name: str, runner):
 def _cmd_fig7(args: argparse.Namespace) -> str:
     from repro.experiments import fig7
 
-    result, extra = _run_figure(
-        args,
-        "fig7",
-        lambda: fig7.run(
-            scenarios=args.scenarios,
-            months=args.months,
-            r_min=args.r_min,
-            r_max=args.r_max,
-            step=args.step,
-        ),
-    )
+    result, extra = _run_figure(args, "fig7", lambda: fig7.run(**args.params))
     if args.csv:
         _write_csv(
             args.csv,
@@ -796,7 +725,10 @@ def _cmd_fig7(args: argparse.Namespace) -> str:
             args.svg,
             [float(r) for r in result.resources],
             {"best grouping G*": [float(g) for g in result.best_group]},
-            title=f"Figure 7: optimal groupings for {args.scenarios} scenarios",
+            title=(
+                f"Figure 7: optimal groupings for "
+                f"{args.params['scenarios']} scenarios"
+            ),
             x_label="resources (processors)",
             y_label="best grouping",
         )
@@ -807,16 +739,7 @@ def _cmd_fig8(args: argparse.Namespace) -> str:
     from repro.experiments import fig8
 
     result, extra = _run_figure(
-        args,
-        "fig8",
-        lambda: fig8.run(
-            scenarios=args.scenarios,
-            months=args.months,
-            r_min=args.r_min,
-            r_max=args.r_max,
-            step=args.step,
-            workers=args.workers,
-        ),
+        args, "fig8", lambda: fig8.run(**args.params, workers=args.workers)
     )
     if args.csv:
         series: dict[str, list[float]] = {}
@@ -840,18 +763,10 @@ def _cmd_fig8(args: argparse.Namespace) -> str:
 
 def _cmd_fig10(args: argparse.Namespace) -> str:
     from repro.experiments import fig10
+    from repro.service.workers import job_kind
 
     result, extra = _run_figure(
-        args,
-        "fig10",
-        lambda: fig10.run(
-            scenarios=args.scenarios,
-            months=args.months,
-            cluster_counts=tuple(args.clusters),
-            r_min=args.r_min,
-            r_max=args.r_max,
-            step=args.step,
-        ),
+        args, "fig10", lambda: job_kind("fig10").run(args.params)
     )
     if args.csv:
         _write_csv(
@@ -875,25 +790,19 @@ def _cmd_fig10(args: argparse.Namespace) -> str:
 def _cmd_sweep(args: argparse.Namespace) -> str:
     from repro.analysis.tables import format_table
     from repro.core.makespan import makespan_cache_stats
-    from repro.experiments.sweep import SweepGrid, run_sweep
+    from repro.experiments.sweep import run_sweep
+    from repro.service.workers import sweep_grid
 
     from repro import obs
 
-    grid = SweepGrid.from_ranges(
-        clusters=tuple(args.clusters),
-        r_min=args.r_min,
-        r_max=args.r_max,
-        step=args.step,
-        scenarios=tuple(args.scenarios),
-        months=tuple(args.months),
-        heuristics=tuple(args.heuristics) if args.heuristics else None,
-    )
+    params = args.params
+    grid = sweep_grid(params)
     with _obs_scope(args):
         with obs.span("sweep.cli", points=grid.size):
             result = run_sweep(
                 grid,
-                workers=args.workers,
-                chunk_size=args.chunk_size,
+                workers=params["workers"] or None,
+                chunk_size=params["chunk_size"],
                 journal_path=args.out,
                 resume=not args.no_resume,
                 max_chunks=args.max_chunks,
@@ -932,7 +841,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
                 ],
             )
         )
-    if not args.no_cache and (args.workers or 0) <= 1:
+    if not args.no_cache and params["workers"] <= 1:
         stats = makespan_cache_stats()
         parts.append(
             "kernel cache: "
@@ -958,47 +867,25 @@ def _arena_journal_path(out: str | None, preset: str, many: bool) -> str | None:
 
 
 def _cmd_arena(args: argparse.Namespace) -> str:
-    from repro.schedulers import ArenaGrid, list_schedulers, run_arena
+    from repro.schedulers import run_arena
+    from repro.service.workers import arena_grid
 
     from repro import obs
 
-    registered = list_schedulers()
-    if args.schedulers == ["all"]:
-        schedulers = registered
-    else:
-        unknown = [s for s in args.schedulers if s not in registered]
-        if unknown:
-            raise SystemExit(
-                f"unknown schedulers {unknown}; registered: {sorted(registered)}"
-            )
-        schedulers = tuple(args.schedulers)
-
     parts: list[str] = []
     extra: list[str] = []
-    many = len(args.grids) > 1
+    many = len(args.params) > 1
     with _obs_scope(args):
-        for preset in args.grids:
-            grid = ArenaGrid.from_preset(
-                preset,
-                schedulers=schedulers,
-                fault_seeds=tuple(args.faults),
-                include_fault_free=not args.no_fault_free,
-                seed=args.seed,
-                r_min=args.r_min,
-                r_max=args.r_max,
-                step=args.step,
-                scenarios=args.scenarios,
-                months=args.months,
-                mtbf_hours=args.mtbf_hours,
-                mttr_hours=args.mttr_hours,
-            )
+        for params in args.params:  # one race per --grids preset
+            preset = params["preset"]
+            grid = arena_grid(params)
             journal = _arena_journal_path(args.out, preset, many)
             latencies: dict[str, list[float]] = {}
             with obs.span("arena.cli", preset=preset, points=grid.size):
                 result = run_arena(
                     grid,
-                    workers=args.workers,
-                    chunk_size=args.chunk_size,
+                    workers=params["workers"] or None,
+                    chunk_size=params["chunk_size"],
                     journal_path=journal,
                     resume=not args.no_resume,
                     max_chunks=args.max_chunks,
@@ -1098,15 +985,16 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
 
     from repro import obs
 
+    params = args.params
     with _obs_scope(args):
         with obs.span(
-            "simulate", cluster=args.cluster, resources=args.resources
+            "simulate", cluster=params["cluster"], resources=params["resources"]
         ):
             result = run_cluster_simulation(
-                args.cluster,
-                args.resources,
-                EnsembleSpec(args.scenarios, args.months),
-                args.heuristic,
+                params["cluster"],
+                params["resources"],
+                EnsembleSpec(params["scenarios"], params["months"]),
+                params["heuristic"],
                 record_trace=True,
             )
         parts = [trace_summary(result)]
@@ -1128,11 +1016,11 @@ def _cmd_campaign(args: argparse.Namespace) -> str:
     from repro.middleware.deployment import run_campaign
     from repro.platform.benchmarks import benchmark_grid
 
+    params = args.params
+    campaign = (params["scenarios"], params["months"], params["heuristic"])
     with _obs_scope(args):
-        grid = benchmark_grid(args.clusters, args.resources)
-        result = run_campaign(
-            grid, args.scenarios, args.months, args.heuristic
-        )
+        grid = benchmark_grid(params["clusters"], params["resources"])
+        result = run_campaign(grid, *campaign)
         parts = [result.describe()]
         if args.show_messages:
             # Message log is on the network; re-run with an inspectable
@@ -1140,7 +1028,7 @@ def _cmd_campaign(args: argparse.Namespace) -> str:
             from repro.middleware.deployment import deploy
 
             client, agent, _seds = deploy(grid)
-            client.run_campaign(args.scenarios, args.months, args.heuristic)
+            client.run_campaign(*campaign)
             parts.append(agent.network.describe())
         parts.extend(finalize_obs(args))
     return "\n\n".join(parts)
@@ -1172,58 +1060,28 @@ def _cmd_recover(args: argparse.Namespace) -> str:
 
 def _cmd_faults(args: argparse.Namespace) -> str:
     from repro import obs
-    from repro.faults.trace import FaultProfile, FaultTrace, generate_trace
-    from repro.middleware.recovery import run_campaign_with_faults
-    from repro.platform.benchmarks import benchmark_grid
+    from repro.service.workers import fault_report
 
+    params = args.params
     with _obs_scope(args):
-        parts: list[str]
         if args.resilience:
             from repro.experiments import resilience
 
             result = resilience.run(
-                scenarios=args.scenarios,
-                months=args.months,
-                clusters=args.clusters,
-                resources=args.resources,
-                mttr_hours=args.mttr_hours,
+                scenarios=params["scenarios"],
+                months=params["months"],
+                clusters=params["clusters"],
+                resources=params["resources"],
+                mttr_hours=params["mttr_hours"],
                 trials=args.trials,
-                seed=args.seed,
+                seed=params["seed"],
             )
             parts = [resilience.render(result)]
         else:
             with obs.span(
-                "faults", seed=args.seed, mtbf_hours=args.mtbf_hours
+                "faults", seed=params["seed"], mtbf_hours=params["mtbf_hours"]
             ):
-                grid = benchmark_grid(args.clusters, args.resources)
-                baseline = run_campaign_with_faults(
-                    grid,
-                    args.scenarios,
-                    args.months,
-                    FaultTrace(),
-                    heuristic=args.heuristic,
-                )
-                if args.outages_only:
-                    profile = FaultProfile.outages_only(
-                        args.mtbf_hours * 3600.0, args.mttr_hours * 3600.0
-                    )
-                else:
-                    profile = FaultProfile(
-                        mtbf_seconds=args.mtbf_hours * 3600.0,
-                        mttr_seconds=args.mttr_hours * 3600.0,
-                    )
-                trace = generate_trace(
-                    {name: profile for name in grid.names},
-                    baseline.makespan,
-                    args.seed,
-                )
-                report = run_campaign_with_faults(
-                    grid,
-                    args.scenarios,
-                    args.months,
-                    trace,
-                    heuristic=args.heuristic,
-                )
+                _trace, report = fault_report(params)
             parts = [report.describe()]
         parts.extend(finalize_obs(args))
     return "\n\n".join(parts)
@@ -1704,9 +1562,46 @@ _COMMANDS = {
 }
 
 
+def parse_command(argv: Sequence[str] | None = None) -> argparse.Namespace:
+    """Parse ``argv``; a job-kind verb also gets its validated ``params``.
+
+    ``args.params`` is what :func:`~repro.service.workers.validate_job`
+    returns for the verb's flags — a list of them, one per value, for a
+    verb that repeats a parameter (``arena --grids``).  Every rejection,
+    per value or cross-field, exits through argparse's error path (exit
+    code 2) before any work starts.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    kind = getattr(args, "job_kind", None)
+    if kind is None:
+        return args
+    from repro.exceptions import ServiceError
+    from repro.service.workers import job_kind, validate_job
+
+    given = {}
+    for param in job_kind(kind).params:
+        if param.cli_flag is not None:
+            value = getattr(args, param.cli_flag.replace("-", "_"))
+            if value is not None:
+                given[param.name] = value
+    repeat = args.job_repeat
+    try:
+        if repeat is None:
+            args.params = validate_job(kind, given)
+        else:
+            args.params = [
+                validate_job(kind, {**given, repeat: value})
+                for value in given[repeat]
+            ]
+    except ServiceError as exc:
+        parser.error(f"{args.command}: {exc}")
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    args = parse_command(argv)
     from repro.obs import configure_logging
 
     configure_logging(args.log)

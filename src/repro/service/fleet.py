@@ -63,7 +63,7 @@ from repro.exceptions import ReproError, ServiceError
 from repro.faults.chaos import POOL_ACTIONS, ChaosConfig, ChaosMonkey
 from repro.obs.tracing import WORKER_PID
 from repro.service.store import RUN_STATES, RunRecord, RunStore
-from repro.service.workers import execute_job, execute_job_traced
+from repro.service.workers import execute_in_child
 
 __all__ = [
     "FleetWorker",
@@ -507,26 +507,24 @@ class FleetWorker:
         Returns ``(result, None)`` on success, ``(None, error)`` on a
         failed attempt, and ``(None, None)`` when a heartbeat found the
         lease lost (the child is killed: its result would be discarded
-        anyway).  When observability is on the child runs the traced
-        entry point and its spans are grafted under ``span_id``.
+        anyway).  When observability is on and the run carries a trace
+        id, the child runs under that trace and its spans are grafted
+        under ``span_id``.
         """
-        traced = obs.enabled()
-        dispatch_us = obs.tracer().now_us() if traced else 0.0
+        trace = None
+        dispatch_us = 0.0
+        if obs.enabled() and record.trace_id:
+            trace = {
+                "trace_id": record.trace_id,
+                "run_id": record.run_id,
+                "parent_span_id": span_id,
+            }
+            dispatch_us = obs.tracer().now_us()
         error: str | None = None
         try:
-            if traced:
-                wire = None
-                if record.trace_id:
-                    wire = {
-                        "trace_id": record.trace_id,
-                        "run_id": record.run_id,
-                        "parent_span_id": span_id,
-                    }
-                future = self._submit(
-                    execute_job_traced, record.kind, record.params, wire
-                )
-            else:
-                future = self._submit(execute_job, record.kind, record.params)
+            future = self._submit(
+                execute_in_child, record.kind, record.params, trace
+            )
             finished = self._await(record, future)
             outcome = future.result() if finished == "done" else None
         except ReproError as exc:
@@ -549,9 +547,8 @@ class FleetWorker:
             )
         if finished != "done":
             return None, error
-        if not traced:
-            return outcome, None
-        self._import_worker_spans(record, outcome, span_id, dispatch_us)
+        if trace is not None:
+            self._import_worker_spans(record, outcome, span_id, dispatch_us)
         return outcome["result"], None
 
     def _await(self, record: RunRecord, future: Future) -> str:

@@ -1,28 +1,34 @@
-"""Job kinds and the worker-process entry point.
+"""Job kinds, their parameter tables, and the job child's entry point.
 
 A *job kind* names a unit of work the campaign service knows how to
 run: a full middleware campaign, a single-cluster simulation, a figure
-sweep, the fig9 protocol trace.  Each kind validates its parameters at
-submission time (so the server rejects garbage before it is queued) and
-produces a result object that
-:func:`repro.experiments.results_io.dump_result` can serialize — one
-serializer for every job kind is what lets the run store treat results
-uniformly.
+sweep, the fig9 protocol trace.  Each kind declares its parameters
+once, as a tuple of :class:`Param` entries (name, value type, default,
+lower bound or choices, help text).  That table is the whole contract:
 
-:func:`execute_job` is the function shipped to
-:class:`~concurrent.futures.ProcessPoolExecutor` workers.  It is
-module-level (picklable), takes only plain values, and returns the
-serialized result string, so nothing non-picklable ever crosses the
-process boundary.
+* :func:`validate_job` interprets it at submission time, so the server
+  rejects garbage before it is queued, and again when a worker runs the
+  job (validation is idempotent: validated params validate to
+  themselves);
+* ``repro-oa`` derives the flags of the verb that shares the kind's
+  name from it (``repro-oa fig7 --help`` lists the ``fig7`` kind's
+  parameters, dashed).
 
-Every execution goes through one routine,
-:class:`~repro.service.fleet.FleetWorker` — whether the worker is a
-thread of the server's pool or a ``repro-oa worker`` process — which
-ships this entry point (``execute_job_traced`` when observability is
-on) to its own child process.  Job kinds therefore must stay
-host-agnostic: pure functions of their validated parameters, no
-reliance on which process or machine runs them — that is what makes a
-lease reassignment mid-campaign safe.
+Only the cross-field rules (``r_max >= r_min``, a constructible arena
+grid, a parseable fault-event list) stay as code.  Every kind produces
+a result object that :func:`repro.experiments.results_io.dump_result`
+can serialize — one serializer for every job kind is what lets the run
+store treat results uniformly.
+
+:func:`execute_job` runs one job and returns that serialized string.
+:func:`execute_in_child` is the one function a
+:class:`~repro.service.fleet.FleetWorker` ships to its job child —
+whether the worker is a thread of the server's pool or a ``repro-oa
+worker`` process.  Both are module-level (picklable) and take only
+plain values.  Job kinds therefore must stay host-agnostic: pure
+functions of their validated parameters, no reliance on which process
+or machine runs them — that is what makes a lease reassignment
+mid-campaign safe.
 """
 
 from __future__ import annotations
@@ -30,82 +36,369 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, get_args, get_origin
 
-from repro.exceptions import ReproError, ServiceError
+from repro.core.heuristics import HeuristicName
+from repro.exceptions import ConfigurationError, ReproError, ServiceError
 
 __all__ = [
     "JobKind",
+    "Param",
+    "arena_grid",
+    "execute_in_child",
     "execute_job",
-    "execute_job_traced",
+    "fault_report",
+    "fig9_exchange",
+    "job_kind",
     "job_kinds",
+    "sweep_grid",
     "validate_job",
 ]
 
-_HEURISTICS = ("basic", "redistribute", "allpost_end", "knapsack")
+_HEURISTICS = tuple(h.value for h in HeuristicName)
 
 
-def _as_int(params: Mapping[str, Any], key: str, default: int, *, low: int = 1) -> int:
-    """Pull a bounded integer parameter with a typed error on garbage."""
-    value = params.get(key, default)
+def _bad(message: str) -> ServiceError:
+    return ServiceError(message, code="bad-params")
+
+
+@dataclass(frozen=True)
+class Param:
+    """One declared job parameter.
+
+    ``type`` is ``int``, ``float``, ``bool``, ``str``, or ``list[T]`` of
+    one of these (``list[dict]`` for the wire-only fault-event list).
+    ``default`` fills an absent parameter; a zero-argument callable
+    stands for a value a library module owns, read on first use so the
+    service imports no experiment code up front.  A ``None`` default
+    lets the value stay ``None`` ("use the library's value").  ``low``
+    bounds numbers, ``choices`` lists the allowed values (or is a
+    callable returning them); both apply to each element of a list.  A
+    list may be empty only when its default is.  ``bare`` also accepts
+    a lone value as a one-element list — the wire form of parameters
+    that used to be scalars.  ``flag`` is the CLI spelling without
+    dashes: ``""`` derives it from ``name``, ``None`` keeps the
+    parameter wire-only.
+    """
+
+    name: str
+    type: Any
+    default: Any
+    help: str = ""
+    low: float | None = None
+    choices: Any = None
+    bare: bool = False
+    flag: str | None = ""
+
+    @property
+    def many(self) -> bool:
+        """Whether the value is a list."""
+        return get_origin(self.type) is list
+
+    @property
+    def cli_flag(self) -> str | None:
+        """The ``--flag`` spelling (without dashes), or ``None``."""
+        if self.flag == "":
+            return self.name.replace("_", "-")
+        return self.flag
+
+    def convert_item(self, raw: Any) -> Any:
+        """One scalar value (or list element), converted and checked."""
+        item_type = get_args(self.type)[0] if self.many else self.type
+        try:
+            value = item_type(raw)
+        except (TypeError, ValueError):
+            raise _bad(
+                f"parameter {self.name!r} must be {item_type.__name__}, "
+                f"got {raw!r}"
+            ) from None
+        if self.low is not None and value < self.low:
+            raise _bad(
+                f"parameter {self.name!r} must be >= {self.low}, got {value}"
+            )
+        choices = self.choices() if callable(self.choices) else self.choices
+        if choices is not None and value not in choices:
+            raise _bad(
+                f"unknown {self.name} {value!r}; "
+                f"expected one of {tuple(choices)}"
+            )
+        return value
+
+    def convert(self, raw: Any) -> Any:
+        """The whole value, converted and checked."""
+        if raw is None and self.default is None:
+            return None
+        if not self.many:
+            return self.convert_item(raw)
+        if self.bare and not isinstance(raw, (list, tuple)):
+            raw = [raw]
+        if not isinstance(raw, (list, tuple)) or (not raw and self.default):
+            shape = "a non-empty list" if self.default else "a list"
+            raise _bad(f"parameter {self.name!r} must be {shape}, got {raw!r}")
+        return [self.convert_item(item) for item in raw]
+
+    def default_value(self) -> Any:
+        """The default, with a library-owned one read now."""
+        return self.default() if callable(self.default) else self.default
+
+
+# ---------------------------------------------------------------------------
+# Library-owned values, read on first use.
+# ---------------------------------------------------------------------------
+
+
+def _sweep_chunk_size() -> int:
+    from repro.experiments.sweep import DEFAULT_CHUNK_SIZE
+
+    return DEFAULT_CHUNK_SIZE
+
+
+def _arena_chunk_size() -> int:
+    from repro.schedulers.arena import DEFAULT_CHUNK_SIZE
+
+    return DEFAULT_CHUNK_SIZE
+
+
+def _arena_presets() -> tuple[str, ...]:
+    from repro.schedulers.arena import ARENA_PRESETS
+
+    return tuple(ARENA_PRESETS)
+
+
+# ---------------------------------------------------------------------------
+# Parameter tables.  Defaults are the paper's (see README/EXPERIMENTS).
+# ---------------------------------------------------------------------------
+
+
+def _count(
+    name: str, default: Any, help: str, *, type: Any = int, bare: bool = False
+) -> Param:
+    """A positive integer (or list of them) parameter."""
+    return Param(name, type, default, help, low=1, bare=bare)
+
+
+_HEURISTIC = Param(
+    "heuristic", str, "knapsack", "processor-grouping heuristic",
+    choices=_HEURISTICS,
+)
+
+
+def _ensemble_params(scenarios: int, months: int) -> tuple[Param, ...]:
+    return (
+        _count("scenarios", scenarios, "ensemble scenarios (NS)"),
+        _count("months", months, "months per scenario (NM)"),
+        _HEURISTIC,
+    )
+
+
+def _campaign_params(
+    clusters: int, resources: int, scenarios: int, months: int
+) -> tuple[Param, ...]:
+    return (
+        _count("clusters", clusters, "benchmark clusters in the grid"),
+        _count("resources", resources, "processors per cluster"),
+        *_ensemble_params(scenarios, months),
+    )
+
+
+def _range_params(r_max: int, step: int) -> tuple[Param, ...]:
+    return (
+        _count("r_min", 11, "smallest resource count R"),
+        _count("r_max", r_max, "largest resource count R"),
+        _count("step", step, "resource-count step"),
+    )
+
+
+def _figure_params(months: int, r_max: int, step: int) -> tuple[Param, ...]:
+    return (
+        _count("scenarios", 10, "ensemble scenarios (NS)"),
+        _count("months", months, "months per scenario (NM)"),
+        *_range_params(r_max, step),
+    )
+
+
+_FAULT_RATES = (
+    Param("mtbf_hours", float, 6.0,
+          "mean time between failures per cluster (hours)", low=1e-6),
+    Param("mttr_hours", float, 1.0, "mean outage duration (hours)",
+          low=1e-6),
+)
+
+#: Jobs already run inside a worker's child, so sweeps and races stay
+#: serial unless the submission opts into nested worker processes.
+_WORKERS = Param(
+    "workers", int, 0, "fan chunks out over N worker processes (0 = serial)",
+    low=0,
+)
+
+_SWEEP_PARAMS = (
+    Param("clusters", list[str], ("sagittaire",), "benchmark cluster names"),
+    *_range_params(120, 1),
+    _count("scenarios", (10,), "NS values to sweep", type=list[int],
+           bare=True),
+    _count("months", (12,), "NM values to sweep", type=list[int], bare=True),
+    Param("heuristics", list[str], _HEURISTICS, "heuristics to sweep",
+          choices=_HEURISTICS),
+    _WORKERS,
+    _count("chunk_size", _sweep_chunk_size, "points per journaled chunk"),
+)
+
+_ARENA_PARAMS = (
+    Param("preset", str, "fig7", "figure-shaped race presets",
+          choices=_arena_presets, flag="grids"),
+    Param("schedulers", list[str], ("all",),
+          "registered scheduler names, or 'all'", bare=True),
+    Param("fault_seeds", list[int], (),
+          "seeded fault-trace entries for the fault axis", low=0,
+          flag="faults"),
+    Param("include_fault_free", bool, True,
+          "race a fault-free entry on the fault axis", flag="no-fault-free"),
+    Param("seed", int, 0, "seed handed to stochastic schedulers", low=0),
+    *(
+        _count(name, None, "override the preset's value")
+        for name in ("r_min", "r_max", "step", "scenarios", "months")
+    ),
+    *_FAULT_RATES,
+    _WORKERS,
+    _count("chunk_size", _arena_chunk_size, "points per journaled chunk"),
+)
+
+_FAULTS_PARAMS = (
+    *_campaign_params(3, 30, 9, 24),
+    Param("seed", int, 0, "fault-trace seed", low=0),
+    *_FAULT_RATES,
+    Param("outages_only", bool, False,
+          "no permanent crashes: every cluster eventually rejoins"),
+    Param("events", list[dict], None, "explicit fault events", flag=None),
+)
+
+
+# ---------------------------------------------------------------------------
+# Cross-field checks.
+# ---------------------------------------------------------------------------
+
+
+def _check_range(clean: dict[str, Any]) -> None:
+    low, high = clean["r_min"], clean["r_max"]
+    if low is not None and high is not None and high < low:
+        raise _bad(f"r_max ({high}) must be >= r_min ({low})")
+
+
+def _check_arena(clean: dict[str, Any]) -> None:
+    _check_range(clean)
+    if clean["schedulers"] == ["all"]:
+        from repro.schedulers.base import list_schedulers
+
+        clean["schedulers"] = list(list_schedulers())
     try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise ServiceError(
-            f"parameter {key!r} must be an integer, got {value!r}",
-            code="bad-params",
-        ) from None
-    if value < low:
-        raise ServiceError(
-            f"parameter {key!r} must be >= {low}, got {value}",
-            code="bad-params",
-        )
-    return value
+        arena_grid(clean)  # also refuses an empty fault axis
+    except ConfigurationError as exc:
+        raise _bad(str(exc)) from None
 
 
-def _as_float(
-    params: Mapping[str, Any], key: str, default: float, *, low: float = 0.0
-) -> float:
-    """Pull a bounded float parameter with a typed error on garbage."""
-    value = params.get(key, default)
+def _check_events(clean: dict[str, Any]) -> None:
+    if clean["events"] is None:
+        return
+    from repro.faults.trace import FaultTrace
+
     try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ServiceError(
-            f"parameter {key!r} must be a number, got {value!r}",
-            code="bad-params",
-        ) from None
-    if value < low:
-        raise ServiceError(
-            f"parameter {key!r} must be >= {low}, got {value}",
-            code="bad-params",
-        )
-    return value
+        FaultTrace.from_dicts(clean["events"])
+    except ConfigurationError as exc:
+        raise _bad(f"invalid fault event list: {exc}") from None
 
 
-def _as_heuristic(params: Mapping[str, Any]) -> str:
-    value = str(params.get("heuristic", "knapsack"))
-    if value not in _HEURISTICS:
-        raise ServiceError(
-            f"unknown heuristic {value!r}; expected one of {_HEURISTICS}",
-            code="bad-params",
+# ---------------------------------------------------------------------------
+# Library calls from validated params (shared with the CLI verbs).
+# ---------------------------------------------------------------------------
+
+
+def sweep_grid(params: Mapping[str, Any]):
+    """The :class:`~repro.experiments.sweep.SweepGrid` a sweep job runs."""
+    from repro.experiments.sweep import SweepGrid
+
+    return SweepGrid.from_ranges(
+        clusters=tuple(params["clusters"]),
+        r_min=params["r_min"],
+        r_max=params["r_max"],
+        step=params["step"],
+        scenarios=tuple(params["scenarios"]),
+        months=tuple(params["months"]),
+        heuristics=tuple(params["heuristics"]),
+    )
+
+
+def arena_grid(params: Mapping[str, Any]):
+    """The :class:`~repro.schedulers.arena.ArenaGrid` an arena job races."""
+    from repro.schedulers.arena import ArenaGrid
+
+    return ArenaGrid.from_preset(
+        params["preset"],
+        schedulers=tuple(params["schedulers"]),
+        fault_seeds=tuple(params["fault_seeds"]),
+        include_fault_free=params["include_fault_free"],
+        seed=params["seed"],
+        r_min=params["r_min"],
+        r_max=params["r_max"],
+        step=params["step"],
+        scenarios=params["scenarios"],
+        months=params["months"],
+        mtbf_hours=params["mtbf_hours"],
+        mttr_hours=params["mttr_hours"],
+    )
+
+
+def fault_report(params: Mapping[str, Any]):
+    """Replan a campaign through the job's fault trace.
+
+    The trace is the explicit ``events`` list when given, else one
+    seeded from the MTBF/MTTR profile over the fault-free makespan.
+    Returns ``(trace, report)``.
+    """
+    from repro.faults.trace import FaultProfile, FaultTrace, generate_trace
+    from repro.middleware.recovery import run_campaign_with_faults
+    from repro.platform.benchmarks import benchmark_grid
+
+    grid = benchmark_grid(params["clusters"], params["resources"])
+    campaign = (grid, params["scenarios"], params["months"])
+    heuristic = params["heuristic"]
+    if params["events"] is not None:
+        trace = FaultTrace.from_dicts(params["events"])
+    else:
+        baseline = run_campaign_with_faults(
+            *campaign, FaultTrace(), heuristic=heuristic
         )
-    return value
+        mtbf = params["mtbf_hours"] * 3600.0
+        mttr = params["mttr_hours"] * 3600.0
+        profile = (
+            FaultProfile.outages_only(mtbf, mttr)
+            if params["outages_only"]
+            else FaultProfile(mtbf_seconds=mtbf, mttr_seconds=mttr)
+        )
+        trace = generate_trace(
+            {name: profile for name in grid.names},
+            baseline.makespan,
+            params["seed"],
+        )
+    report = run_campaign_with_faults(*campaign, trace, heuristic=heuristic)
+    return trace, report
+
+
+def fig9_exchange(params: Mapping[str, Any]):
+    """Run the Figure 9 protocol and capture its message exchange."""
+    from repro.experiments import fig9_protocol
+    from repro.platform.benchmarks import benchmark_grid
+
+    return fig9_protocol.run(
+        grid=benchmark_grid(params["clusters"], params["resources"]),
+        scenarios=params["scenarios"],
+        months=params["months"],
+        heuristic=params["heuristic"],
+    )
 
 
 # ---------------------------------------------------------------------------
 # Job implementations (all module-level: they run in worker processes).
 # ---------------------------------------------------------------------------
-
-
-def _validate_campaign(params: Mapping[str, Any]) -> dict[str, Any]:
-    return {
-        "clusters": _as_int(params, "clusters", 3),
-        "resources": _as_int(params, "resources", 40),
-        "scenarios": _as_int(params, "scenarios", 10),
-        "months": _as_int(params, "months", 12),
-        "heuristic": _as_heuristic(params),
-    }
 
 
 def _run_campaign(params: Mapping[str, Any]):
@@ -139,16 +432,6 @@ def _run_campaign(params: Mapping[str, Any]):
     )
 
 
-def _validate_simulate(params: Mapping[str, Any]) -> dict[str, Any]:
-    return {
-        "cluster": str(params.get("cluster", "sagittaire")),
-        "resources": _as_int(params, "resources", 53),
-        "scenarios": _as_int(params, "scenarios", 10),
-        "months": _as_int(params, "months", 12),
-        "heuristic": _as_heuristic(params),
-    }
-
-
 def _run_simulate(params: Mapping[str, Any]):
     from repro.experiments.results_io import GenericResult
     from repro.experiments.runner import run_cluster_simulation
@@ -171,56 +454,16 @@ def _run_simulate(params: Mapping[str, Any]):
     )
 
 
-def _validate_sweep(params: Mapping[str, Any]) -> dict[str, Any]:
-    clean = {
-        "scenarios": _as_int(params, "scenarios", 10),
-        "months": _as_int(params, "months", 12),
-        "r_min": _as_int(params, "r_min", 11),
-        "r_max": _as_int(params, "r_max", 40),
-        "step": _as_int(params, "step", 4),
-    }
-    if clean["r_max"] < clean["r_min"]:
-        raise ServiceError(
-            f"r_max ({clean['r_max']}) must be >= r_min ({clean['r_min']})",
-            code="bad-params",
-        )
-    return clean
-
-
 def _run_fig7(params: Mapping[str, Any]):
     from repro.experiments import fig7
 
-    return fig7.run(
-        scenarios=params["scenarios"],
-        months=params["months"],
-        r_min=params["r_min"],
-        r_max=params["r_max"],
-        step=params["step"],
-    )
+    return fig7.run(**params)
 
 
 def _run_fig8(params: Mapping[str, Any]):
     from repro.experiments import fig8
 
-    return fig8.run(
-        scenarios=params["scenarios"],
-        months=params["months"],
-        r_min=params["r_min"],
-        r_max=params["r_max"],
-        step=params["step"],
-    )
-
-
-def _validate_fig10(params: Mapping[str, Any]) -> dict[str, Any]:
-    clean = _validate_sweep(params)
-    raw = params.get("clusters", [2, 3])
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise ServiceError(
-            f"parameter 'clusters' must be a non-empty list, got {raw!r}",
-            code="bad-params",
-        )
-    clean["clusters"] = [_as_int({"n": n}, "n", 0, low=1) for n in raw]
-    return clean
+    return fig8.run(**params)
 
 
 def _run_fig10(params: Mapping[str, Any]):
@@ -236,27 +479,10 @@ def _run_fig10(params: Mapping[str, Any]):
     )
 
 
-def _validate_fig9(params: Mapping[str, Any]) -> dict[str, Any]:
-    return {
-        "clusters": _as_int(params, "clusters", 2),
-        "resources": _as_int(params, "resources", 25),
-        "scenarios": _as_int(params, "scenarios", 4),
-        "months": _as_int(params, "months", 6),
-        "heuristic": _as_heuristic(params),
-    }
-
-
 def _run_fig9(params: Mapping[str, Any]):
-    from repro.experiments import fig9_protocol
     from repro.experiments.results_io import GenericResult
-    from repro.platform.benchmarks import benchmark_grid
 
-    result = fig9_protocol.run(
-        grid=benchmark_grid(params["clusters"], params["resources"]),
-        scenarios=params["scenarios"],
-        months=params["months"],
-        heuristic=params["heuristic"],
-    )
+    result = fig9_exchange(params)
     return GenericResult(
         kind="fig9",
         data={
@@ -277,125 +503,20 @@ def _run_fig9(params: Mapping[str, Any]):
     )
 
 
-def _validate_grid_sweep(params: Mapping[str, Any]) -> dict[str, Any]:
-    clean = _validate_sweep(params)
-    raw_clusters = params.get("clusters", ["sagittaire"])
-    if not isinstance(raw_clusters, (list, tuple)) or not raw_clusters:
-        raise ServiceError(
-            f"parameter 'clusters' must be a non-empty list of cluster "
-            f"names, got {raw_clusters!r}",
-            code="bad-params",
-        )
-    clean["clusters"] = [str(name) for name in raw_clusters]
-    raw_heuristics = params.get("heuristics", list(_HEURISTICS))
-    if not isinstance(raw_heuristics, (list, tuple)) or not raw_heuristics:
-        raise ServiceError(
-            f"parameter 'heuristics' must be a non-empty list, "
-            f"got {raw_heuristics!r}",
-            code="bad-params",
-        )
-    for name in raw_heuristics:
-        if name not in _HEURISTICS:
-            raise ServiceError(
-                f"unknown heuristic {name!r}; expected one of {_HEURISTICS}",
-                code="bad-params",
-            )
-    clean["heuristics"] = [str(name) for name in raw_heuristics]
-    # Jobs already run inside a pool worker, so the sweep itself stays
-    # serial by default; opt into nested workers explicitly if the
-    # deployment allows it.
-    clean["workers"] = _as_int(params, "workers", 0, low=0)
-    clean["chunk_size"] = _as_int(params, "chunk_size", 32)
-    return clean
-
-
 def _run_grid_sweep(params: Mapping[str, Any]):
-    from repro.experiments.sweep import SweepGrid, run_sweep
+    from repro.experiments.sweep import run_sweep
 
-    grid = SweepGrid.from_ranges(
-        clusters=tuple(params["clusters"]),
-        r_min=params["r_min"],
-        r_max=params["r_max"],
-        step=params["step"],
-        scenarios=(params["scenarios"],),
-        months=(params["months"],),
-        heuristics=tuple(params["heuristics"]),
-    )
     return run_sweep(
-        grid,
+        sweep_grid(params),
         workers=params["workers"] or None,
         chunk_size=params["chunk_size"],
     )
 
 
-def _validate_faults(params: Mapping[str, Any]) -> dict[str, Any]:
-    clean = {
-        "clusters": _as_int(params, "clusters", 3),
-        "resources": _as_int(params, "resources", 40),
-        "scenarios": _as_int(params, "scenarios", 10),
-        "months": _as_int(params, "months", 12),
-        "heuristic": _as_heuristic(params),
-        "seed": _as_int(params, "seed", 0, low=0),
-        "mtbf_hours": _as_float(params, "mtbf_hours", 6.0, low=1e-6),
-        "mttr_hours": _as_float(params, "mttr_hours", 1.0, low=1e-6),
-        "outages_only": bool(params.get("outages_only", False)),
-    }
-    events = params.get("events")
-    if events is not None:
-        if not isinstance(events, (list, tuple)):
-            raise ServiceError(
-                f"parameter 'events' must be a list of fault events, "
-                f"got {events!r}",
-                code="bad-params",
-            )
-        from repro.exceptions import ConfigurationError
-        from repro.faults.trace import FaultTrace
-
-        try:
-            FaultTrace.from_dicts(events)
-        except ConfigurationError as exc:
-            raise ServiceError(
-                f"invalid fault event list: {exc}", code="bad-params"
-            ) from None
-        clean["events"] = [dict(entry) for entry in events]
-    else:
-        clean["events"] = None
-    return clean
-
-
 def _run_faults(params: Mapping[str, Any]):
     from repro.experiments.results_io import GenericResult
-    from repro.faults.trace import FaultProfile, FaultTrace, generate_trace
-    from repro.middleware.recovery import run_campaign_with_faults
-    from repro.platform.benchmarks import benchmark_grid
 
-    grid = benchmark_grid(params["clusters"], params["resources"])
-    scenarios, months = params["scenarios"], params["months"]
-    heuristic = params["heuristic"]
-    baseline = run_campaign_with_faults(
-        grid, scenarios, months, FaultTrace(), heuristic=heuristic
-    )
-    if params["events"] is not None:
-        trace = FaultTrace.from_dicts(params["events"])
-    else:
-        profile = (
-            FaultProfile.outages_only(
-                params["mtbf_hours"] * 3600.0, params["mttr_hours"] * 3600.0
-            )
-            if params["outages_only"]
-            else FaultProfile(
-                mtbf_seconds=params["mtbf_hours"] * 3600.0,
-                mttr_seconds=params["mttr_hours"] * 3600.0,
-            )
-        )
-        trace = generate_trace(
-            {name: profile for name in grid.names},
-            baseline.makespan,
-            params["seed"],
-        )
-    report = run_campaign_with_faults(
-        grid, scenarios, months, trace, heuristic=heuristic
-    )
+    trace, report = fault_report(params)
     return GenericResult(
         kind="faults",
         data={
@@ -406,9 +527,9 @@ def _run_faults(params: Mapping[str, Any]):
             "months_lost": report.months_lost,
             "lost_work_seconds": report.lost_work_seconds,
             "seed": params["seed"],
-            "heuristic": heuristic,
-            "scenarios": scenarios,
-            "months": months,
+            "heuristic": params["heuristic"],
+            "scenarios": params["scenarios"],
+            "months": params["months"],
             "trace": trace.to_dicts(),
             "events": [
                 {
@@ -430,132 +551,14 @@ def _run_faults(params: Mapping[str, Any]):
     )
 
 
-def _validate_arena(params: Mapping[str, Any]) -> dict[str, Any]:
-    from repro.exceptions import ConfigurationError
-    from repro.schedulers.arena import ARENA_PRESETS
-    from repro.schedulers.base import list_schedulers
-
-    preset = str(params.get("preset", "fig7"))
-    if preset not in ARENA_PRESETS:
-        raise ServiceError(
-            f"unknown arena preset {preset!r}; "
-            f"expected one of {tuple(sorted(ARENA_PRESETS))}",
-            code="bad-params",
-        )
-    registered = list_schedulers()
-    raw_schedulers = params.get("schedulers", "all")
-    if raw_schedulers == "all":
-        schedulers = list(registered)
-    elif isinstance(raw_schedulers, (list, tuple)) and raw_schedulers:
-        for name in raw_schedulers:
-            if name not in registered:
-                raise ServiceError(
-                    f"unknown scheduler {name!r}; "
-                    f"registered: {sorted(registered)}",
-                    code="bad-params",
-                )
-        schedulers = [str(name) for name in raw_schedulers]
-    else:
-        raise ServiceError(
-            f"parameter 'schedulers' must be 'all' or a non-empty list, "
-            f"got {raw_schedulers!r}",
-            code="bad-params",
-        )
-    raw_faults = params.get("fault_seeds", [])
-    if not isinstance(raw_faults, (list, tuple)):
-        raise ServiceError(
-            f"parameter 'fault_seeds' must be a list of integers, "
-            f"got {raw_faults!r}",
-            code="bad-params",
-        )
-    fault_seeds = [_as_int({"s": s}, "s", 0, low=0) for s in raw_faults]
-    clean = {
-        "preset": preset,
-        "schedulers": schedulers,
-        "fault_seeds": fault_seeds,
-        "include_fault_free": bool(params.get("include_fault_free", True)),
-        "seed": _as_int(params, "seed", 0, low=0),
-        "scenarios": _as_int(params, "scenarios", 10),
-        "months": _as_int(params, "months", 12),
-        "mtbf_hours": _as_float(params, "mtbf_hours", 6.0, low=1e-6),
-        "mttr_hours": _as_float(params, "mttr_hours", 1.0, low=1e-6),
-        # Same stance as the sweep job: already inside a pool worker,
-        # so the race stays serial unless the deployment opts in.
-        "workers": _as_int(params, "workers", 0, low=0),
-        "chunk_size": _as_int(params, "chunk_size", 16),
-    }
-    for key in ("r_min", "r_max", "step"):
-        # None (absent or explicit) means "use the preset's value" —
-        # kept as None so validation stays idempotent under the
-        # re-validation execute_job performs.
-        clean[key] = (
-            None if params.get(key) is None else _as_int(params, key, 0)
-        )
-    if (
-        clean["r_min"] is not None
-        and clean["r_max"] is not None
-        and clean["r_max"] < clean["r_min"]
-    ):
-        raise ServiceError(
-            f"r_max ({clean['r_max']}) must be >= r_min ({clean['r_min']})",
-            code="bad-params",
-        )
-    if not clean["fault_seeds"] and not clean["include_fault_free"]:
-        raise ServiceError(
-            "a race needs fault_seeds and/or include_fault_free=True",
-            code="bad-params",
-        )
-    try:
-        _arena_grid(clean)
-    except ConfigurationError as exc:
-        raise ServiceError(str(exc), code="bad-params") from None
-    return clean
-
-
-def _arena_grid(params: Mapping[str, Any]):
-    from repro.schedulers.arena import ArenaGrid
-
-    return ArenaGrid.from_preset(
-        params["preset"],
-        schedulers=tuple(params["schedulers"]),
-        fault_seeds=tuple(params["fault_seeds"]),
-        include_fault_free=params["include_fault_free"],
-        seed=params["seed"],
-        r_min=params["r_min"],
-        r_max=params["r_max"],
-        step=params["step"],
-        scenarios=params["scenarios"],
-        months=params["months"],
-        mtbf_hours=params["mtbf_hours"],
-        mttr_hours=params["mttr_hours"],
-    )
-
-
 def _run_arena(params: Mapping[str, Any]):
     from repro.schedulers.arena import run_arena
 
     return run_arena(
-        _arena_grid(params),
+        arena_grid(params),
         workers=params["workers"] or None,
         chunk_size=params["chunk_size"],
     )
-
-
-def _validate_sleep(params: Mapping[str, Any]) -> dict[str, Any]:
-    try:
-        seconds = float(params.get("seconds", 0.0))
-    except (TypeError, ValueError):
-        raise ServiceError(
-            f"parameter 'seconds' must be a number, "
-            f"got {params.get('seconds')!r}",
-            code="bad-params",
-        ) from None
-    if seconds < 0:
-        raise ServiceError(
-            f"parameter 'seconds' must be >= 0, got {seconds}",
-            code="bad-params",
-        )
-    return {"seconds": seconds, "fail": bool(params.get("fail", False))}
 
 
 def _run_sleep(params: Mapping[str, Any]):
@@ -575,12 +578,26 @@ def _run_sleep(params: Mapping[str, Any]):
 
 @dataclass(frozen=True)
 class JobKind:
-    """One unit of work the service can execute."""
+    """One unit of work the service can execute, and its parameters."""
 
     name: str
     description: str
-    validate: Callable[[Mapping[str, Any]], dict[str, Any]]
+    params: tuple[Param, ...]
     run: Callable[[Mapping[str, Any]], Any]
+    #: Cross-field rules; may also normalize the validated dict.
+    check: Callable[[dict[str, Any]], None] | None = None
+
+    def validate(self, params: Mapping[str, Any]) -> dict[str, Any]:
+        """Interpret the parameter table over ``params``."""
+        clean = {
+            p.name: p.convert(
+                params[p.name] if p.name in params else p.default_value()
+            )
+            for p in self.params
+        }
+        if self.check is not None:
+            self.check(clean)
+        return clean
 
 
 _KINDS: dict[str, JobKind] = {
@@ -589,61 +606,78 @@ _KINDS: dict[str, JobKind] = {
         JobKind(
             "campaign",
             "full middleware campaign on a benchmark grid",
-            _validate_campaign,
+            _campaign_params(3, 40, 10, 12),
             _run_campaign,
         ),
         JobKind(
             "simulate",
             "single-cluster ensemble simulation",
-            _validate_simulate,
+            (
+                Param("cluster", str, "sagittaire", "benchmark cluster name"),
+                _count("resources", 53, "processors on the cluster"),
+                *_ensemble_params(10, 12),
+            ),
             _run_simulate,
         ),
         JobKind(
             "fig7",
             "optimal-grouping sweep (Figure 7)",
-            _validate_sweep,
+            _figure_params(60, 120, 1),
             _run_fig7,
+            _check_range,
         ),
         JobKind(
             "fig8",
             "homogeneous-cluster gains sweep (Figure 8)",
-            _validate_sweep,
+            _figure_params(60, 120, 1),
             _run_fig8,
+            _check_range,
         ),
         JobKind(
             "fig10",
             "grid gains sweep with repartition (Figure 10)",
-            _validate_fig10,
+            (
+                *_figure_params(60, 99, 4),
+                _count("clusters", (2, 3, 4, 5), "cluster counts to sweep",
+                       type=list[int]),
+            ),
             _run_fig10,
+            _check_range,
         ),
         JobKind(
             "fig9",
             "live protocol trace (Figure 9)",
-            _validate_fig9,
+            _campaign_params(2, 25, 4, 6),
             _run_fig9,
         ),
         JobKind(
             "sweep",
             "declarative parameter-grid sweep through the memoized kernels",
-            _validate_grid_sweep,
+            _SWEEP_PARAMS,
             _run_grid_sweep,
+            _check_range,
         ),
         JobKind(
             "faults",
             "campaign replanned through a seeded (or explicit) fault trace",
-            _validate_faults,
+            _FAULTS_PARAMS,
             _run_faults,
+            _check_events,
         ),
         JobKind(
             "arena",
             "scheduler race across a figure-shaped grid and fault traces",
-            _validate_arena,
+            _ARENA_PARAMS,
             _run_arena,
+            _check_arena,
         ),
         JobKind(
             "sleep",
             "diagnostic no-op job (optionally failing) for tests and benchmarks",
-            _validate_sleep,
+            (
+                Param("seconds", float, 0.0, "how long to sleep", low=0.0),
+                Param("fail", bool, False, "raise after sleeping"),
+            ),
             _run_sleep,
         ),
     )
@@ -655,13 +689,11 @@ def job_kinds() -> tuple[JobKind, ...]:
     return tuple(_KINDS.values())
 
 
-def validate_job(kind: str, params: Mapping[str, Any]) -> dict[str, Any]:
-    """Check a submission and return its normalized parameters.
+def job_kind(kind: str) -> JobKind:
+    """The registered job kind named ``kind``.
 
     Raises :class:`~repro.exceptions.ServiceError` with code
-    ``unknown-kind`` or ``bad-params``; the server maps these straight
-    to typed wire errors, so invalid work is refused before it touches
-    the queue.
+    ``unknown-kind`` for a name nobody registered.
     """
     job = _KINDS.get(kind)
     if job is None:
@@ -670,16 +702,25 @@ def validate_job(kind: str, params: Mapping[str, Any]) -> dict[str, Any]:
             f"expected one of {tuple(_KINDS)}",
             code="unknown-kind",
         )
+    return job
+
+
+def validate_job(kind: str, params: Mapping[str, Any]) -> dict[str, Any]:
+    """Check a submission and return its normalized parameters.
+
+    Raises :class:`~repro.exceptions.ServiceError` with code
+    ``unknown-kind`` or ``bad-params``; the server maps these straight
+    to typed wire errors, so invalid work is refused before it touches
+    the queue.
+    """
+    job = job_kind(kind)
     if not isinstance(params, Mapping):
-        raise ServiceError(
-            f"params must be an object, got {type(params).__name__}",
-            code="bad-params",
-        )
+        raise _bad(f"params must be an object, got {type(params).__name__}")
     return job.validate(params)
 
 
 def execute_job(kind: str, params: dict[str, Any]) -> str:
-    """Run one job to completion; the worker-process entry point.
+    """Run one job to completion and return its serialized result.
 
     Returns the result serialized with
     :func:`repro.experiments.results_io.dump_result`.  Library errors
@@ -701,41 +742,40 @@ def execute_job(kind: str, params: dict[str, Any]) -> str:
     return dump_result(result)
 
 
-def execute_job_traced(
+def execute_in_child(
     kind: str,
     params: dict[str, Any],
     trace: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """Run one job inside a child-local observability session.
+    """The job child's one entry point: :func:`execute_job`, maybe traced.
 
-    The cross-process half of trace propagation: ``trace`` is a
-    :meth:`~repro.obs.context.TraceContext.to_wire` dict minted at
-    submit time.  It is re-hydrated here — inside the worker's job
-    child — so the job's own instrumentation (campaign spans, SeD
-    execution spans, planner spans) records under the same trace as
-    the worker that sent it.  The child's span buffer travels back in
-    the returned envelope, which stays picklable::
+    Returns ``{"result": <dump_result string>}``.  When the worker
+    passes ``trace`` — a :meth:`~repro.obs.context.TraceContext.to_wire`
+    dict minted at submit time — the job runs inside a child-local
+    observability session under that trace, so its own instrumentation
+    (campaign spans, SeD execution spans, planner spans) records under
+    the same trace as the worker that sent it, and the envelope also
+    carries the span buffer::
 
-        {"result": <dump_result string>,
-         "spans": [<Chrome complete-span event dicts>],
+        {"result": ..., "spans": [<Chrome complete-span event dicts>],
          "worker_pid": <os pid of this child>}
 
-    The worker grafts the spans onto its own tracer
-    (``pid=WORKER_PID``, tid = the child's os pid) and persists only
-    ``result``, so the store contract of :func:`execute_job` is
-    unchanged.  On failure the exception propagates exactly as from
-    :func:`execute_job` (the attempt's spans are dropped with the
-    child's session — the worker's ``service.job`` span still
-    records the failed attempt).
+    The worker grafts the spans onto its own tracer (``pid=WORKER_PID``,
+    tid = the child's os pid) and persists only ``result``.  An
+    untraced job imports no span code.  On failure the exception
+    propagates exactly as from :func:`execute_job` (a traced attempt's
+    spans are dropped with the child's session — the worker's
+    ``service.job`` span still records the failed attempt).
     """
+    if trace is None:
+        return {"result": execute_job(kind, params)}
     from repro import obs
     from repro.obs.context import TraceContext, use_trace
 
-    context = TraceContext.from_wire(trace) if trace is not None else None
+    context = TraceContext.from_wire(trace)
     with obs.session() as (_registry, tracer):
         with use_trace(context):
-            tags = context.tag_args() if context is not None else {}
-            with obs.span("service.worker", kind=kind, **tags):
+            with obs.span("service.worker", kind=kind, **context.tag_args()):
                 result = execute_job(kind, params)
         spans = [span.as_event() for span in tracer.spans]
     return {"result": result, "spans": spans, "worker_pid": os.getpid()}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,8 @@ from repro.obs.bench import (
     validate_bench_artifact,
     write_bench_artifact,
 )
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _fast_spec(values, *, name="toy", direction="lower", unit="seconds"):
@@ -122,6 +125,31 @@ class TestArtifacts:
         path.write_text("not json")
         with pytest.raises(ConfigurationError):
             load_bench_artifact(path)
+
+    @pytest.mark.parametrize(
+        "committed, loader",
+        [
+            ("BENCH_arena.json", load_bench_artifact),
+            ("benchmarks/baseline.json", load_baseline),
+        ],
+    )
+    def test_truncation_at_any_byte_is_a_typed_error(
+        self, tmp_path, committed, loader
+    ) -> None:
+        # Only the cut that drops just the trailing newline still loads;
+        # every shorter prefix is refused with ConfigurationError.
+        data = (REPO_ROOT / committed).read_bytes()
+        assert data.endswith(b"\n")
+        path = tmp_path / "cut.json"
+        loaded = []
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            try:
+                loader(path)
+            except ConfigurationError:
+                continue
+            loaded.append(cut)
+        assert loaded == [len(data) - 1]
 
 
 class TestComparator:
