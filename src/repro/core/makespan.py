@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.exceptions import SchedulingError
 
@@ -38,11 +38,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports core)
 
 __all__ = [
     "MakespanBreakdown",
+    "ScheduleLog",
     "analytic_breakdown",
     "analytic_makespan",
     "cached_analytic_breakdown",
     "cached_analytic_makespan",
+    "cached_schedule_log",
     "cached_simulated_makespan",
+    "cached_simulated_makespans",
     "clear_makespan_cache",
     "makespan_cache_disabled",
     "makespan_cache_enabled",
@@ -205,11 +208,18 @@ def analytic_makespan(
 _CACHE_MAXSIZE = 1 << 16
 
 _analytic_cache: dict[tuple, MakespanBreakdown] = {}
-_simulated_cache: dict[tuple, float] = {}
+_simulated_cache: dict[tuple, tuple[float, float]] = {}
+_schedule_cache: dict[tuple, "ScheduleLog"] = {}
 _cache_enabled = True
 _cache_counters = {
     "analytic": {"hits": 0, "misses": 0},
     "simulated": {"hits": 0, "misses": 0},
+    "schedule": {"hits": 0, "misses": 0},
+}
+_caches: dict[str, dict[tuple, Any]] = {
+    "analytic": _analytic_cache,
+    "simulated": _simulated_cache,
+    "schedule": _schedule_cache,
 }
 
 
@@ -251,26 +261,18 @@ def makespan_cache_disabled() -> Iterator[None]:
 
 def clear_makespan_cache() -> None:
     """Drop every cached kernel and zero the hit/miss counters."""
-    _analytic_cache.clear()
-    _simulated_cache.clear()
+    for cache in _caches.values():
+        cache.clear()
     for counters in _cache_counters.values():
         counters["hits"] = 0
         counters["misses"] = 0
 
 
 def makespan_cache_stats() -> dict[str, dict[str, int]]:
-    """Hit/miss/size counters per kernel kind (``analytic``/``simulated``)."""
+    """Hit/miss/size counters per kind (``analytic``/``simulated``/``schedule``)."""
     return {
-        "analytic": {
-            "hits": _cache_counters["analytic"]["hits"],
-            "misses": _cache_counters["analytic"]["misses"],
-            "size": len(_analytic_cache),
-        },
-        "simulated": {
-            "hits": _cache_counters["simulated"]["hits"],
-            "misses": _cache_counters["simulated"]["misses"],
-            "size": len(_simulated_cache),
-        },
+        kind: {**_cache_counters[kind], "size": len(cache)}
+        for kind, cache in _caches.items()
     }
 
 
@@ -342,28 +344,105 @@ def simulation_cache_key(
     )
 
 
-def cached_simulated_makespan(
+def cached_simulated_makespans(
     grouping: "Grouping", spec: "EnsembleSpec", timing: "TimingModel"
-) -> float:
-    """Memoized event-simulator makespan for one grouping/ensemble/timing.
+) -> tuple[float, float]:
+    """Memoized event-simulator ``(makespan, main_makespan)``.
 
     The simulator is deterministic in :func:`simulation_cache_key`, so a
-    cache hit returns the bit-identical float a fresh
+    cache hit returns the bit-identical floats a fresh
     :func:`repro.simulation.engine.simulate` call would produce.  Only
-    the scalar makespan is cached; callers needing traces or the full
-    :class:`~repro.simulation.events.SimulationResult` should call the
-    engine directly.
+    the two makespans are cached; callers needing per-task times use
+    :func:`cached_schedule_log`, and callers needing the full
+    :class:`~repro.simulation.events.SimulationResult` call the engine.
     """
     from repro.simulation.engine import simulate
 
     if not _cache_enabled:
-        return simulate(grouping, spec, timing).makespan
+        result = simulate(grouping, spec, timing)
+        return result.makespan, result.main_makespan
     key = simulation_cache_key(grouping, spec, timing)
     hit = _simulated_cache.get(key)
     if hit is not None:
         _record("simulated", "hit")
         return hit
     _record("simulated", "miss")
-    value = simulate(grouping, spec, timing).makespan
+    result = simulate(grouping, spec, timing)
+    value = (result.makespan, result.main_makespan)
     _store(_simulated_cache, key, value)
+    return value
+
+
+def cached_simulated_makespan(
+    grouping: "Grouping", spec: "EnsembleSpec", timing: "TimingModel"
+) -> float:
+    """Memoized event-simulator makespan (see :func:`cached_simulated_makespans`)."""
+    return cached_simulated_makespans(grouping, spec, timing)[0]
+
+
+@dataclass(frozen=True)
+class ScheduleLog:
+    """The fault-free reference schedule of one simulation key, as floats.
+
+    ``starts``/``ends``/``procs`` hold each task's start, end and
+    processor count in the reference engine's record order (every main
+    task in placement order, then every post task in ready order).
+    ``sorted_ends`` holds the same ends ascending, and ``main_ends`` /
+    ``post_ends`` the ascending ends of each scenario's main and post
+    tasks.  Together they answer "what had finished by fault-free time
+    ``t``" with a binary search, which is all a fault replay needs (see
+    :meth:`repro.faults.hooks.FaultHook.replay`).
+    """
+
+    starts: tuple[float, ...]
+    ends: tuple[float, ...]
+    procs: tuple[int, ...]
+    sorted_ends: tuple[float, ...]
+    main_ends: tuple[tuple[float, ...], ...]
+    post_ends: tuple[tuple[float, ...], ...]
+    makespan: float
+
+
+def _schedule_log(
+    grouping: "Grouping", spec: "EnsembleSpec", timing: "TimingModel"
+) -> ScheduleLog:
+    """Flatten one traced reference simulation into a :class:`ScheduleLog`."""
+    from repro.simulation.engine import simulate
+
+    result = simulate(grouping, spec, timing, record_trace=True, fast=False)
+    records = result.records
+    main_ends: list[list[float]] = [[] for _ in range(spec.scenarios)]
+    post_ends: list[list[float]] = [[] for _ in range(spec.scenarios)]
+    for record in records:
+        by_kind = main_ends if record.kind == "main" else post_ends
+        by_kind[record.scenario].append(record.end)
+    ends = tuple(record.end for record in records)
+    return ScheduleLog(
+        starts=tuple(record.start for record in records),
+        ends=ends,
+        procs=tuple(record.n_procs for record in records),
+        sorted_ends=tuple(sorted(ends)),
+        main_ends=tuple(tuple(sorted(e)) for e in main_ends),
+        post_ends=tuple(tuple(sorted(e)) for e in post_ends),
+        makespan=result.makespan,
+    )
+
+
+def cached_schedule_log(
+    grouping: "Grouping", spec: "EnsembleSpec", timing: "TimingModel"
+) -> ScheduleLog:
+    """The :class:`ScheduleLog` of one key, memoized under :func:`simulation_cache_key`.
+
+    The log is frozen, so a hit hands every caller the same instance.
+    """
+    if not _cache_enabled:
+        return _schedule_log(grouping, spec, timing)
+    key = simulation_cache_key(grouping, spec, timing)
+    hit = _schedule_cache.get(key)
+    if hit is not None:
+        _record("schedule", "hit")
+        return hit
+    _record("schedule", "miss")
+    value = _schedule_log(grouping, spec, timing)
+    _store(_schedule_cache, key, value)
     return value

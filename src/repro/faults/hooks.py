@@ -20,6 +20,17 @@ lost, as is every post task still pending.  :class:`FaultOutcome`
 reports exactly that split, so the middleware replanner can resume each
 scenario from its last completed month.
 
+Two ways to apply a hook give the same outcome:
+
+* :meth:`FaultHook.apply` warps every record of a traced reference
+  run — the path for Gantt charts and the oracle for the other;
+* :meth:`FaultHook.replay` reads the memoized
+  :class:`~repro.core.makespan.ScheduleLog` of the fault-free schedule.
+  The warp is monotone, so the tasks that survive a crash are a prefix
+  of the tasks sorted by end, found by one binary search.
+  :func:`simulate_with_faults` takes this path whenever no records are
+  asked for, which is how the scheduler arena scores faulted points.
+
 An empty hook is guaranteed free: :func:`repro.simulation.engine.simulate`
 treats it as ``faults=None`` and keeps its bookkeeping-free fast path,
 so results are bit-for-bit those of the fault-free engine.
@@ -28,6 +39,7 @@ so results are bit-for-bit those of the fault-free engine.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, replace
 
 from repro import obs
@@ -252,14 +264,88 @@ class FaultHook:
             lost_work_seconds=lost_work,
             makespan=makespan,
         )
-        if obs.enabled():
-            obs.inc("faults.engine_injections", cluster=result.cluster_name)
-            if months_lost:
-                obs.inc(
-                    "faults.months_lost",
-                    months_lost,
-                    cluster=result.cluster_name,
-                )
+        _count_injection(result.cluster_name, months_lost)
+        return warped, outcome
+
+    def replay(
+        self, grouping, spec, timing, *, cluster_name: str = "cluster"
+    ):
+        """Apply this hook to the memoized fault-free schedule, without records.
+
+        Returns ``(warped_result, outcome)``, field for field what
+        :meth:`apply` returns for the traced reference simulation with
+        ``keep_records=False``.  The warp is monotone, so the tasks that
+        survive a crash are a prefix of the tasks sorted by end: one
+        binary search over the
+        :class:`~repro.core.makespan.ScheduleLog` finds the last
+        surviving end, and per-scenario counts are binary searches below
+        it.  Without a crash every task survives, and the two cached
+        makespans suffice.
+        """
+        from repro.core.makespan import (
+            cached_schedule_log,
+            cached_simulated_makespans,
+        )
+        from repro.simulation.events import SimulationResult
+
+        wallclock, crash = self.wallclock, self.crash_at
+        scenarios = range(spec.scenarios)
+        if crash is None:
+            makespan, main_makespan = cached_simulated_makespans(
+                grouping, spec, timing
+            )
+            makespan = wallclock(makespan)
+            main_makespan = wallclock(main_makespan)
+            completed = {s: spec.months for s in scenarios}
+            pending_posts = {s: 0 for s in scenarios}
+            months_lost = 0
+            lost_work = 0.0
+        else:
+            log = cached_schedule_log(grouping, spec, timing)
+            ends = log.sorted_ends
+            survived = bisect.bisect_right(ends, crash, key=wallclock)
+            last = ends[survived - 1] if survived else -math.inf
+            first_lost = ends[survived] if survived < len(ends) else math.inf
+            completed = {
+                s: bisect.bisect_right(log.main_ends[s], last) for s in scenarios
+            }
+            pending_posts = {
+                s: completed[s]
+                - min(bisect.bisect_right(log.post_ends[s], last), completed[s])
+                for s in scenarios
+            }
+            months_lost = spec.scenarios * spec.months - sum(completed.values())
+            makespan = wallclock(last) if survived else 0.0
+            main_last = max(
+                (log.main_ends[s][n - 1] for s, n in completed.items() if n),
+                default=None,
+            )
+            main_makespan = 0.0 if main_last is None else wallclock(main_last)
+            # In record order, like apply: a task starting at or after
+            # the first lost end starts after the crash too.
+            lost_work = 0.0
+            for start, end, procs in zip(log.starts, log.ends, log.procs):
+                if last < end and start < first_lost:
+                    start = wallclock(start)
+                    if start < crash:
+                        lost_work += (crash - start) * procs
+        warped = SimulationResult(
+            makespan=makespan,
+            main_makespan=main_makespan,
+            grouping=grouping,
+            spec=spec,
+            cluster_name=cluster_name,
+        )
+        outcome = FaultOutcome(
+            cluster_name=cluster_name,
+            crash_at=crash,
+            completed_months=completed,
+            pending_posts=pending_posts,
+            months_lost=months_lost,
+            lost_work_seconds=lost_work,
+            makespan=makespan,
+        )
+        _count_injection(cluster_name, months_lost)
         return warped, outcome
 
     def apply_dag(self, result, dag=None, *, keep_records: bool = True):
@@ -355,11 +441,16 @@ class FaultHook:
             lost_work_seconds=lost_work,
             makespan=makespan,
         )
-        if obs.enabled():
-            obs.inc("faults.engine_injections", cluster="dag")
-            if months_lost:
-                obs.inc("faults.months_lost", months_lost, cluster="dag")
+        _count_injection("dag", months_lost)
         return warped, outcome
+
+
+def _count_injection(cluster: str, months_lost: int) -> None:
+    """Publish one live hook application (while collection is on)."""
+    if obs.enabled():
+        obs.inc("faults.engine_injections", cluster=cluster)
+        if months_lost:
+            obs.inc("faults.months_lost", months_lost, cluster=cluster)
 
 
 def _normalize(raw: list[tuple[float, float, float]]) -> tuple[_Window, ...]:
@@ -411,7 +502,10 @@ def simulate_with_faults(
     :class:`~repro.faults.trace.FaultTrace` (compiled against
     ``cluster_name``).  The convenience over the engine's ``faults``
     keyword is the returned :class:`FaultOutcome` — the checkpoint-level
-    account the middleware replanner consumes.
+    account the middleware replanner consumes.  Without ``record_trace``
+    a live hook replays the memoized schedule log (:meth:`FaultHook.replay`);
+    with it, the traced reference run is warped record by record
+    (:meth:`FaultHook.apply`).
     """
     from repro.simulation.engine import simulate
 
@@ -423,8 +517,10 @@ def simulate_with_faults(
             cluster_name=cluster_name, record_trace=record_trace,
         )
         return result, _completed_outcome(result)
+    if not record_trace:
+        return faults.replay(grouping, spec, timing, cluster_name=cluster_name)
     base = simulate(
         grouping, spec, timing,
         cluster_name=cluster_name, record_trace=True, fast=False,
     )
-    return faults.apply(base, keep_records=record_trace)
+    return faults.apply(base)

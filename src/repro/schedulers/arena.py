@@ -45,6 +45,7 @@ from repro.experiments.results_io import (
     register_codec,
 )
 from repro.experiments.runner import resource_sweep
+from repro.faults.hooks import FaultHook
 from repro.faults.trace import FaultProfile, FaultTrace, generate_trace
 from repro.schedulers.base import get_scheduler, list_schedulers
 from repro.workflow.ocean_atmosphere import EnsembleSpec
@@ -61,9 +62,9 @@ __all__ = [
 ]
 
 #: Points per chunk when the caller does not choose.  Arena points are
-#: heavier than sweep points (fault simulation is never memoized), so
-#: chunks are half the sweep size; keep it a multiple of typical
-#: scheduler-axis lengths so one cell's competitors share a worker cache.
+#: heavier than sweep points (every scheduler decides afresh), so chunks
+#: are half the sweep size; keep it a multiple of typical scheduler-axis
+#: lengths so one cell's competitors share a worker cache and a fault hook.
 DEFAULT_CHUNK_SIZE = 16
 
 #: Fault-free label on the fault axis.
@@ -537,12 +538,14 @@ def _trace_for_point(
 
 
 def _eval_point(
-    point: ArenaPoint, config: _ChaosConfig
+    point: ArenaPoint, config: _ChaosConfig, hooks: dict[tuple, FaultHook]
 ) -> tuple[ArenaRow, float]:
     """Decide and simulate one point; returns ``(row, decide_seconds)``.
 
     The latency is returned *beside* the row, never inside it: rows are
-    journaled and must be identical across hosts and resumes.
+    journaled and must be identical across hosts and resumes.  ``hooks``
+    memoizes each cell's compiled fault hook: every scheduler of a cell
+    faces the same trace.
     """
     from repro.faults.hooks import simulate_with_faults
     from repro.platform.benchmarks import benchmark_cluster
@@ -562,9 +565,14 @@ def _eval_point(
         makespan = cached_simulated_makespan(grouping, spec, cluster.timing)
         completed = True
     else:
-        trace = _trace_for_point(point, cluster, spec, config, fault_seed)
+        hook = hooks.get(point.cell())
+        if hook is None:
+            trace = _trace_for_point(point, cluster, spec, config, fault_seed)
+            hook = hooks[point.cell()] = FaultHook.from_trace(
+                trace, point.cluster
+            )
         _, outcome = simulate_with_faults(
-            grouping, spec, cluster.timing, trace, cluster_name=point.cluster
+            grouping, spec, cluster.timing, hook, cluster_name=point.cluster
         )
         makespan = outcome.makespan
         completed = not outcome.crashed
@@ -579,10 +587,15 @@ def _eval_chunk(
     config: _ChaosConfig,
     use_cache: bool = True,
 ) -> tuple[tuple[ArenaRow, ...], tuple[float, ...]]:
-    """Evaluate one chunk (the unit shipped to worker processes)."""
+    """Evaluate one chunk (the unit shipped to worker processes).
+
+    The fault-hook memo lives and dies with the chunk, so worker
+    processes share nothing.
+    """
     previous = set_makespan_cache_enabled(use_cache)
+    hooks: dict[tuple, FaultHook] = {}
     try:
-        results = [_eval_point(point, config) for point in chunk]
+        results = [_eval_point(point, config, hooks) for point in chunk]
     finally:
         set_makespan_cache_enabled(previous)
     return (

@@ -3,10 +3,17 @@
 The paper adapters go through the full arena pipeline — registry
 lookup, ``decide()`` validation, memoized simulation — and must land
 exactly where the figure drivers landed when the goldens were pinned:
-same fig7 staircase, same fig8 gain floats, no tolerance.
+same fig7 staircase, same fig8 gain floats, no tolerance.  Faulted races
+are pinned too: the journals of the fig10 and fig8 presets under fault
+seed 3 must keep the byte count and sha256 in ``arena_golden.json``.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
 
 from repro.experiments.results_io import load_result
 from repro.schedulers import PAPER_SCHEDULERS
@@ -69,3 +76,13 @@ def test_fig8_grid_covers_the_golden_axes() -> None:
     assert grid.resources == f8.resources
     assert grid.scenarios == (f8.scenarios,)
     assert grid.months == (f8.months,)
+
+
+@pytest.mark.parametrize("preset", ["fig10", "fig8"])
+def test_fault_seed_3_journal_matches_pinned_digest(preset, tmp_path) -> None:
+    pinned = json.loads((HERE / "arena_golden.json").read_text())[preset]
+    journal = tmp_path / "arena.ndjson"
+    run_arena(ArenaGrid.from_preset(preset, fault_seeds=(3,)), journal_path=journal)
+    data = journal.read_bytes()
+    assert len(data) == pinned["bytes"]
+    assert hashlib.sha256(data).hexdigest() == pinned["sha256"]
