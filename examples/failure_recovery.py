@@ -6,7 +6,8 @@ fails partway through.  The recovery machinery replays the failed site's
 schedule to find which months are safe (their restart files exist),
 then reassigns each interrupted scenario to a surviving site —
 Algorithm 1's greedy rule generalized to unequal remaining chain
-lengths, each candidate evaluated exactly with the DAG-level simulator.
+lengths, each candidate evaluated exactly by the event simulator with
+one month count per remaining chain.
 
 The sweep below shows how the failure's *timing* changes its cost: an
 early failure loses little work but reschedules nearly whole scenarios;

@@ -1,7 +1,7 @@
-"""Engine-level fault injection — the hook the simulators accept.
+"""Engine-level fault injection — the hook the simulator accepts.
 
 A :class:`FaultHook` compiles one cluster's sub-trace into two things
-the engines can consume:
+the engine can consume:
 
 * a **time warp** — a piecewise-linear monotone map between *fault-free
   simulation time* and *wall-clock time*.  Outages contribute flat
@@ -202,7 +202,7 @@ class FaultHook:
         """Warp a traced :class:`~repro.simulation.events.SimulationResult`.
 
         Returns ``(warped_result, outcome)``.  The input must carry
-        records (``record_trace=True``); the engines guarantee that when
+        records (``record_trace=True``); the engine guarantees that when
         a hook is passed.  Surviving records get warped start/end times;
         tasks in flight at the crash (and everything after) are dropped.
         """
@@ -346,102 +346,6 @@ class FaultHook:
             makespan=makespan,
         )
         _count_injection(cluster_name, months_lost)
-        return warped, outcome
-
-    def apply_dag(self, result, dag=None, *, keep_records: bool = True):
-        """Warp a traced :class:`~repro.simulation.dag_engine.DagSimulationResult`.
-
-        Returns ``(warped_result, outcome)``.  DAG records carry task
-        ids rather than ``(scenario, month)``; when ``dag`` is given its
-        tasks provide the scenario mapping for the outcome's
-        per-scenario accounting (otherwise ``completed_months`` and
-        ``pending_posts`` stay empty).  A completed sequential task
-        counts as a finished post; a sequential task whose predecessors
-        all survived but which did not finish counts as pending.
-        """
-        if self.is_noop:
-            empty = {}
-            if dag is not None:
-                scenarios = sorted({t.scenario for t in dag.tasks()})
-                mains = {s: 0 for s in scenarios}
-                for tid in dag.task_ids():
-                    task = dag.task(tid)
-                    if task.kind.value == "main":
-                        mains[task.scenario] += 1
-                completed, pending = mains, {s: 0 for s in scenarios}
-            else:
-                completed, pending = empty, empty
-            outcome = FaultOutcome(
-                cluster_name="dag",
-                crash_at=None,
-                completed_months=completed,
-                pending_posts=pending,
-                months_lost=0,
-                lost_work_seconds=0.0,
-                makespan=result.makespan,
-            )
-            if not keep_records:
-                result = replace(result, records=())
-            return result, outcome
-        if not result.records:
-            raise SimulationError(
-                "fault hooks need a traced simulation (record_trace=True)"
-            )
-        survivors = []
-        finished_ids: set[str] = set()
-        lost_work = 0.0
-        total_mains = 0
-        surviving_mains = 0
-        for record in result.records:
-            if record.kind == "main":
-                total_mains += 1
-            start = self.wallclock(record.start)
-            end = self.wallclock(record.end)
-            if self.crash_at is not None and end > self.crash_at:
-                if start < self.crash_at:
-                    procs = record.procs_stop - record.procs_start
-                    lost_work += (self.crash_at - start) * procs
-                continue
-            survivors.append(replace(record, start=start, end=end))
-            finished_ids.add(record.task_id)
-            if record.kind == "main":
-                surviving_mains += 1
-        makespan = max((r.end for r in survivors), default=0.0)
-        main_makespan = max(
-            (r.end for r in survivors if r.kind == "main"), default=0.0
-        )
-        completed: dict[int, int] = {}
-        pending: dict[int, int] = {}
-        if dag is not None:
-            scenarios = sorted({t.scenario for t in dag.tasks()})
-            completed = {s: 0 for s in scenarios}
-            pending = {s: 0 for s in scenarios}
-            for tid in dag.task_ids():
-                task = dag.task(tid)
-                if task.kind.value == "main":
-                    if tid in finished_ids:
-                        completed[task.scenario] += 1
-                elif tid not in finished_ids and all(
-                    p in finished_ids for p in dag.predecessors(tid)
-                ):
-                    pending[task.scenario] += 1
-        months_lost = total_mains - surviving_mains
-        warped = replace(
-            result,
-            makespan=makespan,
-            main_makespan=main_makespan,
-            records=tuple(survivors) if keep_records else (),
-        )
-        outcome = FaultOutcome(
-            cluster_name="dag",
-            crash_at=self.crash_at,
-            completed_months=completed,
-            pending_posts=pending,
-            months_lost=months_lost,
-            lost_work_seconds=lost_work,
-            makespan=makespan,
-        )
-        _count_injection("dag", months_lost)
         return warped, outcome
 
 

@@ -65,7 +65,6 @@ DEFAULTS: dict[str, object] = {
     "engine-hot-paths": [
         "repro.core",
         "repro.simulation.engine",
-        "repro.simulation.dag_engine",
     ],
     "async-packages": ["repro.service"],
     "dispatch-abcs": [

@@ -17,9 +17,9 @@ natural recovery strategy on top of the paper's machinery:
 4. scenarios are reassigned greedily, longest-remaining-first, each to
    the cluster minimizing the resulting finish time — Algorithm 1's
    rule generalized to unequal chain lengths, with each candidate
-   evaluated *exactly* by the DAG-level simulator
-   (:mod:`repro.simulation.dag_engine`), since remaining chains have
-   different lengths and the rectangular engine no longer applies;
+   evaluated *exactly* by the engine that evaluates every schedule
+   (:func:`repro.simulation.engine.simulate`), given each remaining
+   chain's month count;
 5. moving a scenario pays the restart-archive migration penalty of
    :class:`~repro.workflow.data.DataTransferModel`.
 
@@ -33,8 +33,9 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from repro import constants, obs
-from repro.core.heuristics import HeuristicName
+from repro import obs
+from repro.core.grouping import Grouping
+from repro.core.heuristics import HeuristicName, plan_grouping
 from repro.core.knapsack_grouping import knapsack_grouping
 from repro.core.performance_vector import performance_vector
 from repro.core.repartition import Repartition, repartition_dags
@@ -42,11 +43,9 @@ from repro.exceptions import MiddlewareError
 from repro.faults.trace import FaultEvent, FaultKind, FaultTrace
 from repro.platform.cluster import ClusterSpec
 from repro.platform.grid import GridSpec
-from repro.simulation.dag_engine import simulate_dag
 from repro.simulation.engine import simulate
-from repro.workflow.dag import DAG
 from repro.workflow.data import DataTransferModel
-from repro.workflow.ocean_atmosphere import EnsembleSpec, fused_scenario_dag
+from repro.workflow.ocean_atmosphere import EnsembleSpec
 
 __all__ = [
     "ClusterFailure",
@@ -58,6 +57,9 @@ __all__ = [
 ]
 
 _log = obs.get_logger(__name__)
+
+# Unused: the layer tracer in perfbench/layers.py rebinds both names here.
+simulate_dag = fused_scenario_dag = None
 
 
 @dataclass(frozen=True)
@@ -120,73 +122,62 @@ class RecoveryPlan:
         return "\n".join(lines)
 
 
-def _months_done_at(
+def _chain_plan(
+    cluster: ClusterSpec, chains: dict[int, int]
+) -> tuple[EnsembleSpec, Grouping, tuple[int, ...]]:
+    """How ``cluster`` runs some remaining chains: spec, grouping, counts.
+
+    ``chains[scenario] = remaining`` months; the counts follow sorted
+    scenario ids, and the knapsack grouping is planned for the chain
+    count and the longest chain.
+    """
+    counts = tuple(chains[s] for s in sorted(chains))
+    spec = EnsembleSpec(len(counts), max(counts))
+    return spec, knapsack_grouping(cluster, spec), counts
+
+
+def _progress_at(
     cluster: ClusterSpec,
-    n_scenarios: int,
-    months: int,
-    heuristic: HeuristicName,
+    grouping: Grouping,
+    spec: EnsembleSpec,
+    chains: tuple[int, ...] | None,
+    offset: float,
     at_time: float,
-) -> tuple[dict[int, int], dict[int, int], float]:
-    """Replay a cluster's schedule; count safe months per local scenario.
+) -> tuple[list[int], list[int], float, int]:
+    """Replay a schedule started at ``offset``; count what ``at_time`` saw.
 
     Task outputs ship to shared storage on completion (§4.1's data
     model), so a month is *resumable* once its coupled run finished: the
     restart files exist off the dying node.  Post-processing tasks that
     had not finished are lost and must be re-executed on a survivor —
     their inputs (the completed mains' diagnostics) are on shared
-    storage too.  Returns ``(safe months, pending posts, lost in-flight
-    work seconds, in-flight months destroyed)`` with scenario ids
-    cluster-local (0-based within the cluster's assignment); the lost
-    term counts interrupted mains and posts alike.
+    storage too.  Returns ``(months done, posts done, lost in-flight
+    work seconds, in-flight months destroyed)``, the counts indexed by
+    the schedule's scenarios; the lost term counts interrupted mains and
+    posts alike.  A month's post ends after its main, so ``months done
+    - posts done`` archive tasks are pending.
     """
-    from repro.core.heuristics import plan_grouping
-
-    spec = EnsembleSpec(n_scenarios, months)
-    grouping = plan_grouping(cluster, spec, heuristic)
     result = simulate(
         grouping, spec, cluster.timing, cluster_name=cluster.name,
-        record_trace=True,
+        record_trace=True, chains=chains,
     )
-    finished: dict[tuple[str, int, int], bool] = {}
+    done = [0] * spec.scenarios
+    posts_done = [0] * spec.scenarios
     lost = 0.0
     in_flight = 0
     for record in result.records:
-        finished[(record.kind, record.scenario, record.month)] = (
-            record.end <= at_time
-        )
-        if record.start < at_time < record.end:
-            lost += (at_time - record.start) * record.n_procs
+        start = offset + record.start
+        end = offset + record.end
+        if end <= at_time:
+            if record.kind == "main":
+                done[record.scenario] += 1
+            else:
+                posts_done[record.scenario] += 1
+        elif start < at_time:
+            lost += (at_time - start) * record.n_procs
             if record.kind == "main":
                 in_flight += 1
-    done: dict[int, int] = {}
-    pending_posts: dict[int, int] = {}
-    for scenario in range(n_scenarios):
-        done[scenario] = sum(
-            1
-            for month in range(months)
-            if finished.get(("main", scenario, month))
-        )
-        pending_posts[scenario] = sum(
-            1
-            for month in range(done[scenario])
-            if not finished.get(("post", scenario, month))
-        )
-    return done, pending_posts, lost, in_flight
-
-
-def _recovery_dag(chains: dict[int, int]) -> DAG:
-    """A DAG of the remaining months of the given scenarios.
-
-    ``chains[scenario] = remaining`` months; each becomes an independent
-    fused chain (month indices are relabelled 0..remaining-1 — only the
-    count matters to the simulator).
-    """
-    dag = DAG()
-    for index, remaining in enumerate(
-        chains[s] for s in sorted(chains)
-    ):
-        dag.merge(fused_scenario_dag(remaining, scenario=index))
-    return dag
+    return done, posts_done, lost, in_flight
 
 
 def _appended_finish(
@@ -199,23 +190,20 @@ def _appended_finish(
     """Finish time if ``cluster`` runs the given remaining work.
 
     Chains (remaining months) start once the cluster's own share is done
-    and the restart data has arrived; their makespan is evaluated
-    exactly with the DAG engine under a knapsack grouping for the chain
-    count.  Lost archive (post) tasks of already-completed months then
-    fill the whole cluster in ``⌈n/R⌉`` slices of ``TP``.
+    and the restart data has arrived; their makespan is simulated
+    exactly under a knapsack grouping for the chain count.  Lost archive
+    (post) tasks of already-completed months then fill the whole cluster
+    in ``⌈n/R⌉`` slices of ``TP``.
     """
     if not chains and pending_posts == 0:
         return base_finish
     finish = base_finish + migration_seconds
     if chains:
-        spec = EnsembleSpec(len(chains), max(chains.values()))
-        grouping = knapsack_grouping(cluster, spec)
-        dag = _recovery_dag(chains)
-        seq_scale = cluster.post_time() / constants.POST_SECONDS
-        result = simulate_dag(
-            dag, grouping, cluster.timing, seq_scale=seq_scale
-        )
-        finish += result.makespan
+        spec, grouping, counts = _chain_plan(cluster, chains)
+        finish += simulate(
+            grouping, spec, cluster.timing, cluster_name=cluster.name,
+            chains=counts,
+        ).makespan
     if pending_posts:
         finish += (
             math.ceil(pending_posts / cluster.resources) * cluster.post_time()
@@ -413,50 +401,6 @@ class _ClusterState:
         return homed
 
 
-def _segment_progress_at(
-    cluster: ClusterSpec, seg: _Segment, at_time: float
-) -> tuple[dict[int, int], dict[int, int], float, int]:
-    """Replay one recovery segment; count completion before ``at_time``.
-
-    Returns ``(months done, chain posts done, lost in-flight work
-    seconds, in-flight months destroyed)`` keyed by global scenario id.
-    Carried archive re-executions run at the segment's tail and are
-    accounted by the caller (all-done once the segment finishes,
-    all-pending before).
-    """
-    order = sorted(seg.chains)
-    done = {g: 0 for g in order}
-    posts_done = {g: 0 for g in order}
-    if not order:
-        return done, posts_done, 0.0, 0
-    spec = EnsembleSpec(len(seg.chains), max(seg.chains.values()))
-    grouping = knapsack_grouping(cluster, spec)
-    dag = _recovery_dag(seg.chains)
-    seq_scale = cluster.post_time() / constants.POST_SECONDS
-    result = simulate_dag(
-        dag, grouping, cluster.timing, seq_scale=seq_scale, record_trace=True
-    )
-    offset = seg.start + seg.migration
-    lost = 0.0
-    in_flight = 0
-    for record in result.records:
-        scenario = order[dag.task(record.task_id).scenario]
-        start = offset + record.start
-        end = offset + record.end
-        if end <= at_time:
-            if record.kind == "main":
-                done[scenario] += 1
-            else:
-                posts_done[scenario] += 1
-        elif start < at_time:
-            lost += (at_time - start) * (
-                record.procs_stop - record.procs_start
-            )
-            if record.kind == "main":
-                in_flight += 1
-    return done, posts_done, lost, in_flight
-
-
 def run_campaign_with_faults(
     grid: GridSpec,
     scenarios: int,
@@ -591,31 +535,35 @@ def run_campaign_with_faults(
             lost_ev = 0.0
             in_flight_ev = 0
             if state.original_active and state.original_locals:
-                done_local, pending_local, lost0, in_flight0 = _months_done_at(
+                local_spec = EnsembleSpec(len(state.original_locals), months)
+                done, posts, lost, in_flight = _progress_at(
                     state.cluster,
-                    len(state.original_locals),
-                    months,
-                    heuristic,
-                    t,
+                    plan_grouping(state.cluster, local_spec, heuristic),
+                    local_spec, None, 0.0, t,
                 )
-                lost_ev += lost0
-                in_flight_ev += in_flight0
+                lost_ev += lost
+                in_flight_ev += in_flight
                 for i, g in enumerate(state.original_locals):
-                    completed_ev[g] = done_local[i]
-                    pending_ev[g] = pending_local[i]
+                    completed_ev[g] = done[i]
+                    pending_ev[g] = done[i] - posts[i]
             for seg in state.segments:
                 if t >= seg.finish:
                     for g, chain in seg.chains.items():
                         completed_ev[g] = seg.completed_before[g] + chain
                     continue
-                done_g, posts_g, lost_s, in_flight_s = _segment_progress_at(
-                    state.cluster, seg, t
-                )
-                lost_ev += lost_s
-                in_flight_ev += in_flight_s
-                for g in seg.chains:
-                    completed_ev[g] = seg.completed_before[g] + done_g[g]
-                    pending_ev[g] += done_g[g] - posts_g[g]
+                if seg.chains:
+                    chain_spec, grouping, counts = _chain_plan(
+                        state.cluster, seg.chains
+                    )
+                    done, posts, lost, in_flight = _progress_at(
+                        state.cluster, grouping, chain_spec, counts,
+                        seg.start + seg.migration, t,
+                    )
+                    lost_ev += lost
+                    in_flight_ev += in_flight
+                    for i, g in enumerate(sorted(seg.chains)):
+                        completed_ev[g] = seg.completed_before[g] + done[i]
+                        pending_ev[g] += done[i] - posts[i]
                 for g, n in seg.carried_posts.items():
                     pending_ev[g] += n
 

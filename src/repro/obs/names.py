@@ -44,10 +44,6 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "engine.events_dispatched",
         "engine.idle_seconds",
         "engine.waves",
-        "simulation.dag_main_makespan_seconds",
-        "simulation.dag_makespan_seconds",
-        "simulation.dag_runs",
-        "simulation.dag_tasks",
         "simulation.main_makespan_seconds",
         "simulation.makespan_seconds",
         "simulation.runs",

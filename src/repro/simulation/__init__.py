@@ -15,11 +15,6 @@ checks resource exclusivity and dependency correctness.
 
 from repro.simulation.events import TaskRecord, SimulationResult
 from repro.simulation.engine import simulate, simulate_on_cluster
-from repro.simulation.dag_engine import (
-    DagTaskRecord,
-    DagSimulationResult,
-    simulate_dag,
-)
 from repro.simulation.online import OnlineResult, simulate_online
 from repro.simulation.export import to_chrome_trace, trace_to_csv
 from repro.simulation.groups import proc_ranges
@@ -38,9 +33,6 @@ __all__ = [
     "SimulationResult",
     "simulate",
     "simulate_on_cluster",
-    "DagTaskRecord",
-    "DagSimulationResult",
-    "simulate_dag",
     "OnlineResult",
     "simulate_online",
     "to_chrome_trace",

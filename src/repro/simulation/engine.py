@@ -8,7 +8,10 @@ Main-task phase
     the paper's policy — "when a group becomes ready, the month of the
     less advanced simulation waiting is scheduled on this group" —
     extended deterministically to the heterogeneous group sizes produced
-    by Improvements 1 and 3.
+    by Improvements 1 and 3.  Scenarios may run unequal month counts
+    (``simulate(..., chains=...)``): a scenario leaves the waiting set
+    after its own last month — the remaining chains the failure
+    replanner (:mod:`repro.middleware.recovery`) resumes on a survivor.
 
 Post-task phase
     Every finished main task releases one post task.  Post tasks run on
@@ -35,16 +38,18 @@ Two implementations
 
 Fast-path regimes
     The fast main phase picks one of three regimes from the grouping
-    alone:
+    and the chain lengths:
 
-    * *Uniform waves* — every ``T[g]`` equal and ``k <= NS``.  Each
-      wave advances the ``k`` least-advanced scenarios by one month, so
-      no two scenarios are ever more than one month apart; when one
-      finishes, every unfinished scenario has exactly its last month
-      left, and no group idles while work remains.  The phase is then
-      ``ceil(NS·NM / k)`` waves of ``T`` each, built in closed form in
-      ``O(NS·NM / k)`` Python steps (plus ``O(NS·NM)`` list filling
-      in C).
+    * *Uniform waves* — every ``T[g]`` equal, ``k <= NS`` and every
+      chain the same length.  Each wave advances the ``k``
+      least-advanced scenarios by one month, so no two scenarios are
+      ever more than one month apart; when one finishes, every
+      unfinished scenario has exactly its last month left, and no group
+      idles while work remains.  The phase is then ``ceil(NS·NM / k)``
+      waves of ``T`` each, built in closed form in ``O(NS·NM / k)``
+      Python steps (plus ``O(NS·NM)`` list filling in C).  Unequal
+      chains break the argument (a short chain ends while long ones
+      still have several months left), so they take the loops below.
     * *Saturated loop* — otherwise, while every group is busy, the group
       a completion frees is the one that takes the next scenario, so
       one event is one ``heappushpop`` on the waiting heap and one
@@ -91,6 +96,7 @@ def simulate(
     enforce_cardinality: bool = True,
     fast: bool | None = None,
     faults: "FaultHook | None" = None,
+    chains: tuple[int, ...] | None = None,
 ) -> SimulationResult:
     """Simulate one ensemble on one cluster under a fixed grouping.
 
@@ -127,7 +133,14 @@ def simulate(
         :func:`repro.faults.hooks.simulate_with_faults` when the
         checkpoint-level :class:`~repro.faults.hooks.FaultOutcome` is
         needed too.
+    chains:
+        Month count of each scenario, one entry per scenario, each in
+        ``1..spec.months`` — the unequal chains the replanner resumes
+        after a failure.  ``None`` (default) runs every scenario for
+        ``spec.months``.  A live fault hook takes no ``chains``: its
+        outcome counts ``NS·NM`` months.
     """
+    months = _chain_months(spec, chains)
     if faults is not None and faults.is_noop:
         faults = None
     if faults is not None:
@@ -135,6 +148,8 @@ def simulate(
             raise SimulationError(
                 "fast=True cannot inject faults; use fast=False or fast=None"
             )
+        if chains is not None:
+            raise SimulationError("fault hooks take no chains; pass chains=None")
         base = simulate(
             grouping,
             spec,
@@ -165,7 +180,7 @@ def simulate(
                 "fast=True cannot record traces; use fast=False or fast=None"
             )
         ready_times, group_last_end = _run_main_phase_fast(
-            spec, group_times, tasks_per_group
+            months, group_times, tasks_per_group
         )
         main_makespan = ready_times[-1] if ready_times else 0.0
         post_makespan = _run_post_phase_fast(
@@ -174,7 +189,7 @@ def simulate(
     else:
         ranges = proc_ranges(grouping)
         main_records, post_ready, group_last_end = _run_main_phase(
-            spec, group_times, ranges, record_trace, tasks_per_group
+            months, group_times, ranges, record_trace, tasks_per_group
         )
         main_makespan = max((end for _, _, _, end in post_ready), default=0.0)
         post_records, post_makespan = _run_post_phase(
@@ -186,8 +201,8 @@ def simulate(
     makespan = max(main_makespan, post_makespan)
     if tasks_per_group is not None:
         _publish_stats(
-            tasks_per_group, cluster_name, spec, group_times, group_last_end,
-            makespan, main_makespan,
+            tasks_per_group, cluster_name, sum(months), group_times,
+            group_last_end, makespan, main_makespan,
         )
     return SimulationResult(
         makespan=makespan,
@@ -197,6 +212,23 @@ def simulate(
         cluster_name=cluster_name,
         records=records,
     )
+
+
+def _chain_months(
+    spec: EnsembleSpec, chains: tuple[int, ...] | None
+) -> list[int]:
+    """Each scenario's month count; raises on a malformed ``chains``."""
+    if chains is None:
+        return [spec.months] * spec.scenarios
+    if len(chains) != spec.scenarios:
+        raise SimulationError(
+            f"chains has {len(chains)} entries for {spec.scenarios} scenarios"
+        )
+    if any(not 1 <= m <= spec.months for m in chains):
+        raise SimulationError(
+            f"every chain must run 1..{spec.months} months, got {chains!r}"
+        )
+    return list(chains)
 
 
 def simulate_on_cluster(
@@ -224,7 +256,7 @@ def simulate_on_cluster(
 def _publish_stats(
     tasks_per_group: list[int],
     cluster_name: str,
-    spec: EnsembleSpec,
+    n_tasks: int,
     group_times: list[float],
     group_last_end: list[float],
     makespan: float,
@@ -233,7 +265,7 @@ def _publish_stats(
     """Flush one run's accounting to the global metrics registry.
 
     Both engine paths call this once per run with the same values.
-    Each of the ``NS·NM`` main tasks is one dispatched completion event
+    Each of the ``n_tasks`` main tasks is one dispatched completion event
     and releases one post task.  *Waves* is the deepest group's task
     count — how many times the busiest group turned around; *idle
     seconds* is the main phase's processor-level slack: for each group,
@@ -241,7 +273,6 @@ def _publish_stats(
     computing, weighted by nothing (group-level, matching the paper's
     per-group reasoning).
     """
-    n_tasks = spec.scenarios * spec.months
     obs.inc("simulation.runs", cluster=cluster_name)
     obs.inc("simulation.tasks", n_tasks, cluster=cluster_name, kind="main")
     obs.inc("simulation.tasks", n_tasks, cluster=cluster_name, kind="post")
@@ -267,7 +298,7 @@ def _publish_stats(
 
 
 def _run_main_phase(
-    spec: EnsembleSpec,
+    months: list[int],
     group_times: list[float],
     ranges: list[range],
     record_trace: bool,
@@ -280,13 +311,13 @@ def _run_main_phase(
     tuples emitted in completion order (``ready_time == main_end``; the
     duplication keeps the post phase free of record lookups).
     """
-    ns, nm = spec.scenarios, spec.months
+    ns = len(months)
     n_groups = len(group_times)
 
     months_done = [0] * ns
     wait_since = [0.0] * ns
     waiting: set[int] = set(range(ns))
-    unstarted = ns * nm
+    unstarted = sum(months)
 
     # (finish_time, group_index, scenario)
     running: list[tuple[float, int, int]] = []
@@ -337,7 +368,7 @@ def _run_main_phase(
         months_done[scenario] += 1
         group_last_end[group] = now
         post_ready.append((now, scenario, month, now))
-        if months_done[scenario] < nm:
+        if months_done[scenario] < months[scenario]:
             waiting.add(scenario)
             wait_since[scenario] = now
         free, idle_groups[:] = [*idle_groups, group], []
@@ -397,7 +428,7 @@ def _run_post_phase(
 
 
 def _run_main_phase_fast(
-    spec: EnsembleSpec,
+    months: list[int],
     group_times: list[float],
     tasks_per_group: list[int] | None = None,
 ) -> tuple[list[float], list[float]]:
@@ -411,20 +442,24 @@ def _run_main_phase_fast(
     ``tasks_per_group`` counts placements as in :func:`_run_main_phase`;
     callers pass ``None`` unless collection is on.
 
-    Uniform groupings go to :func:`_uniform_waves`.  Otherwise the
-    waiting set is a heap of ``(months_done, wait_since, scenario)``
-    (keys are frozen while a scenario waits, so entries never go
-    stale), the free groups a heap of ``(T[g], g)`` and the running
-    tasks a heap of ``(end, group, scenario)``.  Every key is unique, so
+    Uniform groupings of equal chains go to :func:`_uniform_waves`.
+    Otherwise the waiting set is a heap of ``(months_done, wait_since,
+    scenario)`` (keys are frozen while a scenario waits, so entries
+    never go stale), the free groups a heap of ``(T[g], g)`` and the
+    running tasks a heap of ``(end, group, scenario)``.  Every key is unique, so
     the order a heap yields does not depend on how it was built, and
     the saturated loop's fused ``heappushpop``/``heapreplace`` choose
     exactly what the general step's separate pops and pushes would (see
     the module docstring for when each runs).
     """
-    ns, nm = spec.scenarios, spec.months
+    ns = len(months)
     n_groups = len(group_times)
-    if 0 < n_groups <= ns and min(group_times) == max(group_times):
-        return _uniform_waves(ns * nm, n_groups, group_times[0], tasks_per_group)
+    if (
+        0 < n_groups <= ns
+        and min(group_times) == max(group_times)
+        and min(months) == max(months)
+    ):
+        return _uniform_waves(sum(months), n_groups, group_times[0], tasks_per_group)
 
     # Kick-off: the fastest min(k, NS) groups take scenarios 0, 1, ...
     # at time 0.  Every list below is ascending — already a valid heap.
@@ -441,7 +476,7 @@ def _run_main_phase_fast(
         for _, g, _ in running:
             tasks_per_group[g] += 1
     months_done = [0] * ns
-    unstarted = ns * nm - started
+    unstarted = sum(months) - started
     group_last_end = [0.0] * n_groups
     ready_times: list[float] = []
 
@@ -454,7 +489,7 @@ def _run_main_phase_fast(
         months_done[scenario] = done
         group_last_end[group] = now
         ready_times.append(now)
-        if done < nm:
+        if done < months[scenario]:
             scenario = pushpop(waiting, (done, now, scenario))[2]
         elif waiting:
             scenario = pop(waiting)[2]
@@ -474,7 +509,7 @@ def _run_main_phase_fast(
         months_done[scenario] = done
         group_last_end[group] = now
         ready_times.append(now)
-        if done < nm:
+        if done < months[scenario]:
             push(waiting, (done, now, scenario))
         push(idle, (group_times[group], group))
         while idle and waiting and unstarted > 0:
@@ -499,7 +534,7 @@ def _uniform_waves(
     gt: float,
     tasks_per_group: list[int] | None,
 ) -> tuple[list[float], list[float]]:
-    """The main phase of ``k <= NS`` groups of equal time ``gt``, in closed form.
+    """``k <= NS`` groups of equal time ``gt`` on equal chains, in closed form.
 
     No group idles while work remains (see the module docstring), so the
     phase is ``W = ceil(NS·NM / k)`` waves ending at

@@ -163,46 +163,6 @@ class TestCrashOutcome:
         assert outcome.pending_posts == {0: 0, 1: 0}
         assert outcome.makespan == result.makespan
 
-    def test_dag_engine_accepts_hooks(self) -> None:
-        from repro.simulation.dag_engine import simulate_dag
-        from repro.workflow.ocean_atmosphere import fused_scenario_dag
-
-        dag = fused_scenario_dag(3)
-        timing = _flat()
-        grouping = Grouping((4,), 0, 4)
-        plain = simulate_dag(dag, grouping, timing, record_trace=True)
-        noop = simulate_dag(
-            dag, grouping, timing, record_trace=True, faults=FaultHook()
-        )
-        assert noop.makespan == plain.makespan
-        assert noop.records == plain.records
-        hook = FaultHook.from_events([_outage(150.0, 60.0)])
-        warped = simulate_dag(dag, grouping, timing, faults=hook)
-        assert warped.makespan == pytest.approx(plain.makespan + 60.0)
-        crash = FaultHook.from_events(
-            [FaultEvent(FaultKind.CRASH, "c", 250.0)]
-        )
-        cut = simulate_dag(
-            dag, grouping, timing, record_trace=True, faults=crash
-        )
-        assert all(r.end <= 250.0 for r in cut.records)
-
-    def test_apply_dag_reports_scenario_split(self) -> None:
-        from repro.simulation.dag_engine import simulate_dag
-        from repro.workflow.ocean_atmosphere import fused_scenario_dag
-
-        dag = fused_scenario_dag(3)
-        base = simulate_dag(
-            dag, Grouping((4,), 0, 4), _flat(), record_trace=True
-        )
-        crash = FaultHook.from_events(
-            [FaultEvent(FaultKind.CRASH, "c", 250.0)]
-        )
-        _warped, outcome = crash.apply_dag(base, dag)
-        assert outcome.crashed
-        assert outcome.completed_months == {0: 2}
-        assert outcome.months_lost == 1
-
     def test_trace_compiles_against_cluster_name(self) -> None:
         trace = FaultTrace.of(
             [FaultEvent(FaultKind.CRASH, "other", 100.0)]

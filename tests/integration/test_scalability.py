@@ -12,10 +12,9 @@ import time
 from repro.core.grouping import Grouping
 from repro.core.heuristics import plan_grouping
 from repro.platform.benchmarks import benchmark_cluster
-from repro.simulation.dag_engine import simulate_dag
 from repro.simulation.engine import simulate
 from repro.simulation.online import simulate_online
-from repro.workflow.ocean_atmosphere import EnsembleSpec, fused_ensemble_dag
+from repro.workflow.ocean_atmosphere import EnsembleSpec
 
 
 def _timed(fn) -> float:
@@ -33,12 +32,19 @@ class TestEngineScalability:
         elapsed = _timed(lambda: simulate(grouping, spec, cluster.timing))
         assert elapsed < 10.0
 
-    def test_dag_engine_20k_tasks(self) -> None:
-        spec = EnsembleSpec(10, 1000)
-        dag = fused_ensemble_dag(spec)
+    def test_unequal_chains_20k_tasks(self) -> None:
+        # Ten chains of 550..1450 months = 10k mains + 10k posts, on
+        # the traced reference path the replanner's progress count runs.
+        chains = tuple(550 + 100 * i for i in range(10))
+        spec = EnsembleSpec(10, max(chains))
         cluster = benchmark_cluster("grelon", 53)
         grouping = plan_grouping(cluster, spec, "knapsack")
-        elapsed = _timed(lambda: simulate_dag(dag, grouping, cluster.timing))
+        elapsed = _timed(
+            lambda: simulate(
+                grouping, spec, cluster.timing, chains=chains,
+                record_trace=True,
+            )
+        )
         assert elapsed < 10.0
 
     def test_online_engine_36k_tasks(self) -> None:

@@ -1,11 +1,13 @@
-"""Property: the DAG engine and the rectangular engine agree exactly.
+"""Property: the DAG oracle and the engine agree exactly.
 
-On any rectangular fused ensemble the two simulators implement the same
-policy over different data structures; their makespans (total and
+On any fused ensemble — rectangular, or chains of unequal month counts
+as the failure replanner builds them — the two simulators implement the
+same policy over different data structures; their makespans (total and
 main-phase) must coincide to the last float.  Randomizing groupings,
-timings, and ensemble shapes with hypothesis makes this the strongest
-cross-validation in the suite — two independent implementations
-checking each other.
+timings, chain lengths and ensemble shapes with hypothesis makes this
+the strongest cross-validation in the suite — two independent
+implementations checking each other, plus the engine's fast and
+reference paths checking each other on unequal chains.
 """
 
 from __future__ import annotations
@@ -15,21 +17,24 @@ from hypothesis import strategies as st
 
 from repro.core.grouping import Grouping
 from repro.platform.timing import TableTimingModel
-from repro.simulation.dag_engine import simulate_dag
 from repro.simulation.engine import simulate
 from repro.simulation.online import simulate_online
-from repro.workflow.ocean_atmosphere import EnsembleSpec, fused_ensemble_dag
+from repro.workflow.dag import DAG
+from repro.workflow.ocean_atmosphere import (
+    EnsembleSpec,
+    fused_ensemble_dag,
+    fused_scenario_dag,
+)
+from tests.simulation.dag_oracle import simulate_dag
 
 
-@st.composite
-def rectangular_instances(draw):
-    """(grouping, spec, timing) with nominal-post-aligned timing.
-
-    The fused DAG's post tasks carry the 180-second nominal duration, so
-    for the engines to be comparable the timing model's post time is
-    pinned to 180 (the DAG engine's default ``seq_scale=1`` then matches).
-    """
+def _timing(draw, uniform: bool) -> TableTimingModel:
+    """A monotone ``T[4..11]`` table (flat when ``uniform``), ``TP = 180``."""
     base = draw(st.floats(min_value=200.0, max_value=3000.0))
+    if uniform:
+        return TableTimingModel(
+            {g: base for g in range(4, 12)}, post_seconds=180.0
+        )
     decrements = draw(
         st.lists(
             st.floats(min_value=0.0, max_value=200.0), min_size=8, max_size=8
@@ -40,13 +45,10 @@ def rectangular_instances(draw):
     for g, dec in zip(range(4, 12), decrements):
         table[g] = current
         current -= dec
-    timing = TableTimingModel(table, post_seconds=180.0)
+    return TableTimingModel(table, post_seconds=180.0)
 
-    scenarios = draw(st.integers(min_value=1, max_value=6))
-    months = draw(st.integers(min_value=1, max_value=8))
-    spec = EnsembleSpec(scenarios, months)
 
-    n_groups = draw(st.integers(min_value=1, max_value=scenarios))
+def _grouping(draw, n_groups: int) -> Grouping:
     sizes = draw(
         st.lists(
             st.integers(min_value=4, max_value=11),
@@ -55,10 +57,45 @@ def rectangular_instances(draw):
         )
     )
     post_pool = draw(st.integers(min_value=0, max_value=5))
-    grouping = Grouping.from_sizes(
+    return Grouping.from_sizes(
         sizes, sum(sizes) + post_pool, post_pool=post_pool
     )
-    return grouping, spec, timing
+
+
+@st.composite
+def rectangular_instances(draw):
+    """(grouping, spec, timing) with nominal-post-aligned timing.
+
+    The fused DAG's post tasks carry the 180-second nominal duration, so
+    for the engines to be comparable the timing model's post time is
+    pinned to 180 (the DAG oracle's default ``seq_scale=1`` then matches).
+    """
+    timing = _timing(draw, uniform=False)
+    scenarios = draw(st.integers(min_value=1, max_value=6))
+    months = draw(st.integers(min_value=1, max_value=8))
+    spec = EnsembleSpec(scenarios, months)
+    n_groups = draw(st.integers(min_value=1, max_value=scenarios))
+    return _grouping(draw, n_groups), spec, timing
+
+
+@st.composite
+def chain_instances(draw):
+    """(grouping, spec, chains, timing) with unequal month counts.
+
+    Half the draws flatten ``T[g]``, so every group takes the same time:
+    the shape whose closed-form waves hold only for equal chains.
+    """
+    timing = _timing(draw, uniform=draw(st.booleans()))
+    chains = tuple(
+        draw(
+            st.lists(
+                st.integers(min_value=1, max_value=12), min_size=1, max_size=8
+            )
+        )
+    )
+    spec = EnsembleSpec(len(chains), max(chains))
+    n_groups = draw(st.integers(min_value=1, max_value=len(chains)))
+    return _grouping(draw, n_groups), spec, chains, timing
 
 
 @given(rectangular_instances())
@@ -70,6 +107,21 @@ def test_dag_engine_matches_rectangular_engine(instance) -> None:
     via_dag = simulate_dag(dag, grouping, timing)
     assert via_dag.main_makespan == rect.main_makespan
     assert via_dag.makespan == rect.makespan
+
+
+@given(chain_instances())
+@settings(max_examples=150, deadline=None)
+def test_unequal_chains_match_the_dag_oracle(instance) -> None:
+    grouping, spec, chains, timing = instance
+    fast = simulate(grouping, spec, timing, chains=chains, fast=True)
+    reference = simulate(grouping, spec, timing, chains=chains, fast=False)
+    dag = DAG()
+    for scenario, months in enumerate(chains):
+        dag.merge(fused_scenario_dag(months, scenario=scenario))
+    oracle = simulate_dag(dag, grouping, timing)
+    for result in (fast, reference):
+        assert result.main_makespan == oracle.main_makespan
+        assert result.makespan == oracle.makespan
 
 
 @given(rectangular_instances())

@@ -1,4 +1,4 @@
-"""DAG-level makespan simulation — the engine generalized to workflows.
+"""An independent DAG-level simulator: the oracle for unequal chains.
 
 :func:`simulate_dag` schedules *any* fused-style Ocean-Atmosphere
 workflow — a :class:`~repro.workflow.dag.DAG` whose MAIN tasks form
@@ -15,12 +15,17 @@ the rectangular engine of :mod:`repro.simulation.engine`:
   from time 0, plus each group's processors once the group has started
   its last main task (permanent retirement).
 
-What this buys over the rectangular engine: **unequal chain lengths**
-(scenarios with different month counts), **any number of sequential
-satellite tasks per month** (with dependencies among them), and
-per-task sequential durations taken from the DAG rather than a single
-``TP``.  On a rectangular fused ensemble it reproduces the rectangular
-engine's makespan exactly — a cross-validation the test suite enforces.
+It shares no code with :mod:`repro.simulation.engine`: it walks task
+ids and dependency edges where the engine counts months.  That makes it
+the reference the engine's ``chains=`` path is checked against — on
+merged :func:`~repro.workflow.ocean_atmosphere.fused_scenario_dag`
+chains of unequal lengths both give the same makespans, and on a
+rectangular fused ensemble it reproduces the rectangular engine
+exactly.  It also takes what the engine never needed: any number of
+sequential satellite tasks per month (with dependencies among them) and
+per-task sequential durations taken from the DAG rather than one
+``TP``.  :func:`validate_dag_schedule` checks its schedules against the
+workflow definition.
 
 Input contract (checked eagerly, violations raise
 :class:`~repro.exceptions.SimulationError`):
@@ -36,20 +41,20 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from repro import obs
 from repro.core.grouping import Grouping
-from repro.exceptions import SimulationError
+from repro.exceptions import SimulationError, ValidationError
 from repro.platform.timing import TimingModel
 from repro.simulation.groups import post_pool_range, proc_ranges
 from repro.workflow.dag import DAG
 from repro.workflow.task import Task, TaskKind
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults.hooks import FaultHook
-
-__all__ = ["DagTaskRecord", "DagSimulationResult", "simulate_dag"]
+__all__ = [
+    "DagTaskRecord",
+    "DagSimulationResult",
+    "simulate_dag",
+    "validate_dag_schedule",
+]
 
 
 @dataclass(frozen=True)
@@ -176,30 +181,13 @@ def simulate_dag(
     *,
     seq_scale: float = 1.0,
     record_trace: bool = False,
-    faults: "FaultHook | None" = None,
 ) -> DagSimulationResult:
     """Simulate a fused-style workflow DAG under a processor grouping.
 
     ``seq_scale`` multiplies every sequential task's ``nominal_seconds``
     (use ``timing.post_time() / constants.POST_SECONDS`` to put the
     satellites on the same machine-speed scale as the mains).
-
-    ``faults`` injects a compiled
-    :class:`~repro.faults.hooks.FaultHook`: a no-op hook (or ``None``)
-    changes nothing, a live one forces a traced run internally and
-    returns the warped, crash-truncated schedule (see
-    :meth:`~repro.faults.hooks.FaultHook.apply_dag`).
     """
-    if faults is not None and faults.is_noop:
-        faults = None
-    if faults is not None:
-        base = simulate_dag(
-            dag, grouping, timing, seq_scale=seq_scale, record_trace=True
-        )
-        warped, _outcome = faults.apply_dag(
-            base, dag, keep_records=record_trace
-        )
-        return warped
     if seq_scale < 0:
         raise SimulationError(f"seq_scale must be >= 0, got {seq_scale!r}")
     if len(dag) == 0:
@@ -341,20 +329,134 @@ def simulate_dag(
                 f"ready — cyclic or dangling dependencies"
             )
 
-    if obs.enabled():
-        obs.inc("simulation.dag_runs")
-        obs.inc("simulation.dag_tasks", len(mains), kind="main")
-        obs.inc("simulation.dag_tasks", len(seq_tasks), kind="seq")
-        obs.inc(
-            "engine.events_dispatched",
-            len(mains) + len(seq_tasks),
-            cluster="dag",
-        )
-        obs.set_gauge("simulation.dag_makespan_seconds", makespan)
-        obs.set_gauge("simulation.dag_main_makespan_seconds", main_makespan)
     return DagSimulationResult(
         makespan=makespan,
         main_makespan=main_makespan,
         grouping=grouping,
         records=tuple(records),
     )
+
+
+_EPS = 1e-6
+
+
+def validate_dag_schedule(
+    result: DagSimulationResult,
+    dag: DAG,
+    timing: TimingModel,
+    *,
+    seq_scale: float = 1.0,
+) -> None:
+    """Raise :class:`ValidationError` unless the DAG schedule is correct.
+
+    Replays a traced result against the workflow definition:
+
+    1. every DAG task is scheduled exactly once;
+    2. every dependency edge is respected (consumer starts no earlier
+       than producer ends);
+    3. MAIN tasks occupy exactly their group's processor range and last
+       exactly ``T[group size]``;
+    4. sequential tasks occupy one in-range processor and last exactly
+       ``nominal_seconds × seq_scale``;
+    5. no processor is double-booked;
+    6. the reported makespans equal the trace extents.
+    """
+    if not result.has_trace:
+        raise ValidationError(
+            "cannot validate without records; re-simulate with "
+            "record_trace=True"
+        )
+    ranges = proc_ranges(result.grouping)
+    seen: dict[str, tuple[float, float]] = {}
+
+    for record in result.records:
+        if record.task_id not in dag:
+            raise ValidationError(f"record for unknown task {record.task_id!r}")
+        if record.task_id in seen:
+            raise ValidationError(f"task {record.task_id!r} scheduled twice")
+        seen[record.task_id] = (record.start, record.end)
+        task = dag.task(record.task_id)
+        if task.kind is TaskKind.MAIN:
+            if record.kind != "main":
+                raise ValidationError(
+                    f"MAIN task {record.task_id!r} recorded as {record.kind!r}"
+                )
+            if not 0 <= record.group < len(ranges):
+                raise ValidationError(
+                    f"main task {record.task_id!r} on unknown group "
+                    f"{record.group}"
+                )
+            rng = ranges[record.group]
+            if (record.procs_start, record.procs_stop) != (rng.start, rng.stop):
+                raise ValidationError(
+                    f"main task {record.task_id!r} procs "
+                    f"{record.procs_start}:{record.procs_stop} != group "
+                    f"range {rng.start}:{rng.stop}"
+                )
+            expected = timing.main_time(len(rng))
+            if abs(record.duration - expected) > _EPS:
+                raise ValidationError(
+                    f"main task {record.task_id!r} duration "
+                    f"{record.duration} != T[{len(rng)}] = {expected}"
+                )
+        else:
+            if record.kind != "seq":
+                raise ValidationError(
+                    f"sequential task {record.task_id!r} recorded as "
+                    f"{record.kind!r}"
+                )
+            if record.procs_stop - record.procs_start != 1:
+                raise ValidationError(
+                    f"sequential task {record.task_id!r} on more than one "
+                    f"processor"
+                )
+            if not 0 <= record.procs_start < result.grouping.total_resources:
+                raise ValidationError(
+                    f"sequential task {record.task_id!r} on nonexistent "
+                    f"processor {record.procs_start}"
+                )
+            expected = task.nominal_seconds * seq_scale
+            if abs(record.duration - expected) > _EPS:
+                raise ValidationError(
+                    f"sequential task {record.task_id!r} duration "
+                    f"{record.duration} != {expected}"
+                )
+
+    missing = [tid for tid in dag.task_ids() if tid not in seen]
+    if missing:
+        raise ValidationError(
+            f"{len(missing)} task(s) never scheduled, e.g. {missing[:5]}"
+        )
+
+    for producer in dag.task_ids():
+        for consumer in dag.successors(producer):
+            if seen[consumer][0] < seen[producer][1] - _EPS:
+                raise ValidationError(
+                    f"dependency violated: {consumer!r} starts at "
+                    f"{seen[consumer][0]} before {producer!r} ends at "
+                    f"{seen[producer][1]}"
+                )
+
+    per_proc: dict[int, list[tuple[float, float]]] = {}
+    for record in result.records:
+        for proc in range(record.procs_start, record.procs_stop):
+            per_proc.setdefault(proc, []).append((record.start, record.end))
+    for proc, intervals in per_proc.items():
+        intervals.sort()
+        for (_s1, e1), (s2, _e2) in zip(intervals, intervals[1:], strict=False):
+            if s2 < e1 - _EPS:
+                raise ValidationError(f"processor {proc} double-booked")
+
+    mains = [r for r in result.records if r.kind == "main"]
+    actual_main = max((r.end for r in mains), default=0.0)
+    actual_total = max((r.end for r in result.records), default=0.0)
+    if abs(actual_main - result.main_makespan) > _EPS:
+        raise ValidationError(
+            f"reported main makespan {result.main_makespan} != trace "
+            f"extent {actual_main}"
+        )
+    if abs(actual_total - result.makespan) > _EPS:
+        raise ValidationError(
+            f"reported makespan {result.makespan} != trace extent "
+            f"{actual_total}"
+        )

@@ -1,4 +1,4 @@
-"""Unit tests for the DAG-level simulation engine."""
+"""Unit tests for the DAG-level oracle simulator."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.core.grouping import Grouping
 from repro.exceptions import SimulationError
 from repro.platform.timing import TableTimingModel
-from repro.simulation.dag_engine import simulate_dag
 from repro.simulation.engine import simulate
 from repro.workflow.dag import DAG
 from repro.workflow.ocean_atmosphere import (
@@ -17,6 +16,7 @@ from repro.workflow.ocean_atmosphere import (
     scenario_dag,
 )
 from repro.workflow.task import Task, TaskKind, task_id
+from tests.simulation.dag_oracle import simulate_dag
 
 
 def _flat(tg: float = 100.0, tp: float = 180.0) -> TableTimingModel:
@@ -24,7 +24,7 @@ def _flat(tg: float = 100.0, tp: float = 180.0) -> TableTimingModel:
 
 
 class TestCrossValidation:
-    """The DAG engine must agree with the rectangular engine exactly."""
+    """The DAG oracle must agree with the rectangular engine exactly."""
 
     @pytest.mark.parametrize(
         "ns,nm,sizes,post",

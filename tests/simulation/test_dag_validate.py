@@ -1,4 +1,4 @@
-"""Tests for the DAG-schedule validator."""
+"""Tests for the DAG oracle's schedule validator."""
 
 from __future__ import annotations
 
@@ -9,9 +9,8 @@ import pytest
 from repro.core.grouping import Grouping
 from repro.exceptions import ValidationError
 from repro.platform.timing import TableTimingModel
-from repro.simulation.dag_engine import simulate_dag
-from repro.simulation.dag_validate import validate_dag_schedule
 from repro.workflow.ocean_atmosphere import EnsembleSpec, fused_ensemble_dag
+from tests.simulation.dag_oracle import simulate_dag, validate_dag_schedule
 
 
 @pytest.fixture

@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.grouping import Grouping
+from repro.exceptions import SimulationError
+from repro.faults.hooks import FaultHook
+from repro.faults.trace import FaultEvent, FaultKind
 from repro.platform.timing import AmdahlTimingModel, TableTimingModel
 from repro.simulation.engine import simulate
 from repro.simulation.online import simulate_online
@@ -90,3 +93,44 @@ class TestNarrowMoldability:
         grouping = Grouping((4, 2), 1, 7)
         result = simulate(grouping, EnsembleSpec(2, 3), timing, record_trace=True)
         validate_schedule(result, timing)
+
+
+class TestChains:
+    """``simulate(..., chains=...)``: one month count per scenario."""
+
+    def test_wrong_length_rejected(self) -> None:
+        with pytest.raises(SimulationError, match="3 scenarios"):
+            simulate(Grouping((4,), 1, 5), EnsembleSpec(3, 4), _flat(), chains=(4, 4))
+
+    @pytest.mark.parametrize("chains", [(0, 4, 4), (4, 5, 4), (4, -1, 4)])
+    def test_entry_outside_one_to_months_rejected(self, chains) -> None:
+        with pytest.raises(SimulationError, match=r"1\.\.4 months"):
+            simulate(Grouping((4,), 1, 5), EnsembleSpec(3, 4), _flat(), chains=chains)
+
+    def test_full_chains_equal_the_rectangular_run(self) -> None:
+        grouping, spec = Grouping((4, 5), 1, 10), EnsembleSpec(3, 4)
+        for fast in (True, False):
+            assert simulate(grouping, spec, _flat(), fast=fast, chains=(4, 4, 4)) == (
+                simulate(grouping, spec, _flat(), fast=fast)
+            )
+
+    def test_each_scenario_runs_its_own_months(self) -> None:
+        chains = (1, 4, 2)
+        result = simulate(
+            Grouping((4, 5), 1, 10), EnsembleSpec(3, 4), _flat(),
+            chains=chains, record_trace=True,
+        )
+        for kind in ("main", "post"):
+            runs = [
+                sorted(r.month for r in result.records if r.kind == kind and r.scenario == s)
+                for s in range(3)
+            ]
+            assert runs == [list(range(n)) for n in chains]
+
+    def test_fault_hooks_take_no_chains(self) -> None:
+        hook = FaultHook.from_events([FaultEvent(FaultKind.CRASH, "c", 150.0)])
+        with pytest.raises(SimulationError, match="take no chains"):
+            simulate(
+                Grouping((4,), 1, 5), EnsembleSpec(2, 4), _flat(),
+                chains=(4, 2), faults=hook,
+            )
