@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar
 
 from repro.exceptions import SchedulingError
 
@@ -43,6 +43,7 @@ __all__ = [
     "analytic_makespan",
     "cached_analytic_breakdown",
     "cached_analytic_makespan",
+    "cached_decision",
     "cached_schedule_log",
     "cached_simulated_makespan",
     "cached_simulated_makespans",
@@ -207,20 +208,13 @@ def analytic_makespan(
 #: runaway campaign's memory flat.
 _CACHE_MAXSIZE = 1 << 16
 
-_analytic_cache: dict[tuple, MakespanBreakdown] = {}
-_simulated_cache: dict[tuple, tuple[float, float]] = {}
-_schedule_cache: dict[tuple, "ScheduleLog"] = {}
-_cache_enabled = True
-_cache_counters = {
-    "analytic": {"hits": 0, "misses": 0},
-    "simulated": {"hits": 0, "misses": 0},
-    "schedule": {"hits": 0, "misses": 0},
-}
+_T = TypeVar("_T")
+
 _caches: dict[str, dict[tuple, Any]] = {
-    "analytic": _analytic_cache,
-    "simulated": _simulated_cache,
-    "schedule": _schedule_cache,
+    kind: {} for kind in ("analytic", "simulated", "schedule", "decision")
 }
+_cache_counters = {kind: {"hits": 0, "misses": 0} for kind in _caches}
+_cache_enabled = True
 
 
 def _record(kind: str, outcome: str) -> None:
@@ -269,18 +263,34 @@ def clear_makespan_cache() -> None:
 
 
 def makespan_cache_stats() -> dict[str, dict[str, int]]:
-    """Hit/miss/size counters per kind (``analytic``/``simulated``/``schedule``)."""
+    """Hit/miss/size counters per kind (``analytic``/``simulated``/``schedule``/``decision``)."""
     return {
         kind: {**_cache_counters[kind], "size": len(cache)}
         for kind, cache in _caches.items()
     }
 
 
-def _store(cache: dict, key: tuple, value: object) -> None:
-    """Insert with FIFO eviction (dicts preserve insertion order)."""
+def _memoized(kind: str, key: tuple, compute: Callable[..., _T], *args: Any) -> _T:
+    """``compute(*args)`` memoized under ``key`` in the ``kind`` cache.
+
+    While the caches are off this is a plain call: no lookup, no count.
+    Otherwise a hit returns the stored value; a miss computes, then
+    inserts with FIFO eviction (dicts preserve insertion order).  Errors
+    are not cached — they re-raise on every call, like the uncached path.
+    """
+    if not _cache_enabled:
+        return compute(*args)
+    cache = _caches[kind]
+    hit = cache.get(key)
+    if hit is not None:
+        _record(kind, "hit")
+        return hit
+    _record(kind, "miss")
+    value = compute(*args)
     if len(cache) >= _CACHE_MAXSIZE:
         cache.pop(next(iter(cache)))
     cache[key] = value
+    return value
 
 
 def cached_analytic_breakdown(
@@ -297,17 +307,8 @@ def cached_analytic_breakdown(
     instance across callers is safe.  Errors (infeasible ``G``) are not
     cached — they re-raise on every call, exactly like the uncached path.
     """
-    if not _cache_enabled:
-        return analytic_breakdown(resources, group_size, scenarios, months, tg, tp)
     key = (resources, group_size, scenarios, months, tg, tp)
-    hit = _analytic_cache.get(key)
-    if hit is not None:
-        _record("analytic", "hit")
-        return hit
-    _record("analytic", "miss")
-    value = analytic_breakdown(resources, group_size, scenarios, months, tg, tp)
-    _store(_analytic_cache, key, value)
-    return value
+    return _memoized("analytic", key, analytic_breakdown, *key)
 
 
 def cached_analytic_makespan(
@@ -356,21 +357,22 @@ def cached_simulated_makespans(
     :func:`cached_schedule_log`, and callers needing the full
     :class:`~repro.simulation.events.SimulationResult` call the engine.
     """
+    return _memoized(
+        "simulated",
+        simulation_cache_key(grouping, spec, timing),
+        _simulated_makespans,
+        grouping, spec, timing,
+    )
+
+
+def _simulated_makespans(
+    grouping: "Grouping", spec: "EnsembleSpec", timing: "TimingModel"
+) -> tuple[float, float]:
+    """One fresh engine run's ``(makespan, main_makespan)``."""
     from repro.simulation.engine import simulate
 
-    if not _cache_enabled:
-        result = simulate(grouping, spec, timing)
-        return result.makespan, result.main_makespan
-    key = simulation_cache_key(grouping, spec, timing)
-    hit = _simulated_cache.get(key)
-    if hit is not None:
-        _record("simulated", "hit")
-        return hit
-    _record("simulated", "miss")
     result = simulate(grouping, spec, timing)
-    value = (result.makespan, result.main_makespan)
-    _store(_simulated_cache, key, value)
-    return value
+    return result.makespan, result.main_makespan
 
 
 def cached_simulated_makespan(
@@ -435,14 +437,23 @@ def cached_schedule_log(
 
     The log is frozen, so a hit hands every caller the same instance.
     """
-    if not _cache_enabled:
-        return _schedule_log(grouping, spec, timing)
-    key = simulation_cache_key(grouping, spec, timing)
-    hit = _schedule_cache.get(key)
-    if hit is not None:
-        _record("schedule", "hit")
-        return hit
-    _record("schedule", "miss")
-    value = _schedule_log(grouping, spec, timing)
-    _store(_schedule_cache, key, value)
-    return value
+    return _memoized(
+        "schedule",
+        simulation_cache_key(grouping, spec, timing),
+        _schedule_log,
+        grouping, spec, timing,
+    )
+
+
+def cached_decision(
+    key: tuple, decide: Callable[[], tuple["Grouping | None", float]]
+) -> tuple["Grouping | None", float]:
+    """A scheduler decision ``(grouping or None, decide_seconds)``, memoized.
+
+    ``decide`` runs only on a miss, so ``key`` must pin every input the
+    decision depends on (the arena keys on scheduler name, seed,
+    cluster, resources and ensemble shape).  ``None`` records an
+    infeasible decision, which is then made once too; the seconds are
+    the latency measured when the decision was made.
+    """
+    return _memoized("decision", key, decide)

@@ -5,9 +5,18 @@ A race is a cartesian grid — clusters × resources × scenarios × months
 *decides* a grouping (validated, latency-timed), and the grouping is
 simulated either fault-free (through the memoized kernels, so the paper
 adapters reproduce the fig7/fig8 golden numbers bit-for-bit) or against
-a seeded :class:`~repro.faults.trace.FaultTrace`.  The result reports
-the paper's own metric — gain over basic — plus win/loss matrices and
-per-scheduler decision latency.
+a seeded :class:`~repro.faults.trace.FaultTrace`.
+
+Faults change how a grouping is scored, not which grouping a scheduler
+picks: a decision depends only on ``(seed, cluster, spec)`` (the
+:class:`~repro.schedulers.base.Scheduler` purity contract).  So each
+scheduler decides once per ``(grid seed, cluster, R, NS, NM)`` and
+every fault label of that cell reuses the decision through
+:func:`repro.core.makespan.cached_decision` — the ``decision`` kind of
+the kernel caches, bypassed by ``use_cache=False`` like the others.
+
+The result reports the paper's own metric — gain over basic — plus
+win/loss matrices and per-scheduler decision latency.
 
 Races run, journal and resume through
 :func:`repro.experiments.gridrun.run_grid`, like sweeps.  Rows
@@ -32,8 +41,10 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from repro.core.grouping import Grouping
 from repro.core.heuristics import HeuristicName, plan_grouping
 from repro.core.makespan import (
+    cached_decision,
     cached_simulated_makespan,
     set_makespan_cache_enabled,
 )
@@ -62,9 +73,12 @@ __all__ = [
 ]
 
 #: Points per chunk when the caller does not choose.  Arena points are
-#: heavier than sweep points (every scheduler decides afresh), so chunks
-#: are half the sweep size; keep it a multiple of typical scheduler-axis
-#: lengths so one cell's competitors share a worker cache and a fault hook.
+#: heavier than sweep points (each cell's first fault label decides and
+#: every label replays faults), so chunks are half the sweep size; keep
+#: it a multiple of typical scheduler-axis lengths so one cell's
+#: competitors share a worker cache and a fault hook.  Decisions are
+#: memoized per process, so a cell whose fault labels land in different
+#: worker processes decides once in each.
 DEFAULT_CHUNK_SIZE = 16
 
 #: Fault-free label on the fault axis.
@@ -537,28 +551,43 @@ def _trace_for_point(
     return generate_trace({point.cluster: profile}, horizon, fault_seed)
 
 
+def _decide(
+    name: str, seed: int, cluster: Any, spec: EnsembleSpec
+) -> tuple[Grouping | None, float]:
+    """One fresh decision: ``(grouping, seconds)``, ``None`` if infeasible."""
+    scheduler = get_scheduler(name, seed=seed)
+    started = time.perf_counter()
+    try:
+        grouping: Grouping | None = scheduler.decide(cluster, spec)
+    except SchedulingError:
+        grouping = None
+    return grouping, time.perf_counter() - started
+
+
 def _eval_point(
     point: ArenaPoint, config: _ChaosConfig, hooks: dict[tuple, FaultHook]
 ) -> tuple[ArenaRow, float]:
     """Decide and simulate one point; returns ``(row, decide_seconds)``.
 
     The latency is returned *beside* the row, never inside it: rows are
-    journaled and must be identical across hosts and resumes.  ``hooks``
-    memoizes each cell's compiled fault hook: every scheduler of a cell
-    faces the same trace.
+    journaled and must be identical across hosts and resumes.  The
+    decision is memoized on the point without its fault label plus the
+    grid seed, so a point that reuses one reports that decision's
+    measured latency.  ``hooks`` memoizes each cell's compiled fault
+    hook: every scheduler of a cell faces the same trace.
     """
     from repro.faults.hooks import simulate_with_faults
     from repro.platform.benchmarks import benchmark_cluster
 
     cluster = benchmark_cluster(point.cluster, point.resources)
     spec = EnsembleSpec(point.scenarios, point.months)
-    scheduler = get_scheduler(point.scheduler, seed=config.seed)
-    started = time.perf_counter()
-    try:
-        grouping = scheduler.decide(cluster, spec)
-    except SchedulingError:
-        return ArenaRow(point, None, "", False), time.perf_counter() - started
-    decide_seconds = time.perf_counter() - started
+    grouping, decide_seconds = cached_decision(
+        (point.scheduler, config.seed, point.cluster, point.resources,
+         point.scenarios, point.months),
+        partial(_decide, point.scheduler, config.seed, cluster, spec),
+    )
+    if grouping is None:
+        return ArenaRow(point, None, "", False), decide_seconds
 
     fault_seed = _fault_seed(point.fault)
     if fault_seed is None:
@@ -663,11 +692,17 @@ def run_arena(
     is then partial and a later call with the same journal finishes),
     and a resumed race equals an uninterrupted one row for row.
 
-    ``latency_sink``, when given, collects decision latencies for the
-    points *this call* evaluated, keyed by scheduler name — resumed
+    ``latency_sink``, when given, collects one decision latency per
+    point *this call* evaluated, keyed by scheduler name — resumed
     points contribute none (their decisions happened in an earlier
-    process).  Latency also flows through the
-    ``scheduler.decide_seconds`` metric when observability is on.
+    process).  A point that reused its cell's decision from another
+    fault label reports that decision's measured latency; every cell
+    has the same number of labels, so per-scheduler means and
+    percentiles are those of the decisions actually made.  Latency
+    also flows through the ``scheduler.decide_seconds`` metric, once
+    per decision made, when observability is on.  ``use_cache=False``
+    bypasses the decision memo with the kernel caches: every point
+    decides afresh.
     """
     def collect(
         result: tuple[tuple[ArenaRow, ...], tuple[float, ...]],

@@ -82,10 +82,24 @@ class SQLRunBackend(StorageBackend):
     #: SQL column type for float timestamps.
     float_type = "REAL"
 
+    #: The driver's PEP 249 ``DatabaseError`` (what a damaged or
+    #: unreachable store raises while opening); none until a dialect
+    #: sets it.
+    database_error: type[Exception] | tuple[type[Exception], ...] = ()
+
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        self._conn = self._connect()
-        self.migrate()
+        self._conn: Any = None
+        try:
+            self._conn = self._connect()
+            self.migrate()
+        except self.database_error as exc:
+            if self._conn is not None:
+                self._conn.close()
+            raise ServiceError(
+                f"run store {self.url!r} cannot be opened: {exc}",
+                code="internal",
+            ) from exc
 
     # -- dialect hooks -----------------------------------------------------
 

@@ -64,6 +64,7 @@ class PostgresBackend(SQLRunBackend):
     def __init__(self, dsn: str, *, driver: Any = None) -> None:
         self.url = dsn
         self._driver = driver if driver is not None else load_driver()
+        self.database_error = self._driver.DatabaseError
         super().__init__()
 
     def _connect(self) -> Any:

@@ -25,6 +25,7 @@ class SQLiteBackend(SQLRunBackend):
     name = "sqlite"
     placeholder = "?"
     float_type = "REAL"
+    database_error = sqlite3.DatabaseError
 
     def __init__(self, path: str | Path) -> None:
         self.path = str(path)

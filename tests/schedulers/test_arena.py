@@ -10,9 +10,11 @@ which the tests here pin down on small grids.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
+from repro.core.makespan import clear_makespan_cache, makespan_cache_stats
 from repro.exceptions import ConfigurationError, ServiceError
 from repro.experiments.results_io import dump_result, load_result
 from repro.schedulers import PAPER_SCHEDULERS, list_schedulers
@@ -187,6 +189,96 @@ class TestRunArena:
         resumed_sink: dict[str, list[float]] = {}
         run_arena(grid, journal_path=journal, latency_sink=resumed_sink)
         assert resumed_sink == {}  # everything came from the journal
+
+        # A point reusing its cell's decision reports that decision's
+        # sample: the first fault label decides, the others repeat it.
+        for name, samples in sink.items():
+            points = [p for p in grid.points() if p.scheduler == name]
+            assert len(samples) == len(points)  # one sample per point
+            decided: dict[tuple, float] = {}
+            for point, sample in zip(points, samples, strict=True):
+                cell = (point.cluster, point.resources, point.scenarios,
+                        point.months)
+                assert decided.setdefault(cell, sample) == sample
+
+
+def _count_decisions(monkeypatch) -> list[tuple]:
+    """Record ``(scheduler, cluster, R, NS, NM)`` per ``Scheduler.decide`` call."""
+    from repro.schedulers.base import Scheduler
+
+    calls: list[tuple] = []
+    original = Scheduler.decide
+
+    def counting(self, cluster, spec):
+        calls.append((self.name, cluster.name, cluster.resources,
+                      spec.scenarios, spec.months))
+        return original(self, cluster, spec)
+
+    monkeypatch.setattr(Scheduler, "decide", counting)
+    return calls
+
+
+def _decision_cells(grid: ArenaGrid) -> set[tuple]:
+    return {
+        (p.scheduler, p.cluster, p.resources, p.scenarios, p.months)
+        for p in grid.points()
+    }
+
+
+class TestDecisionMemo:
+    """A scheduler decides once per cell; every fault label reuses it."""
+
+    def test_serial_race_decides_once_per_cell(self, monkeypatch) -> None:
+        grid = _small_grid()
+        assert len(grid.faults) >= 2
+        clear_makespan_cache()
+        calls = _count_decisions(monkeypatch)
+        run_arena(grid)
+        assert Counter(calls) == Counter(_decision_cells(grid))
+
+    def test_cache_off_decides_every_point(self, monkeypatch) -> None:
+        grid = _small_grid()
+        calls = _count_decisions(monkeypatch)
+        run_arena(grid, use_cache=False)
+        assert len(calls) == grid.size
+        assert set(Counter(calls).values()) == {len(grid.faults)}
+
+    def test_memoized_rows_equal_fresh_rows(self) -> None:
+        grid = _small_grid()
+        fresh = run_arena(grid, use_cache=False)
+        clear_makespan_cache()
+        assert run_arena(grid, workers=2, chunk_size=4) == fresh
+        clear_makespan_cache()
+        assert run_arena(grid) == fresh
+
+    def test_cold_cache_stats_count_decisions(self) -> None:
+        grid = _small_grid()
+        clear_makespan_cache()
+        run_arena(grid)
+        decisions = len(_decision_cells(grid))
+        assert makespan_cache_stats()["decision"] == {
+            "hits": grid.size - decisions,
+            "misses": decisions,
+            "size": decisions,
+        }
+        clear_makespan_cache()
+        assert makespan_cache_stats()["decision"] == {
+            "hits": 0, "misses": 0, "size": 0,
+        }
+
+    def test_infeasible_cell_is_decided_once(self, monkeypatch) -> None:
+        # R=3 is below every scheduler's minimum group of 4.
+        grid = _small_grid(resources=(3,))
+        clear_makespan_cache()
+        calls = _count_decisions(monkeypatch)
+        result = run_arena(grid)
+        assert Counter(calls) == Counter(_decision_cells(grid))
+        assert all(
+            row == ArenaRow(row.point, None, "", False) for row in result.rows
+        )
+        assert makespan_cache_stats()["decision"]["hits"] == (
+            grid.size - len(calls)
+        )
 
 
 class TestStandings:

@@ -3,11 +3,14 @@
 Builds stores at historical layouts (v1: pre-tracing, v2: pre-lease)
 with raw SQL, opens them through the library, and asserts the whole
 chain runs: the version is stamped, the new columns exist, and — the
-important part — the pre-existing rows survive bit-for-bit.
+important part — the pre-existing rows survive bit-for-bit.  A store
+cut short at any byte either fails to open with a typed error or opens
+holding only fixture rows.
 """
 
 from __future__ import annotations
 
+import json
 import sqlite3
 
 import pytest
@@ -171,3 +174,66 @@ class TestVersionGate:
         version = conn.execute("PRAGMA user_version").fetchone()[0]
         conn.close()
         assert version == SCHEMA_VERSION + 1
+
+
+#: SQLite's default page size: the fixtures are whole pages of it.
+PAGE_SIZE = 4096
+
+
+def _cuts(size: int) -> list[int]:
+    """Every 16th byte, plus each page boundary and its two neighbours."""
+    boundaries = (
+        page + delta
+        for page in range(0, size + 1, PAGE_SIZE)
+        for delta in (-1, 0, 1)
+    )
+    return sorted(
+        {*range(0, size, 16), *(cut for cut in boundaries if 0 <= cut <= size)}
+    )
+
+
+class TestTruncatedStore:
+    @pytest.mark.parametrize("build", [_build_v1, _build_v2])
+    def test_cut_store_fails_typed_or_keeps_fixture_rows(
+        self, tmp_path, build
+    ) -> None:
+        full = tmp_path / "full.db"
+        build(full)
+        data = full.read_bytes()
+        traced = build is _build_v2
+        expected = {
+            row[0]: (*row[:2], json.loads(row[2]), *row[3:],
+                     f"trace-{row[0]}" if traced else None)
+            for row in V1_ROWS
+        }
+        opened = refused = 0
+        for cut in _cuts(len(data)):
+            path = tmp_path / f"cut-{cut}.db"
+            path.write_bytes(data[:cut])
+            try:
+                store = RunStore(path)
+            except ServiceError as exc:
+                assert exc.code == "internal"
+                assert str(path) in str(exc)
+                refused += 1
+                continue
+            with store:
+                records = store.list_runs(limit=len(V1_ROWS) + 1)
+            opened += 1
+            for r in records:
+                assert (
+                    r.run_id, r.kind, r.params, r.state, r.created_at,
+                    r.updated_at, r.attempts, r.max_attempts, r.not_before,
+                    r.error, r.result, r.trace_id,
+                ) == expected[r.run_id], cut
+        # Both outcomes occur: the cut list reaches past the header.
+        assert opened and refused
+
+    def test_empty_file_opens_as_a_fresh_store(self, tmp_path) -> None:
+        path = tmp_path / "runs.db"
+        path.write_bytes(b"")
+        with RunStore(path) as store:
+            assert store.schema_version() == SCHEMA_VERSION
+            assert store.list_runs() == []
+            run_id = store.submit("sleep", {"seconds": 0})
+            assert store.get(run_id).state == "queued"
