@@ -28,7 +28,7 @@ def _fill(store: RunStore, count: int) -> list[str]:
 
 @pytest.fixture(params=["sqlite", "memory"])
 def store(request, tmp_path):
-    """Both backends, so the SQLite overhead is visible against the fake."""
+    """SQLite on a file and on ``:memory:``: the gap is the file's cost."""
     if request.param == "sqlite":
         made = RunStore(tmp_path / "fleet.db")
     else:

@@ -10,8 +10,8 @@ deliberately conservative:
 * ``self.attr.meth()`` and ``param.meth()`` resolve through annotated
   attribute/parameter types;
 * when the annotated type is one of the registered dispatch ABCs
-  (``dispatch-abcs`` in ``[tool.reprolint]`` — the ``Scheduler`` and
-  ``StorageBackend`` plugin points), the call fans out to *every*
+  (``dispatch-abcs`` in ``[tool.reprolint]`` — the ``Scheduler``
+  plugin point), the call fans out to *every*
   project implementation of that method, which is the sound
   over-approximation for registry-driven dynamic dispatch;
 * constructor calls (``SomeClass(...)``) edge into ``__init__``.

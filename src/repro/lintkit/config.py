@@ -67,10 +67,7 @@ DEFAULTS: dict[str, object] = {
         "repro.simulation.engine",
     ],
     "async-packages": ["repro.service"],
-    "dispatch-abcs": [
-        "repro.schedulers.base.Scheduler",
-        "repro.service.backends.base.StorageBackend",
-    ],
+    "dispatch-abcs": ["repro.schedulers.base.Scheduler"],
     "names-module": "repro.obs.names",
     "baseline": ".reprolint-baseline.json",
 }

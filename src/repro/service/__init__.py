@@ -5,11 +5,11 @@ chain: a campaign lives and dies with the submitting interpreter.  This
 subsystem turns it into a *service* — campaigns are submitted to a
 long-running server, survive restarts, and are shared between users:
 
-* :mod:`repro.service.store` — the run store over pluggable storage
-  backends (:mod:`repro.service.backends`: SQLite by default,
-  Postgres for multi-host fleets, in-memory for tests), with schema
-  versioning and leased job ownership: every submission, state
-  transition, result, error, and lease is durable;
+* :mod:`repro.service.store` — the run store over one SQL storage
+  layer (:mod:`repro.service.backends`: a SQLite file by default,
+  Postgres for multi-host fleets, SQLite's ``:memory:`` for tests and
+  demos), with schema versioning and leased job ownership: every
+  submission, state transition, result, error, and lease is durable;
 * :mod:`repro.service.workers` — the registry of job kinds (campaign,
   simulate, figure sweeps, ...) and the picklable worker entry point;
 * :mod:`repro.service.fleet` — the one job-execution routine: a

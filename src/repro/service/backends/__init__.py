@@ -2,13 +2,16 @@
 
 :func:`backend_from_url` maps a location string to a backend:
 
-* ``memory://`` — :class:`~repro.service.backends.memory.MemoryBackend`
-  (tests, demos);
+* ``memory://`` — :class:`~repro.service.backends.memory.MemoryBackend`,
+  the SQLite backend on ``:memory:`` (tests, demos);
 * ``postgres://...`` / ``postgresql://...`` —
   :class:`~repro.service.backends.postgres.PostgresBackend` (requires
   an installed psycopg driver);
 * ``sqlite:///path/to/runs.db``, or any plain filesystem path —
   :class:`~repro.service.backends.sqlite.SQLiteBackend` (the default).
+
+All three are dialects of the one SQL implementation,
+:class:`~repro.service.backends.base.StorageBackend`.
 """
 
 from __future__ import annotations

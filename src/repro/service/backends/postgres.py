@@ -1,7 +1,7 @@
 """PostgreSQL storage backend — the server-grade option.
 
-A thin DB-API adapter over :class:`~repro.service.backends.dbapi.
-SQLRunBackend`: the SQL is shared with SQLite, only the placeholder
+A thin DB-API adapter over :class:`~repro.service.backends.base.
+StorageBackend`: the SQL is shared with SQLite, only the placeholder
 style (``%s``), the float column type (``DOUBLE PRECISION``), version
 stamping (a one-row ``runs_schema`` table instead of ``PRAGMA
 user_version``) and row locking (``FOR UPDATE SKIP LOCKED``) differ.
@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.exceptions import ServiceError
-from repro.service.backends.dbapi import SQLRunBackend
+from repro.service.backends.base import StorageBackend
 
 __all__ = ["PostgresBackend", "load_driver"]
 
@@ -54,7 +54,7 @@ def load_driver() -> Any:
     )
 
 
-class PostgresBackend(SQLRunBackend):
+class PostgresBackend(StorageBackend):
     """The run store on a PostgreSQL server (see module docstring)."""
 
     name = "postgres"

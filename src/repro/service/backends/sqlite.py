@@ -7,6 +7,13 @@ so the multi-statement claim and lease-expiry primitives can open an
 explicit ``BEGIN IMMEDIATE`` transaction, which takes the database
 write lock up front and excludes every other claimant — thread or
 process — until commit.
+
+Opening runs ``PRAGMA integrity_check`` before anything else touches
+the file: a store cut short inside a page can still open, yet answer
+lookups wrongly through its damaged index, so a check that fails
+refuses the store with the same typed error as an unreadable header.
+The check goes through SQLite, under its locks, because ``repro-oa
+worker`` processes on the host may be writing the same file.
 """
 
 from __future__ import annotations
@@ -14,12 +21,12 @@ from __future__ import annotations
 import sqlite3
 from pathlib import Path
 
-from repro.service.backends.dbapi import SQLRunBackend
+from repro.service.backends.base import StorageBackend
 
 __all__ = ["SQLiteBackend"]
 
 
-class SQLiteBackend(SQLRunBackend):
+class SQLiteBackend(StorageBackend):
     """The run store on a single SQLite file (see module docstring)."""
 
     name = "sqlite"
@@ -39,8 +46,15 @@ class SQLiteBackend(SQLRunBackend):
             check_same_thread=False,
             timeout=30.0,
         )
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA busy_timeout=30000")
+        try:
+            (verdict,) = conn.execute("PRAGMA integrity_check").fetchone()
+            if verdict != "ok":
+                raise sqlite3.DatabaseError(f"integrity check: {verdict}")
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA busy_timeout=30000")
+        except sqlite3.DatabaseError:
+            conn.close()
+            raise
         return conn
 
     def _read_version(self) -> int:

@@ -64,7 +64,8 @@ class CampaignServer:
     """TCP campaign service over a run store (see module docstring).
 
     ``db_path`` is anything the store accepts — a SQLite path, a
-    ``postgres://`` DSN, or ``memory://``
+    ``postgres://`` DSN, or ``memory://`` (SQLite on ``:memory:``,
+    private to this server process)
     (:func:`repro.service.backends.backend_from_url`); the name is
     historical.
 

@@ -12,12 +12,13 @@ every execution is a leased claim, so after a crash the reaper
 their leases lapse, and a worker-fleet deployment shares one store
 between the server and every ``repro-oa worker`` process.
 
-Storage is pluggable (:mod:`repro.service.backends`): SQLite remains
-the dev default, ``postgres://`` DSNs select the server-grade DB-API
-adapter, and ``memory://`` selects the in-process test fake.  This
-class is the *policy* layer over the backend contract — run-id
-minting, timestamps from the injected clock, typed
-:class:`~repro.exceptions.ServiceError` raising — so every backend
+Storage is one SQL implementation with dialects
+(:mod:`repro.service.backends`): a SQLite file remains the dev
+default, ``postgres://`` DSNs select the server-grade DB-API adapter,
+and ``memory://`` puts SQLite on ``:memory:`` for tests and demos.
+This class is the *policy* layer over the backend — run-id minting,
+timestamps from the injected clock, typed
+:class:`~repro.exceptions.ServiceError` raising — so every dialect
 behaves identically to callers.
 
 Leases (schema v3): a worker claims with ``owner_id`` and a lease

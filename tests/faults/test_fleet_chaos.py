@@ -232,6 +232,10 @@ class TestKillMatrix:
             while store.get(run_id).state != "running":
                 assert time.monotonic() < deadline, "w1 never claimed"
                 time.sleep(0.01)
+            # w1 arms the partition only after its claim returns.
+            while not w1._partitioned:
+                assert time.monotonic() < deadline, "w1 never partitioned"
+                time.sleep(0.01)
             # w1's execution straddles its own lease expiry.
             assert w1._partitioned  # heartbeats are being dropped
             assert w1.heartbeat_now(run_id)  # ... and go nowhere

@@ -5,7 +5,7 @@ with raw SQL, opens them through the library, and asserts the whole
 chain runs: the version is stamped, the new columns exist, and — the
 important part — the pre-existing rows survive bit-for-bit.  A store
 cut short at any byte either fails to open with a typed error or opens
-holding only fixture rows.
+holding only fixture rows, each of which it can look up and claim.
 """
 
 from __future__ import annotations
@@ -219,6 +219,15 @@ class TestTruncatedStore:
                 continue
             with store:
                 records = store.list_runs(limit=len(V1_ROWS) + 1)
+                # Lookups agree with the listing: a damaged index that
+                # loses rows must not open.
+                for r in records:
+                    assert store.get(r.run_id) == r, cut
+                queued = [r.run_id for r in records if r.state == "queued"]
+                if queued:
+                    claimed = store.claim_next(now=5_000.0)
+                    assert claimed is not None, cut
+                    assert claimed.run_id in queued, cut
             opened += 1
             for r in records:
                 assert (
