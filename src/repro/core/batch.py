@@ -21,7 +21,8 @@ re-expresses those kernels as numpy array operations over entire grids:
   many cells at once.
 * :class:`PerformanceVectorBuilder` — incremental Algorithm 1
   performance vectors that reuse the ``1..NS-1`` prefix (and the shared
-  DP layer stack) when extending to ``NS``.
+  DP layer stack) when extending to ``NS``; entries are memoized
+  simulations.
 
 Every kernel is **bit-for-bit** equal to its scalar counterpart: the
 array expressions replicate the scalar code's float operations operand
@@ -46,7 +47,12 @@ import numpy as np
 from repro import obs
 from repro.core.grouping import Grouping
 from repro.core.heuristics import HeuristicName
-from repro.core.makespan import _RATIO_EPS, MakespanBreakdown, _floor_ratio
+from repro.core.makespan import (
+    _RATIO_EPS,
+    MakespanBreakdown,
+    _floor_ratio,
+    cached_simulated_makespan,
+)
 from repro.exceptions import ConfigurationError, SchedulingError
 from repro.knapsack.items import CardinalityKnapsack, KnapsackItem, KnapsackSolution
 from repro.platform.cluster import ClusterSpec
@@ -542,18 +548,18 @@ def batch_gains_over_baseline(
 class PerformanceVectorBuilder:
     """Algorithm 1 performance vectors with prefix reuse.
 
-    :func:`~repro.core.performance_vector.performance_vector` rebuilds
-    the whole ``1..NS`` vector on every call; this builder keeps the
-    computed prefix and, when extended from ``NS-1`` to ``NS``, plans
-    and simulates only the new entry.  The knapsack heuristic goes
-    further: one shared DP layer stack (one layer per cardinality slot)
-    serves every ``k`` — extending appends layers instead of re-solving.
+    The package's one vector routine (``performance_vector`` extends a
+    fresh builder once).  When extended from ``NS-1`` to ``NS`` it plans
+    only the new entry; the knapsack heuristic plans every ``k`` from one
+    shared DP layer stack (one layer per cardinality slot).  Each entry
+    is :func:`~repro.core.makespan.cached_simulated_makespan` of its
+    grouping, whose key leaves out the cluster name.
 
     ``extend`` returns the builder's *internal* list — the same object
     on every call (the identity is part of the contract and is tested);
     callers that need a snapshot must copy.  Entry ``k-1`` is bit-for-bit
-    equal to ``performance_vector(cluster, EnsembleSpec(k, months),
-    heuristic)[k-1]``.
+    the scalar k-loop's (``tests/core/vector_oracle.py``): a
+    ``plan_grouping`` of ``k`` scenarios and a fresh ``simulate``.
     """
 
     def __init__(
@@ -596,8 +602,6 @@ class PerformanceVectorBuilder:
         start = len(self._vector) + 1
         if scenarios < start:
             return self._vector
-        from repro.simulation.engine import simulate
-
         timing = self._cluster.timing
         for k, grouping in zip(
             range(start, scenarios + 1),
@@ -610,11 +614,9 @@ class PerformanceVectorBuilder:
                     f"({self._cluster.resources} processors) cannot host any "
                     f"main-task group (min size {timing.min_group})"
                 )
-            spec = EnsembleSpec(k, self._months)
-            result = simulate(
-                grouping, spec, timing, cluster_name=self._cluster.name
-            )
-            self._vector.append(result.makespan)
+            self._vector.append(cached_simulated_makespan(
+                grouping, EnsembleSpec(k, self._months), timing
+            ))
         return self._vector
 
     def _plan_range(self, start: int, stop: int) -> list["Grouping | None"]:

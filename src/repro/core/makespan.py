@@ -333,14 +333,17 @@ def simulation_cache_key(
     ``(group-size vector, post pool, NS, NM, TG vector, TP)`` — the
     cluster's name and any timing-model internals beyond the evaluated
     times are deliberately excluded, so identical kernels reached from
-    different clusters share one entry.
+    different clusters share one entry.  Each distinct group size is
+    timed once: a grouping mostly repeats one or two sizes.
     """
+    sizes = grouping.group_sizes
+    times = {g: timing.main_time(g) for g in dict.fromkeys(sizes)}
     return (
-        grouping.group_sizes,
+        sizes,
         grouping.post_pool,
         spec.scenarios,
         spec.months,
-        tuple(timing.main_time(g) for g in grouping.group_sizes),
+        tuple(times[g] for g in sizes),
         timing.post_time(),
     )
 

@@ -8,16 +8,20 @@ makespan of running ``k`` scenarios (of ``spec.months`` months each) on
 the cluster under the named heuristic.  The vector drives Algorithm 1's
 greedy repartition; computing it per-heuristic is what lets Figure 10
 compare the improvements in the grid setting.
+
+The SeD's step-2 reply, the replanner and Figure 10 all call it.  It
+plans with the batch kernels of
+:class:`~repro.core.batch.PerformanceVectorBuilder` and reads each entry
+from the memoized simulator, so an entry is bit-for-bit a fresh engine
+run's makespan and a repeated grouping costs one engine run per process.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
+from repro.core.batch import PerformanceVectorBuilder
 from repro.core.heuristics import HeuristicName, plan_grouping
-from repro.exceptions import ConfigurationError
+from repro.core.makespan import cached_simulated_makespan
 from repro.platform.cluster import ClusterSpec
-from repro.simulation.engine import simulate
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 
 __all__ = ["performance_vector", "cluster_makespan"]
@@ -28,10 +32,9 @@ def cluster_makespan(
     spec: EnsembleSpec,
     heuristic: HeuristicName | str = HeuristicName.KNAPSACK,
 ) -> float:
-    """Simulated makespan of one ensemble on one cluster."""
+    """Simulated makespan of one ensemble on one cluster (memoized)."""
     grouping = plan_grouping(cluster, spec, heuristic)
-    result = simulate(grouping, spec, cluster.timing, cluster_name=cluster.name)
-    return result.makespan
+    return cached_simulated_makespan(grouping, spec, cluster.timing)
 
 
 def performance_vector(
@@ -43,14 +46,7 @@ def performance_vector(
 
     Index ``k-1`` holds the makespan of ``k`` scenarios.  The vector is
     non-decreasing in ``k`` for any sane heuristic (more scenarios, same
-    processors) — the middleware's SeD asserts this before replying.
+    processors).  Raises :class:`~repro.exceptions.SchedulingError` when
+    the cluster cannot host any group.
     """
-    if spec.scenarios < 1:
-        raise ConfigurationError(
-            f"need at least one scenario, got {spec.scenarios!r}"
-        )
-    vector: list[float] = []
-    for k in range(1, spec.scenarios + 1):
-        sub = replace(spec, scenarios=k)
-        vector.append(cluster_makespan(cluster, sub, heuristic))
-    return vector
+    return PerformanceVectorBuilder(cluster, spec.months, heuristic).extend(spec.scenarios)

@@ -16,13 +16,15 @@ aggregate resources make the basic heuristic good enough).
 For each grid configuration and each heuristic, every cluster's
 performance vector (makespan of 1..NS scenarios under *that* heuristic)
 feeds Algorithm 1; the configuration's makespan is the slowest assigned
-cluster's.  Performance vectors are memoized across configurations —
-cluster speed × resources × heuristic repeats many times in the sweep.
+cluster's.  Vectors come from
+:func:`~repro.core.performance_vector.performance_vector`, whose entries
+are memoized simulations: cluster speed × resources × heuristic repeats
+many times in the sweep, and every repeat reads the simulated cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.analysis.gains import gain_percent
 from repro.analysis.plotting import ascii_plot
@@ -57,34 +59,18 @@ class Fig10Result:
         return max(self.gains[heuristic])
 
 
-class _VectorCache:
-    """Memo for performance vectors keyed by (speed, R, heuristic)."""
-
-    def __init__(self, spec: EnsembleSpec) -> None:
-        self.spec = spec
-        self._store: dict[tuple[str, int, str], list[float]] = {}
-
-    def get(self, speed_name: str, resources: int, heuristic: HeuristicName) -> list[float]:
-        key = (speed_name, resources, heuristic.value)
-        if key not in self._store:
-            cluster = replace(
-                benchmark_cluster(speed_name, resources), name=speed_name
-            )
-            self._store[key] = performance_vector(cluster, self.spec, heuristic)
-        return self._store[key]
-
-
 def grid_makespan(
     speed_names: list[str],
     resources: int,
     heuristic: HeuristicName,
-    cache: _VectorCache,
+    spec: EnsembleSpec,
 ) -> float:
     """Makespan of one grid configuration under one heuristic."""
     performance = [
-        cache.get(name, resources, heuristic) for name in speed_names
+        performance_vector(benchmark_cluster(name, resources), spec, heuristic)
+        for name in speed_names
     ]
-    return repartition_dags(performance, cache.spec.scenarios).makespan
+    return repartition_dags(performance, spec.scenarios).makespan
 
 
 def run(
@@ -103,7 +89,6 @@ def run(
     preserving the plateaus — pass step=1 for the full sweep).
     """
     spec = EnsembleSpec(scenarios, months)
-    cache = _VectorCache(spec)
     resources_list = resource_sweep(r_min, r_max, step)
 
     configurations: list[tuple[int, int]] = []
@@ -118,7 +103,7 @@ def run(
             xs.append(n + r / 100.0)
             for heuristic in ALL_HEURISTICS:
                 makespans[heuristic.value].append(
-                    grid_makespan(speed_names, r, heuristic, cache)
+                    grid_makespan(speed_names, r, heuristic, spec)
                 )
 
     gains: dict[str, tuple[float, ...]] = {}

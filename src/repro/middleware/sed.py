@@ -4,15 +4,17 @@ In DIET terminology a SeD ("Server Daemon") fronts a computational
 resource.  Ours wraps a :class:`~repro.platform.cluster.ClusterSpec` and
 provides the two services of Figure 9: computing the cluster's
 performance vector with the knapsack modeling (step 2) and executing an
-assigned subset of scenarios (step 6, by planning a grouping and running
-the makespan simulator).
+assigned subset of scenarios (step 6, by planning a grouping and reading
+its makespan from the memoized simulator).
 """
 
 from __future__ import annotations
 
 from repro import obs
-from repro.core.batch import PerformanceVectorBuilder
-from repro.core.heuristics import HeuristicName, plan_grouping
+from repro.core.grouping import Grouping
+from repro.core.heuristics import plan_grouping
+from repro.core.makespan import cached_simulated_makespan
+from repro.core.performance_vector import performance_vector
 from repro.exceptions import MiddlewareError
 from repro.middleware.messages import (
     ExecutionOrder,
@@ -41,12 +43,7 @@ class SeD:
                 f"a SeD that could never serve a request"
             )
         self.cluster = cluster
-        self._last_result: SimulationResult | None = None
-        # One incremental vector per (heuristic, months): repeated step-2
-        # requests reuse the 1..NS-1 prefix (and the knapsack DP layers)
-        # instead of rebuilding the whole vector — bit-for-bit equal to
-        # a fresh performance_vector() call, which the tests assert.
-        self._builders: dict[tuple[str, int], PerformanceVectorBuilder] = {}
+        self._last_run: tuple[Grouping, EnsembleSpec] | None = None
 
     @property
     def name(self) -> str:
@@ -58,22 +55,16 @@ class SeD:
         obs.inc("middleware.requests", cluster=self.name)
         with obs.span("sed.handle_request", cluster=self.name):
             spec = EnsembleSpec(request.scenarios, request.months)
-            key = (HeuristicName(request.heuristic).value, spec.months)
-            builder = self._builders.get(key)
-            if builder is None:
-                builder = PerformanceVectorBuilder(
-                    self.cluster, spec.months, request.heuristic
-                )
-                self._builders[key] = builder
-            vector = builder.extend(spec.scenarios)
-        return PerformanceReply(self.name, tuple(vector[: spec.scenarios]))
+            vector = performance_vector(self.cluster, spec, request.heuristic)
+        return PerformanceReply(self.name, tuple(vector))
 
     def execute(self, order: ExecutionOrder) -> ExecutionReport:
         """Step 6: run the assigned scenarios, report the makespan.
 
-        The SeD re-plans its grouping for the *actual* number of assigned
-        scenarios — the performance vector already predicted this exact
-        makespan, and the tests assert prediction and execution agree.
+        The SeD re-plans with the scalar heuristic, independently of the
+        batch planner behind its vector.  The memoized makespan is keyed
+        on the grouping, so a re-plan that differs from the vector's
+        misses and runs the engine: prediction = execution stays a check.
         """
         if order.cluster_name != self.name:
             raise MiddlewareError(
@@ -88,12 +79,12 @@ class SeD:
         ):
             spec = EnsembleSpec(len(order.scenario_ids), order.months)
             grouping = plan_grouping(self.cluster, spec, order.heuristic)
-            result = simulate(
-                grouping, spec, self.cluster.timing, cluster_name=self.name
+            makespan = cached_simulated_makespan(
+                grouping, spec, self.cluster.timing
             )
         obs.set_gauge(
             "middleware.execution_makespan_seconds",
-            result.makespan,
+            makespan,
             cluster=self.name,
         )
         obs.log_event(
@@ -102,14 +93,15 @@ class SeD:
             scenarios=list(order.scenario_ids),
             months=order.months,
             heuristic=order.heuristic.value,
-            makespan_s=result.makespan,
+            makespan_s=makespan,
         )
-        self._last_result = result
-        return ExecutionReport(
-            self.name, order.scenario_ids, result.makespan, grouping
-        )
+        self._last_run = (grouping, spec)
+        return ExecutionReport(self.name, order.scenario_ids, makespan, grouping)
 
     @property
     def last_result(self) -> SimulationResult | None:
-        """The most recent execution's full simulation result."""
-        return self._last_result
+        """The most recent execution's full result, simulated on access."""
+        if self._last_run is None:
+            return None
+        grouping, spec = self._last_run
+        return simulate(grouping, spec, self.cluster.timing, cluster_name=self.name)

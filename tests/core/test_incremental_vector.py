@@ -1,13 +1,13 @@
-"""Incremental Algorithm 1 vectors: extend-by-one equals from-scratch.
+"""Incremental Algorithm 1 vectors: extend-by-one equals the scalar oracle.
 
 :class:`~repro.core.batch.PerformanceVectorBuilder` promises that
 growing a vector from ``NS - 1`` to ``NS`` entries reuses the computed
 ``1..NS-1`` prefix (the same list object, extended in place — for the
-knapsack heuristic even the DP layer stack is shared) and still equals a
-fresh :func:`~repro.core.performance_vector.performance_vector` call at
-every length.  The mutation drill at the end proves the equality
-assertion has teeth: a seeded off-by-one injected into a copy of the
-vector must be caught.
+knapsack heuristic even the DP layer stack is shared) and still equals
+the scalar k-loop of :mod:`tests.core.vector_oracle` (a fresh scalar
+plan and engine run per entry) at every length.  The mutation drill at
+the end proves the equality assertion has teeth: a seeded off-by-one
+injected into a copy of the vector must be caught.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ import pytest
 
 from repro.core.batch import PerformanceVectorBuilder
 from repro.core.heuristics import HeuristicName
-from repro.core.performance_vector import performance_vector
 from repro.exceptions import ConfigurationError, SchedulingError
 from repro.platform.benchmarks import benchmark_cluster
 from repro.platform.cluster import ClusterSpec
 from repro.platform.timing import TableTimingModel
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.core.vector_oracle import scalar_performance_vector
 
 MAX_SCENARIOS = 40
 MONTHS = 3  # small NM: the parity is structural, not NM-dependent
@@ -31,7 +31,7 @@ MONTHS = 3  # small NM: the parity is structural, not NM-dependent
 
 @pytest.mark.parametrize("heuristic", list(HeuristicName))
 def test_extend_by_one_equals_from_scratch(heuristic) -> None:
-    """Every prefix length 1..40: extended == rebuilt, object reused."""
+    """Every prefix length 1..40: extended == oracle, object reused."""
     cluster = benchmark_cluster("sagittaire", 60)
     builder = PerformanceVectorBuilder(cluster, MONTHS, heuristic)
     previous: list[float] | None = None
@@ -41,10 +41,9 @@ def test_extend_by_one_equals_from_scratch(heuristic) -> None:
             assert vector is previous  # the prefix object itself is reused
         previous = vector
         assert len(vector) == scenarios
-        scratch = performance_vector(
-            cluster, EnsembleSpec(scenarios, MONTHS), heuristic
-        )
-        assert vector == scratch
+    assert vector == scalar_performance_vector(
+        cluster, EnsembleSpec(MAX_SCENARIOS, MONTHS), heuristic
+    )
 
 
 def test_extend_is_idempotent_and_monotone() -> None:
@@ -68,7 +67,7 @@ def test_mutation_drill_catches_an_off_by_one() -> None:
     cluster = benchmark_cluster("chti", 45)
     builder = PerformanceVectorBuilder(cluster, MONTHS)
     vector = builder.extend(MAX_SCENARIOS)
-    scratch = performance_vector(
+    scratch = scalar_performance_vector(
         cluster, EnsembleSpec(MAX_SCENARIOS, MONTHS)
     )
     assert vector == scratch
@@ -86,18 +85,20 @@ def test_mutation_drill_catches_an_off_by_one() -> None:
 
 
 def test_builder_error_contract() -> None:
-    """Bad inputs raise exactly like the scalar vector does."""
+    """Bad inputs raise exactly like the scalar oracle does."""
     cluster = benchmark_cluster("paravent", 60)
     builder = PerformanceVectorBuilder(cluster, MONTHS)
     with pytest.raises(ConfigurationError):
         builder.extend(0)
 
-    # A cluster too small for any admissible group: the scalar vector
+    # A cluster too small for any admissible group: the scalar oracle
     # raises on its first entry, the builder on the first extend.
     tiny = ClusterSpec(
         "tiny",
         3,
         TableTimingModel({g: 100.0 for g in range(4, 12)}, post_seconds=10.0),
     )
+    with pytest.raises(SchedulingError):
+        scalar_performance_vector(tiny, EnsembleSpec(2, MONTHS))
     with pytest.raises(SchedulingError):
         PerformanceVectorBuilder(tiny, MONTHS).extend(2)

@@ -1,16 +1,35 @@
-"""Unit tests for the performance-vector service (Section 5, step 2)."""
+"""Unit tests for the performance-vector service (Section 5, step 2).
+
+The shipping routine is checked against the scalar k-loop of
+:mod:`tests.core.vector_oracle`, never against itself.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.heuristics import HeuristicName
+from repro.core.makespan import clear_makespan_cache, makespan_cache_disabled
 from repro.core.performance_vector import cluster_makespan, performance_vector
 from repro.platform.benchmarks import benchmark_cluster
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.core.vector_oracle import scalar_performance_vector
 
 
 class TestPerformanceVector:
+    @pytest.mark.parametrize("heuristic", list(HeuristicName))
+    @pytest.mark.parametrize("name, resources", [("chti", 30), ("azur", 71)])
+    def test_equals_scalar_oracle(self, heuristic, name, resources) -> None:
+        # Cold, warm and uncached: every entry is the oracle's fresh run.
+        cluster = benchmark_cluster(name, resources)
+        spec = EnsembleSpec(9, 7)
+        oracle = scalar_performance_vector(cluster, spec, heuristic)
+        clear_makespan_cache()
+        assert performance_vector(cluster, spec, heuristic) == oracle
+        assert performance_vector(cluster, spec, heuristic) == oracle
+        with makespan_cache_disabled():
+            assert performance_vector(cluster, spec, heuristic) == oracle
+
     def test_length_is_ns(self) -> None:
         cluster = benchmark_cluster("sagittaire", 25)
         vector = performance_vector(cluster, EnsembleSpec(5, 6))
@@ -31,9 +50,11 @@ class TestPerformanceVector:
         cluster = benchmark_cluster("azur", 28)
         spec = EnsembleSpec(4, 6)
         vector = performance_vector(cluster, spec, HeuristicName.KNAPSACK)
-        assert vector[-1] == pytest.approx(
-            cluster_makespan(cluster, spec, HeuristicName.KNAPSACK)
+        assert vector[-1] == cluster_makespan(
+            cluster, spec, HeuristicName.KNAPSACK
         )
+        oracle = scalar_performance_vector(cluster, spec, HeuristicName.KNAPSACK)
+        assert vector[-1] == oracle[-1]
 
     def test_faster_cluster_dominates(self) -> None:
         spec = EnsembleSpec(5, 6)

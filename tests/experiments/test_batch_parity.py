@@ -34,6 +34,7 @@ from repro.platform.timing import reference_timing
 from repro.schedulers.arena import ArenaGrid, run_arena
 from repro.simulation.engine import simulate
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.core.vector_oracle import scalar_performance_vector
 from tests.data.regenerate_golden import GOLDEN_PARAMS, HERE
 
 
@@ -107,13 +108,13 @@ def test_fig8_golden_raw_gains_via_batch() -> None:
 
 
 def test_fig10_golden_via_incremental_builders() -> None:
-    """Prefix-reusing builders reproduce the committed grid makespans.
+    """Prefix-reusing builders equal the oracle and reproduce fig10's goldens.
 
-    Each ``(speed, R, heuristic)`` performance vector comes from a
-    :class:`PerformanceVectorBuilder` instead of the from-scratch
-    :func:`~repro.core.performance_vector.performance_vector` the fig10
-    pipeline uses; the repartitioned makespans and gains must still
-    equal the fixture exactly.
+    Each ``(speed, R, heuristic)`` performance vector is grown one entry
+    at a time by a :class:`PerformanceVectorBuilder` (the routine the
+    fig10 pipeline calls through ``performance_vector``) and must equal
+    the scalar oracle of :mod:`tests.core.vector_oracle`; the
+    repartitioned makespans must still equal the fixture exactly.
     """
     params = GOLDEN_PARAMS["fig10"]
     spec = EnsembleSpec(params["scenarios"], params["months"])
@@ -122,20 +123,19 @@ def test_fig10_golden_via_incremental_builders() -> None:
     )
     golden = _golden_data("fig10")
 
-    builders: dict[tuple[str, int, str], PerformanceVectorBuilder] = {}
+    vectors: dict[tuple[str, int, str], list[float]] = {}
 
     def vector(speed: str, r: int, heuristic: HeuristicName) -> list[float]:
         key = (speed, r, heuristic.value)
-        builder = builders.get(key)
-        if builder is None:
-            from dataclasses import replace
-
-            cluster = replace(benchmark_cluster(speed, r), name=speed)
-            builder = PerformanceVectorBuilder(
-                cluster, spec.months, heuristic
-            )
-            builders[key] = builder
-        return builder.extend(spec.scenarios)[: spec.scenarios]
+        if key not in vectors:
+            cluster = benchmark_cluster(speed, r)
+            builder = PerformanceVectorBuilder(cluster, spec.months, heuristic)
+            for k in range(1, spec.scenarios + 1):
+                built = builder.extend(k)
+            oracle = scalar_performance_vector(cluster, spec, heuristic)
+            assert built == oracle
+            vectors[key] = oracle
+        return vectors[key]
 
     idx = 0
     for n in params["cluster_counts"]:

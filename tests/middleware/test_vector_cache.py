@@ -1,0 +1,108 @@
+"""Campaigns read their performance vectors from the kernel caches.
+
+Every vector entry and every SeD execution is a memoized simulation
+keyed on the grouping, the ensemble shape and the timings, never on the
+cluster's name.  So a ``benchmark_grid`` with more than five clusters,
+whose extra clusters repeat the five reference timings under new names,
+adds no engine runs for the repeats; a SeD's execution reads the entry
+its vector already holds; and a second identical campaign runs no
+engine at all.  The memoized results must equal uncached ones field for
+field.
+"""
+
+from __future__ import annotations
+
+from dataclasses import fields
+
+from repro import obs
+from repro.core.makespan import (
+    clear_makespan_cache,
+    makespan_cache_disabled,
+    makespan_cache_stats,
+)
+from repro.core.performance_vector import performance_vector
+from repro.faults.trace import FaultEvent, FaultKind, FaultTrace
+from repro.middleware.deployment import run_campaign
+from repro.middleware.recovery import run_campaign_with_faults
+from repro.platform.benchmarks import REFERENCE_CLUSTER_SPEEDS, benchmark_grid
+from repro.workflow.ocean_atmosphere import EnsembleSpec
+
+NS, NM = 12, 8
+HOUR = 3600.0
+
+
+def _simulated() -> dict[str, int]:
+    return makespan_cache_stats()["simulated"]
+
+
+def _engine_runs(run) -> tuple[object, int]:
+    """``run()`` observed: its result and its ``simulation.runs`` total."""
+    with obs.session() as (registry, _tracer):
+        result = run()
+        counters = registry.as_dict()["counters"]
+    series = counters.get("simulation.runs", [])
+    return result, sum(entry["value"] for entry in series)
+
+
+def test_repeated_timing_clusters_add_no_simulated_misses() -> None:
+    grid = benchmark_grid(7, 36)
+    distinct = len(REFERENCE_CLUSTER_SPEEDS)
+    assert [c.name for c in grid][distinct:] == ["sagittaire-1", "grelon-1"]
+
+    # The five distinct clusters' vectors: one miss per entry.
+    clear_makespan_cache()
+    for cluster in list(grid)[:distinct]:
+        performance_vector(cluster, EnsembleSpec(NS, NM))
+    assert _simulated()["misses"] == distinct * NS
+
+    # The whole campaign: the two repeats and every execution hit.
+    clear_makespan_cache()
+    result = run_campaign(grid, NS, NM)
+    stats = _simulated()
+    assert stats["misses"] == distinct * NS
+    assert stats["hits"] == (len(grid) - distinct) * NS + len(result.reports)
+    twins = {reply.cluster_name: reply.vector for reply in result.replies}
+    assert twins["sagittaire-1"] == twins["sagittaire"]
+    assert twins["grelon-1"] == twins["grelon"]
+
+
+def test_observed_campaign_counts_one_engine_run_per_miss() -> None:
+    grid = benchmark_grid(7, 36)
+    clear_makespan_cache()
+    _result, runs = _engine_runs(lambda: run_campaign(grid, NS, NM))
+    assert runs == _simulated()["misses"] > 0
+
+
+def test_second_identical_campaign_runs_no_engine() -> None:
+    grid = benchmark_grid(4, 40)
+    clear_makespan_cache()
+    first, cold_runs = _engine_runs(lambda: run_campaign(grid, NS, NM))
+    second, warm_runs = _engine_runs(lambda: run_campaign(grid, NS, NM))
+    assert cold_runs > 0
+    assert warm_runs == 0
+    assert second == first
+
+
+def _assert_fields_equal(cached: object, uncached: object) -> None:
+    assert type(cached) is type(uncached)
+    for field in fields(cached):
+        assert getattr(cached, field.name) == getattr(uncached, field.name), field.name
+
+
+def test_uncached_campaigns_equal_cached_field_for_field() -> None:
+    grid = benchmark_grid(6, 33)
+    trace = FaultTrace.of([
+        FaultEvent(FaultKind.OUTAGE, "chti", 3 * HOUR, duration=HOUR),
+        FaultEvent(FaultKind.CRASH, "sagittaire-1", 5 * HOUR),
+    ])
+    clear_makespan_cache()
+    cold = run_campaign(grid, NS, NM)
+    warm = run_campaign(grid, NS, NM)
+    faulted = run_campaign_with_faults(grid, NS, NM, trace)
+    with makespan_cache_disabled():
+        uncached = run_campaign(grid, NS, NM)
+        uncached_faulted = run_campaign_with_faults(grid, NS, NM, trace)
+    assert faulted.replans > 0
+    for cached in (cold, warm):
+        _assert_fields_equal(cached, uncached)
+    _assert_fields_equal(faulted, uncached_faulted)

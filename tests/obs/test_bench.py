@@ -11,6 +11,7 @@ from repro.cli import main
 from repro.exceptions import ConfigurationError
 from repro.obs.bench import (
     BENCH_SCHEMA,
+    BenchResult,
     BenchSpec,
     baseline_from_results,
     bench_specs,
@@ -261,6 +262,21 @@ class TestRegistry:
             assert entry["unit"] == spec.unit
 
 
+def _artifact_result(path: Path) -> BenchResult:
+    """The :class:`BenchResult` a schema-validated artifact was written from."""
+    doc = load_bench_artifact(path)
+    result = BenchResult(
+        name=doc["name"], unit=doc["unit"], direction=doc["direction"],
+        value=doc["value"], p25=doc["p25"], p75=doc["p75"],
+        low=doc["min"], high=doc["max"], mean=doc["mean"],
+        samples=tuple(doc["samples"]), repetitions=doc["repetitions"],
+        warmup=doc["warmup"], seed=doc["seed"], machine=doc["machine"],
+        library_version=doc["library_version"], unix_time=doc["unix_time"],
+    )
+    assert result.as_dict() == doc
+    return result
+
+
 class TestBenchCli:
     def test_cli_writes_artifacts_and_gates(self, tmp_path, capsys) -> None:
         out = tmp_path / "artifacts"
@@ -281,10 +297,13 @@ class TestBenchCli:
         assert main([*base_args, "--update-baseline"]) == 0
         artifacts = sorted(out.glob("BENCH_*.json"))
         assert len(artifacts) >= 3
-        for path in artifacts:
-            load_bench_artifact(path)  # schema-validated
-
-        assert main(base_args) == 0  # within budget vs own baseline
+        # Load (schema-validated) and re-gate the artifacts just written
+        # against the baseline they produced: deterministic, where a
+        # second measurement is not.
+        results = [_artifact_result(path) for path in artifacts]
+        rows = compare_to_baseline(results, load_baseline(baseline))
+        assert [row.ratio for row in rows] == [1.0] * len(artifacts)
+        assert not any(row.regressed for row in rows)
         assert main([*base_args, "--inject-slowdown", "2"]) == 2
         captured = capsys.readouterr()
         assert "REGRESSED" in captured.out
