@@ -64,10 +64,13 @@ def _scalar_pass() -> int:
 def _batch_pass() -> int:
     plans = 0
     for name, resources in WORKLOADS:
-        timing = benchmark_timing(name)
-        for heuristic in HeuristicName:
-            groupings = batch_plan_groupings(timing, resources, SPEC, heuristic)
-            plans += sum(1 for g in groupings if g is not None)
+        points = [
+            (r, SPEC.scenarios, SPEC.months, heuristic)
+            for r in resources
+            for heuristic in HeuristicName
+        ]
+        groupings = batch_plan_groupings(benchmark_timing(name), points)
+        plans += sum(1 for g in groupings if g is not None)
     return plans
 
 

@@ -14,9 +14,10 @@ re-expresses those kernels as numpy array operations over entire grids:
   once at the capacity ceiling, then traced back for every requested
   capacity (one ``O(max_items × C × |items|)`` pass serves the whole
   axis).
-* :func:`batch_plan_groupings` — all four paper heuristics across a
-  resource axis, returning the same :class:`~repro.core.grouping.Grouping`
-  objects the scalar :func:`~repro.core.heuristics.plan_grouping` builds.
+* :func:`batch_plan_groupings` — all four paper heuristics over a batch
+  of ``(R, NS, NM, heuristic)`` points (one sweep chunk), returning the
+  same :class:`~repro.core.grouping.Grouping` objects the scalar
+  :func:`~repro.core.heuristics.plan_grouping` builds.
 * :func:`batch_gains_over_baseline` — the Figure 8/10 gain metric over
   many cells at once.
 * :class:`PerformanceVectorBuilder` — incremental Algorithm 1
@@ -39,6 +40,7 @@ poison a grid.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence, TypeAlias
 
@@ -62,6 +64,7 @@ from repro.workflow.ocean_atmosphere import EnsembleSpec
 __all__ = [
     "BatchBreakdown",
     "PerformanceVectorBuilder",
+    "PlanPoint",
     "batch_analytic_breakdown",
     "batch_analytic_makespan",
     "batch_best_uniform_group",
@@ -73,6 +76,10 @@ __all__ = [
 #: Anything the Eq 1–5 batch kernels accept per argument: scalars or
 #: broadcastable arrays.
 ArrayLike: TypeAlias = "int | float | Sequence[int] | Sequence[float] | np.ndarray"
+
+#: One point :func:`batch_plan_groupings` plans:
+#: ``(resources, scenarios, months, heuristic)``.
+PlanPoint: TypeAlias = "tuple[int, int, int, HeuristicName | str]"
 
 
 # ---------------------------------------------------------------------------
@@ -426,58 +433,75 @@ def _uniform_family_grouping(
     return Grouping.from_sizes(sizes, r, post_pool=leftover)
 
 
-def _batch_knapsack_groupings(
-    timing: TimingModel, rs: list[int], spec: EnsembleSpec
-) -> list["Grouping | None"]:
+def _knapsack_groupings(
+    timing: TimingModel, cells: Iterable[tuple[int, int]]
+) -> dict[tuple[int, int], "Grouping | None"]:
+    """Improvement 3's grouping for every ``(R, NS)`` cell.
+
+    The knapsack does not depend on ``NM``, and one DP at the largest
+    ``R`` serves every smaller capacity, so each distinct ``NS`` costs
+    one :func:`batch_solve_dp`.
+    """
+    by_ns: dict[int, list[int]] = {}
+    for r, ns in cells:
+        by_ns.setdefault(ns, []).append(r)
     values = {g: 1.0 / timing.main_time(g) for g in timing.group_sizes}
-    ceiling = max(rs)
-    problem = CardinalityKnapsack.from_weights_values(
-        values, ceiling, spec.scenarios
-    )
-    solutions = batch_solve_dp(problem, rs)
-    groupings: list[Grouping | None] = []
-    for r, solution in zip(rs, solutions, strict=True):
-        sizes = solution.as_multiset()
-        groupings.append(Grouping.from_sizes(sizes, r) if sizes else None)
+    groupings: dict[tuple[int, int], Grouping | None] = {}
+    for ns, rs in by_ns.items():
+        problem = CardinalityKnapsack.from_weights_values(values, max(rs), ns)
+        for r, solution in zip(rs, batch_solve_dp(problem, rs), strict=True):
+            sizes = solution.as_multiset()
+            groupings[r, ns] = Grouping.from_sizes(sizes, r) if sizes else None
     return groupings
 
 
 def batch_plan_groupings(
-    timing: TimingModel,
-    resources: Iterable[int],
-    spec: EnsembleSpec,
-    heuristic: "HeuristicName | str",
+    timing: TimingModel, points: Iterable[PlanPoint]
 ) -> list["Grouping | None"]:
-    """Plan one heuristic across a resource axis with the batch kernels.
+    """Plan a batch of ``(R, NS, NM, heuristic)`` points on one timing model.
 
-    Returns one entry per resource count, in order: the exact
+    Returns one entry per point, in input order: the exact
     :class:`~repro.core.grouping.Grouping` the scalar
     :func:`~repro.core.heuristics.plan_grouping` would build, or ``None``
     where the scalar heuristic raises
     :class:`~repro.exceptions.SchedulingError` (cluster too small to
-    host any group).
+    host any group).  Basic, redistribute and allpost_end all start from
+    the basic heuristic's ``G*``, so they share one
+    :func:`batch_best_uniform_group` over the batch's distinct
+    ``(R, NS, NM)`` cells; the knapsack runs one DP per distinct ``NS``.
     """
-    name = HeuristicName(heuristic)
-    rs = [int(r) for r in resources]
-    if not rs:
-        return []
-    for r in rs:
-        if r < 1:
-            raise ConfigurationError(f"resources must be >= 1, got {r!r}")
-    if name is HeuristicName.KNAPSACK:
-        groupings = _batch_knapsack_groupings(timing, rs, spec)
-    else:
-        best_g, feasible = batch_best_uniform_group(
-            timing, rs, spec.scenarios, spec.months
-        )
-        groupings = [
-            _uniform_family_grouping(timing, name, r, int(g), spec.scenarios)
-            if ok
-            else None
-            for r, g, ok in zip(rs, best_g.tolist(), feasible.tolist(), strict=True)
-        ]
+    plan = [(int(r), int(ns), int(nm), HeuristicName(h)) for r, ns, nm, h in points]
+    for r, ns, nm, _ in plan:
+        if r < 1 or ns < 1 or nm < 1:
+            raise ConfigurationError(
+                f"resources, scenarios and months must be >= 1, got "
+                f"{(r, ns, nm)!r}"
+            )
+    # Distinct cells in first-appearance order (dicts as ordered sets).
+    knapsack_cells = dict.fromkeys(
+        (r, ns) for r, ns, _, name in plan if name is HeuristicName.KNAPSACK
+    )
+    cells = list(dict.fromkeys(
+        (r, ns, nm) for r, ns, nm, name in plan if name is not HeuristicName.KNAPSACK
+    ))
+    knapsack = _knapsack_groupings(timing, knapsack_cells)
+    best: dict[tuple[int, int, int], int] = {}
+    if cells:
+        best_g, _ = batch_best_uniform_group(timing, *zip(*cells))
+        best = dict(zip(cells, best_g.tolist(), strict=True))  # 0: infeasible
+    groupings: list[Grouping | None] = []
+    for r, ns, nm, name in plan:
+        if name is HeuristicName.KNAPSACK:
+            groupings.append(knapsack[r, ns])
+        else:
+            g = best[r, ns, nm]
+            groupings.append(
+                _uniform_family_grouping(timing, name, r, g, ns) if g else None
+            )
     if obs.enabled():
-        obs.inc("batch.plans", len(groupings), heuristic=name.value)
+        counts = Counter(name.value for _, _, _, name in plan)
+        for heuristic, n in counts.items():
+            obs.inc("batch.plans", n, heuristic=heuristic)
     return groupings
 
 

@@ -10,11 +10,10 @@ Each point runs through the memoized kernels of
 :mod:`repro.simulation.engine`; the heuristic axis iterates innermost so
 the points sharing a ``(cluster, R, NS, NM)`` kernel land in the same
 chunk — and therefore the same worker-process cache.  Planning runs
-through the vectorized kernels of :mod:`repro.core.batch`, one array
-evaluation per ``(cluster, NS, NM, heuristic)`` group per chunk, with
-observability on or off; the point-by-point scalar planner stays as the
-oracle ``batch=False`` selects — bit-identical rows, same journal, same
-resume semantics.
+through the vectorized kernels of :mod:`repro.core.batch`, one call per
+cluster per chunk, with observability on or off; the point-by-point
+scalar planner stays as the oracle ``batch=False`` selects —
+bit-identical rows, same journal, same resume semantics.
 """
 
 from __future__ import annotations
@@ -312,32 +311,32 @@ def _eval_point(point: SweepPoint) -> SweepRow:
 def _eval_chunk_batch(chunk: tuple[SweepPoint, ...]) -> tuple[SweepRow, ...]:
     """Evaluate one chunk with the batch planning kernels.
 
-    Points are grouped by their shared ``(cluster, NS, NM, heuristic)``
-    kernel and planned together over the resource axis via
-    :func:`repro.core.batch.batch_plan_groupings`; simulation still runs
-    through the scalar cached kernel, so every row is bit-identical to
-    :func:`_eval_point`'s (the golden-parity suite asserts this).
+    Each cluster's points are planned in one
+    :func:`repro.core.batch.batch_plan_groupings` call (one ``G*``
+    evaluation over the chunk's cells, one knapsack DP per ``NS``);
+    simulation still runs through the scalar cached kernel, so every row
+    is bit-identical to :func:`_eval_point`'s (the golden-parity suite
+    asserts this).
     """
     from repro.core.batch import batch_plan_groupings
     from repro.platform.benchmarks import benchmark_timing
 
-    by_kernel: dict[tuple[str, int, int, str], list[int]] = {}
+    by_cluster: dict[str, list[int]] = {}
     for position, point in enumerate(chunk):
-        key = (point.cluster, point.scenarios, point.months, point.heuristic)
-        by_kernel.setdefault(key, []).append(position)
+        by_cluster.setdefault(point.cluster, []).append(position)
 
     rows: list[SweepRow | None] = [None] * len(chunk)
-    for (cluster_name, ns, nm, heuristic), positions in by_kernel.items():
+    for cluster_name, positions in by_cluster.items():
         timing = benchmark_timing(cluster_name)
-        spec = EnsembleSpec(ns, nm)
+        points = [chunk[p] for p in positions]
         groupings = batch_plan_groupings(
-            timing, [chunk[p].resources for p in positions], spec, heuristic
+            timing, [(p.resources, p.scenarios, p.months, p.heuristic) for p in points]
         )
-        for position, grouping in zip(positions, groupings, strict=True):
-            point = chunk[position]
+        for position, point, grouping in zip(positions, points, groupings, strict=True):
             if grouping is None:
                 rows[position] = SweepRow(point, None, "")
             else:
+                spec = EnsembleSpec(point.scenarios, point.months)
                 makespan = cached_simulated_makespan(grouping, spec, timing)
                 rows[position] = SweepRow(point, makespan, grouping.describe())
     return tuple(row for row in rows if row is not None)

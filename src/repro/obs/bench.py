@@ -694,9 +694,9 @@ def _bench_kernels() -> float:
 
     Plans fig7- and fig8-shaped grids (every heuristic x every
     ``(cluster, R)`` cell at NS=10, NM=12) through
-    :func:`repro.core.batch.batch_plan_groupings` — the vectorized
-    Eq 1–5 + knapsack-DP path every sweep plans through by default.
-    One config is one planned ``(cluster, R, heuristic)`` cell.
+    :func:`repro.core.batch.batch_plan_groupings`, one call per cluster
+    — the vectorized Eq 1–5 + knapsack-DP path every sweep plans through
+    by default.  One config is one planned ``(cluster, R, heuristic)`` cell.
     ``benchmarks/bench_kernels.py`` additionally asserts the >=5x ratio
     over the memoized scalar path on the same grids.
     """
@@ -718,9 +718,12 @@ def _bench_kernels() -> float:
     plans = 0
     started = time.perf_counter()
     for name, resources in workloads:
-        timing = benchmark_timing(name)
-        for heuristic in HeuristicName:
-            plans += len(batch_plan_groupings(timing, resources, spec, heuristic))
+        points = [
+            (r, spec.scenarios, spec.months, heuristic)
+            for r in resources
+            for heuristic in HeuristicName
+        ]
+        plans += len(batch_plan_groupings(benchmark_timing(name), points))
     elapsed = time.perf_counter() - started
     return plans / elapsed
 

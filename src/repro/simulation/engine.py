@@ -60,15 +60,19 @@ Fast-path regimes
       the three heaps separately, at the same ``O(log NS)`` per event
       and a constant factor more.
 
-    The fast post phase peeks at the earliest free processor and
-    replaces it with the post's end, ``O(NS·NM · log R)``.  A full
-    paper-scale experiment (10 × 1800 months) simulates in well under a
-    second.
+    The fast post phase needs no heap.  Every post takes the same
+    ``TP`` and the ready list arrives sorted, so post ends come out
+    nondecreasing: the processor pool is the merge of the sorted initial
+    availabilities with a FIFO of post ends, two pointers doing the
+    reference path's ``max``/``+`` per post, ``O(R log R + NS·NM)``.  A
+    full paper-scale experiment (10 × 1800 months) simulates in well
+    under a second.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import TYPE_CHECKING
 
 from repro import obs
@@ -115,7 +119,7 @@ def simulate(
         Reject groupings with more groups than scenarios (the paper's
         rule).  Disable only for deliberately degenerate test inputs.
     fast:
-        ``None`` (default) picks automatically: the heap-based fast
+        ``None`` (default) picks automatically: the record-free fast
         path unless ``record_trace`` asks for per-task records, which
         only the reference path produces.  Observability does not
         enter the choice — both paths publish the same metrics while
@@ -563,36 +567,46 @@ def _run_post_phase_fast(
     group_last_end: list[float],
     tp: float,
 ) -> float:
-    """The post phase on a float-only processor heap; returns its makespan.
+    """The post phase as a merge of two sorted queues; returns its makespan.
 
-    Processor identity never affects timing — the pool pops the earliest
-    ``available_from`` either way — so the heap holds bare floats.  The
-    ready list arrives sorted (main-phase completion order), and posts of
-    equal ready time are interchangeable: whatever order they claim the
-    two earliest processors in, the resulting pool and end-time multisets
-    are identical, hence the same makespan as the reference path.  Each
-    post takes the earliest processor and returns it at the post's end,
-    one ``heapreplace``.
+    Processor identity never affects timing — each post takes the
+    earliest ``available_from`` either way — so the pool is a multiset
+    of floats.  The ready list arrives sorted (main-phase completion
+    order) and the pool's minimum never falls, so post starts, and with
+    them post ends (every post takes the same ``TP``), come out
+    nondecreasing.  The pool is therefore the merge of the initial
+    availabilities (the post pool at 0.0, each group's processors at its
+    last end), sorted once, with a FIFO of post ends: each post takes
+    the smaller head, does the reference path's ``max``/``+`` and joins
+    the FIFO's tail.  Equal heads are interchangeable, so the end
+    multiset, and the makespan (the last end), are the reference path's.
+    The smallest initial availability seeds the FIFO — nothing ends
+    before it — so the FIFO is never empty when read.
     """
     pool: list[float] = [0.0] * grouping.post_pool
     for group, size in enumerate(grouping.group_sizes):
         pool.extend([group_last_end[group]] * size)
-    heapq.heapify(pool)
-
-    if not pool:
-        if ready_times:
-            raise SimulationError(
-                "no processor ever becomes available for post-processing "
-                "tasks — grouping has no post pool and no groups?"
-            )
+    if not pool and ready_times:
+        raise SimulationError(
+            "no processor ever becomes available for post-processing "
+            "tasks — grouping has no post pool and no groups?"
+        )
+    if not ready_times:
         return 0.0
-
-    replace = heapq.heapreplace
-    makespan = 0.0
+    pool.sort()
+    ends = pool[:1]
+    initial = pool[1:]
+    initial.append(math.inf)  # sentinel: an end always wins against it
+    push = ends.append
+    i = j = 0
+    head = initial[0]
     for ready in ready_times:
-        free_at = pool[0]
-        end = (free_at if free_at > ready else ready) + tp
-        replace(pool, end)
-        if end > makespan:
-            makespan = end
-    return makespan
+        free_at = ends[j]
+        if head < free_at:
+            free_at = head
+            i += 1
+            head = initial[i]
+        else:
+            j += 1
+        push((free_at if free_at > ready else ready) + tp)
+    return ends[-1]

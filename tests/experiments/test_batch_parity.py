@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 
+from repro import obs
 from repro.analysis.gains import gains_over_baseline
 from repro.core.batch import (
     PerformanceVectorBuilder,
@@ -62,8 +63,8 @@ def test_fig8_golden_raw_gains_via_batch() -> None:
 
     ``raw_gains[heuristic][j][i]`` in the fixture is cluster ``j`` at
     ``resources[i]``; each cell is rebuilt here from
-    :func:`batch_plan_groupings` (one call per cluster × heuristic,
-    whole resource axis at once) and scored through
+    :func:`batch_plan_groupings` (one call per cluster: every heuristic
+    over the whole resource axis at once) and scored through
     :func:`batch_gains_over_baseline`.
     """
     params = GOLDEN_PARAMS["fig8"]
@@ -77,23 +78,21 @@ def test_fig8_golden_raw_gains_via_batch() -> None:
     assert [c.name for c in protos] == list(golden["cluster_names"])
 
     # makespans[h][j][i]: heuristic h, cluster j, resource point i.
-    makespans: dict[str, list[list[float]]] = {}
-    for heuristic in HeuristicName:
-        per_cluster: list[list[float]] = []
-        for proto in protos:
-            groupings = batch_plan_groupings(
-                proto.timing, resources, spec, heuristic
+    makespans: dict[str, list[list[float]]] = {
+        heuristic.value: [[] for _ in protos] for heuristic in HeuristicName
+    }
+    for j, proto in enumerate(protos):
+        points = [
+            (r, spec.scenarios, spec.months, heuristic)
+            for r in resources
+            for heuristic in HeuristicName
+        ]
+        groupings = batch_plan_groupings(proto.timing, points)
+        for (_, _, _, heuristic), grouping in zip(points, groupings, strict=True):
+            assert grouping is not None  # all feasible from R = 11
+            makespans[heuristic.value][j].append(
+                simulate(grouping, spec, proto.timing, cluster_name=proto.name).makespan
             )
-            row: list[float] = []
-            for grouping in groupings:
-                assert grouping is not None  # all feasible from R = 11
-                row.append(
-                    simulate(
-                        grouping, spec, proto.timing, cluster_name=proto.name
-                    ).makespan
-                )
-            per_cluster.append(row)
-        makespans[heuristic.value] = per_cluster
 
     cells = [
         {name: makespans[name][j][i] for name in makespans}
@@ -179,6 +178,46 @@ def test_batched_sweep_matches_scalar_rows(tmp_path) -> None:
     partial = run_sweep(grid, batch=True, journal_path=journal, max_chunks=1)
     assert len(partial.rows) < len(scalar.rows)
     resumed = run_sweep(grid, batch=False, journal_path=journal)
+    assert resumed.rows == scalar.rows
+
+
+def test_batched_sweep_parity_across_chunk_boundaries(tmp_path) -> None:
+    """Chunks that split clusters and kernels: batch == scalar, row for row.
+
+    With 7-point chunks over a 3-cluster grid at two ``NS`` and two
+    ``NM`` values, chunks start mid-kernel and some span two clusters,
+    so a planner call sees partial heuristic sets over ``(R, NS, NM)``
+    cells that differ in ``NS`` or ``NM``.  A batched run resumed with
+    the scalar oracle equals both, and the per-heuristic ``batch.plans``
+    counters equal the point counts.
+    """
+    grid = SweepGrid.from_ranges(
+        clusters=("chti", "grelon", "sagittaire"),
+        r_min=11,
+        r_max=131,
+        step=24,
+        scenarios=(10, 11),
+        months=(12, 24),
+    )
+    scalar = run_sweep(grid, batch=False, chunk_size=7)
+    with obs.session() as (registry, _tracer):
+        batched = run_sweep(grid, batch=True, chunk_size=7)
+        counters = registry.as_dict()["counters"]
+    assert batched.rows == scalar.rows
+
+    plans = {
+        series["labels"]["heuristic"]: series["value"]
+        for series in counters["batch.plans"]
+    }
+    per_heuristic = grid.size // len(grid.heuristics)
+    assert plans == {h: per_heuristic for h in grid.heuristics}
+
+    journal = tmp_path / "sweep.ndjson"
+    partial = run_sweep(
+        grid, batch=True, chunk_size=7, journal_path=journal, max_chunks=3
+    )
+    assert 0 < len(partial.rows) < grid.size
+    resumed = run_sweep(grid, batch=False, chunk_size=7, journal_path=journal)
     assert resumed.rows == scalar.rows
 
 

@@ -53,11 +53,11 @@ from repro.core.makespan import (
     clear_makespan_cache,
     set_makespan_cache_enabled,
 )
-from repro.exceptions import SchedulingError
+from repro.exceptions import ConfigurationError, SchedulingError
 from repro.knapsack.dp import solve_dp
 from repro.knapsack.items import CardinalityKnapsack
 from repro.platform.cluster import ClusterSpec
-from repro.platform.timing import TableTimingModel
+from repro.platform.timing import TableTimingModel, reference_timing
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 
 GROUP_SIZES = range(4, 12)
@@ -185,9 +185,30 @@ def planning_instances(draw):
     return timing, resources, EnsembleSpec(scenarios, months)
 
 
+@st.composite
+def planning_batches(draw):
+    """A timing model plus a sweep-chunk-like batch of planning points.
+
+    Resource values repeat, and ``NS``/``NM`` take a few values each, so
+    batches mix shared ``(R, NS, NM)`` cells, several knapsack ``NS``
+    values and every heuristic, in arbitrary order.
+    """
+    timing = _dyadic_table(draw)
+    n = draw(st.integers(1, 32))
+    resources = st.integers(1, 140)
+    scenarios = st.sampled_from((1, 2, 3, 5, 10, 12))
+    months = st.sampled_from((1, 2, 12, 24))
+    heuristics = st.sampled_from(list(HeuristicName))
+    points = [
+        (draw(resources), draw(scenarios), draw(months), draw(heuristics))
+        for _ in range(n)
+    ]
+    return timing, points
+
+
 @pytest.mark.parametrize("cache_enabled", [True, False])
-@given(instance=planning_instances())
-@settings(max_examples=30, deadline=None)
+@given(instance=planning_batches())
+@settings(max_examples=60, deadline=None)
 def test_batch_plan_groupings_matches_scalar(cache_enabled, instance) -> None:
     """Grouping-for-grouping parity with ``plan_grouping``, cache on/off.
 
@@ -195,24 +216,32 @@ def test_batch_plan_groupings_matches_scalar(cache_enabled, instance) -> None:
     :class:`SchedulingError`; a planned entry must equal the scalar
     grouping (sizes, post pool, everything ``Grouping.__eq__`` sees).
     """
-    timing, resources, spec = instance
+    timing, points = instance
     previous = set_makespan_cache_enabled(cache_enabled)
     try:
         clear_makespan_cache()
-        for heuristic in HeuristicName:
-            batched = batch_plan_groupings(timing, resources, spec, heuristic)
-            assert len(batched) == len(resources)
-            for r, got in zip(resources, batched):
-                cluster = ClusterSpec(f"c{r}", r, timing)
-                try:
-                    expected = plan_grouping(cluster, spec, heuristic)
-                except SchedulingError:
-                    assert got is None
-                    continue
-                assert got == expected
+        batched = batch_plan_groupings(timing, points)
+        assert len(batched) == len(points)
+        for (r, ns, nm, heuristic), got in zip(points, batched):
+            cluster = ClusterSpec(f"c{r}", r, timing)
+            try:
+                expected = plan_grouping(cluster, EnsembleSpec(ns, nm), heuristic)
+            except SchedulingError:
+                assert got is None
+                continue
+            assert got == expected
     finally:
         set_makespan_cache_enabled(previous)
         clear_makespan_cache()
+
+
+def test_batch_plan_groupings_edges() -> None:
+    """An empty batch plans nothing; a non-positive axis value is refused."""
+    timing = reference_timing()
+    assert batch_plan_groupings(timing, []) == []
+    for bad in ((0, 10, 12, "basic"), (20, 0, 12, "knapsack"), (20, 10, 0, "basic")):
+        with pytest.raises(ConfigurationError):
+            batch_plan_groupings(timing, [(20, 10, 12, "basic"), bad])
 
 
 @given(instance=planning_instances())
