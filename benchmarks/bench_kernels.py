@@ -22,39 +22,33 @@ Run with::
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 
 from repro.core.batch import batch_plan_groupings
-from repro.core.heuristics import HeuristicName, plan_grouping
+from repro.core.heuristics import plan_grouping
 from repro.core.makespan import clear_makespan_cache
 from repro.exceptions import SchedulingError
-from repro.platform.benchmarks import (
-    REFERENCE_CLUSTER_SPEEDS,
-    benchmark_cluster,
-    benchmark_timing,
-)
+from repro.obs.bench import kernels_workload
+from repro.platform.benchmarks import benchmark_cluster, benchmark_timing
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 
 SPEEDUP_FLOOR = 5.0
 REPEATS = 3
 
-#: The fig7 + fig8 planning workload: the dense single-cluster R axis
-#: plus the five-cluster coarse axis, every heuristic, NS=10 / NM=12.
-SPEC = EnsembleSpec(10, 12)
-WORKLOADS = [("sagittaire", list(range(11, 121)))] + [
-    (name, list(range(11, 44, 4))) for name in sorted(REFERENCE_CLUSTER_SPEEDS)
-]
+#: The fig7 + fig8 planning workload the ``kernels`` bench also plans.
+WORKLOADS = kernels_workload()
 
 
 def _scalar_pass() -> int:
     plans = 0
-    for name, resources in WORKLOADS:
-        for r in resources:
+    for name, points in WORKLOADS:
+        for r, cell in itertools.groupby(points, key=lambda point: point[0]):
             cluster = benchmark_cluster(name, r)
-            for heuristic in HeuristicName:
+            for _, scenarios, months, heuristic in cell:
                 try:
-                    plan_grouping(cluster, SPEC, heuristic)
+                    plan_grouping(cluster, EnsembleSpec(scenarios, months), heuristic)
                 except SchedulingError:
                     continue
                 plans += 1
@@ -63,12 +57,7 @@ def _scalar_pass() -> int:
 
 def _batch_pass() -> int:
     plans = 0
-    for name, resources in WORKLOADS:
-        points = [
-            (r, SPEC.scenarios, SPEC.months, heuristic)
-            for r in resources
-            for heuristic in HeuristicName
-        ]
+    for name, points in WORKLOADS:
         groupings = batch_plan_groupings(benchmark_timing(name), points)
         plans += sum(1 for g in groupings if g is not None)
     return plans

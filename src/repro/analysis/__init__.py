@@ -14,7 +14,6 @@ from repro.analysis.plotting import ascii_plot, series_to_csv
 from repro.analysis.report import ReportConfig, generate_report
 from repro.analysis.svg import svg_line_chart
 from repro.analysis.sensitivity import EntrySensitivity, table_sensitivity
-from repro.analysis.compare import SeriesDrift, compare_results, format_drift
 
 __all__ = [
     "gain_percent",
@@ -31,7 +30,4 @@ __all__ = [
     "svg_line_chart",
     "EntrySensitivity",
     "table_sensitivity",
-    "SeriesDrift",
-    "compare_results",
-    "format_drift",
 ]

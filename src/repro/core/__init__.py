@@ -46,7 +46,6 @@ from repro.core.heuristics import (
 from repro.core.performance_vector import performance_vector
 from repro.core.batch import (
     BatchBreakdown,
-    PerformanceVectorBuilder,
     batch_analytic_breakdown,
     batch_analytic_makespan,
     batch_best_uniform_group,
@@ -56,7 +55,6 @@ from repro.core.batch import (
 )
 from repro.core.repartition import Repartition, repartition_dags
 from repro.core.generic import GenericChainProblem, generic_grouping
-from repro.core.bounds import LowerBounds, lower_bounds
 from repro.core.cpa import cpa_grouping, cpa_width
 from repro.core.exhaustive import (
     ExhaustiveResult,
@@ -88,7 +86,6 @@ __all__ = [
     "plan_grouping",
     "performance_vector",
     "BatchBreakdown",
-    "PerformanceVectorBuilder",
     "batch_analytic_breakdown",
     "batch_analytic_makespan",
     "batch_best_uniform_group",
@@ -99,10 +96,8 @@ __all__ = [
     "repartition_dags",
     "GenericChainProblem",
     "generic_grouping",
-    "LowerBounds",
     "cpa_grouping",
     "cpa_width",
-    "lower_bounds",
     "ExhaustiveResult",
     "enumerate_groupings",
     "exhaustive_grouping",

@@ -11,19 +11,16 @@ re-expresses those kernels as numpy array operations over entire grids:
 * :func:`batch_best_uniform_group` — the basic heuristic's ``G``
   selection for a whole resource (or scenario) axis at once.
 * :func:`batch_solve_dp` — the cardinality-capped knapsack DP evaluated
-  once at the capacity ceiling, then traced back for every requested
-  capacity (one ``O(max_items × C × |items|)`` pass serves the whole
-  axis).
+  once at the capacity and cap ceilings, then traced back for every
+  requested ``(capacity, max_items)`` cell (one
+  ``O(max_items × C × |items|)`` pass serves them all).
 * :func:`batch_plan_groupings` — all four paper heuristics over a batch
-  of ``(R, NS, NM, heuristic)`` points (one sweep chunk), returning the
+  of ``(R, NS, NM, heuristic)`` points (one sweep chunk, or the ``1..NS``
+  entries of a performance vector), returning the
   same :class:`~repro.core.grouping.Grouping` objects the scalar
   :func:`~repro.core.heuristics.plan_grouping` builds.
 * :func:`batch_gains_over_baseline` — the Figure 8/10 gain metric over
   many cells at once.
-* :class:`PerformanceVectorBuilder` — incremental Algorithm 1
-  performance vectors that reuse the ``1..NS-1`` prefix (and the shared
-  DP layer stack) when extending to ``NS``; entries are memoized
-  simulations.
 
 Every kernel is **bit-for-bit** equal to its scalar counterpart: the
 array expressions replicate the scalar code's float operations operand
@@ -41,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, TypeAlias
 
 import numpy as np
@@ -49,21 +46,13 @@ import numpy as np
 from repro import obs
 from repro.core.grouping import Grouping
 from repro.core.heuristics import HeuristicName
-from repro.core.makespan import (
-    _RATIO_EPS,
-    MakespanBreakdown,
-    _floor_ratio,
-    cached_simulated_makespan,
-)
+from repro.core.makespan import _RATIO_EPS, MakespanBreakdown, _floor_ratio
 from repro.exceptions import ConfigurationError, SchedulingError
 from repro.knapsack.items import CardinalityKnapsack, KnapsackItem, KnapsackSolution
-from repro.platform.cluster import ClusterSpec
 from repro.platform.timing import TimingModel
-from repro.workflow.ocean_atmosphere import EnsembleSpec
 
 __all__ = [
     "BatchBreakdown",
-    "PerformanceVectorBuilder",
     "PlanPoint",
     "batch_analytic_breakdown",
     "batch_analytic_makespan",
@@ -288,64 +277,54 @@ def batch_best_uniform_group(
 
 
 class _DpLayers:
-    """Mutable batched DP state over the full ``0..capacity`` axis.
+    """Batched DP choice rows over the full ``0..capacity`` axis.
 
-    One layer per cardinality slot, each a vectorized sweep of the item
-    candidates over every capacity at once.  The per-cell update order
-    (items in problem order, strictly-greater lexicographic
-    ``(value, -weight)`` wins) replicates :func:`repro.knapsack.dp.solve_dp`
-    exactly, so the float value accumulations are bit-identical.  Layers
-    can be appended later (``ensure``) — the basis of the incremental
-    performance vectors.
+    One layer per cardinality slot up to ``max_items``, each a vectorized
+    sweep of the item candidates over every capacity at once.  The
+    per-cell update order (items in problem order, strictly-greater
+    lexicographic ``(value, -weight)`` wins) replicates
+    :func:`repro.knapsack.dp.solve_dp` exactly, so the float value
+    accumulations are bit-identical.  Like the scalar DP, the stack stops
+    at the first layer that changes nothing.
     """
 
-    def __init__(self, items: tuple[KnapsackItem, ...], capacity: int) -> None:
+    def __init__(
+        self, items: tuple[KnapsackItem, ...], capacity: int, max_items: int
+    ) -> None:
         self.items = items
-        self.capacity = capacity
-        self._value = np.zeros(capacity + 1, dtype=np.float64)
-        self._negw = np.zeros(capacity + 1, dtype=np.int64)
         self.choices: list[np.ndarray] = []
-        self.stabilized = False
-
-    def ensure(self, max_items: int) -> None:
-        """Compute layers up to ``max_items`` (no-op once stabilized)."""
-        while len(self.choices) < max_items and not self.stabilized:
-            self._add_layer()
-
-    def _add_layer(self) -> None:
-        cur_value = self._value.copy()
-        cur_negw = self._negw.copy()
-        choice = np.full(self.capacity + 1, -1, dtype=np.int32)
-        for idx, item in enumerate(self.items):
-            w = item.weight
-            if w > self.capacity:
-                continue
-            cand_value = self._value[:-w] + item.value
-            cand_negw = self._negw[:-w] - w
-            seg_value = cur_value[w:]
-            seg_negw = cur_negw[w:]
-            better = (cand_value > seg_value) | (
-                (cand_value == seg_value) & (cand_negw > seg_negw)
-            )
-            seg_value[better] = cand_value[better]
-            seg_negw[better] = cand_negw[better]
-            choice[w:][better] = idx
-        self.choices.append(choice)
-        # A winning candidate is strictly lexicographically greater, so
-        # an unchanged layer is exactly an all-(-1) choice row — the
-        # scalar DP's early-exit condition.
-        if np.array_equal(cur_value, self._value) and np.array_equal(
-            cur_negw, self._negw
-        ):
-            self.stabilized = True
-        else:
-            self._value = cur_value
-            self._negw = cur_negw
+        value = np.zeros(capacity + 1, dtype=np.float64)
+        negw = np.zeros(capacity + 1, dtype=np.int64)
+        while len(self.choices) < max_items:
+            cur_value = value.copy()
+            cur_negw = negw.copy()
+            choice = np.full(capacity + 1, -1, dtype=np.int32)
+            for idx, item in enumerate(items):
+                w = item.weight
+                if w > capacity:
+                    continue
+                cand_value = value[:-w] + item.value
+                cand_negw = negw[:-w] - w
+                seg_value = cur_value[w:]
+                seg_negw = cur_negw[w:]
+                better = (cand_value > seg_value) | (
+                    (cand_value == seg_value) & (cand_negw > seg_negw)
+                )
+                seg_value[better] = cand_value[better]
+                seg_negw[better] = cand_negw[better]
+                choice[w:][better] = idx
+            self.choices.append(choice)
+            # A winning candidate is strictly lexicographically greater,
+            # so an unchanged layer is exactly an all-(-1) choice row —
+            # the scalar DP's early-exit condition.
+            if np.array_equal(cur_value, value) and np.array_equal(cur_negw, negw):
+                break
+            value, negw = cur_value, cur_negw
 
     def traceback(self, capacity: int, max_items: int) -> dict[int, int]:
         """Item counts of the optimal packing at one ``(capacity, k)``.
 
-        Valid for every ``capacity ≤ self.capacity`` and every
+        Valid for every capacity up to the stack's and every
         ``max_items``: once two consecutive layers agree on the prefix
         ``0..capacity``, all later layers keep choice -1 there, so extra
         layers beyond the scalar DP's early exit contribute nothing.
@@ -362,30 +341,32 @@ class _DpLayers:
 
 
 def batch_solve_dp(
-    problem: CardinalityKnapsack, capacities: Sequence[int]
+    problem: CardinalityKnapsack, cells: Sequence[tuple[int, int]]
 ) -> list[KnapsackSolution]:
-    """:func:`~repro.knapsack.dp.solve_dp` at every capacity in one pass.
+    """:func:`~repro.knapsack.dp.solve_dp` at every ``(capacity, max_items)`` cell.
 
-    One DP at ``problem.capacity`` serves every smaller capacity: a
-    stabilized value-table prefix never changes again, so the traceback
-    at capacity ``c`` over the full layer stack equals the scalar solve
-    of the ``capacity=c`` sub-problem.  Each returned solution is
-    validated against its own sub-problem, exactly like the scalar path.
+    One DP at ``problem.capacity`` and ``problem.max_items`` serves every
+    smaller cell, because the items depend on neither: a stabilized
+    value-table prefix never changes again, and the first ``k`` layers
+    are exactly the DP capped at ``k``, so the traceback at ``(c, k)``
+    equals the scalar solve of that sub-problem.  Each returned solution
+    is validated against its own sub-problem, exactly like the scalar
+    path.
     """
-    caps = [int(c) for c in capacities]
-    for c in caps:
-        if c < 0 or c > problem.capacity:
+    cells = [(int(c), int(k)) for c, k in cells]
+    for c, k in cells:
+        if not (0 <= c <= problem.capacity and 0 <= k <= problem.max_items):
             raise ConfigurationError(
-                f"capacity {c} outside the solved range 0..{problem.capacity}"
+                f"cell {(c, k)!r} outside the solved range "
+                f"0..{problem.capacity} x 0..{problem.max_items}"
             )
-    layers = _DpLayers(problem.items, problem.capacity)
-    layers.ensure(problem.max_items)
-    solutions: list[KnapsackSolution] = []
-    for c in caps:
-        sub = replace(problem, capacity=c)
-        counts = layers.traceback(c, problem.max_items)
-        solutions.append(KnapsackSolution.from_counts(counts, sub))
-    return solutions
+    layers = _DpLayers(problem.items, problem.capacity, problem.max_items)
+    return [
+        KnapsackSolution.from_counts(
+            layers.traceback(c, k), CardinalityKnapsack(problem.items, c, k)
+        )
+        for c, k in cells
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +419,21 @@ def _knapsack_groupings(
 ) -> dict[tuple[int, int], "Grouping | None"]:
     """Improvement 3's grouping for every ``(R, NS)`` cell.
 
-    The knapsack does not depend on ``NM``, and one DP at the largest
-    ``R`` serves every smaller capacity, so each distinct ``NS`` costs
-    one :func:`batch_solve_dp`.
+    The knapsack does not depend on ``NM``, so one
+    :func:`batch_solve_dp` at the batch's largest ``R`` and ``NS`` serves
+    every cell, each traced back at its own capacity and cap.
     """
-    by_ns: dict[int, list[int]] = {}
-    for r, ns in cells:
-        by_ns.setdefault(ns, []).append(r)
+    cells = list(cells)
+    if not cells:
+        return {}
     values = {g: 1.0 / timing.main_time(g) for g in timing.group_sizes}
+    problem = CardinalityKnapsack.from_weights_values(
+        values, max(r for r, _ in cells), max(ns for _, ns in cells)
+    )
     groupings: dict[tuple[int, int], Grouping | None] = {}
-    for ns, rs in by_ns.items():
-        problem = CardinalityKnapsack.from_weights_values(values, max(rs), ns)
-        for r, solution in zip(rs, batch_solve_dp(problem, rs), strict=True):
-            sizes = solution.as_multiset()
-            groupings[r, ns] = Grouping.from_sizes(sizes, r) if sizes else None
+    for (r, ns), solution in zip(cells, batch_solve_dp(problem, cells), strict=True):
+        sizes = solution.as_multiset()
+        groupings[r, ns] = Grouping.from_sizes(sizes, r) if sizes else None
     return groupings
 
 
@@ -468,7 +450,7 @@ def batch_plan_groupings(
     host any group).  Basic, redistribute and allpost_end all start from
     the basic heuristic's ``G*``, so they share one
     :func:`batch_best_uniform_group` over the batch's distinct
-    ``(R, NS, NM)`` cells; the knapsack runs one DP per distinct ``NS``.
+    ``(R, NS, NM)`` cells; the knapsack runs one DP for the whole batch.
     """
     plan = [(int(r), int(ns), int(nm), HeuristicName(h)) for r, ns, nm, h in points]
     for r, ns, nm, _ in plan:
@@ -562,115 +544,3 @@ def batch_gains_over_baseline(
         {n: float(gains[n][position[n][i]]) for n in names}
         for i, names in enumerate(order)
     ]
-
-
-# ---------------------------------------------------------------------------
-# Incremental Algorithm 1 performance vectors.
-# ---------------------------------------------------------------------------
-
-
-class PerformanceVectorBuilder:
-    """Algorithm 1 performance vectors with prefix reuse.
-
-    The package's one vector routine (``performance_vector`` extends a
-    fresh builder once).  When extended from ``NS-1`` to ``NS`` it plans
-    only the new entry; the knapsack heuristic plans every ``k`` from one
-    shared DP layer stack (one layer per cardinality slot).  Each entry
-    is :func:`~repro.core.makespan.cached_simulated_makespan` of its
-    grouping, whose key leaves out the cluster name.
-
-    ``extend`` returns the builder's *internal* list — the same object
-    on every call (the identity is part of the contract and is tested);
-    callers that need a snapshot must copy.  Entry ``k-1`` is bit-for-bit
-    the scalar k-loop's (``tests/core/vector_oracle.py``): a
-    ``plan_grouping`` of ``k`` scenarios and a fresh ``simulate``.
-    """
-
-    def __init__(
-        self,
-        cluster: ClusterSpec,
-        months: int,
-        heuristic: "HeuristicName | str" = HeuristicName.KNAPSACK,
-    ) -> None:
-        self._cluster = cluster
-        self._months = int(months)
-        self._heuristic = HeuristicName(heuristic)
-        self._vector: list[float] = []
-        self._layers: "_DpLayers | None" = None
-
-    @property
-    def cluster(self) -> ClusterSpec:
-        """The cluster the vector describes."""
-        return self._cluster
-
-    @property
-    def heuristic(self) -> HeuristicName:
-        """The planning heuristic baked into the vector."""
-        return self._heuristic
-
-    def __len__(self) -> int:
-        return len(self._vector)
-
-    def extend(self, scenarios: int) -> list[float]:
-        """Grow the vector to ``scenarios`` entries; returns it.
-
-        Already-covered prefixes are reused untouched.  Raises
-        :class:`~repro.exceptions.SchedulingError` when the cluster
-        cannot host any group (the scalar vector raises on its first
-        entry for the same reason).
-        """
-        if scenarios < 1:
-            raise ConfigurationError(
-                f"need at least one scenario, got {scenarios!r}"
-            )
-        start = len(self._vector) + 1
-        if scenarios < start:
-            return self._vector
-        timing = self._cluster.timing
-        for k, grouping in zip(
-            range(start, scenarios + 1),
-            self._plan_range(start, scenarios),
-            strict=True,
-        ):
-            if grouping is None:
-                raise SchedulingError(
-                    f"cluster {self._cluster.name!r} "
-                    f"({self._cluster.resources} processors) cannot host any "
-                    f"main-task group (min size {timing.min_group})"
-                )
-            self._vector.append(cached_simulated_makespan(
-                grouping, EnsembleSpec(k, self._months), timing
-            ))
-        return self._vector
-
-    def _plan_range(self, start: int, stop: int) -> list["Grouping | None"]:
-        """Groupings for ``k = start..stop``, via the batch kernels."""
-        timing = self._cluster.timing
-        r = self._cluster.resources
-        if self._heuristic is HeuristicName.KNAPSACK:
-            if self._layers is None:
-                values = {g: 1.0 / timing.main_time(g) for g in timing.group_sizes}
-                problem = CardinalityKnapsack.from_weights_values(
-                    values, r, stop
-                )
-                self._layers = _DpLayers(problem.items, problem.capacity)
-            self._layers.ensure(stop)
-            groupings: list[Grouping | None] = []
-            for k in range(start, stop + 1):
-                counts = self._layers.traceback(r, k)
-                sub = CardinalityKnapsack(self._layers.items, r, k)
-                sizes = KnapsackSolution.from_counts(counts, sub).as_multiset()
-                groupings.append(
-                    Grouping.from_sizes(sizes, r) if sizes else None
-                )
-            return groupings
-        ks = np.arange(start, stop + 1, dtype=np.int64)
-        best_g, feasible = batch_best_uniform_group(timing, r, ks, self._months)
-        return [
-            _uniform_family_grouping(timing, self._heuristic, r, int(g), int(k))
-            if ok
-            else None
-            for k, g, ok in zip(
-                ks.tolist(), best_g.tolist(), feasible.tolist(), strict=True
-            )
-        ]

@@ -10,17 +10,18 @@ greedy repartition; computing it per-heuristic is what lets Figure 10
 compare the improvements in the grid setting.
 
 The SeD's step-2 reply, the replanner and Figure 10 all call it.  It
-plans with the batch kernels of
-:class:`~repro.core.batch.PerformanceVectorBuilder` and reads each entry
+plans the ``1..NS`` entries in one
+:func:`~repro.core.batch.batch_plan_groupings` call and reads each entry
 from the memoized simulator, so an entry is bit-for-bit a fresh engine
 run's makespan and a repeated grouping costs one engine run per process.
 """
 
 from __future__ import annotations
 
-from repro.core.batch import PerformanceVectorBuilder
+from repro.core.batch import batch_plan_groupings
 from repro.core.heuristics import HeuristicName, plan_grouping
 from repro.core.makespan import cached_simulated_makespan
+from repro.exceptions import SchedulingError
 from repro.platform.cluster import ClusterSpec
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 
@@ -49,4 +50,17 @@ def performance_vector(
     processors).  Raises :class:`~repro.exceptions.SchedulingError` when
     the cluster cannot host any group.
     """
-    return PerformanceVectorBuilder(cluster, spec.months, heuristic).extend(spec.scenarios)
+    timing = cluster.timing
+    groupings = batch_plan_groupings(
+        timing,
+        [(cluster.resources, k, spec.months, heuristic) for k in range(1, spec.scenarios + 1)],
+    )
+    vector: list[float] = []
+    for k, grouping in enumerate(groupings, start=1):
+        if grouping is None:
+            raise SchedulingError(
+                f"cluster {cluster.name!r} ({cluster.resources} processors) "
+                f"cannot host any main-task group (min size {timing.min_group})"
+            )
+        vector.append(cached_simulated_makespan(grouping, EnsembleSpec(k, spec.months), timing))
+    return vector

@@ -7,13 +7,14 @@ weight ``i`` (processors) and value ``1/T[i]`` (the fraction of a main
 task computed per second); capacity is ``R`` and at most ``NS`` items
 may be packed (no more groups than scenarios can ever be busy).
 
-Three solvers are provided:
+Two solvers are provided:
 
 * :mod:`repro.knapsack.dp` — exact dynamic program, the production path;
-* :mod:`repro.knapsack.branch_and_bound` — exact best-first search, used
-  to cross-check the DP in tests;
 * :mod:`repro.knapsack.greedy` — density-ordered approximation, the
   ablation baseline quantifying what exactness buys.
+
+An exact branch-and-bound solver cross-checks the DP as a test oracle
+(``tests/knapsack/branch_and_bound_oracle.py``).
 """
 
 from repro.knapsack.items import (
@@ -22,7 +23,6 @@ from repro.knapsack.items import (
     KnapsackSolution,
 )
 from repro.knapsack.dp import solve_dp
-from repro.knapsack.branch_and_bound import solve_branch_and_bound
 from repro.knapsack.greedy import solve_greedy
 
 __all__ = [
@@ -30,6 +30,5 @@ __all__ = [
     "CardinalityKnapsack",
     "KnapsackSolution",
     "solve_dp",
-    "solve_branch_and_bound",
     "solve_greedy",
 ]

@@ -30,7 +30,6 @@ from repro.middleware.messages import (
 from repro.middleware.network import SimulatedNetwork, MessageLogEntry
 from repro.middleware.sed import SeD
 from repro.middleware.agent import Agent
-from repro.middleware.hierarchy import HierarchicalAgent
 from repro.middleware.client import Client, CampaignResult
 from repro.middleware.deployment import deploy, run_campaign
 from repro.middleware.recovery import (
@@ -48,7 +47,6 @@ __all__ = [
     "MessageLogEntry",
     "SeD",
     "Agent",
-    "HierarchicalAgent",
     "Client",
     "CampaignResult",
     "deploy",

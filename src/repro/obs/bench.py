@@ -53,6 +53,7 @@ __all__ = [
     "bench_specs",
     "compare_to_baseline",
     "inject_slowdown",
+    "kernels_workload",
     "load_baseline",
     "load_bench_artifact",
     "machine_fingerprint",
@@ -689,11 +690,30 @@ def _bench_arena() -> float:
     return elapsed / decisions * 1e3
 
 
+def kernels_workload() -> list[tuple[str, list[tuple[int, int, int, str]]]]:
+    """The fig7 + fig8 planning workload, one ``(cluster, points)`` per cluster.
+
+    Figure 7's dense single-cluster ``R`` axis (sagittaire, R 11..120)
+    plus Figure 8's five-cluster coarse axis (R 11..43 step 4), every
+    heuristic, NS=10 / NM=12, as ``(R, NS, NM, heuristic)`` points for
+    :func:`repro.core.batch.batch_plan_groupings`.  The ``kernels``
+    bench and ``benchmarks/bench_kernels.py`` both plan it.
+    """
+    from repro.core.heuristics import HeuristicName
+    from repro.platform.benchmarks import REFERENCE_CLUSTER_SPEEDS
+
+    axes = [("sagittaire", range(11, 121))]
+    axes += [(name, range(11, 44, 4)) for name in sorted(REFERENCE_CLUSTER_SPEEDS)]
+    return [
+        (name, [(r, 10, 12, heuristic) for r in resources for heuristic in HeuristicName])
+        for name, resources in axes
+    ]
+
+
 def _bench_kernels() -> float:
     """Batched planning-kernel throughput in configs/sec, cold cache.
 
-    Plans fig7- and fig8-shaped grids (every heuristic x every
-    ``(cluster, R)`` cell at NS=10, NM=12) through
+    Plans :func:`kernels_workload` through
     :func:`repro.core.batch.batch_plan_groupings`, one call per cluster
     — the vectorized Eq 1–5 + knapsack-DP path every sweep plans through
     by default.  One config is one planned ``(cluster, R, heuristic)`` cell.
@@ -701,28 +721,13 @@ def _bench_kernels() -> float:
     over the memoized scalar path on the same grids.
     """
     from repro.core.batch import batch_plan_groupings
-    from repro.core.heuristics import HeuristicName
     from repro.core.makespan import clear_makespan_cache
-    from repro.platform.benchmarks import (
-        REFERENCE_CLUSTER_SPEEDS,
-        benchmark_timing,
-    )
-    from repro.workflow.ocean_atmosphere import EnsembleSpec
+    from repro.platform.benchmarks import benchmark_timing
 
-    spec = EnsembleSpec(10, 12)
-    workloads = [("sagittaire", list(range(11, 121)))]
-    workloads += [
-        (name, list(range(11, 44, 4))) for name in sorted(REFERENCE_CLUSTER_SPEEDS)
-    ]
     clear_makespan_cache()
     plans = 0
     started = time.perf_counter()
-    for name, resources in workloads:
-        points = [
-            (r, spec.scenarios, spec.months, heuristic)
-            for r in resources
-            for heuristic in HeuristicName
-        ]
+    for name, points in kernels_workload():
         plans += len(batch_plan_groupings(benchmark_timing(name), points))
     elapsed = time.perf_counter() - started
     return plans / elapsed

@@ -1,4 +1,4 @@
-"""Makespan lower bounds — how much room is left below the heuristics.
+"""Makespan lower bounds: the engine's lower-bound oracle.
 
 Two classical bounds apply to the ensemble-of-moldable-chains problem,
 both independent of any grouping decision:
@@ -16,13 +16,9 @@ Area bound
     post task exactly ``TP``.  Total work divided by ``R`` lower-bounds
     the makespan.
 
-The combined bound is their maximum.  Uses:
-
-* property tests assert every simulated schedule respects it (a
-  violation would mean the simulator invents parallelism);
-* the ablation suite reports each heuristic's distance from it, which
-  bounds the *possible* further improvement over the knapsack heuristic
-  without running the exponential exhaustive search.
+The combined bound is their maximum.  The engine tests assert that
+every simulated schedule respects it: a violation would mean the
+simulator invents parallelism.
 """
 
 from __future__ import annotations
@@ -32,8 +28,6 @@ from dataclasses import dataclass
 from repro.exceptions import SchedulingError
 from repro.platform.timing import TimingModel
 from repro.workflow.ocean_atmosphere import EnsembleSpec
-
-__all__ = ["LowerBounds", "lower_bounds"]
 
 
 @dataclass(frozen=True)

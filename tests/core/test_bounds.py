@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.bounds import lower_bounds
 from repro.core.heuristics import HeuristicName, plan_grouping
 from repro.exceptions import SchedulingError
 from repro.platform.benchmarks import benchmark_cluster, benchmark_clusters
 from repro.platform.timing import TableTimingModel
 from repro.simulation.engine import simulate
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.core.bounds_oracle import lower_bounds
 
 
 class TestBoundValues:

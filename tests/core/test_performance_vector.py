@@ -1,19 +1,30 @@
 """Unit tests for the performance-vector service (Section 5, step 2).
 
 The shipping routine is checked against the scalar k-loop of
-:mod:`tests.core.vector_oracle`, never against itself.
+:mod:`tests.core.vector_oracle`, never against itself.  The mutation
+drill proves the equality assertion has teeth: a seeded off-by-one
+injected into a copy of the vector must be caught.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro import obs
 from repro.core.heuristics import HeuristicName
 from repro.core.makespan import clear_makespan_cache, makespan_cache_disabled
 from repro.core.performance_vector import cluster_makespan, performance_vector
+from repro.exceptions import SchedulingError
 from repro.platform.benchmarks import benchmark_cluster
+from repro.platform.cluster import ClusterSpec
+from repro.platform.timing import TableTimingModel
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 from tests.core.vector_oracle import scalar_performance_vector
+
+MAX_SCENARIOS = 40
+MONTHS = 3  # small NM: the parity is structural, not NM-dependent
 
 
 class TestPerformanceVector:
@@ -29,6 +40,60 @@ class TestPerformanceVector:
         assert performance_vector(cluster, spec, heuristic) == oracle
         with makespan_cache_disabled():
             assert performance_vector(cluster, spec, heuristic) == oracle
+
+    @pytest.mark.parametrize("heuristic", list(HeuristicName))
+    def test_k_1_to_40_vs_oracle(self, heuristic) -> None:
+        """All 40 entries of one batch-planned vector equal the k-loop's."""
+        cluster = benchmark_cluster("sagittaire", 60)
+        spec = EnsembleSpec(MAX_SCENARIOS, MONTHS)
+        assert performance_vector(cluster, spec, heuristic) == (
+            scalar_performance_vector(cluster, spec, heuristic)
+        )
+
+    def test_mutation_drill_catches_an_off_by_one(self) -> None:
+        """Seeded drill: corrupting any single entry must fail the parity."""
+        cluster = benchmark_cluster("chti", 45)
+        spec = EnsembleSpec(MAX_SCENARIOS, MONTHS)
+        vector = performance_vector(cluster, spec)
+        scratch = scalar_performance_vector(cluster, spec)
+        assert vector == scratch
+
+        rng = random.Random(0xB47C4)
+        index = rng.randrange(MAX_SCENARIOS)
+        corrupted = list(vector)
+        corrupted[index] += cluster.post_time()  # one post task too many
+        assert corrupted != scratch
+
+        for index in range(MAX_SCENARIOS):
+            corrupted = list(vector)
+            corrupted[index] += cluster.post_time()
+            assert corrupted != scratch
+
+    def test_cluster_too_small_for_any_group(self) -> None:
+        """Raises exactly where the scalar oracle raises, on every heuristic."""
+        tiny = ClusterSpec(
+            "tiny",
+            3,
+            TableTimingModel({g: 100.0 for g in range(4, 12)}, post_seconds=10.0),
+        )
+        for heuristic in HeuristicName:
+            with pytest.raises(SchedulingError):
+                scalar_performance_vector(tiny, EnsembleSpec(2, MONTHS), heuristic)
+            with pytest.raises(SchedulingError, match="cannot host any main-task group"):
+                performance_vector(tiny, EnsembleSpec(2, MONTHS), heuristic)
+
+    @pytest.mark.parametrize("heuristic", list(HeuristicName))
+    def test_counts_one_batch_plan_per_entry(self, heuristic) -> None:
+        """An observed vector of NS entries publishes ``batch.plans`` = NS."""
+        cluster = benchmark_cluster("grelon", 40)
+        with obs.session() as (registry, _tracer):
+            performance_vector(cluster, EnsembleSpec(7, MONTHS), heuristic)
+            counters = registry.as_dict()["counters"]
+        plans = {
+            series["labels"]["heuristic"]: series["value"]
+            for series in counters["batch.plans"]
+        }
+        assert plans == {HeuristicName(heuristic).value: 7}
 
     def test_length_is_ns(self) -> None:
         cluster = benchmark_cluster("sagittaire", 25)

@@ -17,12 +17,12 @@ import json
 from repro import obs
 from repro.analysis.gains import gains_over_baseline
 from repro.core.batch import (
-    PerformanceVectorBuilder,
     batch_best_uniform_group,
     batch_gains_over_baseline,
     batch_plan_groupings,
 )
 from repro.core.heuristics import HeuristicName
+from repro.core.performance_vector import performance_vector
 from repro.core.repartition import repartition_dags
 from repro.experiments.runner import cycle_names, resource_sweep
 from repro.experiments.sweep import SweepGrid, run_sweep
@@ -107,13 +107,12 @@ def test_fig8_golden_raw_gains_via_batch() -> None:
 
 
 def test_fig10_golden_via_incremental_builders() -> None:
-    """Prefix-reusing builders equal the oracle and reproduce fig10's goldens.
+    """Batch-planned vectors equal the oracle and reproduce fig10's goldens.
 
-    Each ``(speed, R, heuristic)`` performance vector is grown one entry
-    at a time by a :class:`PerformanceVectorBuilder` (the routine the
-    fig10 pipeline calls through ``performance_vector``) and must equal
-    the scalar oracle of :mod:`tests.core.vector_oracle`; the
-    repartitioned makespans must still equal the fixture exactly.
+    Each ``(speed, R, heuristic)`` vector from ``performance_vector``
+    (the routine the fig10 pipeline calls) must equal the scalar oracle
+    of :mod:`tests.core.vector_oracle`; the repartitioned makespans must
+    still equal the fixture exactly.
     """
     params = GOLDEN_PARAMS["fig10"]
     spec = EnsembleSpec(params["scenarios"], params["months"])
@@ -128,11 +127,8 @@ def test_fig10_golden_via_incremental_builders() -> None:
         key = (speed, r, heuristic.value)
         if key not in vectors:
             cluster = benchmark_cluster(speed, r)
-            builder = PerformanceVectorBuilder(cluster, spec.months, heuristic)
-            for k in range(1, spec.scenarios + 1):
-                built = builder.extend(k)
             oracle = scalar_performance_vector(cluster, spec, heuristic)
-            assert built == oracle
+            assert performance_vector(cluster, spec, heuristic) == oracle
             vectors[key] = oracle
         return vectors[key]
 

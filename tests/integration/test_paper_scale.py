@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.bounds import lower_bounds
 from repro.core.heuristics import HeuristicName, plan_grouping
 from repro.platform.benchmarks import benchmark_cluster
 from repro.simulation.engine import simulate
 from repro.simulation.validate import validate_schedule
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.core.bounds_oracle import lower_bounds
 
 PAPER_SPEC = EnsembleSpec.paper_default()  # 10 x 1800
 

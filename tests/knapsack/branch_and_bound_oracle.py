@@ -1,4 +1,4 @@
-"""Exact branch-and-bound solver (cross-check for the DP).
+"""Exact branch-and-bound solver: the DP's oracle.
 
 Depth-first search over item types in decreasing density order.  At each
 node the remaining capacity and cardinality admit a fractional upper
@@ -9,7 +9,7 @@ between incumbents, so on any instance both exact solvers must agree on
 ``(value, weight)`` — a property the test suite exercises on random
 instances.
 
-This solver exists for assurance, not speed; the DP is the production
+This solver exists for assurance, not speed; the DP is the shipping
 path.  It still handles the paper-scale instances instantly.
 """
 
@@ -20,8 +20,6 @@ from repro.knapsack.items import (
     KnapsackItem,
     KnapsackSolution,
 )
-
-__all__ = ["solve_branch_and_bound"]
 
 _TOL = 1e-12
 

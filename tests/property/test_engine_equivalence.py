@@ -128,7 +128,7 @@ def test_unequal_chains_match_the_dag_oracle(instance) -> None:
 @settings(max_examples=60, deadline=None)
 def test_online_engine_at_least_respects_engine_lower_bound(instance) -> None:
     """The no-groups pool can beat static groups, but never the bounds."""
-    from repro.core.bounds import lower_bounds
+    from tests.core.bounds_oracle import lower_bounds
 
     grouping, spec, timing = instance
     resources = grouping.total_resources

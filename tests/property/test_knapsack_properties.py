@@ -5,10 +5,10 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.knapsack.branch_and_bound import solve_branch_and_bound
 from repro.knapsack.dp import solve_dp
 from repro.knapsack.greedy import solve_greedy
 from repro.knapsack.items import CardinalityKnapsack
+from tests.knapsack.branch_and_bound_oracle import solve_branch_and_bound
 
 
 @st.composite
