@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pb.add_argument(
         "--quick", action="store_true",
-        help="one repetition, no warmup (CI smoke; noisy numbers)",
+        help="one repetition after one warm-up call (CI smoke; noisy numbers)",
     )
     pb.add_argument(
         "--out", metavar="DIR", default="bench_artifacts",
@@ -1206,7 +1206,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return 1
         specs = tuple(by_name[name] for name in args.names)
     repetitions = 1 if args.quick else args.repetitions
-    warmup = 0 if args.quick else args.warmup
+    # A cold first call can run far slower than a warm one, so a cold
+    # baseline would hide a real slowdown in a later warm run.
+    warmup = 1 if args.quick else args.warmup
 
     results = []
     for spec in specs:

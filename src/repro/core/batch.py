@@ -13,7 +13,10 @@ re-expresses those kernels as numpy array operations over entire grids:
 * :func:`batch_solve_dp` — the cardinality-capped knapsack DP evaluated
   once at the capacity and cap ceilings, then traced back for every
   requested ``(capacity, max_items)`` cell (one
-  ``O(max_items × C × |items|)`` pass serves them all).
+  ``O(max_items × C × |items|)`` pass serves them all).  The DP stack is
+  the ``dp`` kind of the kernel caches, keyed on the item table alone, so
+  every batch over one cluster's ``1/T[G]`` items after the first traces
+  back from the stack already built.
 * :func:`batch_plan_groupings` — all four paper heuristics over a batch
   of ``(R, NS, NM, heuristic)`` points (one sweep chunk, or the ``1..NS``
   entries of a performance vector), returning the
@@ -46,7 +49,12 @@ import numpy as np
 from repro import obs
 from repro.core.grouping import Grouping
 from repro.core.heuristics import HeuristicName
-from repro.core.makespan import _RATIO_EPS, MakespanBreakdown, _floor_ratio
+from repro.core.makespan import (
+    _RATIO_EPS,
+    MakespanBreakdown,
+    _floor_ratio,
+    cached_dp_stack,
+)
 from repro.exceptions import ConfigurationError, SchedulingError
 from repro.knapsack.items import CardinalityKnapsack, KnapsackItem, KnapsackSolution
 from repro.platform.timing import TimingModel
@@ -249,8 +257,9 @@ def batch_best_uniform_group(
     raises there).  The first-minimizer tie rule matches the scalar
     loop's strict ``<`` over ascending ``G``.
     """
-    sizes = np.asarray(timing.group_sizes, dtype=np.int64)
-    tg = np.asarray([timing.main_time(int(g)) for g in sizes], dtype=np.float64)
+    table = timing.main_time_table()
+    sizes = np.asarray(list(table), dtype=np.int64)
+    tg = np.asarray(list(table.values()), dtype=np.float64)
     arr_r, arr_ns, arr_nm = np.broadcast_arrays(
         np.asarray(resources, dtype=np.int64),
         np.asarray(scenarios, dtype=np.int64),
@@ -349,9 +358,12 @@ def batch_solve_dp(
     smaller cell, because the items depend on neither: a stabilized
     value-table prefix never changes again, and the first ``k`` layers
     are exactly the DP capped at ``k``, so the traceback at ``(c, k)``
-    equals the scalar solve of that sub-problem.  Each returned solution
-    is validated against its own sub-problem, exactly like the scalar
-    path.
+    equals the scalar solve of that sub-problem.  The same argument lets
+    a stack built at larger ceilings answer this problem, so the stack
+    comes from :func:`~repro.core.makespan.cached_dp_stack`, keyed on
+    ``problem.items``: a batch over an item table already solved at
+    least this far builds no DP at all.  Each returned solution is
+    validated against its own sub-problem, exactly like the scalar path.
     """
     cells = [(int(c), int(k)) for c, k in cells]
     for c, k in cells:
@@ -360,7 +372,9 @@ def batch_solve_dp(
                 f"cell {(c, k)!r} outside the solved range "
                 f"0..{problem.capacity} x 0..{problem.max_items}"
             )
-    layers = _DpLayers(problem.items, problem.capacity, problem.max_items)
+    layers = cached_dp_stack(
+        problem.items, problem.capacity, problem.max_items, _DpLayers
+    )
     return [
         KnapsackSolution.from_counts(
             layers.traceback(c, k), CardinalityKnapsack(problem.items, c, k)
@@ -426,7 +440,7 @@ def _knapsack_groupings(
     cells = list(cells)
     if not cells:
         return {}
-    values = {g: 1.0 / timing.main_time(g) for g in timing.group_sizes}
+    values = {g: 1.0 / t for g, t in timing.main_time_table().items()}
     problem = CardinalityKnapsack.from_weights_values(
         values, max(r for r, _ in cells), max(ns for _, ns in cells)
     )

@@ -44,6 +44,7 @@ __all__ = [
     "cached_analytic_breakdown",
     "cached_analytic_makespan",
     "cached_decision",
+    "cached_dp_stack",
     "cached_schedule_log",
     "cached_simulated_makespan",
     "cached_simulated_makespans",
@@ -211,7 +212,7 @@ _CACHE_MAXSIZE = 1 << 16
 _T = TypeVar("_T")
 
 _caches: dict[str, dict[tuple, Any]] = {
-    kind: {} for kind in ("analytic", "simulated", "schedule", "decision")
+    kind: {} for kind in ("analytic", "simulated", "schedule", "decision", "dp")
 }
 _cache_counters = {kind: {"hits": 0, "misses": 0} for kind in _caches}
 _cache_enabled = True
@@ -263,7 +264,12 @@ def clear_makespan_cache() -> None:
 
 
 def makespan_cache_stats() -> dict[str, dict[str, int]]:
-    """Hit/miss/size counters per kind (``analytic``/``simulated``/``schedule``/``decision``)."""
+    """Hit/miss/size counters for each of the five kinds.
+
+    ``analytic`` (Eqs 1–5), ``simulated`` (engine makespans),
+    ``schedule`` (fault-free schedule logs), ``decision`` (arena
+    decisions) and ``dp`` (knapsack DP stacks, one per item table).
+    """
     return {
         kind: {**_cache_counters[kind], "size": len(cache)}
         for kind, cache in _caches.items()
@@ -287,10 +293,15 @@ def _memoized(kind: str, key: tuple, compute: Callable[..., _T], *args: Any) -> 
         return hit
     _record(kind, "miss")
     value = compute(*args)
-    if len(cache) >= _CACHE_MAXSIZE:
+    _store(cache, key, value)
+    return value
+
+
+def _store(cache: dict[tuple, Any], key: tuple, value: Any) -> None:
+    """Insert or replace ``key``, evicting the oldest entry when full."""
+    if key not in cache and len(cache) >= _CACHE_MAXSIZE:
         cache.pop(next(iter(cache)))
     cache[key] = value
-    return value
 
 
 def cached_analytic_breakdown(
@@ -333,17 +344,21 @@ def simulation_cache_key(
     ``(group-size vector, post pool, NS, NM, TG vector, TP)`` — the
     cluster's name and any timing-model internals beyond the evaluated
     times are deliberately excluded, so identical kernels reached from
-    different clusters share one entry.  Each distinct group size is
-    timed once: a grouping mostly repeats one or two sizes.
+    different clusters share one entry.  The TG vector is read from the
+    model's frozen table.
     """
     sizes = grouping.group_sizes
-    times = {g: timing.main_time(g) for g in dict.fromkeys(sizes)}
+    table = timing.main_time_table()
+    try:
+        tg = tuple(table[g] for g in sizes)
+    except KeyError:  # an inadmissible size: raise main_time's PlatformError
+        tg = tuple(timing.main_time(g) for g in sizes)
     return (
         sizes,
         grouping.post_pool,
         spec.scenarios,
         spec.months,
-        tuple(times[g] for g in sizes),
+        tg,
         timing.post_time(),
     )
 
@@ -460,3 +475,33 @@ def cached_decision(
     the latency measured when the decision was made.
     """
     return _memoized("decision", key, decide)
+
+
+def cached_dp_stack(
+    items: tuple, capacity: int, max_items: int, build: Callable[[tuple, int, int], _T]
+) -> _T:
+    """A knapsack DP stack for ``items``, memoized on the item tuple alone.
+
+    ``build(items, capacity, max_items)`` must return a stack that
+    answers every ``(c, k)`` cell with ``c <= capacity`` and
+    ``k <= max_items`` (see :func:`repro.core.batch.batch_solve_dp`), so
+    one stack per item table serves every smaller request.  A hit is an
+    entry whose ceilings cover the request.  Any other lookup is a miss:
+    it builds at the component-wise max of the stored and requested
+    ceilings and replaces the entry, so a table's stack only grows.
+    While the caches are off this is a plain ``build`` at the requested
+    ceilings.
+    """
+    if not _cache_enabled:
+        return build(items, capacity, max_items)
+    cache = _caches["dp"]
+    entry = cache.get(items)
+    if entry is not None and capacity <= entry[0] and max_items <= entry[1]:
+        _record("dp", "hit")
+        return entry[2]
+    _record("dp", "miss")
+    if entry is not None:
+        capacity, max_items = max(capacity, entry[0]), max(max_items, entry[1])
+    stack = build(items, capacity, max_items)
+    _store(cache, items, (capacity, max_items, stack))
+    return stack

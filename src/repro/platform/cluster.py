@@ -10,6 +10,7 @@ which indexes processors ``0 .. resources-1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 from repro.exceptions import PlatformError
 from repro.platform.timing import TimingModel
@@ -59,7 +60,7 @@ class ClusterSpec:
         """``TP`` on this cluster."""
         return self.timing.post_time()
 
-    def main_time_table(self) -> dict[int, float]:
+    def main_time_table(self) -> Mapping[int, float]:
         """The cluster's full ``{G: T[G]}`` benchmark table."""
         return self.timing.main_time_table()
 

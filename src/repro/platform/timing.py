@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from types import MappingProxyType
 from typing import Mapping
 
 from repro import constants
@@ -47,10 +48,12 @@ __all__ = [
 class TimingModel(ABC):
     """Abstract timing of the two fused Ocean-Atmosphere tasks.
 
-    Subclasses must implement :meth:`main_time` and :meth:`post_time` and
-    expose the admissible group-size range via :attr:`min_group` and
-    :attr:`max_group`.  All other behaviour (table export, speedup
-    queries, validation) derives from those primitives.
+    Subclass constructors freeze the ``{G: T[G]}`` table over the
+    admissible range ``min_group .. max_group`` into ``_table``, and
+    subclasses implement :meth:`post_time`.  No time changes after
+    construction: :meth:`main_time` is one lookup in that table, and all
+    other behaviour (table export, speedup queries, validation) derives
+    from those primitives.
     """
 
     #: Smallest admissible processor group for the main task.
@@ -59,9 +62,18 @@ class TimingModel(ABC):
     #: Largest useful processor group for the main task.
     max_group: int = constants.MAX_GROUP_SIZE
 
-    @abstractmethod
+    #: ``{G: T[G]}`` over ``min_group .. max_group``, frozen at construction.
+    _table: dict[int, float]
+
     def main_time(self, group_size: int) -> float:
-        """Seconds for one fused main task on ``group_size`` processors."""
+        """Seconds for one fused main task on ``group_size`` processors.
+
+        Raises :class:`PlatformError` (from :meth:`validate_group`) for a
+        size outside the table.
+        """
+        if not isinstance(group_size, int) or group_size not in self._table:
+            self.validate_group(group_size)
+        return self._table[group_size]
 
     @abstractmethod
     def post_time(self) -> float:
@@ -84,9 +96,9 @@ class TimingModel(ABC):
                 f"[{self.min_group}, {self.max_group}]"
             )
 
-    def main_time_table(self) -> dict[int, float]:
-        """The full ``{G: T[G]}`` table over the admissible range."""
-        return {g: self.main_time(g) for g in self.group_sizes}
+    def main_time_table(self) -> Mapping[int, float]:
+        """The full ``{G: T[G]}`` table over the admissible range (read-only)."""
+        return MappingProxyType(self._table)
 
     def speedup(self, group_size: int) -> float:
         """Speedup of ``group_size`` processors over the minimal group."""
@@ -183,6 +195,11 @@ class AmdahlTimingModel(TimingModel):
         self.max_parallel = int(max_parallel)
         self.min_group = self.sequential_components + 1
         self.max_group = self.sequential_components + self.max_parallel
+        self._table = {
+            g: self.pre_seconds + self.serial_seconds
+            + self.parallel_seconds / self.atmosphere_procs(g)
+            for g in self.group_sizes
+        }
 
     @classmethod
     def calibrated(
@@ -228,10 +245,6 @@ class AmdahlTimingModel(TimingModel):
         self.validate_group(group_size)
         return min(group_size - self.sequential_components, self.max_parallel)
 
-    def main_time(self, group_size: int) -> float:
-        a = self.atmosphere_procs(group_size)
-        return self.pre_seconds + self.serial_seconds + self.parallel_seconds / a
-
     def post_time(self) -> float:
         return self._post_seconds
 
@@ -269,10 +282,6 @@ class TableTimingModel(TimingModel):
         self.min_group = sizes[0]
         self.max_group = sizes[-1]
 
-    def main_time(self, group_size: int) -> float:
-        self.validate_group(group_size)
-        return self._table[group_size]
-
     def post_time(self) -> float:
         return self._post_seconds
 
@@ -296,9 +305,9 @@ class ScaledTimingModel(TimingModel):
         self.scale_post = bool(scale_post)
         self.min_group = base.min_group
         self.max_group = base.max_group
-
-    def main_time(self, group_size: int) -> float:
-        return self.base.main_time(group_size) * self.factor
+        self._table = {
+            g: t * self.factor for g, t in base.main_time_table().items()
+        }
 
     def post_time(self) -> float:
         if self.scale_post:

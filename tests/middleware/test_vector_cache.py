@@ -6,8 +6,10 @@ cluster's name.  So a ``benchmark_grid`` with more than five clusters,
 whose extra clusters repeat the five reference timings under new names,
 adds no engine runs for the repeats; a SeD's execution reads the entry
 its vector already holds; and a second identical campaign runs no
-engine at all.  The memoized results must equal uncached ones field for
-field.
+engine at all.  The vectors' knapsack DP stacks are memoized per item
+table (the ``dp`` kind), so the repeats and a second campaign build no
+DP either, while the SeD's scalar re-plan never touches that memo.  The
+memoized results must equal uncached ones field for field.
 """
 
 from __future__ import annotations
@@ -23,8 +25,14 @@ from repro.core.makespan import (
 from repro.core.performance_vector import performance_vector
 from repro.faults.trace import FaultEvent, FaultKind, FaultTrace
 from repro.middleware.deployment import run_campaign
+from repro.middleware.messages import ExecutionOrder
 from repro.middleware.recovery import run_campaign_with_faults
-from repro.platform.benchmarks import REFERENCE_CLUSTER_SPEEDS, benchmark_grid
+from repro.middleware.sed import SeD
+from repro.platform.benchmarks import (
+    REFERENCE_CLUSTER_SPEEDS,
+    benchmark_cluster,
+    benchmark_grid,
+)
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 
 NS, NM = 12, 8
@@ -33,6 +41,10 @@ HOUR = 3600.0
 
 def _simulated() -> dict[str, int]:
     return makespan_cache_stats()["simulated"]
+
+
+def _dp_misses() -> int:
+    return makespan_cache_stats()["dp"]["misses"]
 
 
 def _engine_runs(run) -> tuple[object, int]:
@@ -83,6 +95,41 @@ def test_second_identical_campaign_runs_no_engine() -> None:
     assert second == first
 
 
+def test_second_identical_campaign_builds_no_dp() -> None:
+    grid = benchmark_grid(4, 40)
+    clear_makespan_cache()
+    first = run_campaign(grid, NS, NM)
+    cold = _dp_misses()
+    assert cold > 0
+    assert run_campaign(grid, NS, NM) == first
+    assert _dp_misses() == cold
+
+
+def test_repeated_timing_clusters_share_one_dp_per_item_table() -> None:
+    grid = benchmark_grid(7, 36)
+    distinct = len(REFERENCE_CLUSTER_SPEEDS)
+    clear_makespan_cache()
+    run_campaign(grid, NS, NM)
+    # Every vector asks for (R, NS) = (36, 12): one build per item table.
+    assert makespan_cache_stats()["dp"] == {
+        "hits": len(grid) - distinct, "misses": distinct, "size": distinct,
+    }
+    # A larger NS grows each table's stack once; a smaller one builds none.
+    run_campaign(grid, NS + 4, NM)
+    assert _dp_misses() == 2 * distinct
+    run_campaign(grid, NS - 4, NM)
+    assert _dp_misses() == 2 * distinct
+    assert makespan_cache_stats()["dp"]["size"] == distinct
+
+
+def test_sed_execution_replans_without_the_dp_memo() -> None:
+    sed = SeD(benchmark_cluster("grelon", 40))
+    clear_makespan_cache()
+    for _ in range(2):
+        sed.execute(ExecutionOrder("grelon", tuple(range(NS)), NM))
+    assert makespan_cache_stats()["dp"] == {"hits": 0, "misses": 0, "size": 0}
+
+
 def _assert_fields_equal(cached: object, uncached: object) -> None:
     assert type(cached) is type(uncached)
     for field in fields(cached):
@@ -99,9 +146,12 @@ def test_uncached_campaigns_equal_cached_field_for_field() -> None:
     cold = run_campaign(grid, NS, NM)
     warm = run_campaign(grid, NS, NM)
     faulted = run_campaign_with_faults(grid, NS, NM, trace)
+    stats = makespan_cache_stats()
     with makespan_cache_disabled():
         uncached = run_campaign(grid, NS, NM)
         uncached_faulted = run_campaign_with_faults(grid, NS, NM, trace)
+    assert makespan_cache_stats() == stats
+    assert stats["dp"]["hits"] > 0
     assert faulted.replans > 0
     for cached in (cold, warm):
         _assert_fields_equal(cached, uncached)

@@ -131,6 +131,7 @@ class TestArtifacts:
         "committed, loader",
         [
             ("BENCH_arena.json", load_bench_artifact),
+            ("BENCH_campaign.json", load_bench_artifact),
             ("BENCH_sweep.json", load_bench_artifact),
             ("benchmarks/baseline.json", load_baseline),
         ],
