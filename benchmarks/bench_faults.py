@@ -2,10 +2,10 @@
 
 Two promises are enforced:
 
-* **zero-cost when off** — passing an empty (noop) :class:`FaultHook`
-  to :func:`repro.simulation.engine.simulate` must stay within 5% of
-  the bookkeeping-free fast path, because the noop hook short-circuits
-  to ``faults=None`` before any bookkeeping is forced;
+* **zero-cost when off** — :func:`repro.faults.hooks.simulate_with_faults`
+  with an empty (noop) :class:`FaultHook` must stay within 5% of a
+  plain :func:`repro.simulation.engine.simulate` call, because the noop
+  hook runs the plain engine and only adds the completed outcome;
 * **replanning throughput** — the multi-failure replanner
   (:func:`repro.middleware.recovery.run_campaign_with_faults`) chews
   through a 100-outage trace at a usable rate: every applied event
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 
-from repro.faults.hooks import FaultHook
+from repro.faults.hooks import FaultHook, simulate_with_faults
 from repro.faults.trace import FaultEvent, FaultKind, FaultTrace
 from repro.middleware.recovery import run_campaign_with_faults
 from repro.platform.benchmarks import benchmark_cluster, benchmark_grid
@@ -30,7 +30,7 @@ from repro.simulation.engine import simulate
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 from repro.core.heuristics import plan_grouping, HeuristicName
 
-#: Relative overhead allowed for the noop-hook path vs the fast path.
+#: Relative overhead allowed for the noop-hook path vs plain ``simulate``.
 OVERHEAD_CEILING = 0.05
 
 #: Outage events replayed by the throughput leg.
@@ -63,7 +63,7 @@ def test_noop_hook_overhead_under_five_percent() -> None:
 
     def hooked() -> None:
         for _ in range(40):
-            simulate(grouping, spec, cluster.timing, faults=noop)
+            simulate_with_faults(grouping, spec, cluster.timing, noop)
 
     fast()  # warm any lazy state before timing
     fast_s = _time(fast, repeats=5)

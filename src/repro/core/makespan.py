@@ -24,6 +24,8 @@ Notation (mirroring the paper)::
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -337,15 +339,17 @@ def cached_analytic_makespan(
 
 
 def simulation_cache_key(
-    grouping: "Grouping", spec: "EnsembleSpec", timing: "TimingModel"
+    grouping: "Grouping", spec: "EnsembleSpec", timing: "TimingModel",
+    chains: tuple[int, ...] | None = None,
 ) -> tuple:
     """The exact inputs the event simulator's makespan depends on.
 
-    ``(group-size vector, post pool, NS, NM, TG vector, TP)`` — the
-    cluster's name and any timing-model internals beyond the evaluated
-    times are deliberately excluded, so identical kernels reached from
-    different clusters share one entry.  The TG vector is read from the
-    model's frozen table.
+    ``(group-size vector, post pool, NS, NM, TG vector, TP, chains)``,
+    with ``chains`` the engine's own input (``None``: every scenario
+    runs ``NM`` months) — the cluster's name and any timing-model
+    internals beyond the evaluated times are deliberately excluded, so
+    identical kernels reached from different clusters share one entry.
+    The TG vector is read from the model's frozen table.
     """
     sizes = grouping.group_sizes
     table = timing.main_time_table()
@@ -360,11 +364,13 @@ def simulation_cache_key(
         spec.months,
         tg,
         timing.post_time(),
+        chains,
     )
 
 
 def cached_simulated_makespans(
-    grouping: "Grouping", spec: "EnsembleSpec", timing: "TimingModel"
+    grouping: "Grouping", spec: "EnsembleSpec", timing: "TimingModel",
+    chains: tuple[int, ...] | None = None,
 ) -> tuple[float, float]:
     """Memoized event-simulator ``(makespan, main_makespan)``.
 
@@ -377,27 +383,29 @@ def cached_simulated_makespans(
     """
     return _memoized(
         "simulated",
-        simulation_cache_key(grouping, spec, timing),
+        simulation_cache_key(grouping, spec, timing, chains),
         _simulated_makespans,
-        grouping, spec, timing,
+        grouping, spec, timing, chains,
     )
 
 
 def _simulated_makespans(
-    grouping: "Grouping", spec: "EnsembleSpec", timing: "TimingModel"
+    grouping: "Grouping", spec: "EnsembleSpec", timing: "TimingModel",
+    chains: tuple[int, ...] | None,
 ) -> tuple[float, float]:
     """One fresh engine run's ``(makespan, main_makespan)``."""
     from repro.simulation.engine import simulate
 
-    result = simulate(grouping, spec, timing)
+    result = simulate(grouping, spec, timing, chains=chains)
     return result.makespan, result.main_makespan
 
 
 def cached_simulated_makespan(
-    grouping: "Grouping", spec: "EnsembleSpec", timing: "TimingModel"
+    grouping: "Grouping", spec: "EnsembleSpec", timing: "TimingModel",
+    chains: tuple[int, ...] | None = None,
 ) -> float:
     """Memoized event-simulator makespan (see :func:`cached_simulated_makespans`)."""
-    return cached_simulated_makespans(grouping, spec, timing)[0]
+    return cached_simulated_makespans(grouping, spec, timing, chains)[0]
 
 
 @dataclass(frozen=True)
@@ -405,31 +413,73 @@ class ScheduleLog:
     """The fault-free reference schedule of one simulation key, as floats.
 
     ``starts``/``ends``/``procs`` hold each task's start, end and
-    processor count in the reference engine's record order (every main
-    task in placement order, then every post task in ready order).
-    ``sorted_ends`` holds the same ends ascending, and ``main_ends`` /
+    processor count in the reference engine's record order: the first
+    ``mains`` entries are the main tasks in placement order, the rest
+    the post tasks in ready order.  Within each of the two blocks the
+    starts are nondecreasing (the engine places tasks as its clock
+    advances), and ``end_peaks`` holds the running max of the ends.
+    ``sorted_ends`` holds every end ascending, and ``main_ends`` /
     ``post_ends`` the ascending ends of each scenario's main and post
-    tasks.  Together they answer "what had finished by fault-free time
-    ``t``" with a binary search, which is all a fault replay needs (see
-    :meth:`repro.faults.hooks.FaultHook.replay`).
+    tasks.  Together they answer "what had finished by time ``t``" with
+    binary searches (:meth:`cut`).
     """
 
     starts: tuple[float, ...]
     ends: tuple[float, ...]
     procs: tuple[int, ...]
+    mains: int
+    end_peaks: tuple[float, ...]
     sorted_ends: tuple[float, ...]
     main_ends: tuple[tuple[float, ...], ...]
     post_ends: tuple[tuple[float, ...], ...]
     makespan: float
 
+    def cut(
+        self, at: float, warp: Callable[[float], float]
+    ) -> tuple[tuple[int, ...], tuple[int, ...], float, int, float | None]:
+        """What had finished by time ``at`` once every time maps through ``warp``.
+
+        ``warp`` must be monotone nondecreasing — a fault hook's
+        :meth:`~repro.faults.hooks.FaultHook.wallclock`, or the shift
+        ``t -> offset + t`` of a schedule started at ``offset`` — so the
+        survivors (warped end ``<= at``) are a prefix of ``sorted_ends``.
+        Returns ``(months done, posts done, lost work, in-flight mains,
+        last end)``: the counts per scenario; the processor-seconds from
+        the warped start to ``at`` of every task cut in flight, summed in
+        record order; how many of those are mains; and the fault-free
+        end of the last survivor (``None`` when none survived).
+        """
+        starts, ends, procs = self.starts, self.ends, self.procs
+        survived = bisect.bisect_right(self.sorted_ends, at, key=warp)
+        last = self.sorted_ends[survived - 1] if survived else -math.inf
+        first_lost = self.sorted_ends[survived] if survived < len(ends) else math.inf
+        done = tuple(bisect.bisect_right(e, last) for e in self.main_ends)
+        posts_done = tuple(bisect.bisect_right(e, last) for e in self.post_ends)
+        # Per block, tasks before the first end peak above ``last`` all
+        # survived, and tasks starting at or after ``first_lost`` start
+        # after ``at``: only the window between can be cut in flight.
+        lost, in_flight = 0.0, 0
+        for lo, hi, main in ((0, self.mains, 1), (self.mains, len(ends), 0)):
+            for i in range(
+                bisect.bisect_right(self.end_peaks, last, lo, hi),
+                bisect.bisect_left(starts, first_lost, lo, hi),
+            ):
+                if last < ends[i] and (start := warp(starts[i])) < at:
+                    lost += (at - start) * procs[i]
+                    in_flight += main
+        return done, posts_done, lost, in_flight, (last if survived else None)
+
 
 def _schedule_log(
-    grouping: "Grouping", spec: "EnsembleSpec", timing: "TimingModel"
+    grouping: "Grouping", spec: "EnsembleSpec", timing: "TimingModel",
+    chains: tuple[int, ...] | None,
 ) -> ScheduleLog:
     """Flatten one traced reference simulation into a :class:`ScheduleLog`."""
     from repro.simulation.engine import simulate
 
-    result = simulate(grouping, spec, timing, record_trace=True, fast=False)
+    result = simulate(
+        grouping, spec, timing, record_trace=True, fast=False, chains=chains
+    )
     records = result.records
     main_ends: list[list[float]] = [[] for _ in range(spec.scenarios)]
     post_ends: list[list[float]] = [[] for _ in range(spec.scenarios)]
@@ -437,10 +487,16 @@ def _schedule_log(
         by_kind = main_ends if record.kind == "main" else post_ends
         by_kind[record.scenario].append(record.end)
     ends = tuple(record.end for record in records)
+    mains = sum(len(e) for e in main_ends)
     return ScheduleLog(
         starts=tuple(record.start for record in records),
         ends=ends,
         procs=tuple(record.n_procs for record in records),
+        mains=mains,
+        end_peaks=(
+            *itertools.accumulate(ends[:mains], max),
+            *itertools.accumulate(ends[mains:], max),
+        ),
         sorted_ends=tuple(sorted(ends)),
         main_ends=tuple(tuple(sorted(e)) for e in main_ends),
         post_ends=tuple(tuple(sorted(e)) for e in post_ends),
@@ -449,7 +505,8 @@ def _schedule_log(
 
 
 def cached_schedule_log(
-    grouping: "Grouping", spec: "EnsembleSpec", timing: "TimingModel"
+    grouping: "Grouping", spec: "EnsembleSpec", timing: "TimingModel",
+    chains: tuple[int, ...] | None = None,
 ) -> ScheduleLog:
     """The :class:`ScheduleLog` of one key, memoized under :func:`simulation_cache_key`.
 
@@ -457,9 +514,9 @@ def cached_schedule_log(
     """
     return _memoized(
         "schedule",
-        simulation_cache_key(grouping, spec, timing),
+        simulation_cache_key(grouping, spec, timing, chains),
         _schedule_log,
-        grouping, spec, timing,
+        grouping, spec, timing, chains,
     )
 
 

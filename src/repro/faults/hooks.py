@@ -1,7 +1,6 @@
-"""Engine-level fault injection — the hook the simulator accepts.
+"""Cluster-level fault injection — a time warp over a simulated schedule.
 
-A :class:`FaultHook` compiles one cluster's sub-trace into two things
-the engine can consume:
+A :class:`FaultHook` compiles one cluster's sub-trace into two things:
 
 * a **time warp** — a piecewise-linear monotone map between *fault-free
   simulation time* and *wall-clock time*.  Outages contribute flat
@@ -20,26 +19,22 @@ lost, as is every post task still pending.  :class:`FaultOutcome`
 reports exactly that split, so the middleware replanner can resume each
 scenario from its last completed month.
 
-Two ways to apply a hook give the same outcome:
-
-* :meth:`FaultHook.apply` warps every record of a traced reference
-  run — the path for Gantt charts and the oracle for the other;
-* :meth:`FaultHook.replay` reads the memoized
-  :class:`~repro.core.makespan.ScheduleLog` of the fault-free schedule.
-  The warp is monotone, so the tasks that survive a crash are a prefix
-  of the tasks sorted by end, found by one binary search.
-  :func:`simulate_with_faults` takes this path whenever no records are
-  asked for, which is how the scheduler arena scores faulted points.
-
-An empty hook is guaranteed free: :func:`repro.simulation.engine.simulate`
-treats it as ``faults=None`` and keeps its bookkeeping-free fast path,
-so results are bit-for-bit those of the fault-free engine.
+The engine knows nothing of faults.  :func:`simulate_with_faults`, the
+one entry point, scores a faulted schedule with
+:meth:`FaultHook.replay`: one schedule cut
+(:meth:`~repro.core.makespan.ScheduleLog.cut`) of the memoized
+fault-free schedule log under the hook's ``wallclock``.  The middleware
+replanner takes its cuts from the same logs.  :meth:`FaultHook.apply`,
+which warps every record of a traced reference run, is the oracle that
+``tests/property/test_fault_replay.py`` and
+``benchmarks/replay_differential.py`` compare ``replay`` against.  An
+empty hook is free: :func:`simulate_with_faults` runs the plain engine,
+so results are bit-for-bit those of the fault-free schedule.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, replace
 
 from repro import obs
@@ -202,9 +197,10 @@ class FaultHook:
         """Warp a traced :class:`~repro.simulation.events.SimulationResult`.
 
         Returns ``(warped_result, outcome)``.  The input must carry
-        records (``record_trace=True``); the engine guarantees that when
-        a hook is passed.  Surviving records get warped start/end times;
-        tasks in flight at the crash (and everything after) are dropped.
+        records (``record_trace=True``).  Surviving records get warped
+        start/end times; tasks in flight at the crash (and everything
+        after) are dropped.  This record-by-record warp is the oracle
+        :meth:`replay` is checked against.
         """
         if self.is_noop:
             outcome = _completed_outcome(result)
@@ -274,13 +270,10 @@ class FaultHook:
 
         Returns ``(warped_result, outcome)``, field for field what
         :meth:`apply` returns for the traced reference simulation with
-        ``keep_records=False``.  The warp is monotone, so the tasks that
-        survive a crash are a prefix of the tasks sorted by end: one
-        binary search over the
-        :class:`~repro.core.makespan.ScheduleLog` finds the last
-        surviving end, and per-scenario counts are binary searches below
-        it.  Without a crash every task survives, and the two cached
-        makespans suffice.
+        ``keep_records=False``.  A crash is one
+        :meth:`~repro.core.makespan.ScheduleLog.cut` of the memoized log
+        at ``crash_at`` under :meth:`wallclock`.  Without a crash every
+        task survives, and the two cached makespans suffice.
         """
         from repro.core.makespan import (
             cached_schedule_log,
@@ -289,46 +282,30 @@ class FaultHook:
         from repro.simulation.events import SimulationResult
 
         wallclock, crash = self.wallclock, self.crash_at
-        scenarios = range(spec.scenarios)
         if crash is None:
             makespan, main_makespan = cached_simulated_makespans(
                 grouping, spec, timing
             )
             makespan = wallclock(makespan)
             main_makespan = wallclock(main_makespan)
-            completed = {s: spec.months for s in scenarios}
-            pending_posts = {s: 0 for s in scenarios}
+            completed = {s: spec.months for s in range(spec.scenarios)}
+            pending_posts = {s: 0 for s in completed}
             months_lost = 0
             lost_work = 0.0
         else:
             log = cached_schedule_log(grouping, spec, timing)
-            ends = log.sorted_ends
-            survived = bisect.bisect_right(ends, crash, key=wallclock)
-            last = ends[survived - 1] if survived else -math.inf
-            first_lost = ends[survived] if survived < len(ends) else math.inf
-            completed = {
-                s: bisect.bisect_right(log.main_ends[s], last) for s in scenarios
-            }
+            done, posts_done, lost_work, _, last = log.cut(crash, wallclock)
+            completed = dict(enumerate(done))
             pending_posts = {
-                s: completed[s]
-                - min(bisect.bisect_right(log.post_ends[s], last), completed[s])
-                for s in scenarios
+                s: n - min(posts_done[s], n) for s, n in completed.items()
             }
-            months_lost = spec.scenarios * spec.months - sum(completed.values())
-            makespan = wallclock(last) if survived else 0.0
+            months_lost = spec.scenarios * spec.months - sum(done)
+            makespan = 0.0 if last is None else wallclock(last)
             main_last = max(
                 (log.main_ends[s][n - 1] for s, n in completed.items() if n),
                 default=None,
             )
             main_makespan = 0.0 if main_last is None else wallclock(main_last)
-            # In record order, like apply: a task starting at or after
-            # the first lost end starts after the crash too.
-            lost_work = 0.0
-            for start, end, procs in zip(log.starts, log.ends, log.procs):
-                if last < end and start < first_lost:
-                    start = wallclock(start)
-                    if start < crash:
-                        lost_work += (crash - start) * procs
         warped = SimulationResult(
             makespan=makespan,
             main_makespan=main_makespan,
@@ -398,33 +375,21 @@ def simulate_with_faults(
     faults: FaultHook | FaultTrace,
     *,
     cluster_name: str = "cluster",
-    record_trace: bool = False,
 ):
     """Simulate one cluster under faults; return ``(result, outcome)``.
 
     ``faults`` may be a pre-compiled :class:`FaultHook` or a full
     :class:`~repro.faults.trace.FaultTrace` (compiled against
-    ``cluster_name``).  The convenience over the engine's ``faults``
-    keyword is the returned :class:`FaultOutcome` — the checkpoint-level
-    account the middleware replanner consumes.  Without ``record_trace``
-    a live hook replays the memoized schedule log (:meth:`FaultHook.replay`);
-    with it, the traced reference run is warped record by record
-    (:meth:`FaultHook.apply`).
+    ``cluster_name``).  A noop hook runs the plain engine and reports a
+    completed schedule; a live one replays the memoized schedule log
+    (:meth:`FaultHook.replay`).  The returned :class:`FaultOutcome` is
+    the checkpoint-level account the middleware replanner consumes.
     """
     from repro.simulation.engine import simulate
 
     if isinstance(faults, FaultTrace):
         faults = FaultHook.from_trace(faults, cluster_name)
     if faults.is_noop:
-        result = simulate(
-            grouping, spec, timing,
-            cluster_name=cluster_name, record_trace=record_trace,
-        )
+        result = simulate(grouping, spec, timing, cluster_name=cluster_name)
         return result, _completed_outcome(result)
-    if not record_trace:
-        return faults.replay(grouping, spec, timing, cluster_name=cluster_name)
-    base = simulate(
-        grouping, spec, timing,
-        cluster_name=cluster_name, record_trace=True, fast=False,
-    )
-    return faults.apply(base)
+    return faults.replay(grouping, spec, timing, cluster_name=cluster_name)

@@ -17,11 +17,17 @@ natural recovery strategy on top of the paper's machinery:
 4. scenarios are reassigned greedily, longest-remaining-first, each to
    the cluster minimizing the resulting finish time — Algorithm 1's
    rule generalized to unequal chain lengths, with each candidate
-   evaluated *exactly* by the engine that evaluates every schedule
-   (:func:`repro.simulation.engine.simulate`), given each remaining
-   chain's month count;
+   evaluated *exactly* by the memoized engine that evaluates every
+   schedule (:func:`~repro.core.makespan.cached_simulated_makespan`),
+   given each remaining chain's month count;
 5. moving a scenario pays the restart-archive migration penalty of
    :class:`~repro.workflow.data.DataTransferModel`.
+
+What had finished on the failed cluster at ``T_f`` is one schedule cut
+(:meth:`~repro.core.makespan.ScheduleLog.cut`) of the memoized
+fault-free schedule log, shifted to the time its schedule started —
+the same logs a fault replay (:meth:`~repro.faults.hooks.FaultHook.replay`)
+reads, so this module runs no engine of its own.
 
 The result quantifies the failure's cost: new global makespan, months of
 computation lost, and where every interrupted scenario restarted.
@@ -37,13 +43,13 @@ from repro import obs
 from repro.core.grouping import Grouping
 from repro.core.heuristics import HeuristicName, plan_grouping
 from repro.core.knapsack_grouping import knapsack_grouping
+from repro.core.makespan import cached_schedule_log, cached_simulated_makespan
 from repro.core.performance_vector import performance_vector
 from repro.core.repartition import Repartition, repartition_dags
 from repro.exceptions import MiddlewareError
 from repro.faults.trace import FaultEvent, FaultKind, FaultTrace
 from repro.platform.cluster import ClusterSpec
 from repro.platform.grid import GridSpec
-from repro.simulation.engine import simulate
 from repro.workflow.data import DataTransferModel
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 
@@ -58,8 +64,8 @@ __all__ = [
 
 _log = obs.get_logger(__name__)
 
-# Unused: the layer tracer in perfbench/layers.py rebinds both names here.
-simulate_dag = fused_scenario_dag = None
+# Unused: the layer tracer in perfbench/layers.py rebinds these names here.
+simulate = simulate_dag = fused_scenario_dag = None
 
 
 @dataclass(frozen=True)
@@ -143,8 +149,8 @@ def _progress_at(
     chains: tuple[int, ...] | None,
     offset: float,
     at_time: float,
-) -> tuple[list[int], list[int], float, int]:
-    """Replay a schedule started at ``offset``; count what ``at_time`` saw.
+) -> tuple[tuple[int, ...], tuple[int, ...], float, int]:
+    """Cut a schedule started at ``offset``; count what ``at_time`` saw.
 
     Task outputs ship to shared storage on completion (§4.1's data
     model), so a month is *resumable* once its coupled run finished: the
@@ -155,29 +161,12 @@ def _progress_at(
     work seconds, in-flight months destroyed)``, the counts indexed by
     the schedule's scenarios; the lost term counts interrupted mains and
     posts alike.  A month's post ends after its main, so ``months done
-    - posts done`` archive tasks are pending.
+    - posts done`` archive tasks are pending.  The answer is one
+    :meth:`~repro.core.makespan.ScheduleLog.cut` of the memoized log
+    under the shift ``t -> offset + t``.
     """
-    result = simulate(
-        grouping, spec, cluster.timing, cluster_name=cluster.name,
-        record_trace=True, chains=chains,
-    )
-    done = [0] * spec.scenarios
-    posts_done = [0] * spec.scenarios
-    lost = 0.0
-    in_flight = 0
-    for record in result.records:
-        start = offset + record.start
-        end = offset + record.end
-        if end <= at_time:
-            if record.kind == "main":
-                done[record.scenario] += 1
-            else:
-                posts_done[record.scenario] += 1
-        elif start < at_time:
-            lost += (at_time - start) * record.n_procs
-            if record.kind == "main":
-                in_flight += 1
-    return done, posts_done, lost, in_flight
+    log = cached_schedule_log(grouping, spec, cluster.timing, chains)
+    return log.cut(at_time, lambda t: offset + t)[:4]
 
 
 def _appended_finish(
@@ -200,10 +189,7 @@ def _appended_finish(
     finish = base_finish + migration_seconds
     if chains:
         spec, grouping, counts = _chain_plan(cluster, chains)
-        finish += simulate(
-            grouping, spec, cluster.timing, cluster_name=cluster.name,
-            chains=counts,
-        ).makespan
+        finish += cached_simulated_makespan(grouping, spec, cluster.timing, counts)
     if pending_posts:
         finish += (
             math.ceil(pending_posts / cluster.resources) * cluster.post_time()

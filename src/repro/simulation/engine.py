@@ -13,6 +13,12 @@ Main-task phase
     after its own last month — the remaining chains the failure
     replanner (:mod:`repro.middleware.recovery`) resumes on a survivor.
 
+Faults
+    The engine takes no fault input.  A fault trace warps the fault-free
+    schedule without changing its decisions, so :mod:`repro.faults.hooks`
+    and the replanner read a cut of the memoized schedule log
+    (:meth:`repro.core.makespan.ScheduleLog.cut`) instead.
+
 Post-task phase
     Every finished main task releases one post task.  Post tasks run on
     single processors: the dedicated post pool is available from time 0,
@@ -73,7 +79,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.core.grouping import Grouping
@@ -83,9 +88,6 @@ from repro.platform.timing import TimingModel
 from repro.simulation.events import SimulationResult, TaskRecord
 from repro.simulation.groups import post_pool_range, proc_ranges
 from repro.workflow.ocean_atmosphere import EnsembleSpec
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults.hooks import FaultHook
 
 __all__ = ["simulate", "simulate_on_cluster"]
 
@@ -99,7 +101,6 @@ def simulate(
     record_trace: bool = False,
     enforce_cardinality: bool = True,
     fast: bool | None = None,
-    faults: "FaultHook | None" = None,
     chains: tuple[int, ...] | None = None,
 ) -> SimulationResult:
     """Simulate one ensemble on one cluster under a fixed grouping.
@@ -127,44 +128,13 @@ def simulate(
         implementation — forcing ``True`` is incompatible with
         ``record_trace``; forcing ``False`` exists for differential
         testing and baseline benchmarks.
-    faults:
-        A compiled :class:`~repro.faults.hooks.FaultHook` for this
-        cluster.  A no-op hook (or ``None``) leaves every path —
-        including fast-path auto-selection — untouched, so fault-free
-        results stay bit-for-bit identical.  A live hook forces the
-        traced reference path internally and returns the warped,
-        crash-truncated schedule; use
-        :func:`repro.faults.hooks.simulate_with_faults` when the
-        checkpoint-level :class:`~repro.faults.hooks.FaultOutcome` is
-        needed too.
     chains:
         Month count of each scenario, one entry per scenario, each in
         ``1..spec.months`` — the unequal chains the replanner resumes
         after a failure.  ``None`` (default) runs every scenario for
-        ``spec.months``.  A live fault hook takes no ``chains``: its
-        outcome counts ``NS·NM`` months.
+        ``spec.months``.
     """
     months = _chain_months(spec, chains)
-    if faults is not None and faults.is_noop:
-        faults = None
-    if faults is not None:
-        if fast:
-            raise SimulationError(
-                "fast=True cannot inject faults; use fast=False or fast=None"
-            )
-        if chains is not None:
-            raise SimulationError("fault hooks take no chains; pass chains=None")
-        base = simulate(
-            grouping,
-            spec,
-            timing,
-            cluster_name=cluster_name,
-            record_trace=True,
-            enforce_cardinality=enforce_cardinality,
-            fast=False,
-        )
-        warped, _outcome = faults.apply(base, keep_records=record_trace)
-        return warped
     if enforce_cardinality:
         grouping.validate_against(timing, spec.scenarios)
     else:

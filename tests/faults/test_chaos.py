@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import random
 import time
+import uuid
 from collections import Counter
 
 import pytest
@@ -92,20 +94,32 @@ class TestChaosMonkey:
 
 
 class TestQueueInjection:
-    def test_error_injection_retries_to_done(self, tmp_path) -> None:
+    def test_error_injection_retries_to_done(self, tmp_path, monkeypatch) -> None:
         # Error-only chaos at rate < 1: every run eventually lands
-        # terminal, and at least one injection happened.
+        # terminal, and at least one injection happened.  Run ids are
+        # pinned (decisions roll on them), so the injection count is the
+        # one the monkey's decisions predict over the attempts made.
+        ids_rng = random.Random(2008)
+        monkeypatch.setattr(
+            uuid, "uuid4",
+            lambda: uuid.UUID(int=ids_rng.getrandbits(128), version=4),
+        )
+        config = ChaosConfig(seed=5, error_rate=0.5)
         with RunStore(tmp_path / "runs.db") as store:
             ids = [
                 store.submit("sleep", {"seconds": 0}, max_attempts=6)
                 for _ in range(6)
             ]
-            workers = drain(
-                store, _fast_config(), chaos=ChaosConfig(seed=5, error_rate=0.5)
-            )
-            states = {store.get(i).state for i in ids}
-            assert states <= {"done", "failed"}
+            workers = drain(store, _fast_config(), chaos=config)
+            records = [store.get(i) for i in ids]
+            assert {r.state for r in records} <= {"done", "failed"}
             assert _injected(workers) >= 1
+            monkey = ChaosMonkey(config)
+            assert _injected(workers) == sum(
+                monkey.decide(r.run_id, attempt) == "error"
+                for r in records
+                for attempt in range(1, r.attempts + 1)
+            )
 
     def test_chaos_off_means_no_monkey(self, tmp_path) -> None:
         with RunStore(tmp_path / "runs.db") as store:

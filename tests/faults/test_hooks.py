@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.grouping import Grouping
 from repro.exceptions import SimulationError
-from repro.faults.hooks import FaultHook, simulate_with_faults
+from repro.faults.hooks import FaultHook, FaultOutcome, simulate_with_faults
 from repro.faults.trace import FaultEvent, FaultKind, FaultTrace
 from repro.platform.timing import TableTimingModel
 from repro.simulation.engine import simulate
@@ -90,21 +90,18 @@ class TestEngineIntegration:
         timing = _flat()
         grouping = Grouping((4, 4), 0, 8)
         spec = EnsembleSpec(3, 4)
-        plain = simulate(grouping, spec, timing, record_trace=True)
-        hooked = simulate(
-            grouping, spec, timing, record_trace=True, faults=FaultHook()
+        plain = simulate(grouping, spec, timing)
+        result, outcome = simulate_with_faults(grouping, spec, timing, FaultHook())
+        assert result == plain
+        assert outcome == FaultOutcome(
+            cluster_name="cluster",
+            crash_at=None,
+            completed_months={0: 4, 1: 4, 2: 4},
+            pending_posts={0: 0, 1: 0, 2: 0},
+            months_lost=0,
+            lost_work_seconds=0.0,
+            makespan=plain.makespan,
         )
-        assert hooked.makespan == plain.makespan
-        assert hooked.main_makespan == plain.main_makespan
-        assert hooked.records == plain.records
-
-    def test_fast_path_rejects_live_hooks(self) -> None:
-        hook = FaultHook.from_events([_outage(10.0, 5.0)])
-        with pytest.raises(SimulationError):
-            simulate(
-                Grouping((4,), 0, 4), EnsembleSpec(1, 2), _flat(),
-                faults=hook, fast=True,
-            )
 
     def test_outage_delays_the_makespan_exactly(self) -> None:
         timing = _flat()
@@ -112,7 +109,7 @@ class TestEngineIntegration:
         spec = EnsembleSpec(1, 3)
         plain = simulate(grouping, spec, timing)
         hook = FaultHook.from_events([_outage(150.0, 60.0)])
-        warped = simulate(grouping, spec, timing, faults=hook)
+        warped, _outcome = simulate_with_faults(grouping, spec, timing, hook)
         assert warped.makespan == pytest.approx(plain.makespan + 60.0)
 
     def test_apply_requires_records(self) -> None:
@@ -133,15 +130,16 @@ class TestCrashOutcome:
         grouping = Grouping((4,), 0, 4)
         spec = EnsembleSpec(1, 3)
         hook = FaultHook.from_events([FaultEvent(FaultKind.CRASH, "c", 250.0)])
-        warped, outcome = simulate_with_faults(
-            grouping, spec, timing, hook, record_trace=True
-        )
+        warped, outcome = simulate_with_faults(grouping, spec, timing, hook)
         assert outcome.crashed
         assert outcome.completed_months == {0: 2}
         assert outcome.months_lost == 1
         assert outcome.lost_work_seconds == pytest.approx(50.0 * 4)
         assert warped.makespan <= 250.0
-        assert all(r.end <= 250.0 for r in warped.records)
+        traced = simulate(grouping, spec, timing, record_trace=True)
+        applied, applied_outcome = hook.apply(traced)
+        assert applied_outcome == outcome
+        assert all(r.end <= 250.0 for r in applied.records)
 
     def test_crash_at_zero_loses_everything(self) -> None:
         spec = EnsembleSpec(2, 3)

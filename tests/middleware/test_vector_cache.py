@@ -9,6 +9,8 @@ its vector already holds; and a second identical campaign runs no
 engine at all.  The vectors' knapsack DP stacks are memoized per item
 table (the ``dp`` kind), so the repeats and a second campaign build no
 DP either, while the SeD's scalar re-plan never touches that memo.  The
+fault replanner reads the same caches, keyed on its remaining chains,
+so a second identical faulted campaign runs no engine either.  The
 memoized results must equal uncached ones field for field.
 """
 
@@ -17,7 +19,10 @@ from __future__ import annotations
 from dataclasses import fields
 
 from repro import obs
+from repro.core.grouping import Grouping
 from repro.core.makespan import (
+    cached_schedule_log,
+    cached_simulated_makespan,
     clear_makespan_cache,
     makespan_cache_disabled,
     makespan_cache_stats,
@@ -37,6 +42,10 @@ from repro.workflow.ocean_atmosphere import EnsembleSpec
 
 NS, NM = 12, 8
 HOUR = 3600.0
+TRACE = FaultTrace.of([
+    FaultEvent(FaultKind.OUTAGE, "chti", 3 * HOUR, duration=HOUR),
+    FaultEvent(FaultKind.CRASH, "sagittaire-1", 5 * HOUR),
+])
 
 
 def _simulated() -> dict[str, int]:
@@ -130,6 +139,37 @@ def test_sed_execution_replans_without_the_dp_memo() -> None:
     assert makespan_cache_stats()["dp"] == {"hits": 0, "misses": 0, "size": 0}
 
 
+def test_full_chains_are_their_own_key() -> None:
+    cluster = benchmark_cluster("grelon", 12)
+    grouping, spec = Grouping((4, 6), 2, 12), EnsembleSpec(3, NM)
+    full = (NM,) * spec.scenarios
+    clear_makespan_cache()
+    for chains in (None, full, None, full):
+        cached_simulated_makespan(grouping, spec, cluster.timing, chains)
+        cached_schedule_log(grouping, spec, cluster.timing, chains)
+    stats = makespan_cache_stats()
+    for kind in ("simulated", "schedule"):
+        assert stats[kind] == {"hits": 2, "misses": 2, "size": 2}, kind
+    assert cached_simulated_makespan(
+        grouping, spec, cluster.timing, full
+    ) == cached_simulated_makespan(grouping, spec, cluster.timing)
+
+
+def test_second_identical_faulted_campaign_runs_no_engine() -> None:
+    grid = benchmark_grid(6, 33)
+    clear_makespan_cache()
+    first, cold_runs = _engine_runs(
+        lambda: run_campaign_with_faults(grid, NS, NM, TRACE)
+    )
+    second, warm_runs = _engine_runs(
+        lambda: run_campaign_with_faults(grid, NS, NM, TRACE)
+    )
+    assert first.replans > 0
+    assert cold_runs > 0
+    assert warm_runs == 0
+    assert second == first
+
+
 def _assert_fields_equal(cached: object, uncached: object) -> None:
     assert type(cached) is type(uncached)
     for field in fields(cached):
@@ -138,21 +178,20 @@ def _assert_fields_equal(cached: object, uncached: object) -> None:
 
 def test_uncached_campaigns_equal_cached_field_for_field() -> None:
     grid = benchmark_grid(6, 33)
-    trace = FaultTrace.of([
-        FaultEvent(FaultKind.OUTAGE, "chti", 3 * HOUR, duration=HOUR),
-        FaultEvent(FaultKind.CRASH, "sagittaire-1", 5 * HOUR),
-    ])
     clear_makespan_cache()
     cold = run_campaign(grid, NS, NM)
     warm = run_campaign(grid, NS, NM)
-    faulted = run_campaign_with_faults(grid, NS, NM, trace)
+    faulted = run_campaign_with_faults(grid, NS, NM, TRACE)
+    warm_faulted = run_campaign_with_faults(grid, NS, NM, TRACE)
     stats = makespan_cache_stats()
     with makespan_cache_disabled():
         uncached = run_campaign(grid, NS, NM)
-        uncached_faulted = run_campaign_with_faults(grid, NS, NM, trace)
+        uncached_faulted = run_campaign_with_faults(grid, NS, NM, TRACE)
     assert makespan_cache_stats() == stats
     assert stats["dp"]["hits"] > 0
+    assert stats["schedule"]["hits"] > 0
     assert faulted.replans > 0
     for cached in (cold, warm):
         _assert_fields_equal(cached, uncached)
-    _assert_fields_equal(faulted, uncached_faulted)
+    for cached in (faulted, warm_faulted):
+        _assert_fields_equal(cached, uncached_faulted)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.grouping import Grouping
-from repro.faults.hooks import FaultHook
+from repro.faults.hooks import FaultHook, simulate_with_faults
 from repro.faults.trace import (
     FaultEvent,
     FaultKind,
@@ -118,12 +118,16 @@ class TestNoopPurity:
         )
         grouping = Grouping((4,) * groups, 0, 4 * groups)
         spec = EnsembleSpec(scenarios, months)
-        plain = simulate(grouping, spec, timing, record_trace=True)
-        hooked = simulate(
-            grouping, spec, timing, record_trace=True, faults=FaultHook()
+        plain = simulate(grouping, spec, timing)
+        result, outcome = simulate_with_faults(
+            grouping, spec, timing, FaultHook()
         )
-        assert hooked.makespan == plain.makespan
-        assert hooked.records == plain.records
+        assert result == plain
+        assert not outcome.crashed
+        assert outcome.completed_months == dict.fromkeys(range(scenarios), months)
+        assert outcome.pending_posts == dict.fromkeys(range(scenarios), 0)
+        assert (outcome.months_lost, outcome.lost_work_seconds) == (0, 0.0)
+        assert outcome.makespan == plain.makespan
 
 
 class TestCampaignDeterminism:

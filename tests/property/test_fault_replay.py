@@ -10,6 +10,8 @@ field for field and bit for bit.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,6 +190,13 @@ class TestScheduleLogMemo:
         assert log.procs == tuple(r.n_procs for r in records)
         assert log.sorted_ends == tuple(sorted(log.ends))
         assert log.makespan == max(log.ends)
+        assert log.mains == sum(r.kind == "main" for r in records)
+        assert all(r.kind == "main" for r in records[:log.mains])
+        blocks = (slice(0, log.mains), slice(log.mains, None))
+        assert log.end_peaks == tuple(
+            peak for block in blocks
+            for peak in itertools.accumulate(log.ends[block], max)
+        )
         for s in range(spec.scenarios):
             assert log.main_ends[s] == tuple(sorted(
                 r.end for r in records if r.kind == "main" and r.scenario == s

@@ -6,8 +6,6 @@ import pytest
 
 from repro.core.grouping import Grouping
 from repro.exceptions import SimulationError
-from repro.faults.hooks import FaultHook
-from repro.faults.trace import FaultEvent, FaultKind
 from repro.platform.timing import AmdahlTimingModel, TableTimingModel
 from repro.simulation.engine import simulate
 from repro.simulation.online import simulate_online
@@ -126,11 +124,3 @@ class TestChains:
                 for s in range(3)
             ]
             assert runs == [list(range(n)) for n in chains]
-
-    def test_fault_hooks_take_no_chains(self) -> None:
-        hook = FaultHook.from_events([FaultEvent(FaultKind.CRASH, "c", 150.0)])
-        with pytest.raises(SimulationError, match="take no chains"):
-            simulate(
-                Grouping((4,), 1, 5), EnsembleSpec(2, 4), _flat(),
-                chains=(4, 2), faults=hook,
-            )
