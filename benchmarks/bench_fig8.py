@@ -47,12 +47,16 @@ def test_fig8_gain_sweep(benchmark) -> None:
 
 @pytest.mark.figure("fig8")
 def test_fig8_single_cluster_cell(benchmark) -> None:
-    """Microbenchmark: one (cluster, R) cell — four plans + simulations."""
-    from repro.experiments.runner import makespans_by_heuristic
-    from repro.platform.benchmarks import benchmark_cluster
-    from repro.workflow.ocean_atmosphere import EnsembleSpec
+    """Microbenchmark: one (cluster, R) cell — four plans + simulations.
 
-    cluster = benchmark_cluster("chti", 53)
-    spec = EnsembleSpec(10, 60)
-    makespans = benchmark(makespans_by_heuristic, cluster, spec)
-    assert set(makespans) == {"basic", "redistribute", "allpost_end", "knapsack"}
+    Uncached, so every round plans and simulates the cell afresh.
+    """
+    from repro.experiments.sweep import SweepGrid, run_sweep
+
+    grid = SweepGrid.from_ranges(
+        clusters=("chti",), r_min=53, r_max=53, scenarios=(10,), months=(60,)
+    )
+    result = benchmark(run_sweep, grid, use_cache=False)
+    assert set(result.cells()[("chti", 53, 10, 60)]) == {
+        "basic", "redistribute", "allpost_end", "knapsack"
+    }

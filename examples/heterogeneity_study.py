@@ -27,7 +27,7 @@ from repro.analysis.gains import gains_over_baseline
 from repro.analysis.stats import summarize
 from repro.analysis.tables import format_table
 from repro.core.heuristics import plan_grouping
-from repro.experiments.runner import makespans_by_heuristic
+from repro.experiments.runner import ALL_HEURISTICS
 from repro.platform.cluster import ClusterSpec
 from repro.platform.heterogeneity import perturbed_timing, random_cluster
 from repro.simulation.engine import simulate
@@ -38,7 +38,15 @@ def random_platform_study(rng: np.random.Generator, spec: EnsembleSpec) -> None:
     gains_by_heuristic: dict[str, list[float]] = {}
     for i in range(40):
         cluster = random_cluster(rng, name=f"random{i}")
-        gains = gains_over_baseline(makespans_by_heuristic(cluster, spec))
+        # Random clusters are not benchmark clusters, so no sweep covers
+        # them: plan and simulate each heuristic directly.
+        makespans = {
+            heuristic.value: simulate(
+                plan_grouping(cluster, spec, heuristic), spec, cluster.timing
+            ).makespan
+            for heuristic in ALL_HEURISTICS
+        }
+        gains = gains_over_baseline(makespans)
         for name, gain in gains.items():
             gains_by_heuristic.setdefault(name, []).append(gain)
 

@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_figure_args(p8, "fig8")
     p8.add_argument(
         "--workers", type=int, default=None,
-        help="fan resource points out over N worker processes",
+        help="fan the sweep's chunks out over N worker processes",
     )
 
     p10 = sub.add_parser("fig10", help="grid gains with repartition (Figure 10)")
@@ -98,13 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_kind_flags(psw, "sweep")
     _add_journal_args(psw)
-    psw.add_argument(
-        "--no-batch", action="store_true",
-        help=(
-            "force the scalar planning oracle instead of the vectorized "
-            "batch kernels (the default, with or without --metrics-out)"
-        ),
-    )
     psw.add_argument(
         "--table", action="store_true",
         help="print every evaluated row, not just the summary",
@@ -807,7 +800,6 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
                 resume=not args.no_resume,
                 max_chunks=args.max_chunks,
                 use_cache=not args.no_cache,
-                batch=not args.no_batch,
             )
         extra = finalize_obs(args)
 

@@ -1,6 +1,7 @@
 """Ablation studies backing the design decisions in DESIGN.md.
 
-Four studies, each with its own ``run_*`` function:
+Each study has its own ``run_*`` function; the four behind DESIGN.md's
+decisions are:
 
 ``run_analytic_vs_simulated``
     How tight are Equations 1–5 against the event simulator?  The basic
@@ -20,6 +21,11 @@ Four studies, each with its own ``run_*`` function:
     The calibration study behind ``DEFAULT_SERIAL_FRACTION = 0.5`` (see
     :mod:`repro.platform.benchmarks`): how the optimal-grouping
     staircase responds to the Amdahl serial fraction.
+
+The studies that need every heuristic's makespan (NM and NS
+sensitivity, the optimality gap, the CPA comparison) read them from one
+:func:`~repro.experiments.sweep.run_sweep` each, through
+:func:`~repro.experiments.runner.heuristic_cells`.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from repro.core.basic import best_uniform_group
 from repro.core.grouping import Grouping
 from repro.core.knapsack_grouping import knapsack_grouping, knapsack_problem_for
 from repro.core.makespan import analytic_breakdown
-from repro.experiments.runner import makespans_by_heuristic
+from repro.experiments.runner import heuristic_cells
 from repro.knapsack.dp import solve_dp
 from repro.knapsack.greedy import solve_greedy
 from repro.platform.benchmarks import benchmark_cluster
@@ -146,15 +152,14 @@ def run_months_sensitivity(
     cluster_name: str = "chti",
 ) -> dict[int, dict[int, dict[str, float]]]:
     """Gains per (NM, R): ``result[months][R][heuristic] = gain%``."""
-    out: dict[int, dict[int, dict[str, float]]] = {}
-    for months in months_values:
-        spec = EnsembleSpec(scenarios, months)
-        out[months] = {}
-        for r in resources:
-            cluster = benchmark_cluster(cluster_name, r)
-            makespans = makespans_by_heuristic(cluster, spec)
-            out[months][r] = gains_over_baseline(makespans)
-    return out
+    cells = heuristic_cells((cluster_name,), resources, (scenarios,), months_values)
+    return {
+        months: {
+            r: gains_over_baseline(cells[(cluster_name, r, scenarios, months)])
+            for r in resources
+        }
+        for months in months_values
+    }
 
 
 def run_serial_fraction_sensitivity(
@@ -195,6 +200,7 @@ def run_optimality_gap(
     from repro.core.exhaustive import exhaustive_grouping
 
     spec = EnsembleSpec(scenarios, months)
+    cells = heuristic_cells((cluster_name,), resources, (scenarios,), (months,))
     rows: list[dict[str, float]] = []
     for r in resources:
         cluster = benchmark_cluster(cluster_name, r)
@@ -204,9 +210,7 @@ def run_optimality_gap(
             "candidates": float(optimum.candidates),
             "optimal_makespan": optimum.best_makespan,
         }
-        for heuristic, makespan in makespans_by_heuristic(
-            cluster, spec
-        ).items():
+        for heuristic, makespan in cells[(cluster_name, r, scenarios, months)].items():
             row[f"{heuristic}_gap_pct"] = optimum.gap_of(makespan)
         rows.append(row)
     return rows
@@ -273,13 +277,14 @@ def run_cpa_comparison(
     from repro.core.cpa import cpa_grouping
 
     spec = EnsembleSpec(scenarios, months)
+    cells = heuristic_cells((cluster_name,), resources, (scenarios,), (months,))
     rows: list[dict[str, float]] = []
     for r in resources:
         cluster = benchmark_cluster(cluster_name, r)
         ms_cpa = simulate(
             cpa_grouping(cluster, spec), spec, cluster.timing
         ).makespan
-        ms = makespans_by_heuristic(cluster, spec)
+        ms = cells[(cluster_name, r, scenarios, months)]
         rows.append(
             {
                 "R": float(r),
@@ -309,16 +314,14 @@ def run_scenarios_sensitivity(
     whether the knapsack's advantage is an artifact of that choice.
     ``result[scenarios][R][heuristic] = gain%``.
     """
-    out: dict[int, dict[int, dict[str, float]]] = {}
-    for scenarios in scenarios_values:
-        spec = EnsembleSpec(scenarios, months)
-        out[scenarios] = {}
-        for r in resources:
-            cluster = benchmark_cluster(cluster_name, r)
-            out[scenarios][r] = gains_over_baseline(
-                makespans_by_heuristic(cluster, spec)
-            )
-    return out
+    cells = heuristic_cells((cluster_name,), resources, scenarios_values, (months,))
+    return {
+        scenarios: {
+            r: gains_over_baseline(cells[(cluster_name, r, scenarios, months)])
+            for r in resources
+        }
+        for scenarios in scenarios_values
+    }
 
 
 def main() -> None:  # pragma: no cover - thin CLI shim

@@ -10,6 +10,11 @@ Expected shape: the knapsack representation (gain 3) "yields to the
 bests results with low resources"; gains shrink with more resources and
 can dip slightly negative; at large R all heuristics converge to NS
 groups of 11 and every gain is 0.
+
+The makespans come from one :func:`~repro.experiments.sweep.run_sweep`
+over the five benchmark clusters (see
+:func:`~repro.experiments.runner.heuristic_cells`), scored per cell by
+:func:`~repro.analysis.gains.gains_over_baseline`.
 """
 
 from __future__ import annotations
@@ -24,13 +29,10 @@ from repro.core.heuristics import HeuristicName
 from repro.experiments.runner import (
     ALL_HEURISTICS,
     IMPROVEMENT_LABELS,
-    makespans_by_heuristic,
-    parallel_map,
+    heuristic_cells,
     resource_sweep,
 )
-from repro.platform.benchmarks import benchmark_clusters
-from repro.platform.cluster import ClusterSpec
-from repro.workflow.ocean_atmosphere import EnsembleSpec
+from repro.platform.benchmarks import REFERENCE_CLUSTER_SPEEDS
 
 __all__ = ["Fig8Result", "run", "render", "main"]
 
@@ -63,23 +65,6 @@ class Fig8Result:
         return max(s.mean for s in self.stats[heuristic])
 
 
-def _sweep_point(
-    args: tuple[int, int, int, tuple[ClusterSpec, ...]],
-) -> list[dict[str, float]]:
-    """One resource count of the sweep: gains per cluster.
-
-    Module-level (picklable) so :func:`~repro.experiments.runner.parallel_map`
-    can fan points out across processes.
-    """
-    r, scenarios, months, base_clusters = args
-    spec = EnsembleSpec(scenarios, months)
-    point: list[dict[str, float]] = []
-    for proto in base_clusters:
-        cluster = proto.with_resources(r)
-        point.append(gains_over_baseline(makespans_by_heuristic(cluster, spec)))
-    return point
-
-
 def run(
     *,
     scenarios: int = 10,
@@ -87,49 +72,36 @@ def run(
     r_min: int = 11,
     r_max: int = 120,
     step: int = 1,
-    clusters: list[ClusterSpec] | None = None,
     workers: int | None = None,
 ) -> Fig8Result:
-    """Run the homogeneous-cluster gain sweep.
+    """Run the homogeneous-cluster gain sweep on the five benchmark clusters.
 
-    ``clusters`` defaults to the five synthetic benchmark clusters (their
-    resource counts are overridden point by point).  ``months`` defaults
-    to 60 — gains are driven by wave-level structure and are insensitive
-    to NM (verified by the NM ablation), while the paper's 1800 months
-    would multiply the runtime 30x for identical curves.  ``workers > 1``
-    distributes resource points over processes; results are identical to
-    the serial run.
+    ``months`` defaults to 60 — gains are driven by wave-level structure
+    and are insensitive to NM (verified by the NM ablation), while the
+    paper's 1800 months would multiply the runtime 30x for identical
+    curves.  ``workers > 1`` distributes the sweep's chunks over
+    processes; results are identical to the serial run.
     """
-    base_clusters = tuple(
-        clusters if clusters is not None else benchmark_clusters(r_min)
-    )
+    names = tuple(REFERENCE_CLUSTER_SPEEDS)
     resources = resource_sweep(r_min, r_max, step)
-    improvements = [h for h in ALL_HEURISTICS if h is not HeuristicName.BASIC]
-
-    points = parallel_map(
-        _sweep_point,
-        [(r, scenarios, months, base_clusters) for r in resources],
-        workers=workers,
-    )
-    per_heuristic: dict[str, list[list[float]]] = {
-        h.value: [[] for _ in base_clusters] for h in improvements
-    }
-    for point in points:
-        for j, gains in enumerate(point):
-            for h in improvements:
-                per_heuristic[h.value][j].append(gains[h.value])
-
-    raw: dict[str, tuple[tuple[float, ...], ...]] = {}
-    stats: dict[str, tuple[SeriesStats, ...]] = {}
-    for name, per_cluster in per_heuristic.items():
-        raw[name] = tuple(tuple(g) for g in per_cluster)
-        stats[name] = tuple(
-            summarize([per_cluster[j][i] for j in range(len(base_clusters))])
-            for i in range(len(resources))
+    cells = heuristic_cells(names, resources, (scenarios,), (months,), workers=workers)
+    gains = {cell: gains_over_baseline(makespans) for cell, makespans in cells.items()}
+    raw = {
+        h.value: tuple(
+            tuple(gains[(name, r, scenarios, months)][h.value] for r in resources)
+            for name in names
         )
+        for h in ALL_HEURISTICS
+        if h is not HeuristicName.BASIC
+    }
+    # stats[h][i] summarizes every cluster's gain at resources[i].
+    stats = {
+        h: tuple(summarize(point) for point in zip(*per_cluster, strict=True))
+        for h, per_cluster in raw.items()
+    }
     return Fig8Result(
         resources=tuple(resources),
-        cluster_names=tuple(c.name for c in base_clusters),
+        cluster_names=names,
         raw_gains=raw,
         stats=stats,
         scenarios=scenarios,

@@ -1,26 +1,25 @@
-"""Shared helpers for the experiment drivers."""
+"""Shared helpers for the experiment drivers.
+
+:func:`heuristic_cells` is how Figure 8 and the ablation studies get
+their makespans: one :func:`~repro.experiments.sweep.run_sweep` over
+their ``R × NS × NM`` grid, read back cell by cell.
+"""
 
 from __future__ import annotations
 
-import time
-from functools import partial
 from typing import Iterable, Sequence
 
 from repro import obs
 from repro.core.heuristics import HeuristicName, plan_grouping
 from repro.exceptions import ConfigurationError, SchedulingError
-from repro.platform.cluster import ClusterSpec
-from repro.simulation.engine import simulate
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 
 __all__ = [
     "ALL_HEURISTICS",
     "IMPROVEMENT_LABELS",
-    "simulated_makespan",
-    "makespans_by_heuristic",
+    "heuristic_cells",
     "run_cluster_simulation",
     "resource_sweep",
-    "parallel_map",
 ]
 
 #: Every heuristic, baseline first (the order figures report them in).
@@ -39,45 +38,39 @@ IMPROVEMENT_LABELS: dict[HeuristicName, str] = {
 }
 
 
-def simulated_makespan(
-    cluster: ClusterSpec, spec: EnsembleSpec, heuristic: HeuristicName | str
-) -> float:
-    """Plan with ``heuristic`` and simulate; the figures' atomic step."""
-    if obs.enabled():
-        obs.inc(
-            "experiment.simulations",
-            heuristic=HeuristicName(heuristic).value,
-            cluster=cluster.name,
-        )
-    grouping = plan_grouping(cluster, spec, heuristic)
-    return simulate(
-        grouping, spec, cluster.timing, cluster_name=cluster.name
-    ).makespan
+def heuristic_cells(
+    clusters: Sequence[str],
+    resources: Sequence[int],
+    scenarios: Sequence[int],
+    months: Sequence[int],
+    *,
+    workers: int | None = None,
+) -> dict[tuple[str, int, int, int], dict[str, float]]:
+    """Every heuristic's simulated makespan per ``(cluster, R, NS, NM)`` cell.
 
-
-def makespans_by_heuristic(
-    cluster: ClusterSpec,
-    spec: EnsembleSpec,
-    heuristics: Sequence[HeuristicName] = ALL_HEURISTICS,
-) -> dict[str, float]:
-    """Simulated makespan of every heuristic on one cluster.
-
-    Heuristics that cannot produce a grouping on this cluster (too few
-    processors) are skipped — Figure sweeps start at R=11 where all of
-    them fit, but callers may probe smaller machines.
+    One :func:`~repro.experiments.sweep.run_sweep` over the benchmark
+    clusters named; heuristics that cannot produce a grouping in a cell
+    (too few processors) are left out of it, and a cell where none can
+    is a :class:`~repro.exceptions.SchedulingError`.
     """
-    result: dict[str, float] = {}
-    for heuristic in heuristics:
-        try:
-            result[heuristic.value] = simulated_makespan(cluster, spec, heuristic)
-        except SchedulingError:
-            continue
-    if not result:
-        raise SchedulingError(
-            f"no heuristic can schedule on cluster {cluster.name!r} "
-            f"({cluster.resources} processors)"
-        )
-    return result
+    # Lazy: sweep imports this module.
+    from repro.experiments.sweep import SweepGrid, run_sweep
+
+    grid = SweepGrid(
+        clusters=tuple(clusters),
+        resources=tuple(resources),
+        scenarios=tuple(scenarios),
+        months=tuple(months),
+        heuristics=tuple(h.value for h in ALL_HEURISTICS),
+    )
+    cells = run_sweep(grid, workers=workers).cells()
+    for point in grid.points():
+        if point.key()[:4] not in cells:
+            raise SchedulingError(
+                f"no heuristic can schedule on cluster {point.cluster!r} "
+                f"({point.resources} processors)"
+            )
+    return cells
 
 
 def run_cluster_simulation(
@@ -121,51 +114,6 @@ def resource_sweep(
             f"invalid sweep: r_min={r_min!r}, r_max={r_max!r}, step={step!r}"
         )
     return list(range(r_min, r_max + 1, step))
-
-
-def parallel_map(fn, items, *, workers: int | None = None) -> list:
-    """Map ``fn`` over ``items``, optionally across worker processes.
-
-    ``workers in (None, 0, 1)`` runs serially — the default, because the
-    figure sweeps are seconds-scale and fork overhead often loses.  With
-    ``workers > 1`` a :class:`~concurrent.futures.ProcessPoolExecutor`
-    fans the points out; ``fn`` and each item must be picklable (use
-    module-level functions).  Results keep item order either way, so a
-    parallel sweep is bit-identical to a serial one — determinism is not
-    negotiable (the tests compare the two directly).
-    """
-    # Lazy: gridrun imports results_io, which imports the figure
-    # drivers that import this module.
-    from repro.experiments.gridrun import is_serial, ordered_map
-
-    items = list(items)
-    if not obs.enabled():
-        return list(ordered_map(fn, items, workers))
-    # Timed wrapper: each call reports its busy seconds back with the
-    # result, so the parent can account pool utilization without any
-    # cross-process metrics plumbing.  Values and order are unchanged.
-    started = time.perf_counter()
-    timed = list(ordered_map(partial(_timed_call, fn), items, workers))
-    wall = time.perf_counter() - started
-    mode = "serial" if is_serial(workers, len(items)) else "process"
-    for _, seconds in timed:
-        obs.observe("runner.item_seconds", seconds, mode=mode)
-    obs.inc("runner.items", len(items), mode=mode)
-    if mode == "process":
-        busy = sum(seconds for _, seconds in timed)
-        obs.set_gauge("runner.workers", workers, mode=mode)
-        if wall > 0:
-            obs.set_gauge(
-                "runner.utilization", busy / (workers * wall), mode=mode
-            )
-    return [result for result, _ in timed]
-
-
-def _timed_call(fn, item) -> tuple:
-    """Run ``fn(item)`` and return ``(result, busy_seconds)`` (picklable)."""
-    started = time.perf_counter()
-    result = fn(item)
-    return result, time.perf_counter() - started
 
 
 def cycle_names(names: Iterable[str], count: int) -> list[str]:

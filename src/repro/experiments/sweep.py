@@ -11,9 +11,10 @@ Each point runs through the memoized kernels of
 the points sharing a ``(cluster, R, NS, NM)`` kernel land in the same
 chunk — and therefore the same worker-process cache.  Planning runs
 through the vectorized kernels of :mod:`repro.core.batch`, one call per
-cluster per chunk, with observability on or off; the point-by-point
-scalar planner stays as the oracle ``batch=False`` selects —
-bit-identical rows, same journal, same resume semantics.
+cluster per chunk, with observability on or off.
+
+Figure 8 and the ablation studies are sweeps too: they read
+:meth:`SweepResult.cells`, every heuristic's makespan per cell.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from repro.core.heuristics import HeuristicName, plan_grouping
+from repro.core.heuristics import HeuristicName
 from repro.core.makespan import (
     cached_simulated_makespan,
     set_makespan_cache_enabled,
 )
-from repro.exceptions import ConfigurationError, SchedulingError
+from repro.exceptions import ConfigurationError
 from repro.experiments.gridrun import GridKind, run_grid
 from repro.experiments.results_io import (
     GenericResult,
@@ -55,6 +56,9 @@ __all__ = [
 DEFAULT_CHUNK_SIZE = 32
 
 _HEURISTIC_NAMES = tuple(h.value for h in ALL_HEURISTICS)
+
+# Unused: the layer tracer in perfbench/layers.py rebinds this name here.
+plan_grouping = None
 
 
 @dataclass(frozen=True)
@@ -238,12 +242,19 @@ class SweepResult:
         """Whether every grid point has a row."""
         return len(self.rows) == self.grid.size
 
-    def makespan_of(self, point: SweepPoint) -> float | None:
-        """The makespan recorded for one point (KeyError if absent)."""
+    def cells(self) -> dict[tuple[str, int, int, int], dict[str, float]]:
+        """Feasible makespans per ``(cluster, R, NS, NM)`` cell, by heuristic.
+
+        Cells and heuristics keep grid order; infeasible points are left
+        out, so a cell where no heuristic fits has no entry.
+        """
+        cells: dict[tuple[str, int, int, int], dict[str, float]] = {}
         for row in self.rows:
-            if row.point == point:
-                return row.makespan
-        raise KeyError(point)
+            if row.makespan is not None:
+                cells.setdefault(row.point.key()[:4], {})[row.point.heuristic] = (
+                    row.makespan
+                )
+        return cells
 
     def summary(self) -> dict[str, Any]:
         """Aggregate counts plus per-heuristic wins (JSON-friendly).
@@ -252,22 +263,19 @@ class SweepResult:
         the strictly smallest makespan there; exact ties award every
         tied heuristic.
         """
-        evaluated = [row for row in self.rows if row.makespan is not None]
+        cells = self.cells()
+        feasible = sum(len(makespans) for makespans in cells.values())
         wins: dict[str, int] = {h: 0 for h in self.grid.heuristics}
-        cells: dict[tuple, list[SweepRow]] = {}
-        for row in evaluated:
-            cell = row.point.key()[:4]
-            cells.setdefault(cell, []).append(row)
-        for cell_rows in cells.values():
-            best = min(row.makespan for row in cell_rows)
-            for row in cell_rows:
-                if row.makespan == best:
-                    wins[row.point.heuristic] += 1
+        for makespans in cells.values():
+            best = min(makespans.values())
+            for heuristic, makespan in makespans.items():
+                if makespan == best:
+                    wins[heuristic] += 1
         return {
             "points": self.grid.size,
             "evaluated": len(self.rows),
-            "feasible": len(evaluated),
-            "infeasible": len(self.rows) - len(evaluated),
+            "feasible": feasible,
+            "infeasible": len(self.rows) - feasible,
             "wins": wins,
         }
 
@@ -294,29 +302,17 @@ register_codec("sweep", SweepResult, _sweep_payload, _sweep_restore)
 # ---------------------------------------------------------------------------
 
 
-def _eval_point(point: SweepPoint) -> SweepRow:
-    """Plan and simulate one grid point through the cached kernels."""
-    from repro.platform.benchmarks import benchmark_cluster
-
-    cluster = benchmark_cluster(point.cluster, point.resources)
-    spec = EnsembleSpec(point.scenarios, point.months)
-    try:
-        grouping = plan_grouping(cluster, spec, point.heuristic)
-    except SchedulingError:
-        return SweepRow(point, None, "")
-    makespan = cached_simulated_makespan(grouping, spec, cluster.timing)
-    return SweepRow(point, makespan, grouping.describe())
-
-
-def _eval_chunk_batch(chunk: tuple[SweepPoint, ...]) -> tuple[SweepRow, ...]:
-    """Evaluate one chunk with the batch planning kernels.
+def _eval_chunk(
+    chunk: tuple[SweepPoint, ...], use_cache: bool = True
+) -> tuple[SweepRow, ...]:
+    """Evaluate one chunk (the unit shipped to worker processes).
 
     Each cluster's points are planned in one
     :func:`repro.core.batch.batch_plan_groupings` call (one ``G*``
-    evaluation over the chunk's cells, one knapsack DP per ``NS``);
-    simulation still runs through the scalar cached kernel, so every row
-    is bit-identical to :func:`_eval_point`'s (the golden-parity suite
-    asserts this).
+    evaluation over the chunk's cells, one knapsack DP for all of them);
+    simulation runs through the scalar cached kernel, so every row is
+    bit-identical to ``plan_grouping`` plus ``simulate`` on its point
+    (the batch-parity suite asserts this).
     """
     from repro.core.batch import batch_plan_groupings
     from repro.platform.benchmarks import benchmark_timing
@@ -325,32 +321,26 @@ def _eval_chunk_batch(chunk: tuple[SweepPoint, ...]) -> tuple[SweepRow, ...]:
     for position, point in enumerate(chunk):
         by_cluster.setdefault(point.cluster, []).append(position)
 
-    rows: list[SweepRow | None] = [None] * len(chunk)
-    for cluster_name, positions in by_cluster.items():
-        timing = benchmark_timing(cluster_name)
-        points = [chunk[p] for p in positions]
-        groupings = batch_plan_groupings(
-            timing, [(p.resources, p.scenarios, p.months, p.heuristic) for p in points]
-        )
-        for position, point, grouping in zip(positions, points, groupings, strict=True):
-            if grouping is None:
-                rows[position] = SweepRow(point, None, "")
-            else:
-                spec = EnsembleSpec(point.scenarios, point.months)
-                makespan = cached_simulated_makespan(grouping, spec, timing)
-                rows[position] = SweepRow(point, makespan, grouping.describe())
-    return tuple(row for row in rows if row is not None)
-
-
-def _eval_chunk(
-    chunk: tuple[SweepPoint, ...], use_cache: bool = True, batch: bool = False
-) -> tuple[SweepRow, ...]:
-    """Evaluate one chunk (the unit shipped to worker processes)."""
     previous = set_makespan_cache_enabled(use_cache)
     try:
-        if batch:
-            return _eval_chunk_batch(chunk)
-        return tuple(_eval_point(point) for point in chunk)
+        rows: list[SweepRow | None] = [None] * len(chunk)
+        for cluster_name, positions in by_cluster.items():
+            timing = benchmark_timing(cluster_name)
+            points = [chunk[p] for p in positions]
+            groupings = batch_plan_groupings(
+                timing,
+                [(p.resources, p.scenarios, p.months, p.heuristic) for p in points],
+            )
+            for position, point, grouping in zip(
+                positions, points, groupings, strict=True
+            ):
+                if grouping is None:
+                    rows[position] = SweepRow(point, None, "")
+                else:
+                    spec = EnsembleSpec(point.scenarios, point.months)
+                    makespan = cached_simulated_makespan(grouping, spec, timing)
+                    rows[position] = SweepRow(point, makespan, grouping.describe())
+        return tuple(row for row in rows if row is not None)
     finally:
         set_makespan_cache_enabled(previous)
 
@@ -402,7 +392,6 @@ def run_sweep(
     resume: bool = True,
     max_chunks: int | None = None,
     use_cache: bool = True,
-    batch: bool = True,
 ) -> SweepResult:
     """Evaluate a grid, journaling each chunk so the sweep is resumable.
 
@@ -429,13 +418,6 @@ def run_sweep(
         Route evaluation through the memoized kernels of
         :mod:`repro.core.makespan` (on by default; off recomputes every
         point, which the benchmarks use as the baseline).
-    batch:
-        Plan each chunk through the vectorized kernels of
-        :mod:`repro.core.batch` (the default, observed or not).
-        ``False`` forces the point-by-point scalar oracle.  Rows and
-        journal bytes are identical either way; under observability
-        only the scalar path emits per-plan spans and metrics, while
-        the batch path reports ``batch.plans``.
 
     Returns the rows evaluated so far — journaled history plus this
     call's work — ordered by grid position.
@@ -443,7 +425,7 @@ def run_sweep(
     rows = run_grid(
         _SWEEP,
         grid,
-        partial(_eval_chunk, use_cache=use_cache, batch=batch),
+        partial(_eval_chunk, use_cache=use_cache),
         workers=workers,
         chunk_size=chunk_size,
         journal_path=journal_path,

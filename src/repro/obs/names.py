@@ -66,12 +66,7 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "scheduler.decide_seconds",
         "scheduler.decisions",
         # experiment drivers
-        "experiment.simulations",
         "figure.seconds",
-        "runner.item_seconds",
-        "runner.items",
-        "runner.utilization",
-        "runner.workers",
         "sweep.chunks",
         "sweep.points",
         "sweep.resumed_points",

@@ -5,8 +5,8 @@ batch kernels equal the scalar ones on randomized instances; this file
 closes the loop against the *committed* regression fixtures: the
 fig7/fig8/fig10 goldens pinned by ``tests/data/regenerate_golden.py``
 must fall out of the batch path bit for bit, the batched sweep must
-reproduce the scalar sweep row for row (including across an interrupted
-journal), and an arena race scored through the batch gain kernel must
+reproduce the scalar oracle of :mod:`tests.experiments.sweep_oracle`
+row for row, and an arena race scored through the batch gain kernel must
 produce the same standings as a scalar recomputation.
 """
 
@@ -37,6 +37,7 @@ from repro.simulation.engine import simulate
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 from tests.core.vector_oracle import scalar_performance_vector
 from tests.data.regenerate_golden import GOLDEN_PARAMS, HERE
+from tests.experiments.sweep_oracle import scalar_sweep_rows
 
 
 def _golden_data(name: str) -> dict:
@@ -149,13 +150,8 @@ def test_fig10_golden_via_incremental_builders() -> None:
     assert idx == len(golden["configurations"])
 
 
-def test_batched_sweep_matches_scalar_rows(tmp_path) -> None:
-    """fig8-shaped grid: batch == scalar == the default, row for row.
-
-    Also crosses the journal boundary in mixed modes: a batched run
-    interrupted after one chunk and *resumed with the scalar oracle*
-    must equal the uninterrupted runs — resume semantics are mode-blind.
-    """
+def test_batched_sweep_matches_scalar_rows() -> None:
+    """fig8-shaped grid: the batched sweep equals the scalar oracle, row for row."""
     grid = SweepGrid.from_ranges(
         clusters=tuple(sorted(REFERENCE_CLUSTER_SPEEDS)),
         r_min=11,
@@ -164,28 +160,17 @@ def test_batched_sweep_matches_scalar_rows(tmp_path) -> None:
         scenarios=(10,),
         months=(12,),
     )
-    scalar = run_sweep(grid, batch=False)
-    batched = run_sweep(grid, batch=True)
-    auto = run_sweep(grid)
-    assert batched.rows == scalar.rows
-    assert auto.rows == scalar.rows
-
-    journal = tmp_path / "sweep.ndjson"
-    partial = run_sweep(grid, batch=True, journal_path=journal, max_chunks=1)
-    assert len(partial.rows) < len(scalar.rows)
-    resumed = run_sweep(grid, batch=False, journal_path=journal)
-    assert resumed.rows == scalar.rows
+    assert run_sweep(grid).rows == scalar_sweep_rows(grid)
 
 
-def test_batched_sweep_parity_across_chunk_boundaries(tmp_path) -> None:
+def test_batched_sweep_parity_across_chunk_boundaries() -> None:
     """Chunks that split clusters and kernels: batch == scalar, row for row.
 
     With 7-point chunks over a 3-cluster grid at two ``NS`` and two
     ``NM`` values, chunks start mid-kernel and some span two clusters,
     so a planner call sees partial heuristic sets over ``(R, NS, NM)``
-    cells that differ in ``NS`` or ``NM``.  A batched run resumed with
-    the scalar oracle equals both, and the per-heuristic ``batch.plans``
-    counters equal the point counts.
+    cells that differ in ``NS`` or ``NM``.  The per-heuristic
+    ``batch.plans`` counters equal the point counts.
     """
     grid = SweepGrid.from_ranges(
         clusters=("chti", "grelon", "sagittaire"),
@@ -195,11 +180,10 @@ def test_batched_sweep_parity_across_chunk_boundaries(tmp_path) -> None:
         scenarios=(10, 11),
         months=(12, 24),
     )
-    scalar = run_sweep(grid, batch=False, chunk_size=7)
     with obs.session() as (registry, _tracer):
-        batched = run_sweep(grid, batch=True, chunk_size=7)
+        batched = run_sweep(grid, chunk_size=7)
         counters = registry.as_dict()["counters"]
-    assert batched.rows == scalar.rows
+    assert batched.rows == scalar_sweep_rows(grid)
 
     plans = {
         series["labels"]["heuristic"]: series["value"]
@@ -207,14 +191,6 @@ def test_batched_sweep_parity_across_chunk_boundaries(tmp_path) -> None:
     }
     per_heuristic = grid.size // len(grid.heuristics)
     assert plans == {h: per_heuristic for h in grid.heuristics}
-
-    journal = tmp_path / "sweep.ndjson"
-    partial = run_sweep(
-        grid, batch=True, chunk_size=7, journal_path=journal, max_chunks=3
-    )
-    assert 0 < len(partial.rows) < grid.size
-    resumed = run_sweep(grid, batch=False, chunk_size=7, journal_path=journal)
-    assert resumed.rows == scalar.rows
 
 
 def test_batched_arena_reproduces_fig8_standings(tmp_path) -> None:

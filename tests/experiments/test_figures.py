@@ -150,14 +150,7 @@ class TestParallelSweep:
         import pytest as _pytest
 
         from repro.exceptions import ConfigurationError
-        from repro.experiments.runner import parallel_map
+        from repro.experiments import fig8
 
         with _pytest.raises(ConfigurationError):
-            parallel_map(abs, [1, 2], workers=-1)
-
-    def test_parallel_map_serial_paths(self) -> None:
-        from repro.experiments.runner import parallel_map
-
-        assert parallel_map(abs, [-1, 2, -3]) == [1, 2, 3]
-        assert parallel_map(abs, [-1], workers=8) == [1]
-        assert parallel_map(abs, [], workers=8) == []
+            fig8.run(months=12, r_min=20, r_max=28, step=8, workers=-1)

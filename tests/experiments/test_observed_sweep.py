@@ -3,14 +3,16 @@
 An observed sweep takes the shipping path — batch planning and the
 engine's fast path — and yields the rows and journal bytes of an
 unobserved one.  The scalar planner and the reference engine are
-patched to raise, so a run that strays onto either fails here.
+patched to raise, so a run that strays onto either fails here: the
+planner both at its public name and at ``get_heuristic``, which every
+``plan_grouping`` call reaches however its caller bound the name.
 """
 
 from __future__ import annotations
 
 from repro import obs
 from repro.core.makespan import clear_makespan_cache, makespan_cache_stats
-from repro.experiments import sweep
+from repro.core import heuristics
 from repro.experiments.sweep import SweepGrid, run_sweep
 from repro.simulation import engine
 
@@ -30,7 +32,8 @@ def test_observed_sweep_takes_the_shipping_path(tmp_path, monkeypatch) -> None:
     plain = run_sweep(GRID, journal_path=plain_journal)
 
     monkeypatch.setattr(engine, "_run_main_phase", _refuse)
-    monkeypatch.setattr(sweep, "plan_grouping", _refuse)
+    monkeypatch.setattr(heuristics, "plan_grouping", _refuse)
+    monkeypatch.setattr(heuristics, "get_heuristic", _refuse)
     observed_journal = tmp_path / "observed.ndjson"
     clear_makespan_cache()
     with obs.session() as (registry, _tracer):

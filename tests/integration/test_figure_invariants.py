@@ -14,10 +14,10 @@ from repro.core.basic import basic_grouping
 from repro.core.heuristics import HeuristicName
 from repro.core.performance_vector import cluster_makespan
 from repro.experiments import fig7, fig8, fig10
-from repro.experiments.runner import makespans_by_heuristic
 from repro.platform.benchmarks import benchmark_cluster
 from repro.platform.timing import reference_timing
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.experiments.sweep_oracle import scalar_makespans
 
 
 class TestFig7AgreesWithBasicHeuristic:
@@ -44,7 +44,7 @@ class TestFig8AgreesWithDirectSimulation:
         spec = EnsembleSpec(10, 12)
         for j, name in enumerate(result.cluster_names):
             cluster = benchmark_cluster(name, 30)
-            direct = gains_over_baseline(makespans_by_heuristic(cluster, spec))
+            direct = gains_over_baseline(scalar_makespans(cluster, spec))
             for heuristic, rows in result.raw_gains.items():
                 assert rows[j][0] == pytest.approx(direct[heuristic]), (
                     name,

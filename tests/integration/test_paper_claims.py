@@ -13,10 +13,10 @@ from repro.analysis.gains import gains_over_baseline
 from repro.core.heuristics import HeuristicName, plan_grouping
 from repro.core.performance_vector import performance_vector
 from repro.core.repartition import repartition_dags
-from repro.experiments.runner import makespans_by_heuristic
 from repro.platform.benchmarks import benchmark_cluster, benchmark_clusters
 from repro.simulation.engine import simulate
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.experiments.sweep_oracle import scalar_makespans
 
 SPEC = EnsembleSpec(10, 60)
 
@@ -33,7 +33,7 @@ class TestSection4Claims:
         for r in range(11, 61, 2):
             for cluster in benchmark_clusters(r):
                 gains = gains_over_baseline(
-                    makespans_by_heuristic(cluster, SPEC)
+                    scalar_makespans(cluster, SPEC)
                 )
                 best = max(best, gains["knapsack"])
         assert best > 5.0
@@ -46,7 +46,7 @@ class TestSection4Claims:
         for r in range(11, 61, 2):
             for cluster in benchmark_clusters(r):
                 gains = gains_over_baseline(
-                    makespans_by_heuristic(cluster, SPEC)
+                    scalar_makespans(cluster, SPEC)
                 )
                 knap_sum += gains["knapsack"]
                 for k in others_sum:
@@ -59,7 +59,7 @@ class TestSection4Claims:
         for r in (110, 115, 120):
             for cluster in benchmark_clusters(r):
                 gains = gains_over_baseline(
-                    makespans_by_heuristic(cluster, SPEC)
+                    scalar_makespans(cluster, SPEC)
                 )
                 for name, g in gains.items():
                     assert abs(g) < 1e-9, (r, cluster.name, name)
@@ -69,7 +69,7 @@ class TestSection4Claims:
         negatives = []
         for r in range(85, 110):
             cluster = benchmark_cluster("sagittaire", r)
-            gains = gains_over_baseline(makespans_by_heuristic(cluster, SPEC))
+            gains = gains_over_baseline(scalar_makespans(cluster, SPEC))
             negatives.append(gains["knapsack"])
         assert min(negatives) < 0.0
         # "a little": never catastrophically worse.
@@ -84,7 +84,7 @@ class TestSection4Claims:
         """
         best = max(
             gains_over_baseline(
-                makespans_by_heuristic(benchmark_cluster(name, 53), SPEC)
+                scalar_makespans(benchmark_cluster(name, 53), SPEC)
             )["redistribute"]
             for name in ("sagittaire", "grelon", "chti", "paravent", "azur")
         )
