@@ -5,7 +5,10 @@ count and scheduler, under fault seeds ``1..N`` — the schedule-log
 replay (:meth:`repro.faults.hooks.FaultHook.replay`) must equal the
 record warp of the traced reference run
 (:meth:`repro.faults.hooks.FaultHook.apply`), result and outcome, field
-for field.  Traces are drawn exactly as the arena draws them.
+for field.  The two derivations take separate engine paths: the replay
+reads the log of the fast engine's logging loop, the warp the records
+of the reference engine.  Traces are drawn exactly as the arena draws
+them.
 
 Run from the root of a checkout::
 

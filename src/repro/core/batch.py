@@ -429,20 +429,25 @@ def _uniform_family_grouping(
 
 
 def _knapsack_groupings(
-    timing: TimingModel, cells: Iterable[tuple[int, int]]
+    timing: TimingModel,
+    cells: Iterable[tuple[int, int]],
+    dp_ceiling: tuple[int, int] = (0, 0),
 ) -> dict[tuple[int, int], "Grouping | None"]:
     """Improvement 3's grouping for every ``(R, NS)`` cell.
 
     The knapsack does not depend on ``NM``, so one
-    :func:`batch_solve_dp` at the batch's largest ``R`` and ``NS`` serves
-    every cell, each traced back at its own capacity and cap.
+    :func:`batch_solve_dp` at the batch's largest ``R`` and ``NS`` (or
+    at ``dp_ceiling``, where that is larger) serves every cell, each
+    traced back at its own capacity and cap.
     """
     cells = list(cells)
     if not cells:
         return {}
     values = {g: 1.0 / t for g, t in timing.main_time_table().items()}
     problem = CardinalityKnapsack.from_weights_values(
-        values, max(r for r, _ in cells), max(ns for _, ns in cells)
+        values,
+        max(dp_ceiling[0], *(r for r, _ in cells)),
+        max(dp_ceiling[1], *(ns for _, ns in cells)),
     )
     groupings: dict[tuple[int, int], Grouping | None] = {}
     for (r, ns), solution in zip(cells, batch_solve_dp(problem, cells), strict=True):
@@ -452,7 +457,10 @@ def _knapsack_groupings(
 
 
 def batch_plan_groupings(
-    timing: TimingModel, points: Iterable[PlanPoint]
+    timing: TimingModel,
+    points: Iterable[PlanPoint],
+    *,
+    dp_ceiling: tuple[int, int] = (0, 0),
 ) -> list["Grouping | None"]:
     """Plan a batch of ``(R, NS, NM, heuristic)`` points on one timing model.
 
@@ -465,6 +473,10 @@ def batch_plan_groupings(
     the basic heuristic's ``G*``, so they share one
     :func:`batch_best_uniform_group` over the batch's distinct
     ``(R, NS, NM)`` cells; the knapsack runs one DP for the whole batch.
+    ``dp_ceiling`` ``(R, NS)`` asks that DP for at least that capacity
+    and cap, so a caller planning a grid in batches of increasing ``R``
+    builds the memoized stack once, at the grid's largest cell, rather
+    than regrowing it per batch.  It changes no grouping.
     """
     plan = [(int(r), int(ns), int(nm), HeuristicName(h)) for r, ns, nm, h in points]
     for r, ns, nm, _ in plan:
@@ -480,7 +492,7 @@ def batch_plan_groupings(
     cells = list(dict.fromkeys(
         (r, ns, nm) for r, ns, nm, name in plan if name is not HeuristicName.KNAPSACK
     ))
-    knapsack = _knapsack_groupings(timing, knapsack_cells)
+    knapsack = _knapsack_groupings(timing, knapsack_cells, dp_ceiling)
     best: dict[tuple[int, int, int], int] = {}
     if cells:
         best_g, _ = batch_best_uniform_group(timing, *zip(*cells))

@@ -410,14 +410,15 @@ def cached_simulated_makespan(
 
 @dataclass(frozen=True)
 class ScheduleLog:
-    """The fault-free reference schedule of one simulation key, as floats.
+    """The fault-free schedule of one simulation key, as floats.
 
     ``starts``/``ends``/``procs`` hold each task's start, end and
-    processor count in the reference engine's record order: the first
-    ``mains`` entries are the main tasks in placement order, the rest
-    the post tasks in ready order.  Within each of the two blocks the
-    starts are nondecreasing (the engine places tasks as its clock
-    advances), and ``end_peaks`` holds the running max of the ends.
+    processor count in the reference engine's record order, which the
+    fast engine's :func:`~repro.simulation.engine.schedule_log` emits:
+    the first ``mains`` entries are the main tasks in placement order,
+    the rest the post tasks in ready order.  Within each of the two
+    blocks the starts are nondecreasing (the engine places tasks as its
+    clock advances), and ``end_peaks`` holds the running max of the ends.
     ``sorted_ends`` holds every end ascending, and ``main_ends`` /
     ``post_ends`` the ascending ends of each scenario's main and post
     tasks.  Together they answer "what had finished by time ``t``" with
@@ -474,24 +475,20 @@ def _schedule_log(
     grouping: "Grouping", spec: "EnsembleSpec", timing: "TimingModel",
     chains: tuple[int, ...] | None,
 ) -> ScheduleLog:
-    """Flatten one traced reference simulation into a :class:`ScheduleLog`."""
-    from repro.simulation.engine import simulate
+    """Flatten one logged fast-engine run into a :class:`ScheduleLog`."""
+    from repro.simulation.engine import schedule_log
 
-    result = simulate(
-        grouping, spec, timing, record_trace=True, fast=False, chains=chains
+    starts, ends, procs, scenarios, mains, makespan = schedule_log(
+        grouping, spec, timing, chains
     )
-    records = result.records
     main_ends: list[list[float]] = [[] for _ in range(spec.scenarios)]
     post_ends: list[list[float]] = [[] for _ in range(spec.scenarios)]
-    for record in records:
-        by_kind = main_ends if record.kind == "main" else post_ends
-        by_kind[record.scenario].append(record.end)
-    ends = tuple(record.end for record in records)
-    mains = sum(len(e) for e in main_ends)
+    for i, (scenario, end) in enumerate(zip(scenarios, ends)):
+        (main_ends if i < mains else post_ends)[scenario].append(end)
     return ScheduleLog(
-        starts=tuple(record.start for record in records),
-        ends=ends,
-        procs=tuple(record.n_procs for record in records),
+        starts=tuple(starts),
+        ends=tuple(ends),
+        procs=tuple(procs),
         mains=mains,
         end_peaks=(
             *itertools.accumulate(ends[:mains], max),
@@ -500,7 +497,7 @@ def _schedule_log(
         sorted_ends=tuple(sorted(ends)),
         main_ends=tuple(tuple(sorted(e)) for e in main_ends),
         post_ends=tuple(tuple(sorted(e)) for e in post_ends),
-        makespan=result.makespan,
+        makespan=makespan,
     )
 
 

@@ -303,7 +303,9 @@ register_codec("sweep", SweepResult, _sweep_payload, _sweep_restore)
 
 
 def _eval_chunk(
-    chunk: tuple[SweepPoint, ...], use_cache: bool = True
+    chunk: tuple[SweepPoint, ...],
+    use_cache: bool = True,
+    dp_ceiling: tuple[int, int] = (0, 0),
 ) -> tuple[SweepRow, ...]:
     """Evaluate one chunk (the unit shipped to worker processes).
 
@@ -312,7 +314,10 @@ def _eval_chunk(
     evaluation over the chunk's cells, one knapsack DP for all of them);
     simulation runs through the scalar cached kernel, so every row is
     bit-identical to ``plan_grouping`` plus ``simulate`` on its point
-    (the batch-parity suite asserts this).
+    (the batch-parity suite asserts this).  ``dp_ceiling`` is the grid's
+    largest ``(R, NS)``: the first chunk builds each cluster's memoized
+    DP stack at that size, and later chunks, which arrive in increasing
+    ``R``, trace back from it instead of regrowing it.
     """
     from repro.core.batch import batch_plan_groupings
     from repro.platform.benchmarks import benchmark_timing
@@ -330,6 +335,7 @@ def _eval_chunk(
             groupings = batch_plan_groupings(
                 timing,
                 [(p.resources, p.scenarios, p.months, p.heuristic) for p in points],
+                dp_ceiling=dp_ceiling,
             )
             for position, point, grouping in zip(
                 positions, points, groupings, strict=True
@@ -425,7 +431,11 @@ def run_sweep(
     rows = run_grid(
         _SWEEP,
         grid,
-        partial(_eval_chunk, use_cache=use_cache),
+        partial(
+            _eval_chunk,
+            use_cache=use_cache,
+            dp_ceiling=(max(grid.resources), max(grid.scenarios)),
+        ),
         workers=workers,
         chunk_size=chunk_size,
         journal_path=journal_path,

@@ -23,9 +23,10 @@ The engine knows nothing of faults.  :func:`simulate_with_faults`, the
 one entry point, scores a faulted schedule with
 :meth:`FaultHook.replay`: one schedule cut
 (:meth:`~repro.core.makespan.ScheduleLog.cut`) of the memoized
-fault-free schedule log under the hook's ``wallclock``.  The middleware
-replanner takes its cuts from the same logs.  :meth:`FaultHook.apply`,
-which warps every record of a traced reference run, is the oracle that
+fault-free schedule log, which the fast engine's logging loop builds,
+under the hook's ``wallclock``.  The middleware replanner takes its
+cuts from the same logs.  :meth:`FaultHook.apply`, which warps every
+record of a traced reference run, is the independent oracle that
 ``tests/property/test_fault_replay.py`` and
 ``benchmarks/replay_differential.py`` compare ``replay`` against.  An
 empty hook is free: :func:`simulate_with_faults` runs the plain engine,

@@ -28,6 +28,7 @@ from repro.core.makespan import cached_simulated_makespan
 from repro.exceptions import ConfigurationError, SchedulingError
 from repro.platform.cluster import ClusterSpec
 from repro.schedulers.base import Scheduler, register_scheduler
+from repro.schedulers.paper import knapsack_plan
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 
 __all__ = ["LocalSearchScheduler"]
@@ -117,7 +118,7 @@ class LocalSearchScheduler(Scheduler):
     def plan(self, cluster: ClusterSpec, spec: EnsembleSpec) -> Grouping:
         timing = cluster.timing
         try:
-            current = plan_grouping(cluster, spec, HeuristicName.KNAPSACK)
+            current = knapsack_plan(cluster, spec)
         except SchedulingError:
             current = plan_grouping(cluster, spec, HeuristicName.BASIC)
         best = current

@@ -10,17 +10,28 @@ post arrival rate — each group emits one post (cost ``TP``) every
 processors busy.  Reserving more wastes the machine; reserving fewer
 backs up the post queue and stretches the horizon.
 
-The scheduler enumerates every admissible booking ``(G, n, post)``
-— exhaustive, not sampled: the booking space is at most
-``|group_sizes| × NS × 2`` — scores each by its simulated completion
-horizon, and returns the earliest-finishing one.  Fully deterministic:
-ties break toward the smaller reservation (fewer processors booked,
-then narrower groups, then fewer groups).
+The booking space is at most ``|group_sizes| × NS × 2`` and the search
+is exhaustive in effect, not sampled: the scheduler commits to the
+booking with the earliest simulated completion horizon, ties broken
+toward the smaller reservation (fewer processors booked, then narrower
+groups, then fewer groups).  It simulates only the bookings that can
+win.  ``n`` groups of ``G`` on equal chains run ``W = ceil(NS·NM / n)``
+waves, so the main phase ends at ``t_W``, the ``W``-th repeated float
+addition of ``T(G)`` — the very floats the engine's uniform waves
+produce — and every post ends at least ``TP`` after its main task.
+``t_W + TP`` is therefore an exact lower bound on the horizon of every
+post reservation of ``(G, n)``.  Bookings are scored in ``(bound, G,
+n)`` order and the search stops at the first bound strictly above the
+best horizon found so far: no later booking can finish earlier, and a
+booking whose bound equals that horizon is still simulated, since the
+tie rule must decide between them.  Fully deterministic: the winner is
+the tie rule's minimum over every booking, whichever were simulated.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate, repeat
 
 from repro.core.grouping import Grouping
 from repro.core.makespan import cached_simulated_makespan
@@ -49,29 +60,39 @@ class ReservationScheduler(Scheduler):
     def plan(self, cluster: ClusterSpec, spec: EnsembleSpec) -> Grouping:
         timing = cluster.timing
         resources = cluster.resources
-        best_key: tuple[float, int, int, int] | None = None
-        best: Grouping | None = None
+        tasks = spec.scenarios * spec.months
+        tp = timing.post_time()
+        bookings: list[tuple[float, int, int]] = []
         for width in timing.group_sizes:
             if width > resources:
                 continue
-            max_groups = min(spec.scenarios, resources // width)
-            for n_groups in range(1, max_groups + 1):
-                leftover = resources - n_groups * width
-                rate_matched = min(leftover, _post_reservation(
-                    n_groups, width, cluster
-                ))
-                # Two candidate bookings per (G, n): rate-matched post
-                # reservation (spare capacity idles) and every leftover
-                # booked as post.  dict keys de-duplicate when equal.
-                for post in dict.fromkeys((rate_matched, leftover)):
-                    grouping = Grouping.uniform(
-                        width, n_groups, resources, post_pool=post
-                    )
-                    horizon = cached_simulated_makespan(grouping, spec, timing)
-                    key = (horizon, n_groups * width + post, width, n_groups)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best = grouping
+            # wave_ends[w - 1] is t_w: w repeated additions of T(G) from 0.0.
+            wave_ends = list(accumulate(repeat(timing.main_time(width), tasks)))
+            for n_groups in range(1, min(spec.scenarios, resources // width) + 1):
+                waves = -(-tasks // n_groups)
+                bookings.append((wave_ends[waves - 1] + tp, width, n_groups))
+        bookings.sort()
+        best_key: tuple[float, int, int, int] | None = None
+        best: Grouping | None = None
+        for bound, width, n_groups in bookings:
+            if best_key is not None and bound > best_key[0]:
+                break
+            leftover = resources - n_groups * width
+            rate_matched = min(leftover, _post_reservation(
+                n_groups, width, cluster
+            ))
+            # Two candidate bookings per (G, n): rate-matched post
+            # reservation (spare capacity idles) and every leftover
+            # booked as post.  dict keys de-duplicate when equal.
+            for post in dict.fromkeys((rate_matched, leftover)):
+                grouping = Grouping.uniform(
+                    width, n_groups, resources, post_pool=post
+                )
+                horizon = cached_simulated_makespan(grouping, spec, timing)
+                key = (horizon, n_groups * width + post, width, n_groups)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = grouping
         if best is None:
             raise SchedulingError(
                 f"no admissible reservation on {resources} processors "

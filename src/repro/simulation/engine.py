@@ -73,6 +73,16 @@ Fast-path regimes
     reference path's ``max``/``+`` per post, ``O(R log R + NS·NM)``.  A
     full paper-scale experiment (10 × 1800 months) simulates in well
     under a second.
+
+The schedule log
+    :func:`schedule_log` is the fast path with a log: every task's
+    start, end, processor count and scenario in the reference path's
+    record order, without :class:`~repro.simulation.events.TaskRecord`
+    objects.  Its main phase is the general step's heap loop, logging
+    each placement as it is made; its posts take the two-pointer merge
+    in ``(ready, scenario, month)`` order, the order the reference path
+    sorts them into.  The makespan-only loops above do no logging work,
+    and the reference path is the log's oracle.
 """
 
 from __future__ import annotations
@@ -89,7 +99,7 @@ from repro.simulation.events import SimulationResult, TaskRecord
 from repro.simulation.groups import post_pool_range, proc_ranges
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 
-__all__ = ["simulate", "simulate_on_cluster"]
+__all__ = ["schedule_log", "simulate", "simulate_on_cluster"]
 
 
 def simulate(
@@ -553,17 +563,9 @@ def _run_post_phase_fast(
     The smallest initial availability seeds the FIFO — nothing ends
     before it — so the FIFO is never empty when read.
     """
-    pool: list[float] = [0.0] * grouping.post_pool
-    for group, size in enumerate(grouping.group_sizes):
-        pool.extend([group_last_end[group]] * size)
-    if not pool and ready_times:
-        raise SimulationError(
-            "no processor ever becomes available for post-processing "
-            "tasks — grouping has no post pool and no groups?"
-        )
+    pool = _initial_pool(grouping, group_last_end, bool(ready_times))
     if not ready_times:
         return 0.0
-    pool.sort()
     ends = pool[:1]
     initial = pool[1:]
     initial.append(math.inf)  # sentinel: an end always wins against it
@@ -580,3 +582,125 @@ def _run_post_phase_fast(
             j += 1
         push((free_at if free_at > ready else ready) + tp)
     return ends[-1]
+
+
+def _initial_pool(
+    grouping: Grouping, group_last_end: list[float], has_posts: bool
+) -> list[float]:
+    """Every processor's first availability for posts, ascending.
+
+    The post pool is available from 0.0 and each group's processors from
+    its last main end.  Raises when posts exist but no processor does.
+    """
+    pool: list[float] = [0.0] * grouping.post_pool
+    for group, size in enumerate(grouping.group_sizes):
+        pool.extend([group_last_end[group]] * size)
+    if not pool and has_posts:
+        raise SimulationError(
+            "no processor ever becomes available for post-processing "
+            "tasks — grouping has no post pool and no groups?"
+        )
+    pool.sort()
+    return pool
+
+
+def schedule_log(
+    grouping: Grouping,
+    spec: EnsembleSpec,
+    timing: TimingModel,
+    chains: tuple[int, ...] | None = None,
+) -> tuple[list[float], list[float], list[int], list[int], int, float]:
+    """Every task of one run, in the reference path's record order.
+
+    Returns ``(starts, ends, procs, scenarios, mains, makespan)``: the
+    first ``mains`` entries are the main tasks in placement order, the
+    rest the posts in ``(ready, scenario, month)`` order, and
+    ``makespan`` is :func:`simulate`'s.  Entry ``i`` equals the start,
+    end, processor count and scenario of record ``i`` of
+    ``simulate(..., record_trace=True)`` bit for bit: the main phase is
+    :func:`_run_main_phase_fast`'s general step, which decides like the
+    reference path, and each post takes the smallest availability of
+    the same pool, as the reference path's heap does (see
+    :func:`_run_post_phase_fast`).  Inputs are checked, and rejected
+    with the same errors, as :func:`simulate` checks them.
+    """
+    months = _chain_months(spec, chains)
+    grouping.validate_against(timing, spec.scenarios)
+    sizes = grouping.group_sizes
+    group_times = [timing.main_time(g) for g in sizes]
+    ns, n_groups = len(months), len(group_times)
+
+    # Kick-off as in the fast path; ``placed`` logs (start, end, group,
+    # scenario) per main task, in placement order.
+    free = sorted((gt, g) for g, gt in enumerate(group_times))
+    started = min(n_groups, ns)
+    running = [(gt, g, s) for s, (gt, g) in enumerate(free[:started])]
+    placed = [(0.0, gt, g, s) for gt, g, s in running]
+    idle = free[started:]
+    waiting: list[tuple[int, float, int]] = [
+        (0, 0.0, s) for s in range(started, ns)
+    ]
+    months_done = [0] * ns
+    unstarted = sum(months) - started
+    group_last_end = [0.0] * n_groups
+    ready: list[tuple[float, int, int]] = []
+
+    push, pop = heapq.heappush, heapq.heappop
+    while running:
+        now, group, scenario = pop(running)
+        month = months_done[scenario]
+        months_done[scenario] = month + 1
+        group_last_end[group] = now
+        ready.append((now, scenario, month))
+        if month + 1 < months[scenario]:
+            push(waiting, (month + 1, now, scenario))
+        push(idle, (group_times[group], group))
+        while idle and waiting and unstarted > 0:
+            gt, group = pop(idle)
+            scenario = pop(waiting)[2]
+            end = now + gt
+            push(running, (end, group, scenario))
+            placed.append((now, end, group, scenario))
+            unstarted -= 1
+    if unstarted != 0 or waiting:
+        raise SimulationError(
+            f"main phase ended with {unstarted} unstarted tasks and "
+            f"{len(waiting)} waiting scenarios — engine invariant broken"
+        )
+
+    starts = [start for start, _, _, _ in placed]
+    ends = [end for _, end, _, _ in placed]
+    procs = [sizes[group] for _, _, group, _ in placed]
+    scenarios = [scenario for _, _, _, scenario in placed]
+    mains = len(placed)
+    main_makespan = ready[-1][0] if ready else 0.0
+
+    # Posts in the reference path's ready order through the two-pointer
+    # merge of :func:`_run_post_phase_fast`, logging each start.
+    ready.sort()
+    tp = timing.post_time()
+    pool = _initial_pool(grouping, group_last_end, bool(ready))
+    post_ends = pool[:1]
+    initial = pool[1:]
+    initial.append(math.inf)
+    i = j = 0
+    head = initial[0]
+    for at, scenario, _ in ready:
+        free_at = post_ends[j]
+        if head < free_at:
+            free_at = head
+            i += 1
+            head = initial[i]
+        else:
+            j += 1
+        start = free_at if free_at > at else at
+        post_ends.append(start + tp)
+        starts.append(start)
+        scenarios.append(scenario)
+    ends += post_ends[1:]
+    procs += [1] * len(ready)
+    post_makespan = post_ends[-1] if ready else 0.0
+    return (
+        starts, ends, procs, scenarios, mains,
+        max(main_makespan, post_makespan),
+    )

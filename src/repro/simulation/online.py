@@ -32,8 +32,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+from repro.core.batch import batch_solve_dp
 from repro.exceptions import SimulationError
-from repro.knapsack.dp import solve_dp
 from repro.knapsack.items import CardinalityKnapsack
 from repro.platform.timing import TimingModel
 from repro.workflow.ocean_atmosphere import EnsembleSpec
@@ -78,11 +78,14 @@ def _pick_width_knapsack(
 
     Solve the paper's knapsack for (free, waiting) and allocate the
     *largest* chosen width first (the chain bound favours giving the
-    head of the queue the fastest group).
+    head of the queue the fastest group).  The solve traces back from
+    the memoized DP stack of the cluster's item table
+    (:func:`~repro.core.batch.batch_solve_dp`), which every event and
+    the knapsack planner share.
     """
     values = {g: 1.0 / timing.main_time(g) for g in timing.group_sizes}
     problem = CardinalityKnapsack.from_weights_values(values, free, waiting)
-    solution = solve_dp(problem)
+    (solution,) = batch_solve_dp(problem, [(free, waiting)])
     widths = solution.as_multiset()
     if not widths:
         return 0

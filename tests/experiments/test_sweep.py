@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.core.makespan import clear_makespan_cache, makespan_cache_stats
 from repro.exceptions import ConfigurationError
 from repro.experiments.results_io import dump_result, load_result
 from repro.experiments.sweep import (
@@ -91,6 +92,17 @@ class TestRunSweep:
     def test_cache_off_equals_cache_on(self) -> None:
         grid = _small_grid()
         assert run_sweep(grid, use_cache=False) == run_sweep(grid)
+
+    def test_cold_sweep_builds_one_dp_stack_per_cluster(self) -> None:
+        # Chunks of 8 points arrive in increasing R; each cluster's DP
+        # stack is built once at the grid's largest (R, NS), not regrown
+        # per chunk.
+        grid = _small_grid(clusters=("sagittaire", "grelon"), scenarios=(3, 5))
+        clear_makespan_cache()
+        run_sweep(grid, chunk_size=8)
+        assert makespan_cache_stats()["dp"] == {
+            "hits": grid.size // 8 - 2, "misses": 2, "size": 2,
+        }
 
     def test_summary_wins_include_ties(self) -> None:
         grid = _small_grid()
