@@ -5,7 +5,8 @@ Two promises are enforced:
 * **zero-cost when off** — :func:`repro.faults.hooks.simulate_with_faults`
   with an empty (noop) :class:`FaultHook` must stay within 5% of a
   plain :func:`repro.simulation.engine.simulate` call, because the noop
-  hook runs the plain engine and only adds the completed outcome;
+  hook reads the memoized fault-free makespans (one engine run on a
+  miss) and only adds the completed outcome;
 * **replanning throughput** — the multi-failure replanner
   (:func:`repro.middleware.recovery.run_campaign_with_faults`) chews
   through a 100-outage trace at a usable rate: every applied event

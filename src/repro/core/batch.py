@@ -54,6 +54,7 @@ from repro.core.makespan import (
     MakespanBreakdown,
     _floor_ratio,
     cached_dp_stack,
+    makespan_cache_enabled,
 )
 from repro.exceptions import ConfigurationError, SchedulingError
 from repro.knapsack.items import CardinalityKnapsack, KnapsackItem, KnapsackSolution
@@ -68,6 +69,7 @@ __all__ = [
     "batch_gains_over_baseline",
     "batch_plan_groupings",
     "batch_solve_dp",
+    "warm_dp_stack",
 ]
 
 #: Anything the Eq 1–5 batch kernels accept per argument: scalars or
@@ -428,6 +430,29 @@ def _uniform_family_grouping(
     return Grouping.from_sizes(sizes, r, post_pool=leftover)
 
 
+def _throughput_knapsack(
+    timing: TimingModel, capacity: int, max_items: int
+) -> CardinalityKnapsack:
+    """Improvement 3's knapsack: one ``1/T[G]`` item per admissible ``G``."""
+    values = {g: 1.0 / t for g, t in timing.main_time_table().items()}
+    return CardinalityKnapsack.from_weights_values(values, capacity, max_items)
+
+
+def warm_dp_stack(timing: TimingModel, capacity: int, max_items: int) -> None:
+    """Build the memoized ``dp`` stack of ``timing``'s items at these ceilings.
+
+    Every later knapsack solve on the same item table at or below them
+    (the knapsack planner's, and the online knapsack rule's through
+    :func:`batch_solve_dp`) traces back from that stack, so a caller
+    that knows its largest ``(R, NS)`` builds one stack instead of
+    regrowing it cell by cell.  A no-op while the caches are off, when
+    every solve builds its own stack anyway.
+    """
+    if makespan_cache_enabled():
+        problem = _throughput_knapsack(timing, capacity, max_items)
+        cached_dp_stack(problem.items, capacity, max_items, _DpLayers)
+
+
 def _knapsack_groupings(
     timing: TimingModel,
     cells: Iterable[tuple[int, int]],
@@ -443,9 +468,8 @@ def _knapsack_groupings(
     cells = list(cells)
     if not cells:
         return {}
-    values = {g: 1.0 / t for g, t in timing.main_time_table().items()}
-    problem = CardinalityKnapsack.from_weights_values(
-        values,
+    problem = _throughput_knapsack(
+        timing,
         max(dp_ceiling[0], *(r for r, _ in cells)),
         max(dp_ceiling[1], *(ns for _, ns in cells)),
     )

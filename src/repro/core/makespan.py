@@ -31,6 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar
 
+from repro import obs
 from repro.exceptions import SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports core)
@@ -223,8 +224,6 @@ _cache_enabled = True
 def _record(kind: str, outcome: str) -> None:
     """Count a lookup locally and mirror it into the metrics registry."""
     _cache_counters[kind]["hits" if outcome == "hit" else "misses"] += 1
-    from repro import obs  # deferred: keep the formula module import-light
-
     if obs.enabled():
         obs.inc("makespan.cache", kind=kind, outcome=outcome)
 

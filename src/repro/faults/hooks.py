@@ -29,8 +29,9 @@ cuts from the same logs.  :meth:`FaultHook.apply`, which warps every
 record of a traced reference run, is the independent oracle that
 ``tests/property/test_fault_replay.py`` and
 ``benchmarks/replay_differential.py`` compare ``replay`` against.  An
-empty hook is free: :func:`simulate_with_faults` runs the plain engine,
-so results are bit-for-bit those of the fault-free schedule.
+empty hook is free: :func:`simulate_with_faults` reads the memoized
+fault-free makespans, so results are bit-for-bit those of the plain
+engine.
 """
 
 from __future__ import annotations
@@ -381,16 +382,28 @@ def simulate_with_faults(
 
     ``faults`` may be a pre-compiled :class:`FaultHook` or a full
     :class:`~repro.faults.trace.FaultTrace` (compiled against
-    ``cluster_name``).  A noop hook runs the plain engine and reports a
-    completed schedule; a live one replays the memoized schedule log
-    (:meth:`FaultHook.replay`).  The returned :class:`FaultOutcome` is
-    the checkpoint-level account the middleware replanner consumes.
+    ``cluster_name``).  A noop hook reads the memoized fault-free
+    makespans (one cache lookup, an engine run only on a miss) and
+    reports a completed schedule; a live one replays the memoized
+    schedule log (:meth:`FaultHook.replay`).  The returned
+    :class:`FaultOutcome` is the checkpoint-level account the
+    middleware replanner consumes.
     """
-    from repro.simulation.engine import simulate
+    from repro.core.makespan import cached_simulated_makespans
+    from repro.simulation.events import SimulationResult
 
     if isinstance(faults, FaultTrace):
         faults = FaultHook.from_trace(faults, cluster_name)
     if faults.is_noop:
-        result = simulate(grouping, spec, timing, cluster_name=cluster_name)
+        makespan, main_makespan = cached_simulated_makespans(
+            grouping, spec, timing
+        )
+        result = SimulationResult(
+            makespan=makespan,
+            main_makespan=main_makespan,
+            grouping=grouping,
+            spec=spec,
+            cluster_name=cluster_name,
+        )
         return result, _completed_outcome(result)
     return faults.replay(grouping, spec, timing, cluster_name=cluster_name)

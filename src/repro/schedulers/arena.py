@@ -41,6 +41,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from repro.core.batch import warm_dp_stack
 from repro.core.grouping import Grouping
 from repro.core.heuristics import HeuristicName, plan_grouping
 from repro.core.makespan import (
@@ -58,6 +59,8 @@ from repro.experiments.results_io import (
 from repro.experiments.runner import resource_sweep
 from repro.faults.hooks import FaultHook
 from repro.faults.trace import FaultProfile, FaultTrace, generate_trace
+from repro.platform.benchmarks import benchmark_cluster
+from repro.platform.cluster import ClusterSpec
 from repro.schedulers.base import get_scheduler, list_schedulers
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 
@@ -565,7 +568,10 @@ def _decide(
 
 
 def _eval_point(
-    point: ArenaPoint, config: _ChaosConfig, hooks: dict[tuple, FaultHook]
+    point: ArenaPoint,
+    cluster: ClusterSpec,
+    config: _ChaosConfig,
+    hooks: dict[tuple, FaultHook],
 ) -> tuple[ArenaRow, float]:
     """Decide and simulate one point; returns ``(row, decide_seconds)``.
 
@@ -577,9 +583,7 @@ def _eval_point(
     hook: every scheduler of a cell faces the same trace.
     """
     from repro.faults.hooks import simulate_with_faults
-    from repro.platform.benchmarks import benchmark_cluster
 
-    cluster = benchmark_cluster(point.cluster, point.resources)
     spec = EnsembleSpec(point.scenarios, point.months)
     grouping, decide_seconds = cached_decision(
         (point.scheduler, config.seed, point.cluster, point.resources,
@@ -615,16 +619,37 @@ def _eval_chunk(
     chunk: tuple[ArenaPoint, ...],
     config: _ChaosConfig,
     use_cache: bool = True,
+    dp_ceiling: tuple[int, int] = (0, 0),
 ) -> tuple[tuple[ArenaRow, ...], tuple[float, ...]]:
     """Evaluate one chunk (the unit shipped to worker processes).
 
-    The fault-hook memo lives and dies with the chunk, so worker
-    processes share nothing.
+    The chunk memoizes each ``(cluster, R)``'s benchmark cluster and
+    each cell's fault hook; both memos live and die with the chunk, so
+    worker processes share nothing.  ``dp_ceiling`` is the grid's
+    largest ``(R, NS)``: before a cluster's first decision that reads
+    the knapsack ``dp`` stack, the chunk builds that stack at the
+    ceiling (a cache hit once an earlier chunk has), so every
+    knapsack-family decision of the race traces back from one stack.
     """
     previous = set_makespan_cache_enabled(use_cache)
+    clusters: dict[tuple[str, int], ClusterSpec] = {}
     hooks: dict[tuple, FaultHook] = {}
+    warmed: set[str] = set()
+    results = []
     try:
-        results = [_eval_point(point, config, hooks) for point in chunk]
+        for point in chunk:
+            cluster = clusters.get((point.cluster, point.resources))
+            if cluster is None:
+                cluster = clusters[point.cluster, point.resources] = (
+                    benchmark_cluster(point.cluster, point.resources)
+                )
+            if (
+                point.cluster not in warmed
+                and get_scheduler(point.scheduler).reads_dp_stack
+            ):
+                warm_dp_stack(cluster.timing, *dp_ceiling)
+                warmed.add(point.cluster)
+            results.append(_eval_point(point, cluster, config, hooks))
     finally:
         set_makespan_cache_enabled(previous)
     return (
@@ -717,7 +742,12 @@ def run_arena(
     rows = run_grid(
         _ARENA,
         grid,
-        partial(_eval_chunk, config=config, use_cache=use_cache),
+        partial(
+            _eval_chunk,
+            config=config,
+            use_cache=use_cache,
+            dp_ceiling=(max(grid.resources), max(grid.scenarios)),
+        ),
         workers=workers,
         chunk_size=chunk_size,
         journal_path=journal_path,

@@ -71,6 +71,12 @@ class Scheduler(abc.ABC):
     #: One-line summary shown by discovery listings.
     description: ClassVar[str] = ""
 
+    #: Whether :meth:`plan` solves Improvement 3's knapsack on the
+    #: cluster's item table.  The arena then builds that table's memoized
+    #: ``dp`` stack once per race, at the grid's largest ``(R, NS)``,
+    #: instead of letting each cell regrow it.
+    reads_dp_stack: ClassVar[bool] = False
+
     def __init__(self, seed: int = 0) -> None:
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigurationError(f"scheduler seed must be an int, got {seed!r}")

@@ -62,3 +62,4 @@ class OnlineKnapsackScheduler(_OnlineScheduler):
     name = "online-knapsack"
     description = "First wave of the knapsack-aware online policy as a static partition"
     policy = "knapsack-aware"
+    reads_dp_stack = True

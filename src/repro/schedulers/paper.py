@@ -89,6 +89,7 @@ class KnapsackScheduler(_PaperScheduler):
     name = "knapsack"
     description = "Paper improvement 3: knapsack-optimal group multiset"
     heuristic = HeuristicName.KNAPSACK
+    reads_dp_stack = True
 
     def plan(self, cluster: ClusterSpec, spec: EnsembleSpec) -> Grouping:
         return knapsack_plan(cluster, spec)

@@ -16,17 +16,35 @@ bit-for-bit (reprolint D002: no module/global RNG state is touched).
 A move is accepted only when it *strictly* improves the simulated
 makespan, so the walk is monotone and the result never loses to its
 own starting point.
+
+Most proposals cannot win, and the walk skips their simulations on an
+exact lower bound (:class:`_CompletionFloor`).  The engine ends every
+main task at ``now + T[g]``, with ``now`` no earlier than that group's
+previous end and the kick-off at ``0.0 + T[g]``; float addition is
+monotone, so group ``g``'s k-th completion is at least ``A_g[k]``, the
+k-fold float accumulation of ``T[g]``.  Every post ends at
+``max(free_at, ready) + TP >= ready + TP``.  The makespan is therefore
+at least the ``NS·NM``-th smallest of ``A_g[k] + TP`` over every group
+and ``k`` — no float margin involved.  A proposal whose bound is at or
+above the best makespan cannot be strictly better, so it is skipped.
+:func:`_propose` draws from the RNG whether or not its proposal is
+simulated, so the walk, and the decision, are those of the unpruned
+search (``tests/schedulers/local_search_oracle.py``).
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from collections.abc import Sequence
+from itertools import accumulate, repeat
 
 from repro.core.grouping import Grouping
 from repro.core.heuristics import HeuristicName, plan_grouping
 from repro.core.makespan import cached_simulated_makespan
 from repro.exceptions import ConfigurationError, SchedulingError
 from repro.platform.cluster import ClusterSpec
+from repro.platform.timing import TimingModel
 from repro.schedulers.base import Scheduler, register_scheduler
 from repro.schedulers.paper import knapsack_plan
 from repro.workflow.ocean_atmosphere import EnsembleSpec
@@ -93,6 +111,51 @@ def _propose(
     return None
 
 
+class _CompletionFloor:
+    """An exact lower bound on the simulated makespan of a group multiset.
+
+    ``row(g)`` holds ``A_g[k] + TP`` for ``k = 1..tasks``: the earliest
+    a post fed by the k-th completion of a group of size ``g`` can end
+    (see the module docstring).  The rows are built once per group size
+    and reused by every proposal of a decision.
+    """
+
+    def __init__(self, timing: TimingModel, tasks: int) -> None:
+        self._table = timing.main_time_table()
+        self._tp = timing.post_time()
+        self._tasks = tasks
+        self._rows: dict[int, list[float]] = {}
+
+    def row(self, size: int) -> list[float] | None:
+        """Ascending post-end floors of one group, ``None`` if inadmissible."""
+        row = self._rows.get(size)
+        if row is None:
+            gt = self._table.get(size)
+            if gt is None:
+                return None
+            tp = self._tp
+            row = self._rows[size] = [
+                t + tp for t in accumulate(repeat(gt, self._tasks))
+            ]
+        return row
+
+    def can_win(self, sizes: Sequence[int], best: float) -> bool:
+        """Whether ``sizes`` might simulate strictly below ``best``.
+
+        True when at least ``tasks`` floors lie strictly below ``best``
+        (the bound, the ``tasks``-th smallest floor over every group, is
+        then below it), or when a size is inadmissible, so that
+        validation, not the bound, rejects the proposal.
+        """
+        below = 0
+        for g in sizes:
+            row = self.row(g)
+            if row is None:
+                return True
+            below += bisect_left(row, best)
+        return below >= self._tasks
+
+
 @register_scheduler
 class LocalSearchScheduler(Scheduler):
     name = "local-search"
@@ -100,6 +163,7 @@ class LocalSearchScheduler(Scheduler):
         "Seeded hill-climb on simulated makespan, perturbing the knapsack "
         "partition"
     )
+    reads_dp_stack = True
 
     def __init__(self, seed: int = 0, iterations: int = DEFAULT_ITERATIONS):
         super().__init__(seed)
@@ -123,6 +187,7 @@ class LocalSearchScheduler(Scheduler):
             current = plan_grouping(cluster, spec, HeuristicName.BASIC)
         best = current
         best_makespan = cached_simulated_makespan(current, spec, timing)
+        floor = _CompletionFloor(timing, spec.scenarios * spec.months)
         rng = self._rng(cluster, spec)
         for _ in range(self.iterations):
             proposal = _propose(
@@ -134,7 +199,7 @@ class LocalSearchScheduler(Scheduler):
             if proposal is None:
                 continue
             sizes, post = proposal
-            if not sizes:
+            if not sizes or not floor.can_win(sizes, best_makespan):
                 continue
             candidate = Grouping.from_sizes(
                 sizes, cluster.resources, post_pool=post

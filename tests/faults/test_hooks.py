@@ -103,6 +103,32 @@ class TestEngineIntegration:
             makespan=plain.makespan,
         )
 
+    def test_noop_hook_on_a_memoized_key_runs_no_engine(self, monkeypatch) -> None:
+        import repro.simulation.engine as engine
+        from repro.core.makespan import (
+            cached_simulated_makespans,
+            clear_makespan_cache,
+        )
+
+        timing = _flat(tg=97.0, tp=13.0)
+        grouping = Grouping((5, 4), 1, 10)
+        spec = EnsembleSpec(3, 5)
+        clear_makespan_cache()
+        before = simulate_with_faults(
+            grouping, spec, timing, FaultHook(), cluster_name="c"
+        )
+        assert before[0] == simulate(grouping, spec, timing, cluster_name="c")
+        cached_simulated_makespans(grouping, spec, timing)
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the engine ran on a memoized key")
+
+        monkeypatch.setattr(engine, "simulate", no_engine)
+        monkeypatch.setattr(engine, "_run_main_phase_fast", no_engine)
+        assert simulate_with_faults(
+            grouping, spec, timing, FaultHook(), cluster_name="c"
+        ) == before
+
     def test_outage_delays_the_makespan_exactly(self) -> None:
         timing = _flat()
         grouping = Grouping((4,), 0, 4)

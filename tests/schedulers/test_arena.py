@@ -281,6 +281,47 @@ class TestDecisionMemo:
         )
 
 
+class TestDpStack:
+    """Each cluster's knapsack ``dp`` stack is built once per race."""
+
+    @staticmethod
+    def _count_builds(monkeypatch) -> list[tuple[int, int]]:
+        from repro.core.batch import _DpLayers
+
+        builds: list[tuple[int, int]] = []
+        init = _DpLayers.__init__
+
+        def counting_init(self, items, capacity, max_items):
+            builds.append((capacity, max_items))
+            init(self, items, capacity, max_items)
+
+        monkeypatch.setattr(_DpLayers, "__init__", counting_init)
+        return builds
+
+    def test_one_build_per_cluster_at_the_grid_ceiling(self, monkeypatch) -> None:
+        # Cells arrive in increasing R, and each chunk holds a few of
+        # them; without the ceiling the stack regrows at every R.
+        grid = _small_grid(
+            clusters=("sagittaire", "grelon"),
+            resources=(11, 15, 20, 27),
+            scenarios=(3, 5),
+            schedulers=("basic", "knapsack", "online-knapsack", "local-search"),
+        )
+        clear_makespan_cache()
+        builds = self._count_builds(monkeypatch)
+        result = run_arena(grid, chunk_size=4)
+        assert builds == [(27, 5), (27, 5)]
+        clear_makespan_cache()
+        assert run_arena(grid, use_cache=False) == result
+
+    def test_grid_without_knapsack_family_builds_nothing(self, monkeypatch) -> None:
+        grid = _small_grid(schedulers=("basic", "reservation", "online-greedy"))
+        clear_makespan_cache()
+        builds = self._count_builds(monkeypatch)
+        run_arena(grid)
+        assert builds == []
+
+
 class TestStandings:
     def test_gain_rows_omit_the_baseline(self) -> None:
         # gains_over_baseline drops the baseline entry (its gain is 0
