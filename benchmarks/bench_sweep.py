@@ -3,8 +3,9 @@
 Compares three ways of evaluating a figure-style parameter grid:
 
 * **baseline** — what every figure driver did before the sweep engine
-  existed: serial loop, no kernel cache, the instrumented reference
-  engine path (``simulate(fast=False)``).
+  existed: serial loop, no kernel cache, the set-scan reference engine
+  (``reference_simulate`` from ``tests/simulation/reference_engine.py``,
+  the loop ``simulate`` ran before its fast path).
 * **serial sweep** — :func:`repro.experiments.sweep.run_sweep` with no
   workers: memoized kernels plus the bookkeeping-free engine fast path.
 * **parallel sweep** — the same with ``workers=8``.
@@ -27,8 +28,8 @@ from repro.core.makespan import clear_makespan_cache, makespan_cache_disabled
 from repro.exceptions import SchedulingError
 from repro.experiments.sweep import SweepGrid, run_sweep
 from repro.platform.benchmarks import REFERENCE_CLUSTER_SPEEDS, benchmark_cluster
-from repro.simulation.engine import simulate
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.simulation.reference_engine import reference_simulate
 
 WORKERS = 8
 SPEEDUP_FLOOR = 3.0
@@ -51,7 +52,7 @@ def _baseline_seconds(grid: SweepGrid) -> float:
                 grouping = plan_grouping(cluster, spec, point.heuristic)
             except SchedulingError:
                 continue
-            simulate(grouping, spec, cluster.timing, fast=False)
+            reference_simulate(grouping, spec, cluster.timing)
         return time.perf_counter() - started
 
 

@@ -3,12 +3,13 @@
 For every faulted point of an arena preset — each cluster, resource
 count and scheduler, under fault seeds ``1..N`` — the schedule-log
 replay (:meth:`repro.faults.hooks.FaultHook.replay`) must equal the
-record warp of the traced reference run
+record warp of a traced run
 (:meth:`repro.faults.hooks.FaultHook.apply`), result and outcome, field
-for field.  The two derivations take separate engine paths: the replay
-reads the log of the fast engine's logging loop, the warp the records
-of the reference engine.  Traces are drawn exactly as the arena draws
-them.
+for field.  Both read the engine's logging loop; they differ in
+everything after it: the replay cuts the memoized schedule log (posts
+placed by the two-pointer merge) by binary search, the warp shifts
+every record (posts placed by the heap) one by one.  Traces are drawn
+exactly as the arena draws them.
 
 Run from the root of a checkout::
 
@@ -72,7 +73,7 @@ def run(preset: str, step: int, seeds: int) -> dict[str, int]:
         )
         base = simulate(
             grouping, spec, cluster.timing, cluster_name=point.cluster,
-            record_trace=True, fast=False,
+            record_trace=True,
         )
         expected = hook.apply(base, keep_records=False)
         counts["points"] += 1

@@ -412,8 +412,9 @@ class ScheduleLog:
     """The fault-free schedule of one simulation key, as floats.
 
     ``starts``/``ends``/``procs`` hold each task's start, end and
-    processor count in the reference engine's record order, which the
-    fast engine's :func:`~repro.simulation.engine.schedule_log` emits:
+    processor count in the record order of a traced
+    :func:`~repro.simulation.engine.simulate` run, which
+    :func:`~repro.simulation.engine.schedule_log` emits:
     the first ``mains`` entries are the main tasks in placement order,
     the rest the post tasks in ready order.  Within each of the two
     blocks the starts are nondecreasing (the engine places tasks as its

@@ -26,7 +26,7 @@ one entry point, scores a faulted schedule with
 fault-free schedule log, which the fast engine's logging loop builds,
 under the hook's ``wallclock``.  The middleware replanner takes its
 cuts from the same logs.  :meth:`FaultHook.apply`, which warps every
-record of a traced reference run, is the independent oracle that
+record of a traced run one by one, is the independent oracle that
 ``tests/property/test_fault_replay.py`` and
 ``benchmarks/replay_differential.py`` compare ``replay`` against.  An
 empty hook is free: :func:`simulate_with_faults` reads the memoized

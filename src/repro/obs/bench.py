@@ -616,7 +616,7 @@ def _bench_simulate() -> float:
     spec = EnsembleSpec(10, 240)
     grouping = plan_grouping(cluster, spec, "knapsack")
     return _mean_seconds(
-        lambda: simulate(grouping, spec, cluster.timing, fast=True)
+        lambda: simulate(grouping, spec, cluster.timing)
     )
 
 

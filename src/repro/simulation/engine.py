@@ -29,18 +29,21 @@ Post-task phase
     optimal for equal-length tasks with release dates on identical
     machines, so the simulator never under-reports a heuristic.
 
-Two implementations
-    The *reference* path carries per-task records and scans the waiting
-    set linearly — readable, and the arbiter of correctness.  Its main
-    phase costs ``O(NS·NM · (NS + log NS))`` and its post phase
-    ``O(NS·NM · log R)``.  The *fast* path replays the exact same policy
-    without records; it runs whenever no trace is requested, with
-    observability on or off.  Both produce bit-identical makespans (the
-    scheduling decisions, and therefore every float operation on event
-    times, are the same) and, while collection is on, publish identical
-    metrics — the differential-oracle and regime tests pin both, and the
-    ``fast`` argument of :func:`simulate` exists so they can force
-    either path.
+Makespan-only loops and the logging loop
+    Without a trace, :func:`simulate` runs the *makespan-only* loops
+    below: no records, no logging, the regime picked from the grouping.
+    A traced run (``record_trace=True``) and :func:`schedule_log` share
+    the *logging loop* (:func:`_place_mains`): the general step's heap
+    loop, logging each main placement as it is made.  A traced run
+    turns the log into :class:`~repro.simulation.events.TaskRecord`
+    entries and places posts with a heap, which assigns each one a
+    processor id; :func:`schedule_log` places posts with the
+    two-pointer merge.  Every path makes the same scheduling decisions,
+    so every float operation on event times is the same: makespans are
+    bit-identical and, while collection is on, the published metrics
+    too.  A readable set-scan main loop, ``O(NS)`` per event, is kept
+    as the oracle in ``tests/simulation/reference_engine.py``; the
+    differential-oracle and regime tests pin every path against it.
 
 Fast-path regimes
     The fast main phase picks one of three regimes from the grouping
@@ -70,19 +73,17 @@ Fast-path regimes
     ``TP`` and the ready list arrives sorted, so post ends come out
     nondecreasing: the processor pool is the merge of the sorted initial
     availabilities with a FIFO of post ends, two pointers doing the
-    reference path's ``max``/``+`` per post, ``O(R log R + NS·NM)``.  A
+    heap post phase's ``max``/``+`` per post, ``O(R log R + NS·NM)``.  A
     full paper-scale experiment (10 × 1800 months) simulates in well
     under a second.
 
 The schedule log
-    :func:`schedule_log` is the fast path with a log: every task's
-    start, end, processor count and scenario in the reference path's
-    record order, without :class:`~repro.simulation.events.TaskRecord`
-    objects.  Its main phase is the general step's heap loop, logging
-    each placement as it is made; its posts take the two-pointer merge
-    in ``(ready, scenario, month)`` order, the order the reference path
-    sorts them into.  The makespan-only loops above do no logging work,
-    and the reference path is the log's oracle.
+    :func:`schedule_log` returns every task's start, end, processor
+    count and scenario in the traced path's record order, without
+    :class:`~repro.simulation.events.TaskRecord` objects.  Its posts
+    take the two-pointer merge in ``(ready, scenario, month)`` order,
+    the order the heap post phase sorts them into.  The makespan-only
+    loops above do no logging work.
 """
 
 from __future__ import annotations
@@ -130,14 +131,13 @@ def simulate(
         Reject groupings with more groups than scenarios (the paper's
         rule).  Disable only for deliberately degenerate test inputs.
     fast:
-        ``None`` (default) picks automatically: the record-free fast
-        path unless ``record_trace`` asks for per-task records, which
-        only the reference path produces.  Observability does not
-        enter the choice — both paths publish the same metrics while
-        collection is on.  ``True``/``False`` force one
-        implementation — forcing ``True`` is incompatible with
-        ``record_trace``; forcing ``False`` exists for differential
-        testing and baseline benchmarks.
+        ``None`` (default) and ``True`` take the makespan-only loops
+        unless ``record_trace`` asks for per-task records, which only
+        the traced path (the logging loop and the heap post phase)
+        produces.  ``False`` takes the traced path even without
+        records: a re-derivation that shares no loop with the
+        makespan-only ones.  Observability does not enter the choice —
+        both paths publish the same metrics while collection is on.
     chains:
         Month count of each scenario, one entry per scenario, each in
         ``1..spec.months`` — the unequal chains the replanner resumes
@@ -157,12 +157,11 @@ def simulate(
     # Main tasks per group, counted only while collection is on.
     tasks_per_group = [0] * len(group_times) if obs.enabled() else None
     records: tuple[TaskRecord, ...] = ()
-    use_fast = not record_trace if fast is None else fast
-    if use_fast:
-        if record_trace:
-            raise SimulationError(
-                "fast=True cannot record traces; use fast=False or fast=None"
-            )
+    if record_trace or fast is False:
+        records, main_makespan, post_makespan, group_last_end = _run_traced(
+            grouping, months, group_times, tp, record_trace, tasks_per_group
+        )
+    else:
         ready_times, group_last_end = _run_main_phase_fast(
             months, group_times, tasks_per_group
         )
@@ -170,17 +169,6 @@ def simulate(
         post_makespan = _run_post_phase_fast(
             grouping, ready_times, group_last_end, tp
         )
-    else:
-        ranges = proc_ranges(grouping)
-        main_records, post_ready, group_last_end = _run_main_phase(
-            months, group_times, ranges, record_trace, tasks_per_group
-        )
-        main_makespan = max((end for _, _, _, end in post_ready), default=0.0)
-        post_records, post_makespan = _run_post_phase(
-            grouping, post_ready, group_last_end, ranges, tp, record_trace
-        )
-        if record_trace:
-            records = tuple(main_records + post_records)
 
     makespan = max(main_makespan, post_makespan)
     if tasks_per_group is not None:
@@ -281,100 +269,115 @@ def _publish_stats(
         )
 
 
-def _run_main_phase(
+def _run_traced(
+    grouping: Grouping,
     months: list[int],
     group_times: list[float],
-    ranges: list[range],
+    tp: float,
     record_trace: bool,
-    tasks_per_group: list[int] | None = None,
-) -> tuple[list[TaskRecord], list[tuple[float, int, int, float]], list[float]]:
-    """Schedule every main task; return (records, post-ready list, last ends).
+    tasks_per_group: list[int] | None,
+) -> tuple[tuple[TaskRecord, ...], float, float, list[float]]:
+    """The traced path: the logging loop, then the heap post phase.
 
-    When ``tasks_per_group`` is a list, each task placed on group ``g``
-    adds one to ``tasks_per_group[g]``.  ``post_ready`` entries are ``(ready_time, scenario, month, main_end)``
-    tuples emitted in completion order (``ready_time == main_end``; the
-    duplication keeps the post phase free of record lookups).
+    Returns ``(records, main_makespan, post_makespan, group_last_end)``;
+    ``records`` is empty unless ``record_trace``.  Mains come first, in
+    placement order; a main's month is how many of its scenario's mains
+    were placed before it, since a scenario's months run in order.
     """
-    ns = len(months)
-    n_groups = len(group_times)
+    placed, post_ready, group_last_end = _place_mains(months, group_times)
+    ranges = proc_ranges(grouping)
+    post_records, post_makespan = _run_post_phase(
+        grouping, post_ready, group_last_end, ranges, tp, record_trace
+    )
+    if tasks_per_group is not None:
+        for _, _, group, _ in placed:
+            tasks_per_group[group] += 1
+    records: tuple[TaskRecord, ...] = ()
+    if record_trace:
+        month_of = [0] * len(months)
+        mains: list[TaskRecord] = []
+        for start, end, group, scenario in placed:
+            procs = ranges[group]
+            mains.append(TaskRecord(
+                "main", scenario, month_of[scenario], start, end, group,
+                procs.start, procs.stop,
+            ))
+            month_of[scenario] += 1
+        records = (*mains, *post_records)
+    main_makespan = post_ready[-1][0] if post_ready else 0.0
+    return records, main_makespan, post_makespan, group_last_end
 
+
+def _place_mains(
+    months: list[int], group_times: list[float]
+) -> tuple[
+    list[tuple[float, float, int, int]],
+    list[tuple[float, int, int]],
+    list[float],
+]:
+    """The general step's heap loop, logging each placement as it is made.
+
+    Returns ``(placed, post_ready, group_last_end)``: ``placed`` holds
+    ``(start, end, group, scenario)`` per main task in placement order,
+    and ``post_ready`` holds ``(ready, scenario, month)`` per
+    completion, in completion order — nondecreasing, so its last entry
+    is the main-phase makespan.  The heaps are
+    :func:`_run_main_phase_fast`'s (see there for why they decide as
+    the set scan of ``tests/simulation/reference_engine.py`` does).
+    """
+    ns, n_groups = len(months), len(group_times)
+    free = sorted((gt, g) for g, gt in enumerate(group_times))
+    started = min(n_groups, ns)
+    running = [(gt, g, s) for s, (gt, g) in enumerate(free[:started])]
+    placed = [(0.0, gt, g, s) for gt, g, s in running]
+    idle = free[started:]
+    waiting: list[tuple[int, float, int]] = [
+        (0, 0.0, s) for s in range(started, ns)
+    ]
     months_done = [0] * ns
-    wait_since = [0.0] * ns
-    waiting: set[int] = set(range(ns))
-    unstarted = sum(months)
-
-    # (finish_time, group_index, scenario)
-    running: list[tuple[float, int, int]] = []
-    idle_groups: list[int] = list(range(n_groups))
+    unstarted = sum(months) - started
     group_last_end = [0.0] * n_groups
+    ready: list[tuple[float, int, int]] = []
 
-    records: list[TaskRecord] = []
-    post_ready: list[tuple[float, int, int, float]] = []
-
-    def match(now: float, free: list[int]) -> None:
-        """Assign waiting scenarios to free groups; leftovers go idle."""
-        nonlocal unstarted
-        free = sorted(free, key=lambda g: (group_times[g], g))
-        while free and waiting and unstarted > 0:
-            scenario = min(
-                waiting, key=lambda s: (months_done[s], wait_since[s], s)
-            )
-            group = free.pop(0)
-            month = months_done[scenario]
-            end = now + group_times[group]
-            heapq.heappush(running, (end, group, scenario))
-            waiting.remove(scenario)
-            unstarted -= 1
-            if tasks_per_group is not None:
-                tasks_per_group[group] += 1
-            if record_trace:
-                records.append(
-                    TaskRecord(
-                        "main",
-                        scenario,
-                        month,
-                        now,
-                        end,
-                        group,
-                        ranges[group].start,
-                        ranges[group].stop,
-                    )
-                )
-        idle_groups.extend(free)
-
-    # Kick-off: all groups free, all scenarios waiting, time 0.
-    initial, idle_groups = idle_groups, []
-    match(0.0, initial)
-
+    push, pop = heapq.heappush, heapq.heappop
     while running:
-        now, group, scenario = heapq.heappop(running)
+        now, group, scenario = pop(running)
         month = months_done[scenario]
-        months_done[scenario] += 1
+        months_done[scenario] = month + 1
         group_last_end[group] = now
-        post_ready.append((now, scenario, month, now))
-        if months_done[scenario] < months[scenario]:
-            waiting.add(scenario)
-            wait_since[scenario] = now
-        free, idle_groups[:] = [*idle_groups, group], []
-        match(now, free)
-
+        ready.append((now, scenario, month))
+        if month + 1 < months[scenario]:
+            push(waiting, (month + 1, now, scenario))
+        push(idle, (group_times[group], group))
+        while idle and waiting and unstarted > 0:
+            gt, group = pop(idle)
+            scenario = pop(waiting)[2]
+            end = now + gt
+            push(running, (end, group, scenario))
+            placed.append((now, end, group, scenario))
+            unstarted -= 1
     if unstarted != 0 or waiting:
         raise SimulationError(
             f"main phase ended with {unstarted} unstarted tasks and "
             f"{len(waiting)} waiting scenarios — engine invariant broken"
         )
-    return records, post_ready, group_last_end
+    return placed, ready, group_last_end
 
 
 def _run_post_phase(
     grouping: Grouping,
-    post_ready: list[tuple[float, int, int, float]],
+    post_ready: list[tuple[float, int, int]],
     group_last_end: list[float],
     ranges: list[range],
     tp: float,
     record_trace: bool,
 ) -> tuple[list[TaskRecord], float]:
-    """Schedule every post task; return (records, post-phase makespan)."""
+    """Schedule every post task; return (records, post-phase makespan).
+
+    ``post_ready`` holds one ``(ready, scenario, month)`` per post, in
+    any order.  Posts are placed in ascending tuple order, each on the
+    processor free earliest, ties to the lowest processor id.
+    """
     # Processor pool: (available_from, proc_id).
     pool: list[tuple[float, int]] = []
     for proc in post_pool_range(grouping):
@@ -395,9 +398,7 @@ def _run_post_phase(
     records: list[TaskRecord] = []
     makespan = 0.0
     # Ready order with deterministic tie-breaks (time, scenario, month).
-    for ready, scenario, month, _main_end in sorted(
-        post_ready, key=lambda e: (e[0], e[1], e[2])
-    ):
+    for ready, scenario, month in sorted(post_ready):
         free_at, proc = heapq.heappop(pool)
         start = max(free_at, ready)
         end = start + tp
@@ -418,13 +419,15 @@ def _run_main_phase_fast(
 ) -> tuple[list[float], list[float]]:
     """The main phase without records, in one of three regimes.
 
-    Replays :func:`_run_main_phase` decision-for-decision, so the
+    Replays the main-phase policy decision-for-decision, so the
     returned ready times and group last-ends are bit-for-bit those of
-    the reference path.  Returns ``(ready_times, group_last_end)`` with
-    ready times in completion order — nondecreasing, so the last entry
-    is the main-phase makespan and the post phase needs no sort.
-    ``tasks_per_group`` counts placements as in :func:`_run_main_phase`;
-    callers pass ``None`` unless collection is on.
+    :func:`_place_mains` and of the set-scan oracle in
+    ``tests/simulation/reference_engine.py``.  Returns
+    ``(ready_times, group_last_end)`` with ready times in completion
+    order — nondecreasing, so the last entry is the main-phase makespan
+    and the post phase needs no sort.  ``tasks_per_group[g]`` gains one
+    per task placed on group ``g``; callers pass ``None`` unless
+    collection is on.
 
     Uniform groupings of equal chains go to :func:`_uniform_waves`.
     Otherwise the waiting set is a heap of ``(months_done, wait_since,
@@ -557,9 +560,9 @@ def _run_post_phase_fast(
     nondecreasing.  The pool is therefore the merge of the initial
     availabilities (the post pool at 0.0, each group's processors at its
     last end), sorted once, with a FIFO of post ends: each post takes
-    the smaller head, does the reference path's ``max``/``+`` and joins
+    the smaller head, does the heap post phase's ``max``/``+`` and joins
     the FIFO's tail.  Equal heads are interchangeable, so the end
-    multiset, and the makespan (the last end), are the reference path's.
+    multiset, and the makespan (the last end), are the heap's.
     The smallest initial availability seeds the FIFO — nothing ends
     before it — so the FIFO is never empty when read.
     """
@@ -610,63 +613,24 @@ def schedule_log(
     timing: TimingModel,
     chains: tuple[int, ...] | None = None,
 ) -> tuple[list[float], list[float], list[int], list[int], int, float]:
-    """Every task of one run, in the reference path's record order.
+    """Every task of one run, in the traced path's record order.
 
     Returns ``(starts, ends, procs, scenarios, mains, makespan)``: the
     first ``mains`` entries are the main tasks in placement order, the
     rest the posts in ``(ready, scenario, month)`` order, and
     ``makespan`` is :func:`simulate`'s.  Entry ``i`` equals the start,
     end, processor count and scenario of record ``i`` of
-    ``simulate(..., record_trace=True)`` bit for bit: the main phase is
-    :func:`_run_main_phase_fast`'s general step, which decides like the
-    reference path, and each post takes the smallest availability of
-    the same pool, as the reference path's heap does (see
-    :func:`_run_post_phase_fast`).  Inputs are checked, and rejected
-    with the same errors, as :func:`simulate` checks them.
+    ``simulate(..., record_trace=True)`` bit for bit: both take their
+    mains from :func:`_place_mains`, and each post here takes the
+    smallest availability of the same pool, as the traced path's heap
+    does (see :func:`_run_post_phase_fast`).  Inputs are checked, and
+    rejected with the same errors, as :func:`simulate` checks them.
     """
     months = _chain_months(spec, chains)
     grouping.validate_against(timing, spec.scenarios)
     sizes = grouping.group_sizes
     group_times = [timing.main_time(g) for g in sizes]
-    ns, n_groups = len(months), len(group_times)
-
-    # Kick-off as in the fast path; ``placed`` logs (start, end, group,
-    # scenario) per main task, in placement order.
-    free = sorted((gt, g) for g, gt in enumerate(group_times))
-    started = min(n_groups, ns)
-    running = [(gt, g, s) for s, (gt, g) in enumerate(free[:started])]
-    placed = [(0.0, gt, g, s) for gt, g, s in running]
-    idle = free[started:]
-    waiting: list[tuple[int, float, int]] = [
-        (0, 0.0, s) for s in range(started, ns)
-    ]
-    months_done = [0] * ns
-    unstarted = sum(months) - started
-    group_last_end = [0.0] * n_groups
-    ready: list[tuple[float, int, int]] = []
-
-    push, pop = heapq.heappush, heapq.heappop
-    while running:
-        now, group, scenario = pop(running)
-        month = months_done[scenario]
-        months_done[scenario] = month + 1
-        group_last_end[group] = now
-        ready.append((now, scenario, month))
-        if month + 1 < months[scenario]:
-            push(waiting, (month + 1, now, scenario))
-        push(idle, (group_times[group], group))
-        while idle and waiting and unstarted > 0:
-            gt, group = pop(idle)
-            scenario = pop(waiting)[2]
-            end = now + gt
-            push(running, (end, group, scenario))
-            placed.append((now, end, group, scenario))
-            unstarted -= 1
-    if unstarted != 0 or waiting:
-        raise SimulationError(
-            f"main phase ended with {unstarted} unstarted tasks and "
-            f"{len(waiting)} waiting scenarios — engine invariant broken"
-        )
+    placed, ready, group_last_end = _place_mains(months, group_times)
 
     starts = [start for start, _, _, _ in placed]
     ends = [end for _, end, _, _ in placed]
@@ -675,7 +639,7 @@ def schedule_log(
     mains = len(placed)
     main_makespan = ready[-1][0] if ready else 0.0
 
-    # Posts in the reference path's ready order through the two-pointer
+    # Posts in the traced path's ready order through the two-pointer
     # merge of :func:`_run_post_phase_fast`, logging each start.
     ready.sort()
     tp = timing.post_time()

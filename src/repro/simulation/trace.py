@@ -108,7 +108,6 @@ def trace_summary(result: SimulationResult) -> str:
         f"(post tail: {result.makespan - result.main_makespan:.1f}s)",
     ]
     if posts:
-        delays = [0.0] * 0
         # Post waiting time: gap between readiness (its main's end) and start.
         by_key = {(r.scenario, r.month): r for r in mains}
         delays = [

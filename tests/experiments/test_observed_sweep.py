@@ -2,7 +2,7 @@
 
 An observed sweep takes the shipping path — batch planning and the
 engine's fast path — and yields the rows and journal bytes of an
-unobserved one.  The scalar planner and the reference engine are
+unobserved one.  The scalar planner and the engine's traced path are
 patched to raise, so a run that strays onto either fails here: the
 planner both at its public name and at ``get_heuristic``, which every
 ``plan_grouping`` call reaches however its caller bound the name.
@@ -31,7 +31,7 @@ def test_observed_sweep_takes_the_shipping_path(tmp_path, monkeypatch) -> None:
     clear_makespan_cache()
     plain = run_sweep(GRID, journal_path=plain_journal)
 
-    monkeypatch.setattr(engine, "_run_main_phase", _refuse)
+    monkeypatch.setattr(engine, "_run_traced", _refuse)
     monkeypatch.setattr(heuristics, "plan_grouping", _refuse)
     monkeypatch.setattr(heuristics, "get_heuristic", _refuse)
     observed_journal = tmp_path / "observed.ndjson"

@@ -34,7 +34,7 @@ class TestEngineScalability:
 
     def test_unequal_chains_20k_tasks(self) -> None:
         # Ten chains of 550..1450 months = 10k mains + 10k posts, on
-        # the traced reference path the replanner's progress count runs.
+        # the traced path (logging loop, heap post phase, records).
         chains = tuple(550 + 100 * i for i in range(10))
         spec = EnsembleSpec(10, max(chains))
         cluster = benchmark_cluster("grelon", 53)

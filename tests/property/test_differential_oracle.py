@@ -4,8 +4,9 @@ Three independent implementations of the same quantity cross-check each
 other here:
 
 * the analytic formulas of :mod:`repro.core.makespan` (Eqs 1–5),
-* the event-driven reference path of :mod:`repro.simulation.engine`,
-* the engine's bookkeeping-free fast path and the memoized kernels.
+* the set-scan reference engine of ``tests/simulation/reference_engine.py``,
+* the engine's makespan-only loops, its traced path and the memoized
+  kernels.
 
 The analytic formulas are *estimates* of the simulated schedule, so the
 oracle asserts the exact structural relations rather than blanket
@@ -14,7 +15,7 @@ paper's [4, 11] range, the eq2 case (``R2 = 0``, ``nbused = 0``) agrees
 on the *total* makespan, and in every one of the four cases the
 simulator never exceeds the analytic value (the formulas over-provision
 trailing posts; the simulator places them optimally).  The memoized
-kernels and the fast path, by contrast, are exact reimplementations —
+kernels and the engine's paths, by contrast, are exact reimplementations —
 those must match bit-for-bit, with the cache both enabled and disabled.
 
 Analytic-vs-simulator tests draw *dyadic* task times (quarters of a
@@ -45,6 +46,7 @@ from repro.exceptions import SchedulingError
 from repro.platform.timing import TableTimingModel
 from repro.simulation.engine import simulate
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.simulation.reference_engine import reference_simulate
 
 GROUP_SIZES = range(4, 12)
 
@@ -227,25 +229,28 @@ def test_memoized_kernels_match_uncached_bit_for_bit(
 @given(engine_instances())
 @settings(max_examples=100, deadline=None)
 def test_fast_path_matches_reference_bit_for_bit(instance) -> None:
-    """Forced fast, forced reference, and auto all agree to the last bit."""
+    """The makespan-only loops, the traced path (with records, and
+    without them under ``fast=False``) and the oracle agree to the last
+    bit."""
     grouping, spec, timing = instance
-    reference = simulate(grouping, spec, timing, fast=False)
-    fast = simulate(grouping, spec, timing, fast=True)
-    auto = simulate(grouping, spec, timing)
-    assert fast.makespan == reference.makespan
-    assert fast.main_makespan == reference.main_makespan
-    assert auto.makespan == reference.makespan
-    assert auto.main_makespan == reference.main_makespan
+    reference = reference_simulate(grouping, spec, timing)
+    fast = simulate(grouping, spec, timing)
+    traced = simulate(grouping, spec, timing, record_trace=True)
+    untraced = simulate(grouping, spec, timing, fast=False)
+    assert untraced.records == ()
+    for result in (fast, traced, untraced):
+        assert result.makespan == reference.makespan
+        assert result.main_makespan == reference.main_makespan
 
 
 @given(engine_instances())
 @settings(max_examples=100, deadline=None)
 def test_fast_path_publishes_reference_metrics(instance) -> None:
-    """Under observation both engine paths give the same makespans and
-    publish the same registry, series by series."""
+    """Under observation the fast path and the oracle give the same
+    makespans and publish the same registry, series by series."""
     grouping, spec, timing = instance
     with obs.session() as (registry, _tracer):
-        reference = simulate(grouping, spec, timing, fast=False)
+        reference = reference_simulate(grouping, spec, timing)
         reference_metrics = registry.as_dict()
     with obs.session() as (registry, _tracer):
         fast = simulate(grouping, spec, timing)
@@ -254,19 +259,6 @@ def test_fast_path_publishes_reference_metrics(instance) -> None:
     assert fast.main_makespan == reference.main_makespan
     assert fast_metrics == reference_metrics
     assert reference_metrics["counters"]["engine.events_dispatched"]
-
-
-def test_record_trace_incompatible_with_forced_fast() -> None:
-    from repro.exceptions import SimulationError
-
-    timing = TableTimingModel(
-        {g: 1000.0 for g in GROUP_SIZES}, post_seconds=100.0
-    )
-    grouping = Grouping.uniform(4, 2, 8)
-    with pytest.raises(SimulationError):
-        simulate(
-            grouping, EnsembleSpec(2, 2), timing, record_trace=True, fast=True
-        )
 
 
 def test_cache_counters_and_metrics_export() -> None:

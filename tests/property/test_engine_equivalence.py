@@ -6,8 +6,9 @@ same policy over different data structures; their makespans (total and
 main-phase) must coincide to the last float.  Randomizing groupings,
 timings, chain lengths and ensemble shapes with hypothesis makes this
 the strongest cross-validation in the suite — two independent
-implementations checking each other, plus the engine's fast and
-reference paths checking each other on unequal chains.
+implementations checking each other, plus the engine's fast and traced
+paths and the set-scan reference engine checking each other on unequal
+chains.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.workflow.ocean_atmosphere import (
     fused_scenario_dag,
 )
 from tests.simulation.dag_oracle import simulate_dag
+from tests.simulation.reference_engine import reference_simulate
 
 
 def _timing(draw, uniform: bool) -> TableTimingModel:
@@ -113,13 +115,14 @@ def test_dag_engine_matches_rectangular_engine(instance) -> None:
 @settings(max_examples=150, deadline=None)
 def test_unequal_chains_match_the_dag_oracle(instance) -> None:
     grouping, spec, chains, timing = instance
-    fast = simulate(grouping, spec, timing, chains=chains, fast=True)
-    reference = simulate(grouping, spec, timing, chains=chains, fast=False)
+    fast = simulate(grouping, spec, timing, chains=chains)
+    traced = simulate(grouping, spec, timing, chains=chains, record_trace=True)
+    reference = reference_simulate(grouping, spec, timing, chains=chains)
     dag = DAG()
     for scenario, months in enumerate(chains):
         dag.merge(fused_scenario_dag(months, scenario=scenario))
     oracle = simulate_dag(dag, grouping, timing)
-    for result in (fast, reference):
+    for result in (fast, traced, reference):
         assert result.main_makespan == oracle.main_makespan
         assert result.makespan == oracle.makespan
 

@@ -2,7 +2,8 @@
 
 ``FaultHook.replay`` scores a faulted schedule from the memoized
 :class:`~repro.core.makespan.ScheduleLog` by binary search; ``apply``
-warps every record of a traced reference run.  For any grouping and
+warps every record of a traced run of the set-scan reference engine
+(``tests/simulation/reference_engine.py``).  For any grouping and
 any mix of outages, slowdowns and a crash, both must report the same
 warped result and the same :class:`~repro.faults.hooks.FaultOutcome`,
 field for field and bit for bit.
@@ -26,8 +27,8 @@ from repro.core.makespan import (
 from repro.faults.hooks import FaultHook, simulate_with_faults
 from repro.faults.trace import FaultEvent, FaultKind
 from repro.platform.timing import TableTimingModel
-from repro.simulation.engine import simulate
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.simulation.reference_engine import reference_simulate
 
 CRASH_MODES = (
     "none", "zero", "task-end", "in-outage", "at-makespan",
@@ -76,7 +77,7 @@ def windows(draw, horizon: float):
 def faulted_schedules(draw):
     """A schedule plus a hook whose crash lands on a drawn edge case."""
     grouping, spec, timing = draw(schedules())
-    base = simulate(grouping, spec, timing, record_trace=True, fast=False)
+    base = reference_simulate(grouping, spec, timing, record_trace=True)
     events = draw(windows(base.makespan * 1.5))
     warp = FaultHook.from_events(events)
     mode = draw(st.sampled_from(CRASH_MODES))
@@ -106,8 +107,8 @@ def faulted_schedules(draw):
 
 
 def _oracle(hook, grouping, spec, timing):
-    base = simulate(
-        grouping, spec, timing, cluster_name="c", record_trace=True, fast=False,
+    base = reference_simulate(
+        grouping, spec, timing, cluster_name="c", record_trace=True,
     )
     return hook.apply(base, keep_records=False)
 
@@ -182,8 +183,8 @@ class TestScheduleLogMemo:
     def test_log_lists_the_reference_records(self) -> None:
         grouping, spec, timing = self.SCHEDULE
         log = cached_schedule_log(grouping, spec, timing)
-        records = simulate(
-            grouping, spec, timing, record_trace=True, fast=False
+        records = reference_simulate(
+            grouping, spec, timing, record_trace=True
         ).records
         assert log.starts == tuple(r.start for r in records)
         assert log.ends == tuple(r.end for r in records)

@@ -30,6 +30,7 @@ from tests.schedulers.test_reservation_pruning import (
     cells,
     tie_prone_clusters,
 )
+from tests.simulation.reference_engine import reference_simulate
 
 
 def _bound(timing, sizes: tuple[int, ...], tasks: int) -> float:
@@ -94,8 +95,8 @@ def test_bound_never_exceeds_the_simulated_makespan(case) -> None:
     grouping, spec, timing, chains = case
     tasks = sum(chains) if chains else spec.scenarios * spec.months
     bound = _bound(timing, grouping.group_sizes, tasks)
-    for fast in (True, False):
-        makespan = simulate(grouping, spec, timing, chains=chains, fast=fast).makespan
+    for engine in (simulate, reference_simulate):
+        makespan = engine(grouping, spec, timing, chains=chains).makespan
         assert bound <= makespan
 
 

@@ -1,10 +1,11 @@
-"""The schedule log flattened from a traced reference run: the oracle.
+"""The schedule log flattened from a traced reference-engine run: the oracle.
 
 :func:`repro.core.makespan.cached_schedule_log` builds its
 :class:`~repro.core.makespan.ScheduleLog` from the fast engine's
 logging loop (:func:`repro.simulation.engine.schedule_log`).
 :func:`reference_schedule_log` builds the same log from the per-task
-records of ``simulate(..., record_trace=True, fast=False)``, a path that
+records of the set-scan oracle
+(:func:`tests.simulation.reference_engine.reference_simulate`), which
 shares neither the heaps nor the post merge with the logging loop, so
 the two are compared field for field.
 """
@@ -16,17 +17,17 @@ import itertools
 from repro.core.grouping import Grouping
 from repro.core.makespan import ScheduleLog
 from repro.platform.timing import TimingModel
-from repro.simulation.engine import simulate
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.simulation.reference_engine import reference_simulate
 
 
 def reference_schedule_log(
     grouping: Grouping, spec: EnsembleSpec, timing: TimingModel,
     chains: tuple[int, ...] | None = None,
 ) -> ScheduleLog:
-    """Flatten one traced reference simulation into a :class:`ScheduleLog`."""
-    result = simulate(
-        grouping, spec, timing, record_trace=True, fast=False, chains=chains
+    """Flatten one traced oracle simulation into a :class:`ScheduleLog`."""
+    result = reference_simulate(
+        grouping, spec, timing, record_trace=True, chains=chains
     )
     records = result.records
     main_ends: list[list[float]] = [[] for _ in range(spec.scenarios)]

@@ -107,10 +107,10 @@ class TestChains:
 
     def test_full_chains_equal_the_rectangular_run(self) -> None:
         grouping, spec = Grouping((4, 5), 1, 10), EnsembleSpec(3, 4)
-        for fast in (True, False):
-            assert simulate(grouping, spec, _flat(), fast=fast, chains=(4, 4, 4)) == (
-                simulate(grouping, spec, _flat(), fast=fast)
-            )
+        for traced in (False, True):
+            assert simulate(
+                grouping, spec, _flat(), record_trace=traced, chains=(4, 4, 4)
+            ) == simulate(grouping, spec, _flat(), record_trace=traced)
 
     def test_each_scenario_runs_its_own_months(self) -> None:
         chains = (1, 4, 2)

@@ -1,13 +1,14 @@
-"""The engine fast path, regime by regime, against the reference path.
+"""The engine fast path, regime by regime, against the reference engine.
 
 The fast main phase runs in one of three regimes: uniform groupings
 (every group time equal, ``k <= NS``) in closed-form waves, everything
 else in a fused loop while every group is busy, and the general event
 step once a group idles with work left.  Each test here compares
-``simulate(..., fast=True)`` with ``simulate(..., fast=False)``: both
-makespans, and the ready times and per-group last ends, which the
-reference path exposes through its ``record_trace=True`` records and
-the fast path returns from ``_run_main_phase_fast``.  Equality is exact
+``simulate(...)`` with the set-scan oracle ``reference_simulate(...)``
+of ``tests/simulation/reference_engine.py``: both makespans, and the
+ready times and per-group last ends, which the oracle exposes through
+its ``record_trace=True`` records and the fast path returns from
+``_run_main_phase_fast``.  Equality is exact
 — the regimes make the same decisions, hence the same float additions.
 """
 
@@ -22,6 +23,7 @@ from repro.core.grouping import Grouping
 from repro.platform.timing import TableTimingModel
 from repro.simulation.engine import _run_main_phase_fast, simulate
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.simulation.reference_engine import reference_simulate
 
 GROUP_SIZES = range(4, 12)
 
@@ -54,14 +56,14 @@ def _grouping(sizes: list[int], post_pool: int) -> Grouping:
 def _assert_paths_agree(
     grouping: Grouping, spec: EnsembleSpec, timing: TableTimingModel, **kwargs: bool
 ) -> list[list[tuple[float, float]]]:
-    """Compare both paths; return each group's main-task (start, end) pairs.
+    """Compare fast path and oracle; return each group's main-task (start, end) pairs.
 
     Besides the makespans, the fast main phase's ready times, group last
-    ends and per-group task counts must equal those of the reference
-    path's main-task records.
+    ends and per-group task counts must equal those of the oracle's
+    main-task records.
     """
-    reference = simulate(grouping, spec, timing, fast=False, record_trace=True, **kwargs)
-    fast = simulate(grouping, spec, timing, fast=True, **kwargs)
+    reference = reference_simulate(grouping, spec, timing, record_trace=True, **kwargs)
+    fast = simulate(grouping, spec, timing, **kwargs)
     assert fast.makespan == reference.makespan
     assert fast.main_makespan == reference.main_makespan
 
@@ -152,7 +154,7 @@ def test_uniform_waves_publish_reference_metrics() -> None:
         grouping = _grouping([sizes[0]] * k, 1)
         spec = EnsembleSpec(ns, nm)
         with obs.session() as (registry, _tracer):
-            simulate(grouping, spec, timing, fast=False)
+            reference_simulate(grouping, spec, timing)
             reference = registry.as_dict()
         with obs.session() as (registry, _tracer):
             simulate(grouping, spec, timing)

@@ -27,7 +27,7 @@ from repro.simulation.groups import proc_ranges
 def _reference_makespan(
     grouping: Grouping, ready_times: list[float], group_last_end: list[float], tp: float
 ) -> float:
-    post_ready = [(ready, i, 0, ready) for i, ready in enumerate(ready_times)]
+    post_ready = [(ready, i, 0) for i, ready in enumerate(ready_times)]
     _, makespan = _run_post_phase(
         grouping, post_ready, group_last_end, proc_ranges(grouping), tp, False
     )
@@ -88,5 +88,5 @@ def test_empty_pool_with_posts_raises() -> None:
     with pytest.raises(SimulationError, match="no processor ever becomes available"):
         _run_post_phase_fast(empty, [10.0], [], 60.0)
     with pytest.raises(SimulationError, match="no processor ever becomes available"):
-        _run_post_phase(empty, [(10.0, 0, 0, 10.0)], [], [], 60.0, False)
+        _run_post_phase(empty, [(10.0, 0, 0)], [], [], 60.0, False)
     assert _run_post_phase_fast(empty, [], [], 60.0) == 0.0
