@@ -2,11 +2,14 @@
 
 Two promises are enforced:
 
-* **zero-cost when off** — :func:`repro.faults.hooks.simulate_with_faults`
-  with an empty (noop) :class:`FaultHook` must stay within 5% of a
-  plain :func:`repro.simulation.engine.simulate` call, because the noop
-  hook reads the memoized fault-free makespans (one engine run on a
-  miss) and only adds the completed outcome;
+* **a noop hook pays only for its result** —
+  :func:`repro.faults.hooks.simulate_with_faults` with an empty (noop)
+  :class:`FaultHook` reads the memoized fault-free makespans, the
+  :func:`repro.core.makespan.cached_simulated_makespans` lookup a plain
+  caller makes, and adds only the ``SimulationResult`` and the completed
+  ``FaultOutcome`` it builds.  Those cost a few lookups (about 5x one
+  lookup on a 10-scenario ensemble); an engine run costs hundreds, so a
+  noop path that simulated, or built a schedule log, fails the ceiling;
 * **replanning throughput** — the multi-failure replanner
   (:func:`repro.middleware.recovery.run_campaign_with_faults`) chews
   through a 100-outage trace at a usable rate: every applied event
@@ -24,16 +27,19 @@ from __future__ import annotations
 import statistics
 import time
 
+from repro.core.makespan import cached_simulated_makespans
 from repro.faults.hooks import FaultHook, simulate_with_faults
 from repro.faults.trace import FaultEvent, FaultKind, FaultTrace
 from repro.middleware.recovery import run_campaign_with_faults
 from repro.platform.benchmarks import benchmark_cluster, benchmark_grid
-from repro.simulation.engine import simulate
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 from repro.core.heuristics import plan_grouping, HeuristicName
 
-#: Relative overhead allowed for the noop-hook path vs plain ``simulate``.
-OVERHEAD_CEILING = 0.05
+#: Relative overhead allowed for the noop-hook path over a plain
+#: ``cached_simulated_makespans`` lookup: room for building the result
+#: and the outcome (median ~+430%, pairs +220% to +600% on a 2-core
+#: x86 host), far below one engine run (~+37,000%).
+OVERHEAD_CEILING = 10.0
 
 #: Timed pairs for the overhead leg, and calls per side of each pair.
 OVERHEAD_PAIRS = 31
@@ -54,7 +60,7 @@ def _elapsed(fn) -> float:
     return time.perf_counter() - started
 
 
-def test_noop_hook_overhead_under_five_percent() -> None:
+def test_noop_hook_pays_only_for_its_result() -> None:
     """Median per-pair overhead of the noop hook stays under the ceiling.
 
     Each of :data:`OVERHEAD_PAIRS` pairs times the two sides back to back
@@ -69,13 +75,13 @@ def test_noop_hook_overhead_under_five_percent() -> None:
 
     def plain() -> None:
         for _ in range(CALLS_PER_SIDE):
-            simulate(grouping, spec, cluster.timing)
+            cached_simulated_makespans(grouping, spec, cluster.timing)
 
     def hooked() -> None:
         for _ in range(CALLS_PER_SIDE):
             simulate_with_faults(grouping, spec, cluster.timing, noop)
 
-    plain()  # warm any lazy state before timing
+    plain()  # fill the memo and warm any lazy state before timing
     hooked()
     ratios: list[float] = []
     for pair in range(OVERHEAD_PAIRS):

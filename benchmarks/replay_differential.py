@@ -4,7 +4,7 @@ For every faulted point of an arena preset — each cluster, resource
 count and scheduler, under fault seeds ``1..N`` — the schedule-log
 replay (:meth:`repro.faults.hooks.FaultHook.replay`) must equal the
 record warp of a traced run
-(:meth:`repro.faults.hooks.FaultHook.apply`), result and outcome, field
+(``tests/simulation/fault_warp_oracle.py``), result and outcome, field
 for field.  Both read the engine's logging loop; they differ in
 everything after it: the replay cuts the memoized schedule log (posts
 placed by the two-pointer merge) by binary search, the warp shifts
@@ -13,7 +13,7 @@ exactly as the arena draws them.
 
 Run from the root of a checkout::
 
-    PYTHONPATH=src python benchmarks/replay_differential.py --seeds 80
+    PYTHONPATH=src:. python benchmarks/replay_differential.py --seeds 80
 
 The last line is a JSON summary; the exit status is 1 on any mismatch.
 """
@@ -35,10 +35,11 @@ from repro.schedulers.arena import (
 from repro.schedulers.base import get_scheduler
 from repro.simulation.engine import simulate
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.simulation.fault_warp_oracle import warp_records
 
 
 def run(preset: str, step: int, seeds: int) -> dict[str, int]:
-    """Compare replay with apply on every faulted point; return the counts."""
+    """Compare replay with the record warp on every faulted point; return the counts."""
     grid = ArenaGrid.from_preset(
         preset, fault_seeds=range(1, seeds + 1), include_fault_free=False,
         step=step,
@@ -75,7 +76,7 @@ def run(preset: str, step: int, seeds: int) -> dict[str, int]:
             grouping, spec, cluster.timing, cluster_name=point.cluster,
             record_trace=True,
         )
-        expected = hook.apply(base, keep_records=False)
+        expected = warp_records(hook, base, keep_records=False)
         counts["points"] += 1
         counts["crashed"] += expected[1].crashed
         counts["mismatches"] += replayed != expected

@@ -14,12 +14,15 @@ The last configuration is also dumped as a Chrome Trace Event JSON file
 
 Run::
 
-    python examples/gantt_trace.py
+    python examples/gantt_trace.py [TRACE_PATH]
+
+The trace goes to ``TRACE_PATH``, or to ``gantt_trace.json`` in the
+working directory.
 """
 
 from __future__ import annotations
 
-import tempfile
+import sys
 from pathlib import Path
 
 from repro import EnsembleSpec, Grouping, benchmark_cluster, simulate_on_cluster
@@ -41,8 +44,8 @@ def show(title: str, cluster, grouping: Grouping, spec: EnsembleSpec):
     return result
 
 
-def dump_chrome_trace(result) -> Path:
-    """Write one schedule as Chrome Trace Event JSON (for Perfetto).
+def dump_chrome_trace(result, path: Path) -> None:
+    """Write one schedule to ``path`` as Chrome Trace Event JSON (for Perfetto).
 
     Same schedule as the ASCII chart, one span per task: lane = first
     processor of the task's group, 1 simulated second = 1 trace us.
@@ -57,14 +60,11 @@ def dump_chrome_trace(result) -> Path:
             kind=record.kind,
             group=record.group,
         )
-    with tempfile.NamedTemporaryFile(
-        mode="w", suffix=".json", prefix="gantt_trace_", delete=False
-    ) as fh:
-        fh.write(tracer.to_chrome_json())
-        return Path(fh.name)
+    path.write_text(tracer.to_chrome_json())
 
 
 def main() -> None:
+    path = Path(sys.argv[1] if len(sys.argv) > 1 else "gantt_trace.json")
     cluster = benchmark_cluster("sagittaire", 22)
 
     # 1. R2 = 0: two groups of 11 fill the machine; every post task must
@@ -104,7 +104,7 @@ def main() -> None:
         grouping,
         spec,
     )
-    path = dump_chrome_trace(result)
+    dump_chrome_trace(result, path)
     print(f"chrome trace written to {path} (open in https://ui.perfetto.dev)")
 
 

@@ -1,22 +1,22 @@
-"""Vectorized batch kernels for Eq 1–5, the knapsack DP, and Algorithm 1.
+"""Vectorized batch kernels for Eq 1–5 and Algorithm 1.
 
-The scalar kernels of :mod:`repro.core.makespan`, :mod:`repro.knapsack.dp`
-and the heuristic modules evaluate one ``(R, G, NS, NM)`` cell per call;
-figure sweeps and arena races evaluate tens of thousands.  This module
-re-expresses those kernels as numpy array operations over entire grids:
+The scalar kernels of :mod:`repro.core.makespan` and the heuristic
+modules evaluate one ``(R, G, NS, NM)`` cell per call; figure sweeps and
+arena races evaluate tens of thousands.  This module re-expresses those
+kernels as numpy array operations over entire grids:
 
 * :func:`batch_analytic_breakdown` / :func:`batch_analytic_makespan` —
   Equations (1)–(5) over any broadcastable combination of the six scalar
   arguments.
 * :func:`batch_best_uniform_group` — the basic heuristic's ``G``
   selection for a whole resource (or scenario) axis at once.
-* :func:`batch_solve_dp` — the cardinality-capped knapsack DP evaluated
-  once at the capacity and cap ceilings, then traced back for every
-  requested ``(capacity, max_items)`` cell (one
-  ``O(max_items × C × |items|)`` pass serves them all).  The DP stack is
-  the ``dp`` kind of the kernel caches, keyed on the item table alone, so
-  every batch over one cluster's ``1/T[G]`` items after the first traces
-  back from the stack already built.
+* :func:`batch_solve_dp` (re-exported from :mod:`repro.knapsack.dp`) —
+  the cardinality-capped knapsack DP evaluated once at the capacity and
+  cap ceilings, then traced back for every requested
+  ``(capacity, max_items)`` cell.  The DP stack is the ``dp`` kind of
+  the kernel caches, keyed on the item table alone, so every solve over
+  one cluster's ``1/T[G]`` items after the first traces back from the
+  stack already built.
 * :func:`batch_plan_groupings` — all four paper heuristics over a batch
   of ``(R, NS, NM, heuristic)`` points (one sweep chunk, or the ``1..NS``
   entries of a performance vector), returning the
@@ -29,8 +29,9 @@ Every kernel is **bit-for-bit** equal to its scalar counterpart: the
 array expressions replicate the scalar code's float operations operand
 for operand, in the same order, so IEEE-754 rounding is identical.  The
 scalar kernels stay untouched as the differential oracle — the property
-suite in ``tests/property/test_batch_oracle.py`` enforces the equality,
-and the golden-parity suite re-derives the committed figure fixtures
+suite in ``tests/property/test_batch_oracle.py`` enforces the equality
+(the knapsack's scalar loop is ``tests/knapsack/dp_oracle.py``), and
+the golden-parity suite re-derives the committed figure fixtures
 through these kernels.  Cells where a scalar kernel would raise
 :class:`~repro.exceptions.SchedulingError` are *masked* (``feasible``
 False, makespan ``+inf``) rather than raised, so one bad cell cannot
@@ -49,15 +50,15 @@ import numpy as np
 from repro import obs
 from repro.core.grouping import Grouping
 from repro.core.heuristics import HeuristicName
+from repro.core.knapsack_grouping import throughput_knapsack
 from repro.core.makespan import (
     _RATIO_EPS,
     MakespanBreakdown,
     _floor_ratio,
-    cached_dp_stack,
     makespan_cache_enabled,
 )
 from repro.exceptions import ConfigurationError, SchedulingError
-from repro.knapsack.items import CardinalityKnapsack, KnapsackItem, KnapsackSolution
+from repro.knapsack.dp import batch_solve_dp
 from repro.platform.timing import TimingModel
 
 __all__ = [
@@ -283,109 +284,6 @@ def batch_best_uniform_group(
 
 
 # ---------------------------------------------------------------------------
-# The knapsack DP over a capacity axis.
-# ---------------------------------------------------------------------------
-
-
-class _DpLayers:
-    """Batched DP choice rows over the full ``0..capacity`` axis.
-
-    One layer per cardinality slot up to ``max_items``, each a vectorized
-    sweep of the item candidates over every capacity at once.  The
-    per-cell update order (items in problem order, strictly-greater
-    lexicographic ``(value, -weight)`` wins) replicates
-    :func:`repro.knapsack.dp.solve_dp` exactly, so the float value
-    accumulations are bit-identical.  Like the scalar DP, the stack stops
-    at the first layer that changes nothing.
-    """
-
-    def __init__(
-        self, items: tuple[KnapsackItem, ...], capacity: int, max_items: int
-    ) -> None:
-        self.items = items
-        self.choices: list[np.ndarray] = []
-        value = np.zeros(capacity + 1, dtype=np.float64)
-        negw = np.zeros(capacity + 1, dtype=np.int64)
-        while len(self.choices) < max_items:
-            cur_value = value.copy()
-            cur_negw = negw.copy()
-            choice = np.full(capacity + 1, -1, dtype=np.int32)
-            for idx, item in enumerate(items):
-                w = item.weight
-                if w > capacity:
-                    continue
-                cand_value = value[:-w] + item.value
-                cand_negw = negw[:-w] - w
-                seg_value = cur_value[w:]
-                seg_negw = cur_negw[w:]
-                better = (cand_value > seg_value) | (
-                    (cand_value == seg_value) & (cand_negw > seg_negw)
-                )
-                seg_value[better] = cand_value[better]
-                seg_negw[better] = cand_negw[better]
-                choice[w:][better] = idx
-            self.choices.append(choice)
-            # A winning candidate is strictly lexicographically greater,
-            # so an unchanged layer is exactly an all-(-1) choice row —
-            # the scalar DP's early-exit condition.
-            if np.array_equal(cur_value, value) and np.array_equal(cur_negw, negw):
-                break
-            value, negw = cur_value, cur_negw
-
-    def traceback(self, capacity: int, max_items: int) -> dict[int, int]:
-        """Item counts of the optimal packing at one ``(capacity, k)``.
-
-        Valid for every capacity up to the stack's and every
-        ``max_items``: once two consecutive layers agree on the prefix
-        ``0..capacity``, all later layers keep choice -1 there, so extra
-        layers beyond the scalar DP's early exit contribute nothing.
-        """
-        counts: dict[int, int] = {}
-        c = capacity
-        for layer in range(min(max_items, len(self.choices)) - 1, -1, -1):
-            idx = int(self.choices[layer][c])
-            if idx >= 0:
-                item = self.items[idx]
-                counts[item.name] = counts.get(item.name, 0) + 1
-                c -= item.weight
-        return counts
-
-
-def batch_solve_dp(
-    problem: CardinalityKnapsack, cells: Sequence[tuple[int, int]]
-) -> list[KnapsackSolution]:
-    """:func:`~repro.knapsack.dp.solve_dp` at every ``(capacity, max_items)`` cell.
-
-    One DP at ``problem.capacity`` and ``problem.max_items`` serves every
-    smaller cell, because the items depend on neither: a stabilized
-    value-table prefix never changes again, and the first ``k`` layers
-    are exactly the DP capped at ``k``, so the traceback at ``(c, k)``
-    equals the scalar solve of that sub-problem.  The same argument lets
-    a stack built at larger ceilings answer this problem, so the stack
-    comes from :func:`~repro.core.makespan.cached_dp_stack`, keyed on
-    ``problem.items``: a batch over an item table already solved at
-    least this far builds no DP at all.  Each returned solution is
-    validated against its own sub-problem, exactly like the scalar path.
-    """
-    cells = [(int(c), int(k)) for c, k in cells]
-    for c, k in cells:
-        if not (0 <= c <= problem.capacity and 0 <= k <= problem.max_items):
-            raise ConfigurationError(
-                f"cell {(c, k)!r} outside the solved range "
-                f"0..{problem.capacity} x 0..{problem.max_items}"
-            )
-    layers = cached_dp_stack(
-        problem.items, problem.capacity, problem.max_items, _DpLayers
-    )
-    return [
-        KnapsackSolution.from_counts(
-            layers.traceback(c, k), CardinalityKnapsack(problem.items, c, k)
-        )
-        for c, k in cells
-    ]
-
-
-# ---------------------------------------------------------------------------
 # Batched heuristic planning.
 # ---------------------------------------------------------------------------
 
@@ -430,14 +328,6 @@ def _uniform_family_grouping(
     return Grouping.from_sizes(sizes, r, post_pool=leftover)
 
 
-def _throughput_knapsack(
-    timing: TimingModel, capacity: int, max_items: int
-) -> CardinalityKnapsack:
-    """Improvement 3's knapsack: one ``1/T[G]`` item per admissible ``G``."""
-    values = {g: 1.0 / t for g, t in timing.main_time_table().items()}
-    return CardinalityKnapsack.from_weights_values(values, capacity, max_items)
-
-
 def warm_dp_stack(timing: TimingModel, capacity: int, max_items: int) -> None:
     """Build the memoized ``dp`` stack of ``timing``'s items at these ceilings.
 
@@ -449,8 +339,7 @@ def warm_dp_stack(timing: TimingModel, capacity: int, max_items: int) -> None:
     every solve builds its own stack anyway.
     """
     if makespan_cache_enabled():
-        problem = _throughput_knapsack(timing, capacity, max_items)
-        cached_dp_stack(problem.items, capacity, max_items, _DpLayers)
+        batch_solve_dp(throughput_knapsack(timing, capacity, max_items), [])
 
 
 def _knapsack_groupings(
@@ -468,7 +357,7 @@ def _knapsack_groupings(
     cells = list(cells)
     if not cells:
         return {}
-    problem = _throughput_knapsack(
+    problem = throughput_knapsack(
         timing,
         max(dp_ceiling[0], *(r for r, _ in cells)),
         max(dp_ceiling[1], *(ns for _, ns in cells)),

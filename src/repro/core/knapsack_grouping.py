@@ -14,6 +14,12 @@ knapsack squeeze throughput out of resource counts where no uniform
 the post pool (the objective's tie rule prefers lighter packings, so no
 processor is wasted inside an oversized group when a smaller one has
 equal throughput).
+
+The knapsack is solved on the memoized dp stack
+(:func:`~repro.knapsack.dp.solve_dp`), keyed on the cluster's item
+table: the performance vector's batch planner builds that stack, so a
+SeD's execution, the replanner and the arena's knapsack decisions
+trace back from it.
 """
 
 from __future__ import annotations
@@ -26,21 +32,31 @@ from repro.exceptions import SchedulingError
 from repro.knapsack.dp import solve_dp
 from repro.knapsack.items import CardinalityKnapsack, KnapsackSolution
 from repro.platform.cluster import ClusterSpec
+from repro.platform.timing import TimingModel
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 
-__all__ = ["knapsack_problem_for", "knapsack_grouping"]
+__all__ = ["knapsack_problem_for", "knapsack_grouping", "throughput_knapsack"]
 
 Solver = Callable[[CardinalityKnapsack], KnapsackSolution]
+
+
+def throughput_knapsack(
+    timing: TimingModel, capacity: int, max_items: int
+) -> CardinalityKnapsack:
+    """Improvement 3's knapsack: one ``1/T[G]`` item per admissible ``G``.
+
+    Every knapsack planner builds its instance here, so one timing
+    model always yields one item tuple, the key of its dp stack.
+    """
+    values = {g: 1.0 / t for g, t in timing.main_time_table().items()}
+    return CardinalityKnapsack.from_weights_values(values, capacity, max_items)
 
 
 def knapsack_problem_for(
     cluster: ClusterSpec, spec: EnsembleSpec
 ) -> CardinalityKnapsack:
     """The paper's knapsack instance for one cluster and ensemble."""
-    values = {g: 1.0 / cluster.main_time(g) for g in cluster.group_sizes}
-    return CardinalityKnapsack.from_weights_values(
-        values, cluster.resources, spec.scenarios
-    )
+    return throughput_knapsack(cluster.timing, cluster.resources, spec.scenarios)
 
 
 def knapsack_grouping(
@@ -51,8 +67,8 @@ def knapsack_grouping(
 ) -> Grouping:
     """Improvement 3's partition: solve the knapsack, pack the rest as posts.
 
-    ``solver`` defaults to the exact DP; the greedy solver can be
-    injected for the ablation study.  Raises
+    ``solver`` defaults to the exact DP, read from the memoized stack;
+    the greedy solver can be injected for the ablation study.  Raises
     :class:`~repro.exceptions.SchedulingError` when the cluster cannot
     host a single group (the knapsack comes back empty).
     """

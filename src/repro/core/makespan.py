@@ -538,7 +538,7 @@ def cached_dp_stack(
 
     ``build(items, capacity, max_items)`` must return a stack that
     answers every ``(c, k)`` cell with ``c <= capacity`` and
-    ``k <= max_items`` (see :func:`repro.core.batch.batch_solve_dp`), so
+    ``k <= max_items`` (see :func:`repro.knapsack.dp.batch_solve_dp`), so
     one stack per item table serves every smaller request.  A hit is an
     entry whose ceilings cover the request.  Any other lookup is a miss:
     it builds at the component-wise max of the stored and requested

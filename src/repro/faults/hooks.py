@@ -25,9 +25,9 @@ one entry point, scores a faulted schedule with
 (:meth:`~repro.core.makespan.ScheduleLog.cut`) of the memoized
 fault-free schedule log, which the fast engine's logging loop builds,
 under the hook's ``wallclock``.  The middleware replanner takes its
-cuts from the same logs.  :meth:`FaultHook.apply`, which warps every
-record of a traced run one by one, is the independent oracle that
-``tests/property/test_fault_replay.py`` and
+cuts from the same logs.  The record warp of a traced run
+(``tests/simulation/fault_warp_oracle.py``) is the independent oracle
+that ``tests/property/test_fault_replay.py`` and
 ``benchmarks/replay_differential.py`` compare ``replay`` against.  An
 empty hook is free: :func:`simulate_with_faults` reads the memoized
 fault-free makespans, so results are bit-for-bit those of the plain
@@ -37,7 +37,7 @@ engine.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro import obs
 from repro.exceptions import SimulationError
@@ -195,84 +195,14 @@ class FaultHook:
 
     # -- application -------------------------------------------------------
 
-    def apply(self, result, *, keep_records: bool = True):
-        """Warp a traced :class:`~repro.simulation.events.SimulationResult`.
-
-        Returns ``(warped_result, outcome)``.  The input must carry
-        records (``record_trace=True``).  Surviving records get warped
-        start/end times; tasks in flight at the crash (and everything
-        after) are dropped.  This record-by-record warp is the oracle
-        :meth:`replay` is checked against.
-        """
-        if self.is_noop:
-            outcome = _completed_outcome(result)
-            if not keep_records:
-                result = replace(result, records=())
-            return result, outcome
-        if not result.records:
-            raise SimulationError(
-                "fault hooks need a traced simulation (record_trace=True)"
-            )
-        survivors = []
-        lost_work = 0.0
-        completed: dict[int, int] = {
-            s: 0 for s in range(result.spec.scenarios)
-        }
-        finished_posts: dict[int, int] = {
-            s: 0 for s in range(result.spec.scenarios)
-        }
-        for record in result.records:
-            start = self.wallclock(record.start)
-            end = self.wallclock(record.end)
-            if self.crash_at is not None and end > self.crash_at:
-                if start < self.crash_at:
-                    lost_work += (self.crash_at - start) * record.n_procs
-                continue
-            survivors.append(replace(record, start=start, end=end))
-            if record.kind == "main":
-                completed[record.scenario] += 1
-            else:
-                finished_posts[record.scenario] += 1
-        makespan = max((r.end for r in survivors), default=0.0)
-        main_makespan = max(
-            (r.end for r in survivors if r.kind == "main"), default=0.0
-        )
-        pending_posts = {
-            s: completed[s] - min(finished_posts[s], completed[s])
-            for s in completed
-        }
-        months_lost = (
-            result.spec.scenarios * result.spec.months
-            - sum(completed.values())
-            if self.crash_at is not None
-            else 0
-        )
-        warped = replace(
-            result,
-            makespan=makespan,
-            main_makespan=main_makespan,
-            records=tuple(survivors) if keep_records else (),
-        )
-        outcome = FaultOutcome(
-            cluster_name=result.cluster_name,
-            crash_at=self.crash_at,
-            completed_months=completed,
-            pending_posts=pending_posts,
-            months_lost=months_lost,
-            lost_work_seconds=lost_work,
-            makespan=makespan,
-        )
-        _count_injection(result.cluster_name, months_lost)
-        return warped, outcome
-
     def replay(
         self, grouping, spec, timing, *, cluster_name: str = "cluster"
     ):
         """Apply this hook to the memoized fault-free schedule, without records.
 
-        Returns ``(warped_result, outcome)``, field for field what
-        :meth:`apply` returns for the traced reference simulation with
-        ``keep_records=False``.  A crash is one
+        Returns ``(warped_result, outcome)``, field for field what the
+        record warp of a traced run returns with ``keep_records=False``
+        (``tests/simulation/fault_warp_oracle.py``).  A crash is one
         :meth:`~repro.core.makespan.ScheduleLog.cut` of the memoized log
         at ``crash_at`` under :meth:`wallclock`.  Without a crash every
         task survives, and the two cached makespans suffice.

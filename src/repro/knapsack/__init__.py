@@ -9,12 +9,14 @@ may be packed (no more groups than scenarios can ever be busy).
 
 Two solvers are provided:
 
-* :mod:`repro.knapsack.dp` — exact dynamic program, the production path;
+* :mod:`repro.knapsack.dp` — exact dynamic program on one memoized,
+  vectorized stack per item table, the production path;
 * :mod:`repro.knapsack.greedy` — density-ordered approximation, the
   ablation baseline quantifying what exactness buys.
 
-An exact branch-and-bound solver cross-checks the DP as a test oracle
-(``tests/knapsack/branch_and_bound_oracle.py``).
+Two exact test oracles cross-check the DP: the scalar cell-by-cell loop
+the stack vectorizes (``tests/knapsack/dp_oracle.py``) and a
+branch-and-bound search (``tests/knapsack/branch_and_bound_oracle.py``).
 """
 
 from repro.knapsack.items import (

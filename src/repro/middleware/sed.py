@@ -5,7 +5,9 @@ resource.  Ours wraps a :class:`~repro.platform.cluster.ClusterSpec` and
 provides the two services of Figure 9: computing the cluster's
 performance vector with the knapsack modeling (step 2) and executing an
 assigned subset of scenarios (step 6, by planning a grouping and reading
-its makespan from the memoized simulator).
+its makespan from the memoized simulator).  Both steps read the kernel
+caches: the vector's batch planner builds the cluster's knapsack DP
+stack, and the execution's knapsack plan traces back from it.
 """
 
 from __future__ import annotations
@@ -61,10 +63,14 @@ class SeD:
     def execute(self, order: ExecutionOrder) -> ExecutionReport:
         """Step 6: run the assigned scenarios, report the makespan.
 
-        The SeD re-plans with the scalar heuristic, independently of the
-        batch planner behind its vector.  The memoized makespan is keyed
-        on the grouping, so a re-plan that differs from the vector's
-        misses and runs the engine: prediction = execution stays a check.
+        The SeD plans its share with
+        :func:`~repro.core.heuristics.plan_grouping`.  For the knapsack
+        heuristic that plan is one traceback of the memoized DP stack
+        its vector built (a ``dp`` hit), and the makespan is the
+        vector's memoized entry (a ``simulated`` hit).  The independent
+        check of the execution is the tier-1 campaign differential
+        (``tests/middleware/test_campaign_oracle.py``), which re-plans
+        every execution with the scalar DP oracle.
         """
         if order.cluster_name != self.name:
             raise MiddlewareError(

@@ -46,7 +46,6 @@ from repro.exceptions import ConfigurationError, SchedulingError
 from repro.platform.cluster import ClusterSpec
 from repro.platform.timing import TimingModel
 from repro.schedulers.base import Scheduler, register_scheduler
-from repro.schedulers.paper import knapsack_plan
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 
 __all__ = ["LocalSearchScheduler"]
@@ -182,7 +181,7 @@ class LocalSearchScheduler(Scheduler):
     def plan(self, cluster: ClusterSpec, spec: EnsembleSpec) -> Grouping:
         timing = cluster.timing
         try:
-            current = knapsack_plan(cluster, spec)
+            current = plan_grouping(cluster, spec, HeuristicName.KNAPSACK)
         except SchedulingError:
             current = plan_grouping(cluster, spec, HeuristicName.BASIC)
         best = current

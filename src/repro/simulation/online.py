@@ -32,9 +32,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from repro.core.batch import batch_solve_dp
+from repro.core.knapsack_grouping import throughput_knapsack
 from repro.exceptions import SimulationError
-from repro.knapsack.items import CardinalityKnapsack
+from repro.knapsack.dp import solve_dp
 from repro.platform.timing import TimingModel
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 
@@ -80,13 +80,10 @@ def _pick_width_knapsack(
     *largest* chosen width first (the chain bound favours giving the
     head of the queue the fastest group).  The solve traces back from
     the memoized DP stack of the cluster's item table
-    (:func:`~repro.core.batch.batch_solve_dp`), which every event and
-    the knapsack planner share.
+    (:func:`~repro.knapsack.dp.solve_dp`), which every event and the
+    knapsack planner share.
     """
-    values = {g: 1.0 / timing.main_time(g) for g in timing.group_sizes}
-    problem = CardinalityKnapsack.from_weights_values(values, free, waiting)
-    (solution,) = batch_solve_dp(problem, [(free, waiting)])
-    widths = solution.as_multiset()
+    widths = solve_dp(throughput_knapsack(timing, free, waiting)).as_multiset()
     if not widths:
         return 0
     return widths[0]

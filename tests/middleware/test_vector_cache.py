@@ -8,8 +8,8 @@ adds no engine runs for the repeats; a SeD's execution reads the entry
 its vector already holds; and a second identical campaign runs no
 engine at all.  The vectors' knapsack DP stacks are memoized per item
 table (the ``dp`` kind), so the repeats and a second campaign build no
-DP either, while the SeD's scalar re-plan never touches that memo.  The
-fault replanner reads the same caches, keyed on its remaining chains,
+DP either, and the SeD's execution traces its plan back from the stack
+its vector built: one ``dp`` hit, no build.  The fault replanner reads the same caches, keyed on its remaining chains,
 so a second identical faulted campaign runs no engine either.  The
 memoized results must equal uncached ones field for field.
 """
@@ -30,7 +30,7 @@ from repro.core.makespan import (
 from repro.core.performance_vector import performance_vector
 from repro.faults.trace import FaultEvent, FaultKind, FaultTrace
 from repro.middleware.deployment import run_campaign
-from repro.middleware.messages import ExecutionOrder
+from repro.middleware.messages import ExecutionOrder, ServiceRequest
 from repro.middleware.recovery import run_campaign_with_faults
 from repro.middleware.sed import SeD
 from repro.platform.benchmarks import (
@@ -118,10 +118,13 @@ def test_repeated_timing_clusters_share_one_dp_per_item_table() -> None:
     grid = benchmark_grid(7, 36)
     distinct = len(REFERENCE_CLUSTER_SPEEDS)
     clear_makespan_cache()
-    run_campaign(grid, NS, NM)
+    result = run_campaign(grid, NS, NM)
     # Every vector asks for (R, NS) = (36, 12): one build per item table.
+    # Every execution traces back from its cluster's stack: one hit each.
     assert makespan_cache_stats()["dp"] == {
-        "hits": len(grid) - distinct, "misses": distinct, "size": distinct,
+        "hits": len(grid) - distinct + len(result.reports),
+        "misses": distinct,
+        "size": distinct,
     }
     # A larger NS grows each table's stack once; a smaller one builds none.
     run_campaign(grid, NS + 4, NM)
@@ -131,12 +134,15 @@ def test_repeated_timing_clusters_share_one_dp_per_item_table() -> None:
     assert makespan_cache_stats()["dp"]["size"] == distinct
 
 
-def test_sed_execution_replans_without_the_dp_memo() -> None:
+def test_sed_execution_reads_the_vectors_dp_stack() -> None:
     sed = SeD(benchmark_cluster("grelon", 40))
     clear_makespan_cache()
+    sed.handle_request(ServiceRequest(NS, NM))
+    built = makespan_cache_stats()["dp"]
+    assert built["misses"] == built["size"] == 1
     for _ in range(2):
         sed.execute(ExecutionOrder("grelon", tuple(range(NS)), NM))
-    assert makespan_cache_stats()["dp"] == {"hits": 0, "misses": 0, "size": 0}
+    assert makespan_cache_stats()["dp"] == {**built, "hits": built["hits"] + 2}
 
 
 def test_full_chains_are_their_own_key() -> None:

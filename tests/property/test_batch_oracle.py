@@ -15,12 +15,13 @@ Covered pairs:
   contract exists for (``NS = 1``, ``G`` at the 4/11 bounds and beyond,
   ``R < G``): infeasible array cells correspond exactly to scalar
   :class:`~repro.exceptions.SchedulingError` raises;
-* :func:`~repro.core.batch.batch_solve_dp` vs per-cell
-  :func:`~repro.knapsack.dp.solve_dp` over ``(capacity, max_items)``;
+* :func:`~repro.core.batch.batch_solve_dp` vs per-cell scalar DP
+  (``tests/knapsack/dp_oracle.py``) over ``(capacity, max_items)``;
 * :func:`~repro.core.batch.batch_plan_groupings` vs
   :func:`~repro.core.heuristics.plan_grouping` for every registered
-  heuristic, with the makespan memo both enabled and disabled (the
-  scalar path consults it; the batch path must agree either way);
+  heuristic, the knapsack planned by the scalar DP oracle, with the
+  makespan memo both enabled and disabled (the scalar path consults
+  it; the batch path must agree either way);
 * :func:`~repro.core.batch.batch_best_uniform_group` vs
   :func:`~repro.core.basic.best_uniform_group` (same first-minimizer
   tie rule);
@@ -54,11 +55,11 @@ from repro.core.makespan import (
     set_makespan_cache_enabled,
 )
 from repro.exceptions import ConfigurationError, SchedulingError
-from repro.knapsack.dp import solve_dp
 from repro.knapsack.items import CardinalityKnapsack
 from repro.platform.cluster import ClusterSpec
 from repro.platform.timing import TableTimingModel, reference_timing
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.knapsack.dp_oracle import scalar_knapsack_solver, solve_dp
 
 GROUP_SIZES = range(4, 12)
 
@@ -244,7 +245,10 @@ def test_batch_plan_groupings_matches_scalar(cache_enabled, instance) -> None:
         for (r, ns, nm, heuristic), got in zip(points, batched):
             cluster = ClusterSpec(f"c{r}", r, timing)
             try:
-                expected = plan_grouping(cluster, EnsembleSpec(ns, nm), heuristic)
+                with scalar_knapsack_solver():
+                    expected = plan_grouping(
+                        cluster, EnsembleSpec(ns, nm), heuristic
+                    )
             except SchedulingError:
                 assert got is None
                 continue

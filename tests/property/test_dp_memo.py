@@ -6,7 +6,8 @@ alone.  A stack built at ceilings ``(C, K)`` answers every cell with
 ``c <= C`` and ``k <= K``; a request past either ceiling rebuilds at the
 component-wise max and counts one miss.  Whatever order the requests
 arrive in, every solution must equal the scalar solve of its own
-sub-problem, and the misses must equal the number of growths.
+sub-problem (``tests/knapsack/dp_oracle.py``), and the misses must
+equal the number of growths.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from repro.core.makespan import (
     makespan_cache_stats,
 )
 from repro.exceptions import ConfigurationError
-from repro.knapsack.dp import solve_dp
 from repro.knapsack.items import CardinalityKnapsack
+from tests.knapsack.dp_oracle import solve_dp
 
 
 def _dp() -> dict[str, int]:

@@ -1,8 +1,8 @@
-"""Differential oracle: the schedule-log replay against ``FaultHook.apply``.
+"""Differential oracle: the schedule-log replay against the record warp.
 
 ``FaultHook.replay`` scores a faulted schedule from the memoized
-:class:`~repro.core.makespan.ScheduleLog` by binary search; ``apply``
-warps every record of a traced run of the set-scan reference engine
+:class:`~repro.core.makespan.ScheduleLog` by binary search;
+:func:`~tests.simulation.fault_warp_oracle.warp_records` warps every record of a traced run of the set-scan reference engine
 (``tests/simulation/reference_engine.py``).  For any grouping and
 any mix of outages, slowdowns and a crash, both must report the same
 warped result and the same :class:`~repro.faults.hooks.FaultOutcome`,
@@ -28,6 +28,7 @@ from repro.faults.hooks import FaultHook, simulate_with_faults
 from repro.faults.trace import FaultEvent, FaultKind
 from repro.platform.timing import TableTimingModel
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.simulation.fault_warp_oracle import warp_records
 from tests.simulation.reference_engine import reference_simulate
 
 CRASH_MODES = (
@@ -110,7 +111,7 @@ def _oracle(hook, grouping, spec, timing):
     base = reference_simulate(
         grouping, spec, timing, cluster_name="c", record_trace=True,
     )
-    return hook.apply(base, keep_records=False)
+    return warp_records(hook, base, keep_records=False)
 
 
 class TestReplayMatchesApply:

@@ -16,7 +16,6 @@ from repro.core.makespan import cached_simulated_makespan
 from repro.exceptions import SchedulingError
 from repro.platform.cluster import ClusterSpec
 from repro.schedulers.base import get_scheduler
-from repro.schedulers.paper import knapsack_plan
 from repro.schedulers.refine import _propose
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 
@@ -28,7 +27,7 @@ def unpruned_local_search(
     scheduler = get_scheduler("local-search", seed=seed)
     timing = cluster.timing
     try:
-        current = knapsack_plan(cluster, spec)
+        current = plan_grouping(cluster, spec, HeuristicName.KNAPSACK)
     except SchedulingError:
         current = plan_grouping(cluster, spec, HeuristicName.BASIC)
     best = current

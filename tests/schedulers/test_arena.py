@@ -286,7 +286,7 @@ class TestDpStack:
 
     @staticmethod
     def _count_builds(monkeypatch) -> list[tuple[int, int]]:
-        from repro.core.batch import _DpLayers
+        from repro.knapsack.dp import _DpLayers
 
         builds: list[tuple[int, int]] = []
         init = _DpLayers.__init__
