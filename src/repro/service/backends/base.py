@@ -377,8 +377,9 @@ class StorageBackend:
         Bumps ``attempts`` and stamps ``owner_id`` /
         ``lease_expires_at`` / ``heartbeat_at`` when a leased owner
         claims; an ownerless (``owner_id=None``) claim leaves the lease
-        columns NULL.  Returns the claimed record, or ``None`` when
-        nothing is eligible at ``now``.
+        columns NULL.  Returns the claimed record, built from the row
+        the claim selected (no second read), or ``None`` when nothing
+        is eligible at ``now``.
         """
         with self._lock:
             self._begin_exclusive()
@@ -393,7 +394,16 @@ class StorageBackend:
                 if row is None:
                     self._rollback()
                     return None
-                run_id = row[0]
+                queued = _row_to_record(row)
+                claimed = replace(
+                    queued,
+                    state="running",
+                    attempts=queued.attempts + 1,
+                    updated_at=now,
+                    owner_id=owner_id,
+                    lease_expires_at=lease_expires_at,
+                    heartbeat_at=now if owner_id is not None else None,
+                )
                 updated = self._execute(
                     "UPDATE runs SET state = 'running',"
                     " attempts = attempts + 1, updated_at = ?,"
@@ -403,8 +413,8 @@ class StorageBackend:
                         now,
                         owner_id,
                         lease_expires_at,
-                        now if owner_id is not None else None,
-                        run_id,
+                        claimed.heartbeat_at,
+                        claimed.run_id,
                     ),
                 ).rowcount
                 if updated != 1:  # pragma: no cover - excluded by BEGIN
@@ -414,7 +424,7 @@ class StorageBackend:
             except BaseException:
                 self._rollback()
                 raise
-        return self.fetch(run_id)
+        return claimed
 
     def heartbeat(
         self,

@@ -12,18 +12,19 @@ routine.**
 
 * every claim stamps the worker's ``owner_id`` and a lease deadline
   ``lease_seconds`` ahead (:meth:`RunStore.claim_next`);
-* the job runs in the worker's own child process
-  (a ``ProcessPoolExecutor(max_workers=1)``) while the worker thread
-  waits on it and renews the lease every ``heartbeat_interval``
-  seconds;
+* the job runs in the worker's own forked child process, which the
+  worker drives over one duplex pipe — send ``(fn, args)``, receive
+  ``(ok, value)`` — while the worker thread waits on it and renews the
+  lease every ``heartbeat_interval`` seconds;
 * ``job_timeout`` is the per-job deadline (``None`` = unlimited).
   When it passes the heartbeats stop, the child is killed — not
   abandoned — and the attempt goes through :meth:`FleetWorker.
   _record_failure`: retry with full-jitter backoff, or ``failed`` on
   the last attempt.  A fresh child takes the next job;
-* a child that dies mid-job (``crash``) breaks the pool, which the
-  wait notices at once as :class:`BrokenProcessPool` — no deadline is
-  needed to detect it, and it goes through the same failure routine;
+* a child that dies mid-job (``crash``) is noticed at once: the wait
+  watches the child's process sentinel beside the pipe, so no deadline
+  is needed to detect it, and it goes through the same failure
+  routine;
 * if the *worker* dies — SIGKILL, OOM, power loss, a crashed server —
   the heartbeats stop, the lease expires, and the server's reaper
   (:meth:`~repro.service.server.CampaignServer.reap_once`) requeues
@@ -47,15 +48,17 @@ process per decision).
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.util
 import os
 import random
 import signal
 import threading
 import time
 import uuid
-from concurrent.futures import Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable
 
 from repro import obs
@@ -89,6 +92,12 @@ _INJECTED_ERRORS = {
 #: itself, which is what the child's parent-watch (:func:`_child_init`)
 #: relies on.
 _MP_CONTEXT = multiprocessing.get_context("fork")
+
+#: Held from a child's pipe creation until the worker has closed the
+#: child's ends: a sibling worker forking inside that window would
+#: inherit them and keep them open, so the child's death would raise
+#: neither EOF on the pipe nor its process sentinel.
+_FORK_LOCK = threading.Lock()
 
 
 def full_jitter_backoff(
@@ -135,6 +144,71 @@ def _child_init(worker_pid: int) -> None:
         os._exit(1)
 
     threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+def _child_main(
+    conn: Connection, parent_end: Connection, worker_pid: int
+) -> None:
+    """The job child: run ``(fn, args)`` messages until told to stop.
+
+    Each message is answered with ``(True, value)`` or ``(False,
+    exc)``; ``None`` or EOF ends the loop.  The fork left the worker's
+    end of the pipe open here too, and it is closed first.  A reply
+    that cannot be pickled is replaced by a ``job-crashed``
+    :class:`ServiceError` carrying its ``repr``, so the worker always
+    gets an answer and this child stays usable.
+    """
+    parent_end.close()
+    _child_init(worker_pid)
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:
+            return
+        if job is None:
+            return
+        fn, args = job
+        try:
+            reply = (True, fn(*args))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except OSError:
+            return  # the worker is gone
+        except Exception as exc:
+            conn.send((False, ServiceError(
+                f"job reply {reply[1]!r} could not be pickled: {exc}",
+                code="job-crashed",
+            )))
+
+
+def _stop_child(
+    process: BaseProcess, conn: Connection, kill: bool
+) -> int | None:
+    """Stop a job child and reap it; returns its exit code.
+
+    ``kill`` SIGKILLs it; otherwise it is asked to exit once its
+    current job (if any) is answered.  EOF alone is no stop signal: a
+    sibling worker's child forked later holds this end of the pipe.
+    """
+    try:
+        if kill:
+            _sigkill(process.pid)
+        else:
+            conn.send(None)
+    except OSError:
+        pass  # the child is already gone
+    conn.close()
+    process.join()
+    return process.exitcode
+
+
+def _attempt_error(exc: BaseException) -> str:
+    """The recorded error of a job attempt that raised ``exc``."""
+    if isinstance(exc, ReproError):
+        return f"{type(exc).__name__}: {exc}"
+    return f"worker crash: {exc!r}"  # defensive: job kind or store bug
 
 
 def _sigkill(pid: int | None) -> None:
@@ -294,10 +368,13 @@ class FleetWorker:
             if self.config.seed is None
             else f"{self.config.seed}:{self.owner_id}"
         )
-        self._pool: ProcessPoolExecutor | None = None
-        #: OS pid of the child process running this worker's jobs;
-        #: ``None`` until the first job and after the child is killed.
-        self.child_pid: int | None = None
+        #: The job child, the worker's end of its pipe, and the finalizer
+        #: that stops it if this worker is collected or the interpreter
+        #: exits unclosed; ``None`` until the first job and after a kill.
+        self._child: (
+            tuple[BaseProcess, Connection, multiprocessing.util.Finalize]
+            | None
+        ) = None
         #: When chaos partitions this worker from the store, its
         #: heartbeats are suppressed for the rest of the current job.
         self._partitioned = False
@@ -336,40 +413,62 @@ class FleetWorker:
 
     # -- the child process -------------------------------------------------
 
-    def _submit(self, fn: Callable[..., Any], *args: Any) -> Future:
-        """Submit ``fn(*args)`` to the job child, started on demand.
+    @property
+    def child_pid(self) -> int | None:
+        """OS pid of the child process running this worker's jobs;
+        ``None`` until the first job and after the child is killed."""
+        child = self._child
+        return None if child is None else child[0].pid
 
-        Nothing here blocks on the child: a child that hangs while
-        starting is caught by the job's deadline like any other hang.
+    def _submit(self, fn: Callable[..., Any], *args: Any) -> None:
+        """Send ``fn(*args)`` to the job child, started on demand.
+
+        A child that died between jobs is reaped and replaced first.
+        Nothing here waits on the child: a child that hangs while
+        starting is caught by the job's deadline like any other hang,
+        and one that died before the send is seen by :meth:`_await`.
         """
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=1,
-                mp_context=_MP_CONTEXT,
-                initializer=_child_init,
-                initargs=(os.getpid(),),
+        if self._child is not None and not self._child[0].is_alive():
+            self._kill_child()
+        if self._child is None:
+            with _FORK_LOCK:
+                conn, child_end = _MP_CONTEXT.Pipe()
+                process = _MP_CONTEXT.Process(
+                    target=_child_main, args=(child_end, conn, os.getpid())
+                )
+                try:
+                    process.start()
+                except BaseException:
+                    conn.close()
+                    raise
+                finally:
+                    child_end.close()
+            stop = multiprocessing.util.Finalize(
+                self, _stop_child, args=(process, conn, False), exitpriority=0
             )
-        future = self._pool.submit(fn, *args)
-        if self.child_pid is None:
-            # The executor starts its process on the first submit; no
-            # public API names it before Python 3.14, so its pid is
-            # read from the executor's own pid -> process table.
-            self.child_pid = next(iter(self._pool._processes or ()), None)
-        return future
+            self._child = (process, conn, stop)
+        try:
+            self._child[1].send((fn, args))
+        except OSError:
+            pass  # the child is dead: the wait sees its sentinel
 
-    def _kill_child(self) -> None:
-        """SIGKILL and reap the job child; the next job gets a fresh one."""
-        pool, pid = self._pool, self.child_pid
-        self._pool = self.child_pid = None
-        if pool is not None:
-            _sigkill(pid)
-            pool.shutdown(wait=True, cancel_futures=True)
+    def _kill_child(self) -> int | None:
+        """SIGKILL and reap the job child; the next job gets a fresh one.
+
+        Returns the child's exit code, ``None`` when there was none.
+        """
+        child, self._child = self._child, None
+        if child is None:
+            return None
+        process, conn, stop = child
+        stop.cancel()
+        return _stop_child(process, conn, kill=True)
 
     def close(self) -> None:
-        """Shut the job child down (idempotent)."""
-        pool, self._pool, self.child_pid = self._pool, None, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """Stop the job child and reap it (idempotent)."""
+        child, self._child = self._child, None
+        if child is not None:
+            child[2]()  # its finalizer: the stop message, then a join
 
     def abandon(self) -> None:
         """Crash-style stop, callable from another thread.
@@ -502,14 +601,18 @@ class FleetWorker:
     def _run_in_child(
         self, record: RunRecord, span_id: int | None
     ) -> tuple[str | None, str | None]:
-        """Execute in the child under the deadline, heartbeating.
+        """Send the job down the child's pipe, await the reply, heartbeating.
 
         Returns ``(result, None)`` on success, ``(None, error)`` on a
-        failed attempt, and ``(None, None)`` when a heartbeat found the
-        lease lost (the child is killed: its result would be discarded
-        anyway).  When observability is on and the run carries a trace
-        id, the child runs under that trace and its spans are grafted
-        under ``span_id``.
+        failed attempt — the job raised, the deadline passed, the child
+        died (``worker crash``), or the store failed mid-wait — and
+        ``(None, None)`` when a heartbeat found the lease lost.  A child
+        whose reply went unread — timed out, crashed, lease lost, or
+        left owing it by a store error — is killed and reaped, so no
+        later job can read that reply as its own; the next job starts
+        a fresh child.  When observability is on and the run carries a
+        trace id, the child runs under that trace and its spans are
+        grafted under ``span_id``.
         """
         trace = None
         dispatch_us = 0.0
@@ -521,25 +624,33 @@ class FleetWorker:
             }
             dispatch_us = obs.tracer().now_us()
         error: str | None = None
+        reply: bytes | None = None
         try:
-            future = self._submit(
-                execute_in_child, record.kind, record.params, trace
-            )
-            finished = self._await(record, future)
-            outcome = future.result() if finished == "done" else None
-        except ReproError as exc:
-            finished, error = "failed", f"{type(exc).__name__}: {exc}"
-        except BrokenProcessPool as exc:
-            finished = "crashed"
-            error = f"worker crash: child process died ({exc})"
-        except Exception as exc:  # defensive: job kind bug
-            finished, error = "failed", f"worker crash: {exc!r}"
+            self._submit(execute_in_child, record.kind, record.params, trace)
+            finished = self._await(record)
+            if finished == "done":
+                try:
+                    reply = self._child[1].recv_bytes()
+                except (EOFError, OSError):
+                    finished = "crashed"  # the pipe broke with the child
+                else:
+                    ok, outcome = ForkingPickler.loads(reply)
+                    if not ok:
+                        finished, error = "failed", _attempt_error(outcome)
+        except Exception as exc:
+            # A store error mid-wait (the reply is still owed), or a
+            # reply read off the pipe that would not unpickle.
+            finished, error = "failed", _attempt_error(exc)
         if self._abandoned:
             raise WorkerKilled(
                 f"{self.owner_id} abandoned mid-job on {record.run_id}"
             )
-        if finished in ("crashed", "timeout", "lost"):
-            self._kill_child()
+        if reply is None:  # dead, hung, or still owing its reply
+            exitcode = self._kill_child()
+        if finished == "crashed":
+            error = (
+                f"worker crash: child process died (exit code {exitcode})"
+            )
         if finished == "timeout":
             error = (
                 f"timeout: exceeded {self.config.job_timeout}s "
@@ -551,14 +662,20 @@ class FleetWorker:
             self._import_worker_spans(record, outcome, span_id, dispatch_us)
         return outcome["result"], None
 
-    def _await(self, record: RunRecord, future: Future) -> str:
-        """Wait for the child, renewing the lease until the deadline.
+    def _await(self, record: RunRecord) -> str:
+        """Wait for the child's reply, renewing the lease until the deadline.
 
-        Returns ``"done"`` once the future settles (result, error or a
-        dead child), ``"timeout"`` when ``job_timeout`` passes first,
-        and ``"lost"`` when a renewal is refused.  Heartbeats happen
-        only inside this wait, so they stop with it.
+        Returns ``"done"`` once the pipe has something to read (the
+        reply, or EOF from a dead child), ``"crashed"`` when the child
+        exits first, ``"timeout"`` when ``job_timeout`` passes first,
+        and ``"lost"`` when a renewal is refused.  The wait watches the
+        child's process sentinel beside the pipe: a process forked
+        between the pipe's creation and the child's start (one not
+        serialized by ``_FORK_LOCK``) holds the child's end open, so EOF
+        alone cannot be relied on to report a dead child.  Heartbeats
+        happen only inside this wait, so they stop with it.
         """
+        process, conn, _stop = self._child
         interval = self.config.heartbeat_interval
         now = self._clock()
         deadline = (
@@ -569,9 +686,13 @@ class FleetWorker:
         beat_at = now + interval
         while True:
             wake_at = beat_at if deadline is None else min(beat_at, deadline)
-            done, _ = wait([future], timeout=max(0.0, wake_at - now))
-            if done:
+            ready = wait(
+                [conn, process.sentinel], timeout=max(0.0, wake_at - now)
+            )
+            if conn in ready:
                 return "done"
+            if ready:
+                return "crashed"
             now = self._clock()
             if deadline is not None and now >= deadline:
                 return "timeout"

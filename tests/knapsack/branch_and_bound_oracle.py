@@ -3,11 +3,15 @@
 Depth-first search over item types in decreasing density order.  At each
 node the remaining capacity and cardinality admit a fractional upper
 bound — ``value + min(density_max · cap_left, v_max · card_left)`` — and
-branches that cannot beat the incumbent are pruned.  The same
-lexicographic tie rule as the DP (max value, then min weight) decides
-between incumbents, so on any instance both exact solvers must agree on
-``(value, weight)`` — a property the test suite exercises on random
-instances.
+branches that cannot beat the incumbent are pruned.  The same exact
+lexicographic rule as the DP (strictly more value, or equal value and
+less weight) decides between incumbents, so on any instance both exact
+solvers must agree on ``(value, weight)`` — a property the test suite
+exercises on random instances.  The incumbent test reads each packing's
+value as a correctly rounded sum (``math.fsum``), so two packings of
+the same item values tie whatever order this search added them in.
+Where the DP's own left-to-right sums round a truly larger packing
+below a lighter one, the two solvers still part by one ulp.
 
 This solver exists for assurance, not speed; the DP is the shipping
 path.  It still handles the paper-scale instances instantly.
@@ -15,12 +19,16 @@ path.  It still handles the paper-scale instances instantly.
 
 from __future__ import annotations
 
+import math
+
 from repro.knapsack.items import (
     CardinalityKnapsack,
     KnapsackItem,
     KnapsackSolution,
 )
 
+#: Pruning margin only: a branch is cut when even its bound falls this
+#: far short of the incumbent, so bound rounding never cuts a winner.
 _TOL = 1e-12
 
 
@@ -40,6 +48,7 @@ def solve_branch_and_bound(problem: CardinalityKnapsack) -> KnapsackSolution:
         suffix_value[i] = max(suffix_value[i + 1], items[i].value)
 
     best_value = 0.0
+    best_exact = -1.0  # below any packing: the empty one is the first
     best_weight = 0
     best_counts: dict[int, int] = {}
     counts: dict[int, int] = {}
@@ -50,12 +59,15 @@ def solve_branch_and_bound(problem: CardinalityKnapsack) -> KnapsackSolution:
         return min(by_capacity, by_cardinality)
 
     def visit(idx: int, cap_left: int, card_left: int, value: float, weight: int) -> None:
-        nonlocal best_value, best_weight, best_counts
-        better = value > best_value + _TOL or (
-            abs(value - best_value) <= _TOL and weight < best_weight
+        nonlocal best_value, best_exact, best_weight, best_counts
+        # The DP's exact rule, with no tolerance: a tolerant tie would
+        # keep a packing one rounding step lower in value if lighter.
+        exact = math.fsum(
+            item.value for item in items for _ in range(counts.get(item.name, 0))
         )
-        if better:
+        if exact > best_exact or (exact == best_exact and weight < best_weight):
             best_value = value
+            best_exact = exact
             best_weight = weight
             best_counts = dict(counts)
         if idx == len(items) or card_left == 0 or cap_left == 0:

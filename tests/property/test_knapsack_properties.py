@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.knapsack.dp import solve_dp
@@ -48,6 +48,13 @@ def test_dp_solution_is_feasible(problem: CardinalityKnapsack) -> None:
 
 
 @given(problems())
+@example(
+    # Values a rounding step apart: a tolerant tie rule kept the
+    # lighter, lower-valued packing.
+    CardinalityKnapsack.from_weights_values(
+        {1: (2, 10.0), 6: (1, 9.999999999999998)}, 2, 1
+    )
+)
 @settings(max_examples=150, deadline=None)
 def test_exact_solvers_agree(problem: CardinalityKnapsack) -> None:
     dp = solve_dp(problem)

@@ -25,6 +25,7 @@ from repro.service.backends import (
 )
 from repro.service.backends.base import RunRecord
 from repro.service.backends.postgres import load_driver
+from repro.service.store import RunStore
 
 
 def _record(run_id: str, created_at: float = 100.0, **overrides) -> RunRecord:
@@ -95,6 +96,19 @@ class TestContract:
         assert claimed.owner_id == "w1"
         assert claimed.lease_expires_at == 165.0
         assert claimed.heartbeat_at == 150.0
+
+    @pytest.mark.parametrize("owner", [None, "w1"])
+    def test_claimed_record_is_the_stored_row(self, backend, owner) -> None:
+        # The claim builds its record from the row it selected, with no
+        # second read; it must match a fresh read exactly.
+        store = RunStore(backend)
+        run_id = store.submit("sleep", {"seconds": 0}, max_attempts=2)
+        lease = None if owner is None else 15.0
+        claimed = store.claim_next(
+            300.0, owner_id=owner, lease_seconds=lease
+        )
+        assert claimed == store.get(run_id)
+        assert claimed.attempts == 1
 
     def test_claim_none_when_nothing_eligible(self, backend) -> None:
         assert backend.claim_next(100.0) is None

@@ -8,14 +8,15 @@ run whose lease is live on a healthy worker.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
+import signal
+import sqlite3
 import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.exceptions import ServiceError
 from repro.service.backends import MemoryBackend
 from repro.service.client import ServiceClient
 from repro.service import fleet
+from repro.service import workers as job_kinds
 from repro.service.fleet import (
     FleetWorker,
     WorkerConfig,
@@ -30,6 +32,14 @@ from repro.service.fleet import (
 )
 from repro.service.server import serve_in_thread
 from repro.service.store import RunStore
+
+
+class Unreadable(Exception):
+    """Pickles in the job child, but cannot be rebuilt by the worker."""
+
+    def __init__(self, message: str, *, detail: str) -> None:
+        super().__init__(message)
+        self.detail = detail
 
 
 class FakeClock:
@@ -70,6 +80,14 @@ def _run_in_thread(worker: FleetWorker) -> tuple[threading.Thread, list]:
     thread = threading.Thread(target=lambda: outcome.append(worker.run_once()))
     thread.start()
     return thread, outcome
+
+
+def _until(predicate, timeout: float = 30.0):
+    deadline = time.monotonic() + timeout
+    while not (value := predicate()):
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+    return value
 
 
 def _await_running(store, run_id: str) -> None:
@@ -268,17 +286,214 @@ class TestJobChild:
         # must still exit rather than wait on a job nobody will collect.
         gone = subprocess.Popen([sys.executable, "-c", "pass"])
         gone.wait()
-        pool = ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=fleet._MP_CONTEXT,
-            initializer=fleet._child_init,
-            initargs=(gone.pid,),
+        conn, child_end = fleet._MP_CONTEXT.Pipe()
+        child = fleet._MP_CONTEXT.Process(
+            target=fleet._child_main, args=(child_end, conn, gone.pid)
         )
+        child.start()
+        child_end.close()
         try:
-            with pytest.raises(BrokenProcessPool):
-                pool.submit(time.sleep, 30.0).result(timeout=10.0)
+            conn.send((time.sleep, (30.0,)))
+            child.join(timeout=10.0)
+            assert child.exitcode == 1
         finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+            fleet._sigkill(child.pid)
+            child.join()
+            conn.close()
+
+    def test_unpicklable_job_error_fails_the_attempt_only(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        # The child forks after the patch, so it raises there.
+        class Unpicklable(Exception):
+            def __init__(self) -> None:
+                super().__init__("holds a lock")
+                self.lock = threading.Lock()
+
+        execute_job = job_kinds.execute_job
+
+        def patched(kind, params):
+            if params.get("fail"):
+                raise Unpicklable()
+            return execute_job(kind, params)
+
+        monkeypatch.setattr(job_kinds, "execute_job", patched)
+        with RunStore(tmp_path / "runs.db") as store:
+            bad = store.submit(
+                "sleep", {"seconds": 0, "fail": True}, max_attempts=1
+            )
+            good = store.submit("sleep", {"seconds": 0})
+            worker = FleetWorker(store, WorkerConfig(), owner_id="w1")
+            try:
+                assert worker.run_once() == "failed"
+                pid = worker.child_pid
+                assert worker.run_once() == "done"
+                assert worker.child_pid == pid  # the same child served both
+            finally:
+                worker.close()
+            record = store.get(bad)
+            assert record.state == "failed"
+            assert "could not be pickled" in record.error
+            assert "holds a lock" in record.error
+            assert store.get(good).state == "done"
+
+    def test_reply_that_will_not_unpickle_fails_the_attempt_only(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        # The reply was read off the pipe in full, so the child owes
+        # nothing and keeps serving.
+        execute_job = job_kinds.execute_job
+
+        def patched(kind, params):
+            if params.get("fail"):
+                raise Unreadable("keyword-only init", detail="lost")
+            return execute_job(kind, params)
+
+        monkeypatch.setattr(job_kinds, "execute_job", patched)
+        with RunStore(tmp_path / "runs.db") as store:
+            bad = store.submit(
+                "sleep", {"seconds": 0, "fail": True}, max_attempts=1
+            )
+            good = store.submit("sleep", {"seconds": 0})
+            worker = FleetWorker(store, WorkerConfig(), owner_id="w1")
+            try:
+                assert worker.run_once() == "failed"
+                pid = worker.child_pid
+                assert worker.run_once() == "done"
+                assert worker.child_pid == pid
+            finally:
+                worker.close()
+            assert store.get(bad).error.startswith("worker crash: TypeError")
+            assert store.get(good).state == "done"
+
+    def test_store_error_mid_wait_takes_no_later_job_the_stale_reply(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        # A heartbeat that raises leaves the first job's reply owed on
+        # the pipe; the child must go with it, or the next job would
+        # read that reply as its own.
+        with RunStore(tmp_path / "runs.db") as store:
+            first = store.submit("sleep", {"seconds": 0.3}, max_attempts=1)
+            second = store.submit("sleep", {"seconds": 0.0})
+            heartbeat = store.heartbeat
+            calls: list[str] = []
+
+            def flaky_heartbeat(run_id, *args, **kwargs):
+                calls.append(run_id)
+                if len(calls) == 1:
+                    raise sqlite3.OperationalError("database is locked")
+                return heartbeat(run_id, *args, **kwargs)
+
+            monkeypatch.setattr(store, "heartbeat", flaky_heartbeat)
+            worker = FleetWorker(
+                store,
+                WorkerConfig(lease_seconds=1.0, heartbeat_interval=0.1),
+                owner_id="w1",
+            )
+            try:
+                assert worker.run_once() == "failed"
+                assert worker.child_pid is None  # the owing child is gone
+                assert worker.run_once() == "done"
+            finally:
+                worker.close()
+            record = store.get(first)
+            assert record.state == "failed"
+            assert "database is locked" in record.error
+            assert not record.error.startswith("worker crash: child")
+            result = json.loads(store.get(second).result)
+            assert result["data"]["data"] == {"slept": 0.0}
+
+    def test_killed_child_is_a_crash_and_spares_the_sibling(
+        self, tmp_path
+    ) -> None:
+        db_path = str(tmp_path / "runs.db")
+        handle = serve_in_thread(db_path, workers=2, reap_interval=None)
+        try:
+            with RunStore(db_path) as store:
+                victim = store.submit("sleep", {"seconds": 5}, max_attempts=1)
+                sibling = store.submit("sleep", {"seconds": 0.5})
+                handle.server.kick()
+                for run_id in (victim, sibling):
+                    _await_running(store, run_id)
+                owner = store.get(victim).owner_id
+                (worker,) = [
+                    w for w in handle.server.pool if w.owner_id == owner
+                ]
+                pid = _until(lambda: worker.child_pid)
+                killed_at = time.monotonic()
+                os.kill(pid, signal.SIGKILL)
+                record = _until(
+                    lambda: (r := store.get(victim)).state == "failed" and r
+                )
+                assert time.monotonic() - killed_at < 1.0
+                assert record.error.startswith("worker crash")
+                final = _until(
+                    lambda: (r := store.get(sibling)).state == "done" and r
+                )
+                assert final.attempts == 1
+        finally:
+            handle.stop()
+
+    def test_dead_child_is_a_crash_while_its_pipe_is_held_open(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        # A process forked between the pipe's creation and the child's
+        # start holds the child's end of the pipe, so the child's death
+        # sends no EOF; the wait must read the process sentinel.
+        held: list[int] = []
+        pipe = fleet._MP_CONTEXT.Pipe
+
+        def leaky_pipe():
+            conn, child_end = pipe()
+            held.append(os.dup(child_end.fileno()))
+            return conn, child_end
+
+        monkeypatch.setattr(fleet._MP_CONTEXT, "Pipe", leaky_pipe)
+        with RunStore(tmp_path / "runs.db") as store:
+            run_id = store.submit("sleep", {"seconds": 30}, max_attempts=1)
+            worker = FleetWorker(
+                store, WorkerConfig(job_timeout=10.0), owner_id="w1"
+            )
+            thread, outcome = _run_in_thread(worker)
+            try:
+                _await_running(store, run_id)
+                os.kill(_until(lambda: worker.child_pid), signal.SIGKILL)
+                thread.join(timeout=5.0)
+                assert outcome == ["failed"]
+                assert store.get(run_id).error.startswith("worker crash")
+            finally:
+                thread.join(timeout=30.0)
+                worker.close()
+                for fd in held:
+                    os.close(fd)
+
+    def test_child_dead_between_jobs_is_replaced(self, store, clock) -> None:
+        first = store.submit("sleep", {"seconds": 0})
+        second = store.submit("sleep", {"seconds": 0})
+        worker = _worker(store, clock)
+        try:
+            assert worker.run_once() == "done"
+            pid = worker.child_pid
+            os.kill(pid, signal.SIGKILL)
+            process = worker._child[0]
+            process.join(timeout=10.0)
+            assert not process.is_alive()
+            assert worker.run_once() == "done"
+            assert worker.child_pid != pid
+        finally:
+            worker.close()
+        assert store.get(first).attempts == store.get(second).attempts == 1
+
+    def test_close_reaps_the_child(self, store, clock) -> None:
+        store.submit("sleep", {"seconds": 0})
+        worker = _worker(store, clock)
+        assert worker.run_once() == "done"
+        pid = worker.child_pid
+        worker.close()
+        assert worker.child_pid is None
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+        worker.close()  # idempotent
 
 
 class TestRunForever:
