@@ -291,14 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the persistent campaign service (repro.service)"
     )
     psrv.add_argument(
-        "--db", metavar="PATH", default="runs.db",
-        help="SQLite run store path (created if missing; default: runs.db)",
-    )
-    psrv.add_argument(
-        "--store", metavar="URL", default=None,
+        "--store", "--db", dest="store", metavar="URL", default="runs.db",
         help=(
-            "storage backend URL (overrides --db): a sqlite path, "
-            "sqlite:PATH, postgres://DSN, or memory://"
+            "run store (created if missing): a sqlite path, sqlite:PATH, "
+            "postgres://DSN, or memory:// (default: runs.db)"
         ),
     )
     psrv.add_argument(
@@ -1254,10 +1250,9 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         from repro.faults.chaos import ChaosConfig
 
         chaos = ChaosConfig.storm(seed=args.chaos_seed, rate=args.chaos_rate)
-    store_url = args.store if args.store is not None else args.db
     reap_interval = args.reap_interval if args.reap_interval > 0 else None
     server = CampaignServer(
-        store_url, host=args.host, port=args.port, workers=args.workers,
+        args.store, host=args.host, port=args.port, workers=args.workers,
         max_attempts=args.max_attempts,
         worker_config=WorkerConfig(job_timeout=args.job_timeout),
         chaos=chaos, reap_interval=reap_interval,
@@ -1267,7 +1262,7 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         port = await server.start()
         print(
             f"campaign service listening on {args.host}:{port} "
-            f"(store={store_url}, workers={args.workers}) — "
+            f"(store={args.store}, workers={args.workers}) — "
             f"Ctrl-C drains and stops",
             flush=True,
         )

@@ -10,8 +10,9 @@
 * ``sqlite:///path/to/runs.db``, or any plain filesystem path —
   :class:`~repro.service.backends.sqlite.SQLiteBackend` (the default).
 
-All three are dialects of the one SQL implementation,
-:class:`~repro.service.backends.base.StorageBackend`.
+All three are dialects of
+:class:`~repro.service.backends.base.StorageBackend`, under the one
+SQL that :class:`repro.service.store.RunStore` issues.
 """
 
 from __future__ import annotations

@@ -1,16 +1,14 @@
-"""The run store's storage layer behind :class:`repro.service.store.RunStore`.
+"""The database dialects under :class:`repro.service.store.RunStore`.
 
-A backend owns the durable representation of the ``runs`` table and
-nothing else: record-level reads and writes, the schema migration
-chain, and the atomicity of the claim/lease/transition primitives.
-Policy — run-id minting, timestamping via the injected clock, typed
-:class:`~repro.exceptions.ServiceError` raising, backoff arithmetic —
-stays in :class:`~repro.service.store.RunStore`.
-
-Everything SQL about the store lives here once: :class:`StorageBackend`
-issues portable DB-API 2.0 statements through a small set of dialect
-hooks (connection, parameter placeholder, float column type, version
-stamping, exclusive-transaction opener), which two dialects fill in:
+A backend holds what differs between databases, plus the schema: the
+DB-API connection and the lock that serializes it, the parameter
+placeholder and float column type, the schema-version stamp, the
+statement that opens an exclusive transaction and the row-locking
+clause of the claim.  Every statement on the ``runs`` rows — the
+inserts, claims, leases, compare-and-set transitions and queries — is
+issued by :class:`~repro.service.store.RunStore`, through
+:meth:`StorageBackend.execute`, in canonical ``?`` placeholders that
+the dialect translates.  Two dialects fill the hooks in:
 
 * :class:`~repro.service.backends.sqlite.SQLiteBackend` — the dev
   default, one WAL-mode file, safe across processes on one host; its
@@ -22,12 +20,12 @@ stamping, exclusive-transaction opener), which two dialects fill in:
 
 Concurrency model: the connection runs in **autocommit** — every
 single-statement write is atomic on its own, and the two multi-step
-primitives (claim-with-lease, lease expiry) open an explicit
+operations (claim-with-lease, lease expiry) open an explicit
 exclusive transaction first (``BEGIN IMMEDIATE`` on SQLite,
 ``BEGIN`` + ``FOR UPDATE SKIP LOCKED`` on Postgres), so two claimants
-— threads *or processes* — can never take the same row.  A
-process-local re-entrant lock additionally serializes statements from
-threads sharing one connection.
+— threads *or processes* — can never take the same row.  The
+process-local re-entrant :attr:`StorageBackend.lock` additionally
+serializes statements from threads sharing one connection.
 
 Schema history (``schema_version``):
 
@@ -41,10 +39,9 @@ Schema history (``schema_version``):
 
 from __future__ import annotations
 
-import json
 import threading
-from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Any
 
 from repro.exceptions import ServiceError
 
@@ -122,7 +119,8 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class LeaseView:
-    """One live lease, as reported by :meth:`StorageBackend.live_leases`."""
+    """One live lease, as reported by
+    :meth:`repro.service.store.RunStore.live_leases`."""
 
     run_id: str
     owner_id: str
@@ -147,46 +145,16 @@ def expired_lease_outcome(record: RunRecord) -> tuple[str, str | None]:
     return "queued", record.error
 
 
-#: Column order used by every SELECT — positional row decoding keeps
-#: the backend independent of driver row factories.
-_COLUMNS: tuple[str, ...] = (
-    "run_id",
-    "kind",
-    "params",
-    "state",
-    "created_at",
-    "updated_at",
-    "attempts",
-    "max_attempts",
-    "not_before",
-    "error",
-    "result",
-    "trace_id",
-    "owner_id",
-    "lease_expires_at",
-    "heartbeat_at",
-)
-
-_SELECT = f"SELECT {', '.join(_COLUMNS)} FROM runs"
-
-
-def _row_to_record(row: Sequence[Any]) -> RunRecord:
-    data = dict(zip(_COLUMNS, row, strict=True))
-    data["params"] = json.loads(data["params"])
-    return RunRecord(**data)
-
-
 class StorageBackend:
-    """Record-level persistence for submitted runs (see module docstring).
+    """One database dialect under the run store (see module docstring).
 
-    Dialects supply the connection (:meth:`_connect`) and the version
-    and transaction hooks; everything else — schema chain, claims,
-    leases, transitions, queries — is this one implementation.
-    :meth:`claim_next`, :meth:`transition`, :meth:`heartbeat` and
-    :meth:`expire_leases` are atomic with respect to concurrent
-    claimants, including claimants in *other processes*, because the
-    worker fleet's exactly-once guarantee reduces to these four
-    compare-and-set primitives.
+    Holds the connection, the lock that serializes it between threads,
+    the schema and its migration chain, and the few hooks whose SQL
+    differs between databases.  Dialects supply the connection
+    (:meth:`_connect`), the version stamp (:meth:`_read_version`,
+    :meth:`_write_version`) and the class attributes below; every
+    statement on the ``runs`` rows is issued by
+    :class:`~repro.service.store.RunStore` through :meth:`execute`.
     """
 
     #: Human-readable backend identifier (``sqlite``, ``postgres``,
@@ -203,13 +171,22 @@ class StorageBackend:
     #: SQL column type for float timestamps.
     float_type = "REAL"
 
+    #: The statement that opens a transaction excluding concurrent
+    #: claimants (the claim and the lease expiry run inside one).
+    exclusive_begin = "BEGIN"
+
+    #: Row-locking clause appended to the claim and expiry SELECTs.
+    claim_lock = ""
+
     #: The driver's PEP 249 ``DatabaseError`` (what a damaged or
     #: unreachable store raises while opening); none until a dialect
     #: sets it.
     database_error: type[Exception] | tuple[type[Exception], ...] = ()
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
+        #: Serializes statements from threads sharing the connection;
+        #: re-entrant so one transaction can span several statements.
+        self.lock = threading.RLock()
         self._conn: Any = None
         try:
             self._conn = self._connect()
@@ -236,15 +213,13 @@ class StorageBackend:
         """Stamp the schema version."""
         raise NotImplementedError
 
-    def _begin_exclusive(self) -> None:
-        """Open a transaction that excludes concurrent claimants."""
-        raise NotImplementedError
+    def execute(self, statement: str, args: tuple[Any, ...] = ()) -> Any:
+        """Run one statement written with ``?`` placeholders; its cursor.
 
-    def _claim_select_suffix(self) -> str:
-        """Row-locking clause appended to the claim SELECT (dialect)."""
-        return ""
-
-    # -- plumbing ----------------------------------------------------------
+        The caller holds :attr:`lock` for as long as it reads the
+        cursor.
+        """
+        return self._conn.execute(self._sql(statement), args)
 
     def _sql(self, statement: str) -> str:
         """Translate the canonical ``?`` placeholders to the dialect's."""
@@ -252,14 +227,13 @@ class StorageBackend:
             return statement
         return statement.replace("?", self.placeholder)
 
-    def _execute(self, statement: str, args: tuple = ()) -> Any:
-        return self._conn.execute(self._sql(statement), args)
+    def commit(self) -> None:
+        """End the open transaction, keeping its writes."""
+        self.execute("COMMIT")
 
-    def _commit(self) -> None:
-        self._conn.execute("COMMIT")
-
-    def _rollback(self) -> None:
-        self._conn.execute("ROLLBACK")
+    def rollback(self) -> None:
+        """End the open transaction, dropping its writes."""
+        self.execute("ROLLBACK")
 
     # -- schema ------------------------------------------------------------
 
@@ -271,7 +245,7 @@ class StorageBackend:
         :data:`SCHEMA_VERSION`, and preserves existing rows bit-for-bit
         when upgrading.
         """
-        with self._lock:
+        with self.lock:
             version = self._read_version()
             if version > SCHEMA_VERSION:
                 raise ServiceError(
@@ -291,18 +265,18 @@ class StorageBackend:
             # back with NULL in the new columns.
             if version == 1:
                 # v1 -> v2: the trace correlation column.
-                self._execute("ALTER TABLE runs ADD COLUMN trace_id TEXT")
+                self.execute("ALTER TABLE runs ADD COLUMN trace_id TEXT")
                 version = 2
             if version == 2:
                 # v2 -> v3: the worker-fleet lease columns.  The
                 # ``attempts`` counter has existed since v1 and keeps
                 # serving as the per-run attempt count.
-                self._execute("ALTER TABLE runs ADD COLUMN owner_id TEXT")
-                self._execute(
+                self.execute("ALTER TABLE runs ADD COLUMN owner_id TEXT")
+                self.execute(
                     f"ALTER TABLE runs ADD COLUMN lease_expires_at "
                     f"{self.float_type}"
                 )
-                self._execute(
+                self.execute(
                     f"ALTER TABLE runs ADD COLUMN heartbeat_at "
                     f"{self.float_type}"
                 )
@@ -311,7 +285,7 @@ class StorageBackend:
 
     def _create_fresh(self) -> None:
         real = self.float_type
-        self._execute(
+        self.execute(
             f"""
             CREATE TABLE IF NOT EXISTS runs (
                 run_id           TEXT PRIMARY KEY,
@@ -332,290 +306,17 @@ class StorageBackend:
             )
             """
         )
-        self._execute(
+        self.execute(
             "CREATE INDEX IF NOT EXISTS runs_by_state "
             "ON runs (state, not_before, created_at)"
         )
 
     def schema_version(self) -> int:
         """The stored schema version stamp."""
-        with self._lock:
+        with self.lock:
             return self._read_version()
-
-    # -- writes ------------------------------------------------------------
-
-    def insert(self, record: RunRecord) -> None:
-        """Persist a brand-new queued run."""
-        with self._lock:
-            self._execute(
-                "INSERT INTO runs (run_id, kind, params, state, created_at,"
-                " updated_at, attempts, max_attempts, not_before, trace_id)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    record.run_id,
-                    record.kind,
-                    json.dumps(record.params),
-                    record.state,
-                    record.created_at,
-                    record.updated_at,
-                    record.attempts,
-                    record.max_attempts,
-                    record.not_before,
-                    record.trace_id,
-                ),
-            )
-
-    def claim_next(
-        self,
-        now: float,
-        *,
-        owner_id: str | None = None,
-        lease_expires_at: float | None = None,
-    ) -> RunRecord | None:
-        """Atomically move the oldest eligible queued run to ``running``.
-
-        Bumps ``attempts`` and stamps ``owner_id`` /
-        ``lease_expires_at`` / ``heartbeat_at`` when a leased owner
-        claims; an ownerless (``owner_id=None``) claim leaves the lease
-        columns NULL.  Returns the claimed record, built from the row
-        the claim selected (no second read), or ``None`` when nothing
-        is eligible at ``now``.
-        """
-        with self._lock:
-            self._begin_exclusive()
-            try:
-                cursor = self._execute(
-                    f"{_SELECT} WHERE state = 'queued' AND not_before <= ?"
-                    f" ORDER BY created_at, run_id LIMIT 1"
-                    f"{self._claim_select_suffix()}",
-                    (now,),
-                )
-                row = cursor.fetchone()
-                if row is None:
-                    self._rollback()
-                    return None
-                queued = _row_to_record(row)
-                claimed = replace(
-                    queued,
-                    state="running",
-                    attempts=queued.attempts + 1,
-                    updated_at=now,
-                    owner_id=owner_id,
-                    lease_expires_at=lease_expires_at,
-                    heartbeat_at=now if owner_id is not None else None,
-                )
-                updated = self._execute(
-                    "UPDATE runs SET state = 'running',"
-                    " attempts = attempts + 1, updated_at = ?,"
-                    " owner_id = ?, lease_expires_at = ?, heartbeat_at = ?"
-                    " WHERE run_id = ? AND state = 'queued'",
-                    (
-                        now,
-                        owner_id,
-                        lease_expires_at,
-                        claimed.heartbeat_at,
-                        claimed.run_id,
-                    ),
-                ).rowcount
-                if updated != 1:  # pragma: no cover - excluded by BEGIN
-                    self._rollback()
-                    return None
-                self._commit()
-            except BaseException:
-                self._rollback()
-                raise
-        return claimed
-
-    def heartbeat(
-        self,
-        run_id: str,
-        owner_id: str,
-        *,
-        now: float,
-        lease_expires_at: float,
-    ) -> bool:
-        """Renew a live lease; ``False`` when the lease is no longer held.
-
-        The renewal only applies while the row is ``running`` *and*
-        still owned by ``owner_id`` — a reassigned or completed run
-        refuses, which is how a partitioned worker learns it lost
-        ownership.
-        """
-        with self._lock:
-            cursor = self._execute(
-                "UPDATE runs SET heartbeat_at = ?, lease_expires_at = ?,"
-                " updated_at = ?"
-                " WHERE run_id = ? AND state = 'running' AND owner_id = ?",
-                (now, lease_expires_at, now, run_id, owner_id),
-            )
-            return cursor.rowcount == 1
-
-    def transition(
-        self,
-        run_id: str,
-        expect: str,
-        state: str,
-        *,
-        now: float,
-        result: str | None = None,
-        error: str | None = None,
-        not_before: float = 0.0,
-        owner_id: str | None = None,
-        clear_lease: bool = False,
-    ) -> bool:
-        """Compare-and-set one row from ``expect`` to ``state``.
-
-        When ``owner_id`` is given the row must additionally still be
-        owned by it (the leased-completion path); ``clear_lease``
-        resets the lease columns as part of the same write.  A ``None``
-        ``result`` or ``error`` keeps the stored value.  Returns
-        whether exactly one row moved.
-        """
-        statement = (
-            "UPDATE runs SET state = ?, updated_at = ?, not_before = ?,"
-            " result = COALESCE(?, result), error = COALESCE(?, error)"
-        )
-        args: list[Any] = [state, now, not_before, result, error]
-        if clear_lease:
-            statement += (
-                ", owner_id = NULL, lease_expires_at = NULL,"
-                " heartbeat_at = NULL"
-            )
-        statement += " WHERE run_id = ? AND state = ?"
-        args += [run_id, expect]
-        if owner_id is not None:
-            statement += " AND owner_id = ?"
-            args.append(owner_id)
-        with self._lock:
-            cursor = self._execute(statement, tuple(args))
-            return cursor.rowcount == 1
-
-    def expire_leases(self, now: float) -> list[RunRecord]:
-        """Reclaim every running run whose lease deadline has passed.
-
-        Only leased rows (``owner_id`` set) participate; ownerless
-        claims have no lease and are covered by
-        :meth:`recover_interrupted` instead.  Each run lands where
-        :func:`expired_lease_outcome` says — ``failed`` on its last
-        attempt, ``queued`` otherwise.  Returns the expired records
-        with that new ``state`` and ``error`` but owner, lease and
-        attempts as they were at expiry, so the reaper can log who
-        lost which run and count the outcome without deciding it again.
-        """
-        with self._lock:
-            self._begin_exclusive()
-            try:
-                rows = self._execute(
-                    f"{_SELECT} WHERE state = 'running'"
-                    f" AND owner_id IS NOT NULL AND lease_expires_at <= ?"
-                    f" ORDER BY lease_expires_at, run_id"
-                    f"{self._claim_select_suffix()}",
-                    (now,),
-                ).fetchall()
-                expired = []
-                for row in rows:
-                    record = _row_to_record(row)
-                    state, error = expired_lease_outcome(record)
-                    self._execute(
-                        "UPDATE runs SET state = ?, error = ?,"
-                        " not_before = 0, owner_id = NULL,"
-                        " lease_expires_at = NULL, heartbeat_at = NULL,"
-                        " updated_at = ? WHERE run_id = ?"
-                        " AND state = 'running' AND owner_id = ?",
-                        (state, error, now, record.run_id, record.owner_id),
-                    )
-                    expired.append(replace(record, state=state, error=error))
-                self._commit()
-            except BaseException:
-                self._rollback()
-                raise
-        return expired
-
-    def recover_interrupted(self, now: float) -> int:
-        """Requeue ownerless ``running`` rows on startup.
-
-        Every claim the service makes is leased, so an ownerless
-        ``running`` row can only have been written by an older server
-        (or an ad-hoc unleased claim) that is gone now.  Leased rows
-        are never touched here: the reaper is their only recovery
-        path.  Returns the number of requeued rows.
-        """
-        with self._lock:
-            cursor = self._execute(
-                "UPDATE runs SET state = 'queued', not_before = 0,"
-                " updated_at = ? WHERE state = 'running'"
-                " AND owner_id IS NULL",
-                (now,),
-            )
-            return cursor.rowcount
-
-    # -- reads -------------------------------------------------------------
-
-    def fetch(self, run_id: str) -> RunRecord | None:
-        """One record, or ``None`` when unknown."""
-        with self._lock:
-            row = self._execute(
-                f"{_SELECT} WHERE run_id = ?", (run_id,)
-            ).fetchone()
-        return None if row is None else _row_to_record(row)
-
-    def next_eligible_at(self) -> float | None:
-        """Earliest ``not_before`` among queued runs (backoff wake-up)."""
-        with self._lock:
-            row = self._execute(
-                "SELECT MIN(not_before) FROM runs WHERE state = 'queued'"
-            ).fetchone()
-        return None if row is None or row[0] is None else float(row[0])
-
-    def list_runs(
-        self, state: str | None = None, *, limit: int = 100
-    ) -> list[RunRecord]:
-        """Runs newest-first, optionally filtered by state."""
-        query = _SELECT
-        args: tuple = ()
-        if state is not None:
-            query += " WHERE state = ?"
-            args = (state,)
-        query += " ORDER BY created_at DESC, run_id LIMIT ?"
-        with self._lock:
-            rows = self._execute(query, (*args, limit)).fetchall()
-        return [_row_to_record(row) for row in rows]
-
-    def counts_by_state(self) -> dict[str, int]:
-        """``{state: count}`` over every known state (zeros included)."""
-        with self._lock:
-            rows = self._execute(
-                "SELECT state, COUNT(*) FROM runs GROUP BY state"
-            ).fetchall()
-        counts = {state: 0 for state in RUN_STATES}
-        for state, n in rows:
-            counts[state] = n
-        return counts
-
-    def unfinished(self) -> list[RunRecord]:
-        """Every run not yet in a terminal state, oldest first."""
-        with self._lock:
-            rows = self._execute(
-                f"{_SELECT} WHERE state IN ('queued', 'running')"
-                f" ORDER BY created_at, run_id"
-            ).fetchall()
-        return [_row_to_record(row) for row in rows]
-
-    def live_leases(self, now: float) -> list[LeaseView]:
-        """Leases still live at ``now``, oldest heartbeat first."""
-        with self._lock:
-            rows = self._execute(
-                "SELECT run_id, owner_id, lease_expires_at, heartbeat_at"
-                " FROM runs WHERE state = 'running'"
-                " AND owner_id IS NOT NULL AND lease_expires_at > ?"
-                " ORDER BY heartbeat_at, run_id",
-                (now,),
-            ).fetchall()
-        return [LeaseView(*row) for row in rows]
-
-    # -- plumbing ----------------------------------------------------------
 
     def close(self) -> None:
         """Close the underlying connection (idempotent)."""
-        with self._lock:
+        with self.lock:
             self._conn.close()

@@ -60,6 +60,10 @@ class PostgresBackend(StorageBackend):
     name = "postgres"
     placeholder = "%s"
     float_type = "DOUBLE PRECISION"
+    # Concurrent claimants skip each other's locked rows instead of
+    # queueing on them — the fleet's claim throughput scales with
+    # worker count.
+    claim_lock = " FOR UPDATE SKIP LOCKED"
 
     def __init__(self, dsn: str, *, driver: Any = None) -> None:
         self.url = dsn
@@ -72,37 +76,22 @@ class PostgresBackend(StorageBackend):
         conn.autocommit = True
         return conn
 
-    def _execute(self, statement: str, args: tuple = ()) -> Any:
+    def execute(self, statement: str, args: tuple[Any, ...] = ()) -> Any:
         # psycopg connections have no .execute shortcut in DB-API v2
         # (psycopg2); go through a cursor for both driver generations.
         cursor = self._conn.cursor()
         cursor.execute(self._sql(statement), args)
         return cursor
 
-    def _commit(self) -> None:
-        self._execute("COMMIT")
-
-    def _rollback(self) -> None:
-        self._execute("ROLLBACK")
-
     def _read_version(self) -> int:
-        self._execute(
+        self.execute(
             "CREATE TABLE IF NOT EXISTS runs_schema (version INTEGER)"
         )
-        row = self._execute("SELECT version FROM runs_schema").fetchone()
+        row = self.execute("SELECT version FROM runs_schema").fetchone()
         return 0 if row is None else int(row[0])
 
     def _write_version(self, version: int) -> None:
-        self._execute("DELETE FROM runs_schema")
-        self._execute(
+        self.execute("DELETE FROM runs_schema")
+        self.execute(
             "INSERT INTO runs_schema (version) VALUES (?)", (version,)
         )
-
-    def _begin_exclusive(self) -> None:
-        self._execute("BEGIN")
-
-    def _claim_select_suffix(self) -> str:
-        # Concurrent claimants skip each other's locked rows instead of
-        # queueing on them — the fleet's claim throughput scales with
-        # worker count.
-        return " FOR UPDATE SKIP LOCKED"

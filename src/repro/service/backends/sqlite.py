@@ -32,6 +32,9 @@ class SQLiteBackend(StorageBackend):
     name = "sqlite"
     placeholder = "?"
     float_type = "REAL"
+    # IMMEDIATE acquires the write lock at BEGIN, not first write, so
+    # concurrent claimants from other processes serialize here.
+    exclusive_begin = "BEGIN IMMEDIATE"
     database_error = sqlite3.DatabaseError
 
     def __init__(self, path: str | Path) -> None:
@@ -64,8 +67,3 @@ class SQLiteBackend(StorageBackend):
         # PRAGMA does not accept bound parameters; version is an int
         # under our control.
         self._conn.execute(f"PRAGMA user_version = {int(version)}")
-
-    def _begin_exclusive(self) -> None:
-        # IMMEDIATE acquires the write lock at BEGIN, not first write,
-        # so concurrent claimants from other processes serialize here.
-        self._conn.execute("BEGIN IMMEDIATE")

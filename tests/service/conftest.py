@@ -10,6 +10,19 @@ from repro.service.fleet import FleetWorker, WorkerConfig
 from repro.service.store import RunStore
 
 
+class FakeClock:
+    """A hand-cranked clock: time only moves when the test says so."""
+
+    def __init__(self, start: float = 1_000.0) -> None:
+        self.now = start
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
 def fast_config(**overrides) -> WorkerConfig:
     """A worker config with millisecond-scale polls and retry backoff."""
     defaults = dict(

@@ -33,7 +33,7 @@ def _endpoint(handle) -> tuple[str, ...]:
 class TestParser:
     def test_serve_defaults(self) -> None:
         args = build_parser().parse_args(["serve"])
-        assert args.db == "runs.db"
+        assert args.store == "runs.db"
         assert args.port == 4321
         assert args.workers == 2
 

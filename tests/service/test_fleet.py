@@ -32,6 +32,7 @@ from repro.service.fleet import (
 )
 from repro.service.server import serve_in_thread
 from repro.service.store import RunStore
+from tests.service.conftest import FakeClock
 
 
 class Unreadable(Exception):
@@ -40,17 +41,6 @@ class Unreadable(Exception):
     def __init__(self, message: str, *, detail: str) -> None:
         super().__init__(message)
         self.detail = detail
-
-
-class FakeClock:
-    def __init__(self, start: float = 1_000.0) -> None:
-        self.now = start
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 @pytest.fixture

@@ -1,4 +1,8 @@
-"""Unit tests for the SQLite run store."""
+"""The run store on its SQLite file: schema, WAL, lifecycle rules.
+
+Leases, expiry and the other behaviour every dialect shares are also
+asserted in the contract suite of test_backends.py.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +13,7 @@ import pytest
 
 from repro.exceptions import ServiceError
 from repro.service.store import RUN_STATES, SCHEMA_VERSION, RunStore
+from tests.service.conftest import FakeClock
 
 
 @pytest.fixture
@@ -199,7 +204,6 @@ class TestQueries:
         assert set(counts) == set(RUN_STATES)
         assert store.queue_depth() == 1
         assert len(store.unfinished()) == 2
-
     def test_list_runs_filter_and_limit(self, store) -> None:
         for _ in range(5):
             store.submit("sleep", {})
@@ -215,19 +219,6 @@ class TestQueries:
         assert summary["run_id"] == run_id
         assert summary["state"] == "queued"
         assert "result" not in summary
-
-
-class FakeClock:
-    """A hand-cranked clock: time only moves when the test says so."""
-
-    def __init__(self, start: float = 1_000.0) -> None:
-        self.now = start
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 class TestInjectedClock:
