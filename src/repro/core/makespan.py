@@ -215,7 +215,7 @@ _CACHE_MAXSIZE = 1 << 16
 _T = TypeVar("_T")
 
 _caches: dict[str, dict[tuple, Any]] = {
-    kind: {} for kind in ("analytic", "simulated", "schedule", "decision", "dp")
+    kind: {} for kind in ("analytic", "simulated", "schedule", "decision", "dp", "vector")
 }
 _cache_counters = {kind: {"hits": 0, "misses": 0} for kind in _caches}
 _cache_enabled = True
@@ -265,11 +265,12 @@ def clear_makespan_cache() -> None:
 
 
 def makespan_cache_stats() -> dict[str, dict[str, int]]:
-    """Hit/miss/size counters for each of the five kinds.
+    """Hit/miss/size counters for each of the six kinds.
 
     ``analytic`` (Eqs 1–5), ``simulated`` (engine makespans),
     ``schedule`` (fault-free schedule logs), ``decision`` (arena
-    decisions) and ``dp`` (knapsack DP stacks, one per item table).
+    decisions), ``dp`` (knapsack DP stacks, one per item table) and
+    ``vector`` (whole performance vectors).
     """
     return {
         kind: {**_cache_counters[kind], "size": len(cache)}

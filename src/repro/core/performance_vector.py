@@ -9,18 +9,20 @@ the cluster under the named heuristic.  The vector drives Algorithm 1's
 greedy repartition; computing it per-heuristic is what lets Figure 10
 compare the improvements in the grid setting.
 
-The SeD's step-2 reply, the replanner and Figure 10 all call it.  It
-plans the ``1..NS`` entries in one
+The SeD's step-2 reply, the replanner and Figure 10 all call it.  A
+first request plans the ``1..NS`` entries in one
 :func:`~repro.core.batch.batch_plan_groupings` call and reads each entry
 from the memoized simulator, so an entry is bit-for-bit a fresh engine
 run's makespan and a repeated grouping costs one engine run per process.
+The whole vector is then memoized as the ``vector`` kernel-cache kind,
+so a repeated request is one lookup.
 """
 
 from __future__ import annotations
 
 from repro.core.batch import batch_plan_groupings
 from repro.core.heuristics import HeuristicName, plan_grouping
-from repro.core.makespan import cached_simulated_makespan
+from repro.core.makespan import _memoized, cached_simulated_makespan
 from repro.exceptions import SchedulingError
 from repro.platform.cluster import ClusterSpec
 from repro.workflow.ocean_atmosphere import EnsembleSpec
@@ -49,7 +51,28 @@ def performance_vector(
     non-decreasing in ``k`` for any sane heuristic (more scenarios, same
     processors).  Raises :class:`~repro.exceptions.SchedulingError` when
     the cluster cannot host any group.
+
+    The result is memoized (the ``vector`` kind) on values only: the
+    ``{G: T[G]}`` table, the post time, ``R``, ``NS``, ``NM`` and the
+    heuristic, never the cluster's name, so clusters sharing a timing
+    table share one entry.  That key is complete because the planners
+    and the engine read a timing model only through its table, its post
+    time, ``min_group``/``max_group`` (the table's key range) and
+    ``validate_group`` (a check against that range).  The entry is a
+    tuple; each call returns a fresh list.
     """
+    timing = cluster.timing
+    key = (
+        tuple(timing.main_time_table().items()), timing.post_time(),
+        cluster.resources, spec.scenarios, spec.months, HeuristicName(heuristic),
+    )
+    return list(_memoized("vector", key, _build_vector, cluster, spec, heuristic))
+
+
+def _build_vector(
+    cluster: ClusterSpec, spec: EnsembleSpec, heuristic: HeuristicName | str
+) -> tuple[float, ...]:
+    """The vector built entry by entry: one batch plan, one cached run each."""
     timing = cluster.timing
     groupings = batch_plan_groupings(
         timing,
@@ -63,4 +86,4 @@ def performance_vector(
                 f"cannot host any main-task group (min size {timing.min_group})"
             )
         vector.append(cached_simulated_makespan(grouping, EnsembleSpec(k, spec.months), timing))
-    return vector
+    return tuple(vector)

@@ -6,7 +6,8 @@ provides the two services of Figure 9: computing the cluster's
 performance vector with the knapsack modeling (step 2) and executing an
 assigned subset of scenarios (step 6, by planning a grouping and reading
 its makespan from the memoized simulator).  Both steps read the kernel
-caches: the vector's batch planner builds the cluster's knapsack DP
+caches: a repeated request reads its whole vector from one ``vector``
+entry, a first one's batch planner builds the cluster's knapsack DP
 stack, and the execution's knapsack plan traces back from it.
 """
 

@@ -3,7 +3,10 @@
 The shipping routine is checked against the scalar k-loop of
 :mod:`tests.core.vector_oracle`, never against itself.  The mutation
 drill proves the equality assertion has teeth: a seeded off-by-one
-injected into a copy of the vector must be caught.
+injected into a copy of the vector must be caught.  :class:`TestVectorMemo`
+pins the ``vector`` kernel-cache kind: its key is the timing values and
+``(R, NS, NM, heuristic)``, never the cluster's name, and it follows the
+shared cache rules.
 """
 
 from __future__ import annotations
@@ -14,12 +17,16 @@ import pytest
 
 from repro import obs
 from repro.core.heuristics import HeuristicName
-from repro.core.makespan import clear_makespan_cache, makespan_cache_disabled
+from repro.core.makespan import (
+    clear_makespan_cache,
+    makespan_cache_disabled,
+    makespan_cache_stats,
+)
 from repro.core.performance_vector import cluster_makespan, performance_vector
 from repro.exceptions import SchedulingError
 from repro.platform.benchmarks import benchmark_cluster
 from repro.platform.cluster import ClusterSpec
-from repro.platform.timing import TableTimingModel
+from repro.platform.timing import ScaledTimingModel, TableTimingModel
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 from tests.core.vector_oracle import scalar_performance_vector
 
@@ -31,13 +38,15 @@ class TestPerformanceVector:
     @pytest.mark.parametrize("heuristic", list(HeuristicName))
     @pytest.mark.parametrize("name, resources", [("chti", 30), ("azur", 71)])
     def test_equals_scalar_oracle(self, heuristic, name, resources) -> None:
-        # Cold, warm and uncached: every entry is the oracle's fresh run.
+        # Cold, warm (a vector hit) and uncached: every entry is the
+        # oracle's fresh run.
         cluster = benchmark_cluster(name, resources)
         spec = EnsembleSpec(9, 7)
         oracle = scalar_performance_vector(cluster, spec, heuristic)
         clear_makespan_cache()
         assert performance_vector(cluster, spec, heuristic) == oracle
         assert performance_vector(cluster, spec, heuristic) == oracle
+        assert makespan_cache_stats()["vector"] == {"hits": 1, "misses": 1, "size": 1}
         with makespan_cache_disabled():
             assert performance_vector(cluster, spec, heuristic) == oracle
 
@@ -143,3 +152,88 @@ class TestPerformanceVector:
         expected_floor = 8 * cluster.main_time(11)
         assert vector[0] >= expected_floor
         assert vector[0] <= expected_floor + 8 * cluster.post_time()
+
+
+def _twin(cluster: ClusterSpec, name: str, *, post: float | None = None) -> ClusterSpec:
+    """A new cluster and timing object holding ``cluster``'s values."""
+    timing = TableTimingModel(
+        cluster.timing.main_time_table(),
+        post_seconds=cluster.post_time() if post is None else post,
+    )
+    return ClusterSpec(name, cluster.resources, timing)
+
+
+class TestVectorMemo:
+    SPEC = EnsembleSpec(9, MONTHS)
+
+    def test_repeat_is_one_vector_hit_and_no_other_lookup(self) -> None:
+        cluster = benchmark_cluster("grelon", 40)
+        clear_makespan_cache()
+        first = performance_vector(cluster, self.SPEC)
+        before = makespan_cache_stats()
+        assert before["vector"] == {"hits": 0, "misses": 1, "size": 1}
+        assert performance_vector(cluster, self.SPEC) == first
+        after = makespan_cache_stats()
+        assert after["vector"] == {"hits": 1, "misses": 1, "size": 1}
+        for kind in ("simulated", "dp"):
+            assert after[kind] == before[kind], kind
+
+    def test_same_timing_under_another_name_shares_the_entry(self) -> None:
+        cluster = benchmark_cluster("chti", 33)
+        twin = _twin(cluster, "chti-twin")
+        assert twin.timing is not cluster.timing
+        clear_makespan_cache()
+        first = performance_vector(cluster, self.SPEC)
+        assert performance_vector(twin, self.SPEC) == first
+        assert makespan_cache_stats()["vector"] == {"hits": 1, "misses": 1, "size": 1}
+
+    def test_other_timings_and_shapes_miss(self) -> None:
+        cluster = benchmark_cluster("azur", 35)
+        scaled = ClusterSpec("azur", 35, ScaledTimingModel(cluster.timing, 1.5))
+        slow_post = _twin(cluster, "azur", post=cluster.post_time() + 1.0)
+        clear_makespan_cache()
+        vectors = [
+            performance_vector(cluster, self.SPEC),
+            performance_vector(scaled, self.SPEC),
+            performance_vector(slow_post, self.SPEC),
+            performance_vector(cluster, EnsembleSpec(9, MONTHS + 1)),
+            performance_vector(cluster, self.SPEC, HeuristicName.BASIC),
+        ]
+        assert makespan_cache_stats()["vector"] == {"hits": 0, "misses": 5, "size": 5}
+        assert vectors[1] != vectors[0]
+        assert vectors[2] != vectors[0]
+        assert vectors[1] == scalar_performance_vector(scaled, self.SPEC)
+        assert vectors[2] == scalar_performance_vector(slow_post, self.SPEC)
+
+    def test_disabled_cache_stores_nothing(self) -> None:
+        cluster = benchmark_cluster("sagittaire", 29)
+        clear_makespan_cache()
+        with makespan_cache_disabled():
+            uncached = performance_vector(cluster, self.SPEC)
+            assert performance_vector(cluster, self.SPEC) == uncached
+        assert makespan_cache_stats()["vector"] == {"hits": 0, "misses": 0, "size": 0}
+        assert performance_vector(cluster, self.SPEC) == uncached
+
+    def test_infeasible_cluster_raises_every_time_and_stores_nothing(self) -> None:
+        tiny = ClusterSpec(
+            "tiny",
+            3,
+            TableTimingModel({g: 100.0 for g in range(4, 12)}, post_seconds=10.0),
+        )
+        clear_makespan_cache()
+        for _ in range(2):
+            with pytest.raises(SchedulingError, match="'tiny'"):
+                performance_vector(tiny, EnsembleSpec(2, MONTHS))
+        assert makespan_cache_stats()["vector"] == {"hits": 0, "misses": 2, "size": 0}
+
+    def test_mutating_a_returned_list_leaves_the_entry(self) -> None:
+        cluster = benchmark_cluster("grelon", 27)
+        clear_makespan_cache()
+        vector = performance_vector(cluster, self.SPEC)
+        expected = list(vector)
+        vector[0] = -1.0
+        vector.append(0.0)
+        again = performance_vector(cluster, self.SPEC)
+        assert again == expected
+        assert again is not performance_vector(cluster, self.SPEC)
+        assert isinstance(again, list)

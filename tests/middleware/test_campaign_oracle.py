@@ -10,6 +10,11 @@ while the vectors keep the stack.  A grouping that differs on either
 side executes a different schedule, so ``run_campaign`` and
 ``run_campaign_with_faults`` must return equal reports both ways.
 
+A repeated campaign reads every performance vector from one ``vector``
+cache entry, so the SeDs' replies and the replanner's vectors share it.
+A second run of each benchmark shape, served from that memo, must equal
+the same call with every kernel cache bypassed.
+
 Shapes: the benchmark's eight ``(clusters, R, NS, NM)`` campaign strata
 and its replanned campaign, plus hypothesis-drawn grids.
 """
@@ -20,7 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.knapsack_grouping import knapsack_grouping
-from repro.core.makespan import clear_makespan_cache, makespan_cache_stats
+from repro.core.makespan import (
+    clear_makespan_cache,
+    makespan_cache_disabled,
+    makespan_cache_stats,
+)
 from repro.faults.trace import FaultEvent, FaultKind, FaultTrace
 from repro.knapsack.dp import solve_dp
 from repro.middleware.deployment import run_campaign
@@ -109,6 +118,22 @@ def test_benchmark_replan_matches_the_scalar_oracle() -> None:
             grid, scenarios, months, _faults(grid, makespan, crash)
         )
         assert report.replans > 0
+
+
+def test_memo_served_campaigns_match_uncached_ones() -> None:
+    for clusters, resources, scenarios, months in (*CAMPAIGN_SHAPES, REPLAN_SHAPE):
+        grid = benchmark_grid(clusters, resources)
+        clear_makespan_cache()
+        makespan = run_campaign(grid, scenarios, months).makespan
+        trace = _faults(grid, makespan, crash=False)
+        run_campaign_with_faults(grid, scenarios, months, trace)
+        hits = makespan_cache_stats()["vector"]["hits"]
+        warm = run_campaign(grid, scenarios, months)
+        warm_faulted = run_campaign_with_faults(grid, scenarios, months, trace)
+        assert makespan_cache_stats()["vector"]["hits"] > hits
+        with makespan_cache_disabled():
+            assert run_campaign(grid, scenarios, months) == warm
+            assert run_campaign_with_faults(grid, scenarios, months, trace) == warm_faulted
 
 
 @given(

@@ -2,16 +2,19 @@
 
 Every vector entry and every SeD execution is a memoized simulation
 keyed on the grouping, the ensemble shape and the timings, never on the
-cluster's name.  So a ``benchmark_grid`` with more than five clusters,
-whose extra clusters repeat the five reference timings under new names,
-adds no engine runs for the repeats; a SeD's execution reads the entry
-its vector already holds; and a second identical campaign runs no
-engine at all.  The vectors' knapsack DP stacks are memoized per item
-table (the ``dp`` kind), so the repeats and a second campaign build no
-DP either, and the SeD's execution traces its plan back from the stack
-its vector built: one ``dp`` hit, no build.  The fault replanner reads the same caches, keyed on its remaining chains,
-so a second identical faulted campaign runs no engine either.  The
-memoized results must equal uncached ones field for field.
+cluster's name, and the whole vector is memoized (the ``vector`` kind)
+on the timing table, the post time and ``(R, NS, NM, heuristic)``.  So
+a ``benchmark_grid`` with more than five clusters, whose extra clusters
+repeat the five reference timings under new names, adds no engine runs
+for the repeats: each repeat's vector is one ``vector`` hit.  A SeD's
+execution reads the entry its vector already holds, and a second
+identical campaign runs no engine at all.  The vectors' knapsack DP
+stacks are memoized per item table (the ``dp`` kind), so the repeats
+and a second campaign build no DP either, and the SeD's execution
+traces its plan back from the stack its vector built: one ``dp`` hit,
+no build.  The fault replanner reads the same caches, keyed on its
+remaining chains, so a second identical faulted campaign runs no engine
+either.  The memoized results must equal uncached ones field for field.
 """
 
 from __future__ import annotations
@@ -76,12 +79,16 @@ def test_repeated_timing_clusters_add_no_simulated_misses() -> None:
         performance_vector(cluster, EnsembleSpec(NS, NM))
     assert _simulated()["misses"] == distinct * NS
 
-    # The whole campaign: the two repeats and every execution hit.
+    # The whole campaign: the two repeats are one vector hit each, and
+    # every execution is a simulated hit.
     clear_makespan_cache()
     result = run_campaign(grid, NS, NM)
     stats = _simulated()
     assert stats["misses"] == distinct * NS
-    assert stats["hits"] == (len(grid) - distinct) * NS + len(result.reports)
+    assert stats["hits"] == len(result.reports)
+    assert makespan_cache_stats()["vector"] == {
+        "hits": len(grid) - distinct, "misses": distinct, "size": distinct,
+    }
     twins = {reply.cluster_name: reply.vector for reply in result.replies}
     assert twins["sagittaire-1"] == twins["sagittaire"]
     assert twins["grelon-1"] == twins["grelon"]
@@ -119,10 +126,11 @@ def test_repeated_timing_clusters_share_one_dp_per_item_table() -> None:
     distinct = len(REFERENCE_CLUSTER_SPEEDS)
     clear_makespan_cache()
     result = run_campaign(grid, NS, NM)
-    # Every vector asks for (R, NS) = (36, 12): one build per item table.
+    # Every distinct vector asks for (R, NS) = (36, 12): one build per
+    # item table; the repeats' vectors are vector hits and read no stack.
     # Every execution traces back from its cluster's stack: one hit each.
     assert makespan_cache_stats()["dp"] == {
-        "hits": len(grid) - distinct + len(result.reports),
+        "hits": len(result.reports),
         "misses": distinct,
         "size": distinct,
     }

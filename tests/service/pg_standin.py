@@ -1,16 +1,19 @@
 """A stand-in DB-API driver that runs the Postgres dialect on sqlite3.
 
 ``PostgresBackend(dsn, driver=StandInDriver())`` sends every statement
-through :class:`_Cursor`: ``%s`` placeholders become ``?``, a raw ``?``
-(a statement that skipped the dialect's placeholder translation) is
-refused, and the ``FOR UPDATE SKIP LOCKED`` row lock, which SQLite
-cannot parse, is stripped and logged in :attr:`StandInDriver.rewrites`.
+through :class:`_Cursor` on a fresh in-memory database
+(``StandInDriver(path)``: on one SQLite file instead).  ``%s``
+placeholders become ``?``, a raw ``?`` (a statement that skipped the
+dialect's placeholder translation) is refused, and the ``FOR UPDATE
+SKIP LOCKED`` row lock, which SQLite cannot parse, is stripped and
+logged in :attr:`StandInDriver.rewrites`.
 What the log names is the one clause only a real server tests.
 """
 
 from __future__ import annotations
 
 import sqlite3
+from pathlib import Path
 from typing import Any
 
 SKIP_LOCKED = " FOR UPDATE SKIP LOCKED"
@@ -38,14 +41,15 @@ class StandInDriver:
 
     DatabaseError = sqlite3.DatabaseError
 
-    def __init__(self) -> None:
+    def __init__(self, database: str | Path = ":memory:") -> None:
+        self.database = database
         #: Each statement whose row lock was stripped, as the dialect
         #: sent it minus that clause.
         self.rewrites: list[str] = []
 
     def connect(self, dsn: str) -> _Connection:
         conn = sqlite3.connect(
-            ":memory:",
+            self.database,
             factory=_Connection,
             isolation_level=None,
             check_same_thread=False,

@@ -3,9 +3,14 @@
 Builds stores at historical layouts (v1: pre-tracing, v2: pre-lease)
 with raw SQL, opens them through the library, and asserts the whole
 chain runs: the version is stamped, the new columns exist, and — the
-important part — the pre-existing rows survive bit-for-bit.  A store
-cut short at any byte either fails to open with a typed error or opens
-holding only fixture rows, each of which it can look up and claim.
+important part — the pre-existing rows survive bit-for-bit.  The chain
+runs on SQLite files and again through the Postgres dialect, over the
+stand-in driver of :mod:`tests.service.pg_standin` on the same kind of
+file, with the layouts stamped in that dialect's ``runs_schema`` version
+table.  A store cut short at any byte either fails to open with a typed
+error or opens holding only fixture rows, each of which it can look up
+and claim; those cases are SQLite-only, since the byte layout is
+SQLite's.
 """
 
 from __future__ import annotations
@@ -16,7 +21,9 @@ import sqlite3
 import pytest
 
 from repro.exceptions import ServiceError
+from repro.service.backends import PostgresBackend
 from repro.service.store import SCHEMA_VERSION, RunStore
+from tests.service.pg_standin import StandInDriver
 
 V1_SCHEMA = """
 CREATE TABLE runs (
@@ -48,23 +55,35 @@ V1_ROWS = [
 ]
 
 
-def _build_v1(path) -> None:
+def _stamp_pragma(conn: sqlite3.Connection, version: int) -> None:
+    """The SQLite dialect's version stamp."""
+    conn.execute(f"PRAGMA user_version = {version}")
+
+
+def _stamp_runs_schema(conn: sqlite3.Connection, version: int) -> None:
+    """The Postgres dialect's version stamp: a one-row table."""
+    conn.execute("CREATE TABLE IF NOT EXISTS runs_schema (version INTEGER)")
+    conn.execute("DELETE FROM runs_schema")
+    conn.execute("INSERT INTO runs_schema (version) VALUES (?)", (version,))
+
+
+def _build_v1(path, stamp=_stamp_pragma) -> None:
     conn = sqlite3.connect(path)
     conn.execute(V1_SCHEMA)
     conn.executemany(
         "INSERT INTO runs VALUES (?,?,?,?,?,?,?,?,?,?,?)", V1_ROWS
     )
-    conn.execute("PRAGMA user_version = 1")
+    stamp(conn, 1)
     conn.commit()
     conn.close()
 
 
-def _build_v2(path) -> None:
-    _build_v1(path)
+def _build_v2(path, stamp=_stamp_pragma) -> None:
+    _build_v1(path, stamp)
     conn = sqlite3.connect(path)
     conn.execute("ALTER TABLE runs ADD COLUMN trace_id TEXT")
     conn.execute("UPDATE runs SET trace_id = 'trace-' || run_id")
-    conn.execute("PRAGMA user_version = 2")
+    stamp(conn, 2)
     conn.commit()
     conn.close()
 
@@ -85,13 +104,20 @@ V1_COLUMNS = (
 
 
 class TestMigrationChain:
+    """The v1 -> v3 chain on SQLite files."""
+
+    stamp = staticmethod(_stamp_pragma)
+
+    def open(self, path) -> RunStore:
+        return RunStore(path)
+
     @pytest.mark.parametrize("build", [_build_v1, _build_v2])
     def test_old_rows_survive_bit_for_bit(self, tmp_path, build) -> None:
         path = tmp_path / "runs.db"
-        build(path)
+        build(path, self.stamp)
         before = _dump(path, V1_COLUMNS)
 
-        with RunStore(path) as store:
+        with self.open(path) as store:
             assert store.schema_version() == SCHEMA_VERSION == 3
 
         # Every pre-existing column value is unchanged, byte for byte.
@@ -102,15 +128,15 @@ class TestMigrationChain:
 
     def test_v1_gets_null_trace_ids(self, tmp_path) -> None:
         path = tmp_path / "runs.db"
-        _build_v1(path)
-        with RunStore(path):
+        _build_v1(path, self.stamp)
+        with self.open(path):
             pass
         assert _dump(path, "trace_id") == [(None,)] * len(V1_ROWS)
 
     def test_v2_keeps_trace_ids(self, tmp_path) -> None:
         path = tmp_path / "runs.db"
-        _build_v2(path)
-        with RunStore(path):
+        _build_v2(path, self.stamp)
+        with self.open(path):
             pass
         assert _dump(path, "trace_id") == [
             ("trace-aaa",), ("trace-bbb",), ("trace-ccc",), ("trace-ddd",),
@@ -118,8 +144,8 @@ class TestMigrationChain:
 
     def test_migrated_store_is_fully_usable(self, tmp_path) -> None:
         path = tmp_path / "runs.db"
-        _build_v2(path)
-        with RunStore(path) as store:
+        _build_v2(path, self.stamp)
+        with self.open(path) as store:
             # The old running row can be recovered and re-claimed with
             # a lease — proof the ALTERed columns are live, not vestigial.
             assert store.recover_interrupted() == 1
@@ -133,11 +159,33 @@ class TestMigrationChain:
 
     def test_migration_idempotent_across_reopens(self, tmp_path) -> None:
         path = tmp_path / "runs.db"
-        _build_v1(path)
+        _build_v1(path, self.stamp)
         for _ in range(3):
-            with RunStore(path) as store:
+            with self.open(path) as store:
                 assert store.schema_version() == SCHEMA_VERSION
         assert _dump(path, V1_COLUMNS) == sorted(V1_ROWS)
+
+
+class TestMigrationChainPostgres(TestMigrationChain):
+    """The same chain through the Postgres dialect on the stand-in driver."""
+
+    stamp = staticmethod(_stamp_runs_schema)
+
+    def open(self, path) -> RunStore:
+        return RunStore(
+            PostgresBackend("postgres://stand-in", driver=StandInDriver(path))
+        )
+
+    def test_version_lives_in_runs_schema(self, tmp_path) -> None:
+        path = tmp_path / "runs.db"
+        _build_v1(path, self.stamp)
+        self.open(path).close()
+        conn = sqlite3.connect(path)
+        assert conn.execute("SELECT version FROM runs_schema").fetchall() == [
+            (SCHEMA_VERSION,)
+        ]
+        assert conn.execute("PRAGMA user_version").fetchone() == (0,)
+        conn.close()
 
 
 class TestVersionGate:
