@@ -30,7 +30,7 @@ from repro.core.batch import batch_plan_groupings
 from repro.core.heuristics import plan_grouping
 from repro.core.makespan import clear_makespan_cache
 from repro.exceptions import SchedulingError
-from repro.obs.bench import kernels_workload
+from repro.cli.bench import kernels_workload
 from repro.platform.benchmarks import benchmark_cluster, benchmark_timing
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 
@@ -106,8 +106,8 @@ def test_kernels_throughput_gate(tmp_path) -> None:
     same number CI uploads and compares against
     ``benchmarks/baseline.json``.
     """
+    from repro.cli.bench import bench_specs
     from repro.obs.bench import (
-        bench_specs,
         load_bench_artifact,
         run_bench,
         write_bench_artifact,
@@ -137,7 +137,8 @@ def test_regression_gate_exit_code(tmp_path, capsys) -> None:
     returns 2 — the code the CI job fails on.
     """
     from repro.cli import main
-    from repro.obs.bench import BASELINE_SCHEMA, bench_specs, run_bench
+    from repro.cli.bench import bench_specs
+    from repro.obs.bench import BASELINE_SCHEMA, run_bench
 
     spec = next(s for s in bench_specs() if s.name == "kernels")
     healthy = run_bench(spec, repetitions=1, warmup=0)

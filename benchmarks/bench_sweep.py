@@ -117,8 +117,8 @@ def test_sweep_throughput_gate(tmp_path) -> None:
     the same number CI uploads and compares against
     ``benchmarks/baseline.json``.
     """
+    from repro.cli.bench import bench_specs
     from repro.obs.bench import (
-        bench_specs,
         load_bench_artifact,
         run_bench,
         write_bench_artifact,

@@ -21,143 +21,40 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every figure.
 """
 
-from repro._version import __version__
-from repro import obs
-from repro.constants import GROUP_SIZES, POST_SECONDS, PCR_SECONDS
-from repro.exceptions import (
-    ReproError,
-    ConfigurationError,
-    PlatformError,
-    WorkflowError,
-    SchedulingError,
-    SimulationError,
-    KnapsackError,
-    MiddlewareError,
-    ServiceError,
-    ValidationError,
-)
-from repro.platform import (
-    TimingModel,
-    AmdahlTimingModel,
-    TableTimingModel,
-    ScaledTimingModel,
-    reference_timing,
-    ClusterSpec,
-    GridSpec,
-    homogeneous_grid,
-    benchmark_cluster,
-    benchmark_clusters,
-    benchmark_grid,
-)
-from repro.workflow import (
-    Task,
-    TaskKind,
-    DAG,
-    EnsembleSpec,
-    monthly_dag,
-    scenario_dag,
-    ensemble_dag,
-    fused_scenario_dag,
-    fused_ensemble_dag,
-    fuse_ocean_atmosphere,
-    DataTransferModel,
-)
-from repro.core import (
-    Grouping,
-    analytic_makespan,
-    analytic_breakdown,
-    cached_analytic_makespan,
-    cached_simulated_makespan,
-    makespan_cache_stats,
-    basic_grouping,
-    best_uniform_group,
-    redistribute_grouping,
-    allpost_end_grouping,
-    knapsack_grouping,
-    HeuristicName,
-    plan_grouping,
-    performance_vector,
-    Repartition,
-    repartition_dags,
-    GenericChainProblem,
-    generic_grouping,
-)
-from repro.simulation import (
-    simulate,
-    simulate_on_cluster,
-    SimulationResult,
-    TaskRecord,
-    validate_schedule,
-    render_gantt,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "__version__",
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro._version": ("__version__",),
     # observability subsystem
-    "obs",
-    # constants
-    "GROUP_SIZES",
-    "POST_SECONDS",
-    "PCR_SECONDS",
-    # exceptions
-    "ReproError",
-    "ConfigurationError",
-    "PlatformError",
-    "WorkflowError",
-    "SchedulingError",
-    "SimulationError",
-    "KnapsackError",
-    "MiddlewareError",
-    "ServiceError",
-    "ValidationError",
-    # platform
-    "TimingModel",
-    "AmdahlTimingModel",
-    "TableTimingModel",
-    "ScaledTimingModel",
-    "reference_timing",
-    "ClusterSpec",
-    "GridSpec",
-    "homogeneous_grid",
-    "benchmark_cluster",
-    "benchmark_clusters",
-    "benchmark_grid",
-    # workflow
-    "Task",
-    "TaskKind",
-    "DAG",
-    "EnsembleSpec",
-    "monthly_dag",
-    "scenario_dag",
-    "ensemble_dag",
-    "fused_scenario_dag",
-    "fused_ensemble_dag",
-    "fuse_ocean_atmosphere",
-    "DataTransferModel",
+    "repro.obs": ("obs",),
+    "repro.constants": ("GROUP_SIZES", "POST_SECONDS", "PCR_SECONDS"),
+    "repro.exceptions": (
+        "ReproError", "ConfigurationError", "PlatformError", "WorkflowError",
+        "SchedulingError", "SimulationError", "KnapsackError",
+        "MiddlewareError", "ServiceError", "ValidationError",
+    ),
+    "repro.platform": (
+        "TimingModel", "AmdahlTimingModel", "TableTimingModel",
+        "ScaledTimingModel", "reference_timing", "ClusterSpec", "GridSpec",
+        "homogeneous_grid", "benchmark_cluster", "benchmark_clusters",
+        "benchmark_grid",
+    ),
+    "repro.workflow": (
+        "Task", "TaskKind", "DAG", "EnsembleSpec", "monthly_dag",
+        "scenario_dag", "ensemble_dag", "fused_scenario_dag",
+        "fused_ensemble_dag", "fuse_ocean_atmosphere", "DataTransferModel",
+    ),
     # core heuristics
-    "Grouping",
-    "analytic_makespan",
-    "analytic_breakdown",
-    "cached_analytic_makespan",
-    "cached_simulated_makespan",
-    "makespan_cache_stats",
-    "basic_grouping",
-    "best_uniform_group",
-    "redistribute_grouping",
-    "allpost_end_grouping",
-    "knapsack_grouping",
-    "HeuristicName",
-    "plan_grouping",
-    "performance_vector",
-    "Repartition",
-    "repartition_dags",
-    "GenericChainProblem",
-    "generic_grouping",
-    # simulation
-    "simulate",
-    "simulate_on_cluster",
-    "SimulationResult",
-    "TaskRecord",
-    "validate_schedule",
-    "render_gantt",
-]
+    "repro.core": (
+        "Grouping", "analytic_makespan", "analytic_breakdown",
+        "cached_analytic_makespan", "cached_simulated_makespan",
+        "makespan_cache_stats", "basic_grouping", "best_uniform_group",
+        "redistribute_grouping", "allpost_end_grouping", "knapsack_grouping",
+        "HeuristicName", "plan_grouping", "performance_vector", "Repartition",
+        "repartition_dags", "GenericChainProblem", "generic_grouping",
+    ),
+    "repro.simulation": (
+        "simulate", "simulate_on_cluster", "SimulationResult", "TaskRecord",
+        "validate_schedule", "render_gantt",
+    ),
+})

@@ -1,0 +1,8 @@
+"""``python -m repro.cli`` — the ``repro-oa`` entry point."""
+
+import sys
+
+from repro.cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

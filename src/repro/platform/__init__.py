@@ -13,53 +13,23 @@ Grid'5000-like benchmark database of :mod:`repro.platform.benchmarks`
 replaces the authors' testbed measurements (see DESIGN.md §2).
 """
 
-from repro.platform.timing import (
-    TimingModel,
-    AmdahlTimingModel,
-    TableTimingModel,
-    ScaledTimingModel,
-    reference_timing,
-)
-from repro.platform.cluster import ClusterSpec
-from repro.platform.grid import GridSpec, homogeneous_grid
-from repro.platform.benchmarks import (
-    REFERENCE_CLUSTER_SPEEDS,
-    benchmark_cluster,
-    benchmark_clusters,
-    benchmark_grid,
-    main_time_table,
-)
-from repro.platform.gridfive import (
-    SITE_CATALOG,
-    catalog_cluster,
-    catalog_grid,
-    site_names,
-)
-from repro.platform.heterogeneity import (
-    random_cluster,
-    random_grid,
-    perturbed_timing,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TimingModel",
-    "AmdahlTimingModel",
-    "TableTimingModel",
-    "ScaledTimingModel",
-    "reference_timing",
-    "ClusterSpec",
-    "GridSpec",
-    "homogeneous_grid",
-    "REFERENCE_CLUSTER_SPEEDS",
-    "benchmark_cluster",
-    "benchmark_clusters",
-    "benchmark_grid",
-    "main_time_table",
-    "SITE_CATALOG",
-    "catalog_cluster",
-    "catalog_grid",
-    "site_names",
-    "random_cluster",
-    "random_grid",
-    "perturbed_timing",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.platform.timing": (
+        "TimingModel", "AmdahlTimingModel", "TableTimingModel",
+        "ScaledTimingModel", "reference_timing",
+    ),
+    "repro.platform.cluster": ("ClusterSpec",),
+    "repro.platform.grid": ("GridSpec", "homogeneous_grid"),
+    "repro.platform.benchmarks": (
+        "REFERENCE_CLUSTER_SPEEDS", "benchmark_cluster", "benchmark_clusters",
+        "benchmark_grid", "main_time_table",
+    ),
+    "repro.platform.gridfive": (
+        "SITE_CATALOG", "catalog_cluster", "catalog_grid", "site_names",
+    ),
+    "repro.platform.heterogeneity": (
+        "random_cluster", "random_grid", "perturbed_timing",
+    ),
+})

@@ -23,82 +23,39 @@ long-running server, survive restarts, and are shared between users:
   typed error replies;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   asyncio TCP server (local worker pool, wake-on-submit, lease reaper)
-  and the blocking client with connect/read timeouts.
+  and the blocking client with a per-request timeout.
 
 CLI: ``repro-oa serve | worker | submit | status | result | runs |
 cancel | health``.  See ``docs/SERVICE.md`` for the architecture and
 failure semantics, ``docs/DEPLOYMENT.md`` for fleet topologies.
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-from repro.service.backends import (
-    MemoryBackend,
-    PostgresBackend,
-    SQLiteBackend,
-    StorageBackend,
-    backend_from_url,
-)
-from repro.service.client import ServiceClient
-from repro.service.fleet import (
-    FleetWorker,
-    WorkerConfig,
-    WorkerKilled,
-    full_jitter_backoff,
-)
-from repro.service.protocol import (
-    ERROR_CODES,
-    OPERATIONS,
-    PROTOCOL_VERSION,
-    Request,
-    Response,
-)
-from repro.service.server import CampaignServer, ServerHandle, serve_in_thread
-from repro.service.store import (
-    RUN_STATES,
-    SCHEMA_VERSION,
-    LeaseView,
-    RunRecord,
-    RunStore,
-)
-from repro.service.workers import (
-    JobKind,
-    execute_job,
-    job_kinds,
-    validate_job,
-)
-
-__all__ = [
+__all__, __getattr__ = lazy_exports(__name__, {
     # store & backends
-    "RunStore",
-    "RunRecord",
-    "RUN_STATES",
-    "SCHEMA_VERSION",
-    "LeaseView",
-    "StorageBackend",
-    "SQLiteBackend",
-    "PostgresBackend",
-    "MemoryBackend",
-    "backend_from_url",
+    "repro.service.store": (
+        "RunStore", "RunRecord", "RUN_STATES", "SCHEMA_VERSION", "LeaseView",
+    ),
+    "repro.service.backends": (
+        "StorageBackend", "SQLiteBackend", "PostgresBackend", "MemoryBackend",
+        "backend_from_url",
+    ),
     # workers
-    "JobKind",
-    "job_kinds",
-    "validate_job",
-    "execute_job",
+    "repro.service.workers": (
+        "JobKind", "job_kinds", "validate_job", "execute_job",
+    ),
     # execution
-    "FleetWorker",
-    "WorkerConfig",
-    "WorkerKilled",
-    "full_jitter_backoff",
+    "repro.service.fleet": (
+        "FleetWorker", "WorkerConfig", "WorkerKilled", "full_jitter_backoff",
+    ),
     # protocol
-    "PROTOCOL_VERSION",
-    "OPERATIONS",
-    "ERROR_CODES",
-    "Request",
-    "Response",
+    "repro.service.protocol": (
+        "PROTOCOL_VERSION", "OPERATIONS", "ERROR_CODES", "Request", "Response",
+    ),
     # server/client
-    "CampaignServer",
-    "ServerHandle",
-    "serve_in_thread",
-    "ServiceClient",
-]
+    "repro.service.server": (
+        "CampaignServer", "ServerHandle", "serve_in_thread",
+    ),
+    "repro.service.client": ("ServiceClient",),
+})

@@ -31,6 +31,11 @@ from repro.service.fleet import full_jitter_backoff
 
 __all__ = ["ServiceClient"]
 
+#: Backoff before the first connection retry, in seconds; it doubles
+#: per attempt up to :data:`RETRY_CAP`.
+RETRY_BASE = 0.1
+RETRY_CAP = 2.0
+
 
 class ServiceClient:
     """Synchronous campaign-service client (see module docstring).
@@ -43,14 +48,13 @@ class ServiceClient:
     ``trace_id``.
 
     Timeouts: ``timeout`` bounds both the connection attempt and each
-    reply read; ``connect_timeout`` / ``read_timeout`` override either
-    individually.  A timed-out request surfaces as
+    reply read.  A timed-out request surfaces as
     :class:`~repro.exceptions.ServiceError` with code ``timeout``, so
     a hung server can no longer block a caller forever.  Failed
     *connection* attempts are retried ``connect_retries`` times with
-    seeded full-jitter backoff
-    (:func:`~repro.service.fleet.full_jitter_backoff`) — the seed
-    makes retry schedules replayable in tests.
+    full-jitter backoff (:func:`~repro.service.fleet.full_jitter_backoff`,
+    from :data:`RETRY_BASE` seconds up to :data:`RETRY_CAP`), so a fleet
+    restarting en masse does not thundering-herd the server.
     """
 
     def __init__(
@@ -59,26 +63,15 @@ class ServiceClient:
         port: int = 4321,
         *,
         timeout: float = 30.0,
-        connect_timeout: float | None = None,
-        read_timeout: float | None = None,
         connect_retries: int = 2,
-        retry_base: float = 0.1,
-        retry_cap: float = 2.0,
-        retry_seed: int | None = None,
     ) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.connect_timeout = (
-            connect_timeout if connect_timeout is not None else timeout
-        )
-        self.read_timeout = (
-            read_timeout if read_timeout is not None else timeout
-        )
         self.connect_retries = max(0, connect_retries)
-        self.retry_base = retry_base
-        self.retry_cap = retry_cap
-        self._retry_rng = random.Random(retry_seed)
+        # OS-seeded on purpose: clients retrying together must draw
+        # different delays, and no test replays a connect schedule.
+        self._retry_rng = random.Random()  # reprolint: ignore[D002]
         self.last_trace: TraceContext | None = None
         self._sock: socket.socket | None = None
         self._reader = None
@@ -87,7 +80,7 @@ class ServiceClient:
 
     def _connect_once(self) -> socket.socket:
         return socket.create_connection(
-            (self.host, self.port), timeout=self.connect_timeout
+            (self.host, self.port), timeout=self.timeout
         )
 
     def _connect(self) -> None:
@@ -115,15 +108,15 @@ class ServiceClient:
                 time.sleep(
                     full_jitter_backoff(
                         attempt,
-                        base=self.retry_base,
+                        base=RETRY_BASE,
                         factor=2.0,
-                        cap=self.retry_cap,
+                        cap=RETRY_CAP,
                         rng=self._retry_rng,
                     )
                 )
         assert self._sock is not None, last_error
         # Per-reply read budget; sendall shares the same socket timeout.
-        self._sock.settimeout(self.read_timeout)
+        self._sock.settimeout(self.timeout)
         self._reader = self._sock.makefile("r", encoding="utf-8")
 
     def _request(self, op: str, payload: dict[str, Any]) -> dict[str, Any]:
@@ -140,7 +133,7 @@ class ServiceClient:
             self.close()
             raise ServiceError(
                 f"no reply from {self.host}:{self.port} within "
-                f"{self.read_timeout}s (op {op!r})",
+                f"{self.timeout}s (op {op!r})",
                 code="timeout",
             ) from None
         except OSError as exc:

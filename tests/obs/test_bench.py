@@ -1,4 +1,4 @@
-"""Tests for the continuous-benchmark harness (repro.obs.bench)."""
+"""Tests for the continuous-benchmark harness (repro.obs.bench, repro.cli.bench)."""
 
 from __future__ import annotations
 
@@ -8,19 +8,18 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.cli.bench import bench_specs, render_comparison
 from repro.exceptions import ConfigurationError
 from repro.obs.bench import (
     BENCH_SCHEMA,
     BenchResult,
     BenchSpec,
     baseline_from_results,
-    bench_specs,
     compare_to_baseline,
     inject_slowdown,
     load_baseline,
     load_bench_artifact,
     machine_fingerprint,
-    render_comparison,
     run_bench,
     validate_bench_artifact,
     write_bench_artifact,

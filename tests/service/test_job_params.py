@@ -150,7 +150,12 @@ class TestCliRejections:
         def forbidden(_args):
             raise AssertionError("the command ran")
 
-        monkeypatch.setitem(cli._COMMANDS, argv[0], forbidden)
+        def parse_without_running(argv):
+            args = parse_command(argv)
+            args.run = forbidden
+            return args
+
+        monkeypatch.setattr(cli, "parse_command", parse_without_running)
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
