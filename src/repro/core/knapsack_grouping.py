@@ -19,7 +19,8 @@ The knapsack is solved on the memoized dp stack
 (:func:`~repro.knapsack.dp.solve_dp`), keyed on the cluster's item
 table: the performance vector's batch planner builds that stack, so a
 SeD's execution, the replanner and the arena's knapsack decisions
-trace back from it.
+trace back from it.  The resulting grouping is itself memoized (the
+``plan`` kernel-cache kind), so a repeated plan is one lookup.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Callable
 
 from repro import obs
 from repro.core.grouping import Grouping
+from repro.core.makespan import _memoized
 from repro.exceptions import SchedulingError
 from repro.knapsack.dp import solve_dp
 from repro.knapsack.items import CardinalityKnapsack, KnapsackSolution
@@ -71,19 +73,40 @@ def knapsack_grouping(
     the greedy solver can be injected for the ablation study.  Raises
     :class:`~repro.exceptions.SchedulingError` when the cluster cannot
     host a single group (the knapsack comes back empty).
+
+    With the default solver the grouping is memoized (the ``plan``
+    kind) on values only: the ``{G: T[G]}`` table, ``R`` and ``NS``,
+    never the cluster's name.  That key is complete because the plan
+    reads nothing else: the instance is the ``1/T[G]`` table at
+    capacity ``R`` and cap ``NS``, and the grouping packs the rest of
+    ``R`` as posts.  ``NM`` and ``TP`` are left out on purpose, so the
+    replanner's chain plans of different lengths share one entry.  The
+    cluster's name and ``min_group`` appear only in the error, and
+    errors are not stored.  The stored :class:`Grouping` is frozen, so
+    every hit shares it.  Any other solver bypasses the memo, so an
+    injected solver is always a second computation.
+    ``heuristic.candidate_evaluations`` counts every request, hit or
+    miss.
     """
-    problem = knapsack_problem_for(cluster, spec)
-    solution = solver(problem)
-    sizes = solution.as_multiset()
+    table = cluster.timing.main_time_table()
     if obs.enabled():
         # One candidate evaluation per knapsack item: each admissible
-        # group size had its 1/T[g] value priced into the solve.
+        # group size has its 1/T[g] value priced into the plan.
         obs.inc(
             "heuristic.candidate_evaluations",
-            len(problem.items),
+            len(table),
             heuristic="knapsack",
             cluster=cluster.name,
         )
+    if solver is not solve_dp:
+        return _plan(cluster, spec, solver)
+    key = (tuple(table.items()), cluster.resources, spec.scenarios)
+    return _memoized("plan", key, _plan, cluster, spec, solver)
+
+
+def _plan(cluster: ClusterSpec, spec: EnsembleSpec, solver: Solver) -> Grouping:
+    """One fresh solve of the cluster's knapsack, the rest packed as posts."""
+    sizes = solver(knapsack_problem_for(cluster, spec)).as_multiset()
     if not sizes:
         raise SchedulingError(
             f"cluster {cluster.name!r} ({cluster.resources} processors) "

@@ -215,7 +215,8 @@ _CACHE_MAXSIZE = 1 << 16
 _T = TypeVar("_T")
 
 _caches: dict[str, dict[tuple, Any]] = {
-    kind: {} for kind in ("analytic", "simulated", "schedule", "decision", "dp", "vector")
+    kind: {}
+    for kind in ("analytic", "simulated", "schedule", "decision", "dp", "vector", "plan")
 }
 _cache_counters = {kind: {"hits": 0, "misses": 0} for kind in _caches}
 _cache_enabled = True
@@ -265,12 +266,13 @@ def clear_makespan_cache() -> None:
 
 
 def makespan_cache_stats() -> dict[str, dict[str, int]]:
-    """Hit/miss/size counters for each of the six kinds.
+    """Hit/miss/size counters for each of the seven kinds.
 
     ``analytic`` (Eqs 1–5), ``simulated`` (engine makespans),
     ``schedule`` (fault-free schedule logs), ``decision`` (arena
-    decisions), ``dp`` (knapsack DP stacks, one per item table) and
-    ``vector`` (whole performance vectors).
+    decisions), ``dp`` (knapsack DP stacks, one per item table),
+    ``vector`` (whole performance vectors) and ``plan`` (knapsack
+    groupings).
     """
     return {
         kind: {**_cache_counters[kind], "size": len(cache)}

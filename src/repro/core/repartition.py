@@ -18,6 +18,7 @@ strict ``<`` does.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -69,24 +70,27 @@ def repartition_dags(
         raise SchedulingError(f"n_scenarios must be >= 1, got {n_scenarios!r}")
     if not performance:
         raise SchedulingError("need at least one cluster's performance vector")
-    rows = [list(row) for row in performance]
-    for i, row in enumerate(rows):
+    for i, row in enumerate(performance):
         if len(row) < n_scenarios:
             raise SchedulingError(
                 f"cluster {i}'s performance vector has {len(row)} entries; "
                 f"needs {n_scenarios}"
             )
-        if any(a > b + 1e-9 for a, b in zip(row, row[1:], strict=False)):
+        # The C-level pass settles an ordered row; only a failing one
+        # pays the tolerant per-pair scan.
+        if not all(map(operator.le, row, row[1:])) and any(
+            a > b + 1e-9 for a, b in zip(row, row[1:], strict=False)
+        ):
             raise SchedulingError(
                 f"cluster {i}'s performance vector is not non-decreasing"
             )
 
-    counts = [0] * len(rows)
+    counts = [0] * len(performance)
     assignment: list[int] = []
     for _dag in range(n_scenarios):
         ms_min = float("inf")
         cluster_min = 0
-        for i, row in enumerate(rows):
+        for i, row in enumerate(performance):
             candidate = row[counts[i]]  # makespan with one more scenario
             if candidate < ms_min:
                 ms_min = candidate
@@ -95,6 +99,6 @@ def repartition_dags(
         assignment.append(cluster_min)
 
     makespan = max(
-        rows[i][counts[i] - 1] for i in range(len(rows)) if counts[i] > 0
+        performance[i][counts[i] - 1] for i in range(len(performance)) if counts[i] > 0
     )
     return Repartition(tuple(assignment), tuple(counts), makespan)

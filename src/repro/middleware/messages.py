@@ -10,6 +10,7 @@ computation starts.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from repro.core.grouping import Grouping
@@ -67,11 +68,16 @@ class PerformanceReply:
             raise MiddlewareError(
                 f"cluster {self.cluster_name!r} replied with an empty vector"
             )
-        if any(v < 0 for v in self.vector):
+        vector = self.vector
+        if any(map((0.0).__gt__, vector)):
             raise MiddlewareError(
                 f"cluster {self.cluster_name!r} replied with negative makespans"
             )
-        if any(a > b + 1e-9 for a, b in zip(self.vector, self.vector[1:], strict=False)):
+        # An ordered vector passes the C-level check; only a failing
+        # one pays the tolerant per-pair scan.
+        if not all(map(operator.le, vector, vector[1:])) and any(
+            a > b + 1e-9 for a, b in zip(vector, vector[1:], strict=False)
+        ):
             raise MiddlewareError(
                 f"cluster {self.cluster_name!r}'s performance vector is not "
                 f"non-decreasing — the SeD is lying about its capacity"

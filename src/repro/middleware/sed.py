@@ -8,7 +8,8 @@ assigned subset of scenarios (step 6, by planning a grouping and reading
 its makespan from the memoized simulator).  Both steps read the kernel
 caches: a repeated request reads its whole vector from one ``vector``
 entry, a first one's batch planner builds the cluster's knapsack DP
-stack, and the execution's knapsack plan traces back from it.
+stack, and the execution's knapsack plan is one ``plan`` entry, traced
+back from that stack on its first request.
 """
 
 from __future__ import annotations
@@ -66,12 +67,15 @@ class SeD:
 
         The SeD plans its share with
         :func:`~repro.core.heuristics.plan_grouping`.  For the knapsack
-        heuristic that plan is one traceback of the memoized DP stack
-        its vector built (a ``dp`` hit), and the makespan is the
+        heuristic that plan is memoized on the cluster's timing table,
+        ``R`` and the share (a ``plan`` entry); a first plan is one
+        traceback of the memoized DP stack its vector built (a ``dp``
+        hit), and a repeated one is a ``plan`` hit.  The makespan is the
         vector's memoized entry (a ``simulated`` hit).  The independent
         check of the execution is the tier-1 campaign differential
         (``tests/middleware/test_campaign_oracle.py``), which re-plans
-        every execution with the scalar DP oracle.
+        every execution with the scalar DP oracle and compares every
+        memo-served plan with an uncached one.
         """
         if order.cluster_name != self.name:
             raise MiddlewareError(

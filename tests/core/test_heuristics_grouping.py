@@ -13,6 +13,11 @@ from repro.core.heuristics import (
     plan_grouping,
 )
 from repro.core.knapsack_grouping import knapsack_grouping, knapsack_problem_for
+from repro.core.makespan import (
+    clear_makespan_cache,
+    makespan_cache_disabled,
+    makespan_cache_stats,
+)
 from repro.core.redistribute import needed_post_pool, redistribute_grouping
 from repro.exceptions import ConfigurationError, SchedulingError
 from repro.knapsack.greedy import solve_greedy
@@ -20,6 +25,7 @@ from repro.platform.benchmarks import benchmark_cluster
 from repro.platform.cluster import ClusterSpec
 from repro.platform.timing import TableTimingModel, reference_timing
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.knapsack.dp_oracle import scalar_knapsack_solver
 
 
 class TestBasic:
@@ -210,6 +216,88 @@ class TestKnapsackGrouping:
         cluster = benchmark_cluster("grelon", 110)
         spec = EnsembleSpec(10, 12)
         assert knapsack_grouping(cluster, spec).group_sizes == (11,) * 10
+
+
+def _twin(cluster: ClusterSpec, name: str, *, post: float | None = None) -> ClusterSpec:
+    """The same ``{G: T[G]}`` table in a new timing object, under ``name``."""
+    timing = TableTimingModel(
+        cluster.timing.main_time_table(),
+        post_seconds=cluster.post_time() if post is None else post,
+    )
+    return ClusterSpec(name, cluster.resources, timing)
+
+
+class TestPlanMemo:
+    """The default knapsack plan is memoized on its table, ``R`` and ``NS``."""
+
+    SPEC = EnsembleSpec(10, 12)
+
+    def test_repeat_is_one_plan_hit_and_no_dp_lookup(self) -> None:
+        cluster = benchmark_cluster("grelon", 40)
+        clear_makespan_cache()
+        first = knapsack_grouping(cluster, self.SPEC)
+        before = makespan_cache_stats()
+        assert before["plan"] == {"hits": 0, "misses": 1, "size": 1}
+        assert knapsack_grouping(cluster, self.SPEC) is first
+        after = makespan_cache_stats()
+        assert after["plan"] == {"hits": 1, "misses": 1, "size": 1}
+        assert after["dp"] == before["dp"]
+
+    def test_twin_cluster_and_other_nm_or_tp_share_the_entry(self) -> None:
+        cluster = benchmark_cluster("chti", 33)
+        twin = _twin(cluster, "chti-twin")
+        slow_post = _twin(cluster, "chti", post=cluster.post_time() + 1.0)
+        assert twin.timing is not cluster.timing
+        clear_makespan_cache()
+        first = knapsack_grouping(cluster, self.SPEC)
+        assert knapsack_grouping(twin, self.SPEC) == first
+        assert knapsack_grouping(slow_post, self.SPEC) == first
+        assert knapsack_grouping(cluster, EnsembleSpec(10, 1)) == first
+        assert makespan_cache_stats()["plan"] == {"hits": 3, "misses": 1, "size": 1}
+
+    def test_other_r_ns_or_table_misses(self) -> None:
+        cluster = benchmark_cluster("azur", 35)
+        others = [
+            cluster,
+            ClusterSpec("azur", 36, cluster.timing),
+            ClusterSpec("azur", 35, benchmark_cluster("grelon", 35).timing),
+        ]
+        clear_makespan_cache()
+        planned = [knapsack_grouping(c, self.SPEC) for c in others]
+        planned.append(knapsack_grouping(cluster, EnsembleSpec(2, 12)))
+        assert makespan_cache_stats()["plan"] == {"hits": 0, "misses": 4, "size": 4}
+        with makespan_cache_disabled():
+            assert planned == [
+                *(knapsack_grouping(c, self.SPEC) for c in others),
+                knapsack_grouping(cluster, EnsembleSpec(2, 12)),
+            ]
+        assert planned[3] != planned[0]
+
+    def test_disabled_cache_stores_nothing(self) -> None:
+        cluster = benchmark_cluster("sagittaire", 29)
+        clear_makespan_cache()
+        with makespan_cache_disabled():
+            uncached = knapsack_grouping(cluster, self.SPEC)
+            assert knapsack_grouping(cluster, self.SPEC) == uncached
+        assert makespan_cache_stats()["plan"] == {"hits": 0, "misses": 0, "size": 0}
+        assert knapsack_grouping(cluster, self.SPEC) == uncached
+
+    def test_infeasible_cluster_raises_every_time_and_stores_nothing(self) -> None:
+        tiny = ClusterSpec("tiny", 3, reference_timing())
+        clear_makespan_cache()
+        for _ in range(2):
+            with pytest.raises(SchedulingError, match="'tiny'"):
+                knapsack_grouping(tiny, EnsembleSpec(2, 3))
+        assert makespan_cache_stats()["plan"] == {"hits": 0, "misses": 2, "size": 0}
+
+    def test_injected_and_patched_solvers_bypass_the_memo(self) -> None:
+        cluster = benchmark_cluster("paravent", 47)
+        clear_makespan_cache()
+        knapsack_grouping(cluster, self.SPEC, solver=solve_greedy)
+        with scalar_knapsack_solver():
+            scalar = knapsack_grouping(cluster, self.SPEC)
+        assert makespan_cache_stats()["plan"] == {"hits": 0, "misses": 0, "size": 0}
+        assert knapsack_grouping(cluster, self.SPEC) == scalar
 
 
 class TestRegistry:

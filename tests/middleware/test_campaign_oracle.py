@@ -11,12 +11,17 @@ side executes a different schedule, so ``run_campaign`` and
 ``run_campaign_with_faults`` must return equal reports both ways.
 
 A repeated campaign reads every performance vector from one ``vector``
-cache entry, so the SeDs' replies and the replanner's vectors share it.
-A second run of each benchmark shape, served from that memo, must equal
-the same call with every kernel cache bypassed.
+cache entry, so the SeDs' replies and the replanner's vectors share it,
+and every knapsack plan from one ``plan`` entry, so the SeDs'
+executions and the replanner's chain plans share those.  A second run
+of each benchmark shape, served from those memos, must equal the same
+call with every kernel cache bypassed, and so must every plan served
+from the memo.
 
 Shapes: the benchmark's eight ``(clusters, R, NS, NM)`` campaign strata
-and its replanned campaign, plus hypothesis-drawn grids.
+and its replanned campaign, plus hypothesis-drawn grids.  The plan
+check covers every ``R`` jitter of the benchmark's seeded campaign list
+(up to 2 processors either way), so it holds for any seed.
 """
 
 from __future__ import annotations
@@ -52,6 +57,8 @@ CAMPAIGN_SHAPES = (
 )
 #: ``(clusters, R, NS, NM)`` of the benchmark's replanned campaign.
 REPLAN_SHAPE = (3, 40, 8, 12)
+#: How far the benchmark's seeds move each shape's ``R``, either way.
+R_JITTER = 2
 
 
 def _faults(grid, makespan: float, crash: bool) -> FaultTrace:
@@ -128,12 +135,34 @@ def test_memo_served_campaigns_match_uncached_ones() -> None:
         trace = _faults(grid, makespan, crash=False)
         run_campaign_with_faults(grid, scenarios, months, trace)
         hits = makespan_cache_stats()["vector"]["hits"]
+        plan_hits = makespan_cache_stats()["plan"]["hits"]
         warm = run_campaign(grid, scenarios, months)
+        assert makespan_cache_stats()["plan"]["hits"] > plan_hits
+        plan_hits = makespan_cache_stats()["plan"]["hits"]
         warm_faulted = run_campaign_with_faults(grid, scenarios, months, trace)
+        assert makespan_cache_stats()["plan"]["hits"] > plan_hits
         assert makespan_cache_stats()["vector"]["hits"] > hits
         with makespan_cache_disabled():
             assert run_campaign(grid, scenarios, months) == warm
             assert run_campaign_with_faults(grid, scenarios, months, trace) == warm_faulted
+
+
+def test_memo_served_plans_match_uncached_ones() -> None:
+    for clusters, resources, scenarios, months in (*CAMPAIGN_SHAPES, REPLAN_SHAPE):
+        for jitter in range(-R_JITTER, R_JITTER + 1):
+            grid = benchmark_grid(clusters, resources + jitter)
+            specs = [EnsembleSpec(k, months) for k in range(1, scenarios + 1)]
+            clear_makespan_cache()
+            for cluster in grid:
+                for spec in specs:
+                    knapsack_grouping(cluster, spec)
+            hits = makespan_cache_stats()["plan"]["hits"]
+            for cluster in grid:
+                for spec in specs:
+                    served = knapsack_grouping(cluster, spec)
+                    with makespan_cache_disabled():
+                        assert knapsack_grouping(cluster, spec) == served
+            assert makespan_cache_stats()["plan"]["hits"] == hits + len(grid) * scenarios
 
 
 @given(

@@ -10,9 +10,11 @@ for the repeats: each repeat's vector is one ``vector`` hit.  A SeD's
 execution reads the entry its vector already holds, and a second
 identical campaign runs no engine at all.  The vectors' knapsack DP
 stacks are memoized per item table (the ``dp`` kind), so the repeats
-and a second campaign build no DP either, and the SeD's execution
-traces its plan back from the stack its vector built: one ``dp`` hit,
-no build.  The fault replanner reads the same caches, keyed on its
+and a second campaign build no DP either.  A SeD's execution plan is
+memoized on its item table, ``R`` and share (the ``plan`` kind): a
+first plan traces back from the stack its vector built (one ``dp``
+hit, no build), and a repeated one is a ``plan`` hit that reads no
+stack.  The fault replanner reads the same caches, keyed on its
 remaining chains, so a second identical faulted campaign runs no engine
 either.  The memoized results must equal uncached ones field for field.
 """
@@ -128,9 +130,20 @@ def test_repeated_timing_clusters_share_one_dp_per_item_table() -> None:
     result = run_campaign(grid, NS, NM)
     # Every distinct vector asks for (R, NS) = (36, 12): one build per
     # item table; the repeats' vectors are vector hits and read no stack.
-    # Every execution traces back from its cluster's stack: one hit each.
+    # Each execution's plan is keyed on its item table and share: the
+    # twins' equal shares are plan hits, and every plan miss traces
+    # back from its cluster's stack, one dp hit each.
+    tables = {c.name: tuple(c.timing.main_time_table().items()) for c in grid}
+    plans = {(tables[r.cluster_name], len(r.scenario_ids)) for r in result.reports}
+    assert [len(r.scenario_ids) for r in result.reports] == [3] * 4
+    assert len(plans) == 2
+    assert makespan_cache_stats()["plan"] == {
+        "hits": len(result.reports) - len(plans),
+        "misses": len(plans),
+        "size": len(plans),
+    }
     assert makespan_cache_stats()["dp"] == {
-        "hits": len(result.reports),
+        "hits": len(plans),
         "misses": distinct,
         "size": distinct,
     }
@@ -150,7 +163,10 @@ def test_sed_execution_reads_the_vectors_dp_stack() -> None:
     assert built["misses"] == built["size"] == 1
     for _ in range(2):
         sed.execute(ExecutionOrder("grelon", tuple(range(NS)), NM))
-    assert makespan_cache_stats()["dp"] == {**built, "hits": built["hits"] + 2}
+    # The first plan traces back from the stack (one dp hit); the
+    # repeat is a plan hit and reads no stack.
+    assert makespan_cache_stats()["dp"] == {**built, "hits": built["hits"] + 1}
+    assert makespan_cache_stats()["plan"] == {"hits": 1, "misses": 1, "size": 1}
 
 
 def test_full_chains_are_their_own_key() -> None:
