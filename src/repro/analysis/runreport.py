@@ -1,6 +1,6 @@
-"""Self-contained HTML run reports for campaigns and sweeps.
+"""Self-contained HTML run reports for campaigns, sweeps and races.
 
-One store row (or one sweep journal) in, one HTML file out — no
+One store row (or one sweep or race journal) in, one HTML file out — no
 external assets, no scripts, every chart an inline SVG from
 :mod:`repro.analysis.svg`.  The file is the hand-off artifact: it can
 be mailed, attached to an issue, or archived next to the ``BENCH_*``
@@ -11,13 +11,14 @@ Three entry points:
 * :func:`report_for_run` — pull one run out of a service
   :class:`~repro.service.store.RunStore` and render everything known
   about it: the store row (state, attempts, trace id), a campaign
-  Gantt, the fault/replan timeline of a ``faults`` run, queue-latency
-  histograms over the store's terminal runs, cache hit-rates from an
-  optional ``--metrics-out`` dump, and span statistics from an
-  optional Chrome trace file filtered to the run's ``trace_id``;
-* :func:`report_for_journal` — render a sweep journal (the resumable
-  NDJSON of :mod:`repro.experiments.sweep`) as coverage tables and
-  makespan charts, without needing a store at all;
+  Gantt, the fault/replan timeline of a ``faults`` run, the sections
+  of a ``sweep`` or ``arena`` run, queue-latency histograms over the
+  store's terminal runs, cache hit-rates from an optional
+  ``--metrics-out`` dump, and span statistics from an optional Chrome
+  trace file filtered to the run's ``trace_id``;
+* :func:`report_for_journal` — render a sweep or race journal (the
+  resumable NDJSON of :func:`repro.experiments.gridrun.run_grid`) with
+  the same sections as the stored run, without needing a store at all;
 * :func:`render_run_report` — the generic assembler both use, for
   callers with their own sections.
 
@@ -29,14 +30,19 @@ from __future__ import annotations
 
 import html
 import json
+from dataclasses import astuple, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro._version import __version__
 from repro.analysis.svg import svg_gantt, svg_histogram, svg_line_chart
 from repro.exceptions import ConfigurationError
-from repro.experiments.gridrun import journal_lines
+from repro.experiments.gridrun import load_journal
 from repro.experiments.results_io import GenericResult, load_result
+
+if TYPE_CHECKING:
+    from repro.experiments.sweep import SweepResult
+    from repro.schedulers.arena import ArenaResult
 
 __all__ = [
     "render_run_report",
@@ -329,40 +335,22 @@ def _cache_section(dump: Mapping[str, Any]) -> list[tuple[str, str]]:
 def _trace_section(
     events: Sequence[Mapping[str, Any]], trace_id: str | None
 ) -> list[tuple[str, str]]:
-    """Span statistics from a Chrome trace, filtered to one trace id."""
-    spans = [e for e in events if e.get("ph") == "X"]
+    """The span digest of a Chrome trace, filtered to one trace id."""
+    from repro.obs.summary import SPAN_COLUMNS, span_rows
+
     if trace_id is not None:
-        spans = [
+        events = [
             e
-            for e in spans
+            for e in events
             if isinstance(e.get("args"), Mapping)
             and e["args"].get("trace_id") == trace_id
         ]
-    if not spans:
+    header, rows = span_rows(events)
+    if not rows:
         return []
-    stats: dict[str, list[float]] = {}
-    pids: set[int] = set()
-    for event in spans:
-        stats.setdefault(str(event.get("name", "?")), []).append(
-            float(event.get("dur", 0.0))
-        )
-        pids.add(int(event.get("pid", 0)))
-    rows = [
-        [name, len(durs), f"{sum(durs) / 1e6:.4f}", f"{max(durs) / 1e6:.4f}"]
-        for name, durs in sorted(stats.items())
-    ]
-    note = (
-        f'<p class="note">{len(spans)} span(s)'
-        + (f" correlated on trace <code>{_esc(trace_id)}</code>" if trace_id else "")
-        + f" across {len(pids)} trace process group(s).</p>"
-    )
-    return [
-        (
-            "Trace spans",
-            note
-            + _table(["span", "count", "total (s)", "max (s)"], rows),
-        )
-    ]
+    correlated = f"; trace <code>{_esc(trace_id)}</code>" if trace_id else ""
+    note = f'<p class="note">{_esc(header)}{correlated}.</p>'
+    return [("Trace spans", note + _table(SPAN_COLUMNS, rows))]
 
 
 def report_for_run(
@@ -376,9 +364,10 @@ def report_for_run(
 
     Always includes the store row and the store-wide queue-latency
     histogram; adds the campaign Gantt or fault timeline when the run's
-    result carries one, cache hit-rates when ``metrics_path`` points at
-    a ``--metrics-out`` dump, and span statistics (filtered to the
-    run's ``trace_id``) when ``trace_path`` points at a Chrome trace.
+    result carries one, the sections of its journal for a ``sweep`` or
+    ``arena`` run, cache hit-rates when ``metrics_path`` points at a
+    ``--metrics-out`` dump, and span statistics (filtered to the run's
+    ``trace_id``) when ``trace_path`` points at a Chrome trace.
     """
     from repro.service.store import RunStore
 
@@ -414,15 +403,7 @@ def report_for_run(
             elif result.kind == "faults":
                 sections.extend(_fault_sections(result.data))
         else:
-            from repro.schedulers.arena import ArenaResult
-
-            if isinstance(result, ArenaResult):
-                sections.extend(
-                    _arena_sections(
-                        result.grid.as_dict(),
-                        [row.as_dict() for row in result.rows],
-                    )
-                )
+            sections.extend(_grid_sections(result)[1])
     sections.extend(_queue_latency_section(neighbours))
     if metrics_path is not None:
         try:
@@ -449,256 +430,164 @@ def report_for_run(
     )
 
 
-# ---------------------------------------------------------------------------
-# Sweep-journal reports.
-# ---------------------------------------------------------------------------
-
-
 def report_for_journal(journal_path: str | Path) -> str:
-    """Render a sweep journal (resumable NDJSON) as an HTML report.
+    """Render a sweep or race journal (resumable NDJSON) as an HTML report.
 
-    Reads the journal directly — no store required — and charts
-    makespan against resources per heuristic, plus the distribution of
-    feasible makespans and the grid header.  Lines are read by the grid
-    runner's rule (:func:`repro.experiments.gridrun.journal_lines`), so
-    the journal of a run killed mid-write renders its complete lines.
+    Needs no store: :func:`repro.experiments.gridrun.load_journal`, the
+    grid runner's own reader, turns the journal into its result, so the
+    journal of a run killed mid-write renders its complete lines, a
+    corrupt one is a :class:`~repro.exceptions.ConfigurationError`
+    naming the line, and the sections are those of the stored run.
     """
-    path = Path(journal_path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise ConfigurationError(
-            f"cannot read journal {journal_path}: {exc}"
-        ) from None
-    envelopes = [
-        envelope
-        for _line, envelope, _end in journal_lines(data, f"journal {path}")
-    ]
-    if not envelopes:
-        raise ConfigurationError(
-            f"journal {journal_path} holds no complete line"
-        )
-    header = envelopes[0]
-    if not isinstance(header, GenericResult) or header.kind not in (
-        "sweep-grid", "arena-grid",
-    ):
-        raise ConfigurationError(
-            f"journal {journal_path} does not start with a sweep-grid or "
-            f"arena-grid line"
-        )
-    rows_kind = "arena-rows" if header.kind == "arena-grid" else "sweep-rows"
-    grid = header.data.get("grid", {})
-    rows: list[dict[str, Any]] = []
-    for chunk in envelopes[1:]:
-        if isinstance(chunk, GenericResult) and chunk.kind == rows_kind:
-            rows.extend(chunk.data.get("rows", []))
-    if header.kind == "arena-grid":
-        return render_run_report(
-            f"arena report: {path.name}", _arena_sections(grid, rows)
-        )
+    name, sections = _grid_sections(load_journal(journal_path))
+    return render_run_report(f"{name} report: {Path(journal_path).name}", sections)
 
-    feasible = [r for r in rows if r.get("makespan") is not None]
-    sections: list[tuple[str, str]] = [
+
+# ---------------------------------------------------------------------------
+# Sections of a sweep or race result (a journal or a stored run).
+# ---------------------------------------------------------------------------
+
+
+def _grid_sections(result: Any) -> tuple[str, list[tuple[str, str]]]:
+    """``("sweep" or "arena", sections)`` of a grid result; none otherwise."""
+    from repro.experiments.sweep import SweepResult
+    from repro.schedulers.arena import ArenaResult
+
+    if isinstance(result, SweepResult):
+        return "sweep", _sweep_sections(result)
+    if isinstance(result, ArenaResult):
+        return "arena", _arena_sections(result)
+    return "", []
+
+
+def _grid_table(grid: Any, note: str) -> str:
+    identity = sorted((str(k), json.dumps(v)) for k, v in grid.as_dict().items())
+    return _kv_table(identity) + f'<p class="note">{note}</p>'
+
+
+def _makespan_chart(
+    rows: Sequence[Any], series: str, title: str
+) -> list[tuple[str, str]]:
+    """Makespan against resources over the first row's slice.
+
+    The slice is every row whose point differs from the first row's in
+    resources and ``series`` (the heuristic or the scheduler) alone;
+    one line per ``series`` value that covers every resource count.
+    """
+    def sliced(point: Any) -> Any:
+        return replace(point, resources=0, **{series: ""})
+
+    first = sliced(rows[0].point)
+    lines: dict[str, dict[int, float]] = {}
+    for row in rows:
+        if sliced(row.point) == first:
+            lines.setdefault(getattr(row.point, series), {})[
+                row.point.resources
+            ] = row.makespan
+    xs = sorted({x for points in lines.values() for x in points})
+    series_hours = {
+        name: [_hours(points[x]) for x in xs]
+        for name, points in sorted(lines.items())
+        if len(points) == len(xs)
+    }
+    if len(xs) < 2 or not series_hours:
+        return []
+    chart = svg_line_chart(
+        [float(x) for x in xs],
+        series_hours,
+        title=title,
+        x_label="resources",
+        y_label="makespan (h)",
+    )
+    return [("Makespan vs resources", chart)]
+
+
+def _sweep_sections(result: SweepResult) -> list[tuple[str, str]]:
+    """Grid, makespan chart and distribution, and best points of a sweep."""
+    feasible = [row for row in result.rows if row.makespan is not None]
+    sections = [
         (
             "Sweep grid",
-            _kv_table(sorted((str(k), json.dumps(v)) for k, v in grid.items()))
-            + f'<p class="note">{len(rows)} evaluated point(s), '
-            f"{len(rows) - len(feasible)} infeasible.</p>",
+            _grid_table(
+                result.grid,
+                f"{len(result.rows)} evaluated point(s), "
+                f"{len(result.rows) - len(feasible)} infeasible.",
+            ),
         )
     ]
-    # Makespan vs resources, one series per heuristic, for the first
-    # (cluster, scenarios, months) slice — the figure-style view.
-    if feasible:
-        first = feasible[0]
-        slice_rows = [
-            r
-            for r in feasible
-            if r["cluster"] == first["cluster"]
-            and r["scenarios"] == first["scenarios"]
-            and r["months"] == first["months"]
-        ]
-        by_heuristic: dict[str, dict[int, float]] = {}
-        for r in slice_rows:
-            by_heuristic.setdefault(str(r["heuristic"]), {})[
-                int(r["resources"])
-            ] = float(r["makespan"])
-        xs = sorted({int(r["resources"]) for r in slice_rows})
-        series = {
-            name: [points.get(x, float("nan")) for x in xs]
-            for name, points in sorted(by_heuristic.items())
-            if len(points) == len(xs)
-        }
-        if len(xs) >= 2 and series:
-            chart = svg_line_chart(
-                [float(x) for x in xs],
-                {
-                    name: [_hours(y) for y in ys]
-                    for name, ys in series.items()
-                },
-                title=(
-                    f"{first['cluster']}: NS={first['scenarios']} "
-                    f"NM={first['months']}"
-                ),
-                x_label="resources",
-                y_label="makespan (h)",
-            )
-            sections.append(("Makespan vs resources", chart))
-        sections.append(
-            (
-                "Makespan distribution",
-                svg_histogram(
-                    [_hours(float(r["makespan"])) for r in feasible],
-                    title=f"{len(feasible)} feasible point(s)",
-                    x_label="makespan (h)",
-                    y_label="points",
-                ),
-            )
+    if not feasible:
+        return sections
+    first = feasible[0].point
+    sections.extend(
+        _makespan_chart(
+            feasible,
+            "heuristic",
+            f"{first.cluster}: NS={first.scenarios} NM={first.months}",
         )
-        best = sorted(feasible, key=lambda r: float(r["makespan"]))[:10]
-        sections.append(
-            (
-                "Best points",
-                _table(
-                    [
-                        "cluster",
-                        "R",
-                        "NS",
-                        "NM",
-                        "heuristic",
-                        "makespan (h)",
-                        "grouping",
-                    ],
-                    [
-                        [
-                            r["cluster"],
-                            r["resources"],
-                            r["scenarios"],
-                            r["months"],
-                            r["heuristic"],
-                            f"{_hours(float(r['makespan'])):.2f}",
-                            r["grouping"],
-                        ]
-                        for r in best
-                    ],
-                ),
-            )
-        )
-    return render_run_report(f"sweep report: {path.name}", sections)
-
-
-# ---------------------------------------------------------------------------
-# Arena sections (shared by journal reports and stored run reports).
-# ---------------------------------------------------------------------------
-
-
-def _arena_sections(
-    grid_raw: dict[str, Any], raw_rows: Sequence[dict[str, Any]]
-) -> list[tuple[str, str]]:
-    """Standings, win matrix, and figure-style chart for a race.
-
-    Works from the journal/codec dict forms so both entry points — an
-    NDJSON race journal and a stored ``arena`` service run — render the
-    same sections.
-    """
-    from repro.schedulers.arena import ArenaGrid, ArenaResult, ArenaRow
-
-    grid = ArenaGrid.from_dict(grid_raw)
-    result = ArenaResult(
-        grid=grid, rows=tuple(ArenaRow.from_dict(r) for r in raw_rows)
     )
+    sections.append(
+        (
+            "Makespan distribution",
+            svg_histogram(
+                [_hours(row.makespan) for row in feasible],
+                title=f"{len(feasible)} feasible point(s)",
+                x_label="makespan (h)",
+                y_label="points",
+            ),
+        )
+    )
+    best = sorted(feasible, key=lambda row: row.makespan)[:10]
+    table = _table(
+        ["cluster", "R", "NS", "NM", "heuristic", "makespan (h)", "grouping"],
+        [
+            [
+                *astuple(row.point),
+                f"{_hours(row.makespan):.2f}",
+                row.grouping,
+            ]
+            for row in best
+        ],
+    )
+    sections.append(("Best points", table))
+    return sections
+
+
+def _arena_sections(result: ArenaResult) -> list[tuple[str, str]]:
+    """Race grid, standings, win matrix, and makespan chart of a race."""
     summary = result.summary()
-    mean_gain = summary["mean_gain_over_basic"]
-    sections: list[tuple[str, str]] = [
+    standings, matrix = result.standings()
+    schedulers = result.grid.schedulers
+    sections = [
         (
             "Arena race",
-            _kv_table(
-                sorted((str(k), json.dumps(v)) for k, v in grid_raw.items())
-            )
-            + f'<p class="note">{summary["evaluated"]} evaluated point(s) '
-            f'of {summary["points"]}, {summary["feasible"]} feasible, '
-            f'{summary["crashed"]} crashed.</p>',
+            _grid_table(
+                result.grid,
+                f'{summary["evaluated"]} evaluated point(s) '
+                f'of {summary["points"]}, {summary["feasible"]} feasible, '
+                f'{summary["crashed"]} crashed.',
+            ),
         ),
         (
             "Standings",
-            _table(
-                ["scheduler", "wins", "mean gain vs basic (%)"],
-                [
-                    [
-                        name,
-                        summary["wins"].get(name, 0),
-                        "baseline" if name == "basic" else (
-                            f"{mean_gain[name]:+.2f}"
-                            if name in mean_gain else "-"
-                        ),
-                    ]
-                    for name in grid.schedulers
-                ],
-            ),
+            _table(["scheduler", "wins", "mean gain vs basic (%)"], standings),
         ),
-    ]
-    matrix = summary["win_matrix"]
-    sections.append(
         (
             "Win matrix",
-            _table(
-                ["beats →", *grid.schedulers],
-                [
-                    [
-                        a,
-                        *[
-                            "-" if a == b else matrix[a].get(b, 0)
-                            for b in grid.schedulers
-                        ],
-                    ]
-                    for a in grid.schedulers
-                ],
-            )
+            _table(["beats →", *schedulers], matrix)
             + '<p class="note">Cell counts the competition cells where the '
             "row scheduler's completed makespan strictly beats the column "
             "scheduler's.</p>",
-        )
-    )
-    scored = [
-        row for row in result.rows
-        if row.makespan is not None and row.completed
+        ),
     ]
+    scored = [row for row in result.rows if row.makespan is not None and row.completed]
     if scored:
         first = scored[0].point
-        slice_rows = [
-            row for row in scored
-            if row.point.cluster == first.cluster
-            and row.point.scenarios == first.scenarios
-            and row.point.months == first.months
-            and row.point.fault == first.fault
-        ]
-        by_scheduler: dict[str, dict[int, float]] = {}
-        for row in slice_rows:
-            by_scheduler.setdefault(row.point.scheduler, {})[
-                row.point.resources
-            ] = float(row.makespan)  # type: ignore[arg-type]
-        xs = sorted({row.point.resources for row in slice_rows})
-        series = {
-            name: [points[x] for x in xs]
-            for name, points in sorted(by_scheduler.items())
-            if len(points) == len(xs)
-        }
-        if len(xs) >= 2 and series:
-            sections.append(
-                (
-                    "Makespan vs resources",
-                    svg_line_chart(
-                        [float(x) for x in xs],
-                        {
-                            name: [_hours(y) for y in ys]
-                            for name, ys in series.items()
-                        },
-                        title=(
-                            f"{first.cluster}: NS={first.scenarios} "
-                            f"NM={first.months} faults={first.fault}"
-                        ),
-                        x_label="resources",
-                        y_label="makespan (h)",
-                    ),
-                )
+        sections.extend(
+            _makespan_chart(
+                scored,
+                "scheduler",
+                f"{first.cluster}: NS={first.scenarios} "
+                f"NM={first.months} faults={first.fault}",
             )
+        )
     return sections

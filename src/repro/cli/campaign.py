@@ -13,7 +13,8 @@ from repro.core.heuristics import HeuristicName
 from repro.exceptions import ConfigurationError
 from repro.experiments import resilience
 from repro.experiments.runner import run_cluster_simulation
-from repro.middleware.deployment import deploy, run_campaign
+from repro.middleware.deployment import run_campaign
+from repro.middleware.network import describe_log
 from repro.middleware.recovery import ClusterFailure, run_campaign_with_failure
 from repro.platform.benchmarks import benchmark_grid
 from repro.service.workers import fault_report
@@ -120,11 +121,8 @@ def _campaign(args: argparse.Namespace) -> str:
         result = run_campaign(grid, *campaign)
         parts = [result.describe()]
         if args.show_messages:
-            # Message log is on the network; re-run with an inspectable
-            # deployment.
-            client, agent, _seds = deploy(grid)
-            client.run_campaign(*campaign)
-            parts.append(agent.network.describe())
+            log = result.messages
+            parts.append(describe_log(log, log[-1].received_at))
         parts.extend(finalize_obs(args))
     return "\n\n".join(parts)
 

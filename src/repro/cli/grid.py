@@ -153,7 +153,6 @@ def _render_arena(preset, result, latencies, *, table=False) -> list[str]:
     """Human-readable standings, win matrix, and (optionally) all rows."""
     grid = result.grid
     summary = result.summary()
-    mean_gain = summary["mean_gain_over_basic"]
     parts = [
         f"arena[{preset}] over {summary['points']} points "
         f"({len(grid.clusters)} clusters x {len(grid.resources)} resource "
@@ -163,33 +162,16 @@ def _render_arena(preset, result, latencies, *, table=False) -> list[str]:
         f"{summary['feasible']} feasible, {summary['crashed']} crashed"
         + ("" if result.complete else " — partial; rerun to continue")
     ]
-    standings = []
-    for name in grid.schedulers:
-        timed = latencies.get(name, [])
-        standings.append([
-            name,
-            summary["wins"].get(name, 0),
-            "baseline" if name == "basic" else (
-                f"{mean_gain[name]:+.2f}" if name in mean_gain else "-"
-            ),
-            f"{1e3 * sum(timed) / len(timed):.2f}" if timed else "-",
-        ])
+    standings, matrix = result.standings()
+    for row in standings:
+        timed = latencies.get(row[0], [])
+        row.append(f"{1e3 * sum(timed) / len(timed):.2f}" if timed else "-")
     parts.append(format_table(
         ["scheduler", "wins", "gain vs basic (%)", "decide (ms)"], standings
     ))
-    matrix = summary["win_matrix"]
     parts.append(
         "win matrix (row beats column):\n"
-        + format_table(
-            ["beats ->", *grid.schedulers],
-            [
-                [a, *[
-                    "-" if a == b else matrix[a].get(b, 0)
-                    for b in grid.schedulers
-                ]]
-                for a in grid.schedulers
-            ],
-        )
+        + format_table(["beats ->", *grid.schedulers], matrix)
     )
     if table:
         parts.append(format_table(

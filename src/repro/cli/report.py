@@ -1,4 +1,4 @@
-"""The ``report`` verb: the Markdown reproduction report, or an HTML run/sweep report."""
+"""The ``report`` verb: the Markdown reproduction report, or an HTML run/journal report."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ def register(verbs: dict[str, argparse.ArgumentParser]) -> None:
     parser.add_argument(
         "target", nargs="?", default=None,
         help=(
-            "a service run id (with --db) or a sweep-journal path; "
+            "a service run id (with --db) or a sweep or arena journal path; "
             "omitted = the one-shot Markdown reproduction report"
         ),
     )

@@ -25,12 +25,13 @@ the journaled points, so an interrupted-then-resumed run equals one
 uninterrupted run row for row, and writes the same journal bytes.
 
 Torn tails: a line counts only when it ends in ``\\n`` and parses.  A
-run killed mid-write leaves a final line that does not, so
-:func:`journal_lines` drops it and the file is truncated to the end of
-the last line that counts before anything is appended.  Any other line
-that does not parse is corruption, and an error.  Every journal reader
-(the resume loader here, the run report) goes through
-:func:`journal_lines`.
+run killed mid-write leaves a final line that does not, so the reader
+drops it and the file is truncated to the end of the last line that
+counts before anything is appended.  Any other line that does not
+parse is corruption, and an error naming the line.  There is one
+journal reader: a resume and :func:`load_journal` (which hands the run
+report a typed result, its grid decoded through the :class:`GridKind`
+the grid line names) share it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.core.makespan import makespan_cache_stats
 from repro.exceptions import ConfigurationError
 from repro.experiments.results_io import GenericResult, load_result
 
-__all__ = ["GridKind", "is_serial", "journal_lines", "ordered_map", "run_grid"]
+__all__ = ["GridKind", "is_serial", "load_journal", "ordered_map", "run_grid"]
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,10 @@ class GridKind:
     ``name`` prefixes the journal's envelope kinds (``<name>-grid``,
     ``<name>-rows``) and its error messages; ``what`` is what a journal
     for another identity "was written for".  The codec functions stay
-    in the declaring module.  Grids have ``points()``, ``size`` and
-    ``as_dict()`` (the identity); points have a ``key()`` and rows a
+    in the declaring module: the two line encoders, the grid and row
+    decoders, and ``result``, which builds the run's result from a
+    grid and its rows in grid order.  Grids have ``points()``, ``size``
+    and ``as_dict()`` (the identity); points have a ``key()`` and rows a
     ``point``.  The metric and span names are the declaring module's.
     """
 
@@ -64,7 +67,9 @@ class GridKind:
     what: str
     grid_line: Callable[[Any], str]
     rows_line: Callable[[Sequence[Any]], str]
+    grid_from_dict: Callable[[dict[str, Any]], Any]
     row_from_dict: Callable[[dict[str, Any]], Any]
+    result: Callable[[Any, tuple[Any, ...]], Any]
     chunk_size: int
     span: str
     runs_metric: str
@@ -105,80 +110,110 @@ def _pool_map(
         yield from executor.map(fn, items)
 
 
-def journal_lines(data: bytes, label: str) -> Iterator[tuple[int, Any, int]]:
-    """The lines of a journal that count, parsed.
+def _declared_kind(tag: str) -> GridKind | None:
+    """The kind whose grid lines carry ``tag``, from its declaring module.
 
-    Yields ``(line number, envelope, end offset)`` for each non-blank
-    line that ends in ``\\n`` and parses, where the end offset is the
-    byte just past its newline.  The final non-blank line may be torn —
-    unterminated, or cut mid-write — and is dropped; any earlier line
-    that does not parse is corruption, a
-    :class:`~repro.exceptions.ConfigurationError` naming ``label``.
+    Imported here, on demand: ``sweep`` and ``arena`` import this
+    module, so it imports neither of them at module level.
     """
-    pieces = data.split(b"\n")
+    if tag == "sweep-grid":
+        from repro.experiments.sweep import _SWEEP
+
+        return _SWEEP
+    if tag == "arena-grid":
+        from repro.schedulers.arena import _ARENA
+
+        return _ARENA
+    return None
+
+
+def _read_journal(
+    path: Path, label: str, kind: GridKind | None = None
+) -> tuple[GridKind, Any, dict[tuple, Any], int] | None:
+    """The journal's kind, grid identity, rows by point key, and end.
+
+    The end is the byte just past the last line that counts.  A line
+    counts when it ends in ``\\n`` and parses.  The final non-blank line
+    may be torn — unterminated, or cut mid-write — and is dropped; any
+    earlier line that does not parse, or that is not the kind's grid
+    line (first) or rows line (after it), is corruption: a
+    :class:`~repro.exceptions.ConfigurationError` naming ``label`` and
+    the line.  Without ``kind``, the grid line names it.  Returns
+    ``None`` when no grid line counts (an empty journal, or a torn
+    grid line), so a resume starts fresh.
+    """
+    pieces = path.read_bytes().split(b"\n")
     last = max((i for i, piece in enumerate(pieces) if piece.strip()), default=-1)
-    offset = 0
-    for index, piece in enumerate(pieces):
+    identity: Any = None  # set by the grid line
+    done: dict[tuple, Any] = {}
+    offset = end = 0
+    for index, piece in enumerate(pieces[:-1]):  # the last piece has no newline
         offset += len(piece) + 1
-        if index == len(pieces) - 1 or not piece.strip():
-            continue  # no newline yet (a torn write) or a blank line
+        if not piece.strip():
+            continue
+        line = index + 1
         try:
             envelope = load_result(piece.decode())
         except (ConfigurationError, UnicodeDecodeError):
             if index == last:
-                return  # torn final write — discard it
-            raise ConfigurationError(
-                f"corrupt {label} at line {index + 1}"
-            ) from None
-        yield index + 1, envelope, offset
-
-
-def _load_journal(
-    path: Path, kind: GridKind, grid: Any
-) -> tuple[dict[tuple, Any], int] | None:
-    """Rows already journaled for ``grid`` and the bytes that count.
-
-    Returns ``(rows by point key, end of the last line that counts)``,
-    or ``None`` when the journal holds nothing usable (empty, or a torn
-    grid line) and the caller starts fresh.  Only the final line may
-    be torn, because every earlier line was flushed whole.
-    """
-    label = f"{kind.name} journal {path}"
-    done: dict[tuple, Any] = {}
-    grid_seen = False
-    end = 0
-    for line, envelope, offset in journal_lines(path.read_bytes(), label):
-        if not isinstance(envelope, GenericResult):
-            article = "an" if kind.name[0] in "aeiou" else "a"
-            raise ConfigurationError(
-                f"{label} line {line} holds "
-                f"{type(envelope).__name__}, not {article} {kind.name} envelope"
-            )
-        if not grid_seen:
-            if envelope.kind != f"{kind.name}-grid":
+                break  # torn final write — discard it
+            raise ConfigurationError(f"corrupt {label} at line {line}") from None
+        tag = (
+            envelope.kind
+            if isinstance(envelope, GenericResult)
+            else type(envelope).__name__
+        )
+        if identity is None:
+            kind = kind or _declared_kind(tag)
+            if kind is None or tag != f"{kind.name}-grid":
                 raise ConfigurationError(f"{label} does not start with a grid line")
-            if envelope.data.get("grid") != grid.as_dict():
-                raise ConfigurationError(
-                    f"{label} was written for a different {kind.what}; "
-                    f"pass resume=False (or a fresh path) to overwrite it"
-                )
-            grid_seen = True
-            end = offset
-            continue
-        if envelope.kind != f"{kind.name}-rows":
+            identity = envelope.data.get("grid", {})
+        elif tag != f"{kind.name}-rows":
             raise ConfigurationError(
-                f"{label} line {line} has unexpected kind {envelope.kind!r}"
+                f"{label} line {line} has unexpected kind {tag!r}"
             )
-        for raw in envelope.data.get("rows", ()):
-            try:
-                row = kind.row_from_dict(raw)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigurationError(
-                    f"{label} line {line} holds a malformed row: {exc}"
-                ) from exc
-            done[row.point.key()] = row
+        else:
+            for raw in envelope.data.get("rows", ()):
+                try:
+                    row = kind.row_from_dict(raw)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ConfigurationError(
+                        f"{label} line {line} holds a malformed row: {exc}"
+                    ) from exc
+                done[row.point.key()] = row
         end = offset
-    return (done, end) if grid_seen else None
+    return None if identity is None else (kind, identity, done, end)
+
+
+def _in_grid_order(grid: Any, done: dict[tuple, Any]) -> tuple[Any, ...]:
+    return tuple(done[point.key()] for point in grid.points() if point.key() in done)
+
+
+def load_journal(path: str | Path) -> Any:
+    """The result a grid journal holds so far, typed.
+
+    The grid line names the declaring :class:`GridKind`, which decodes
+    the grid and the rows: a sweep journal loads as a
+    :class:`~repro.experiments.sweep.SweepResult`, a race journal as an
+    :class:`~repro.schedulers.arena.ArenaResult`, holding what
+    :func:`run_grid` would return on resuming it.  Lines are read by
+    the resume rule, so a journal killed mid-write loads its complete
+    lines, and a corrupt one is a
+    :class:`~repro.exceptions.ConfigurationError` naming the line.
+    """
+    label = f"journal {path}"
+    try:
+        loaded = _read_journal(Path(path), label)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {label}: {exc}") from None
+    if loaded is None:
+        raise ConfigurationError(f"{label} holds no complete grid line")
+    kind, identity, done, _end = loaded
+    try:
+        grid = kind.grid_from_dict(identity)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{label} has a malformed grid line: {exc}") from exc
+    return kind.result(grid, _in_grid_order(grid, done))
 
 
 def run_grid(
@@ -208,9 +243,15 @@ def run_grid(
     done: dict[tuple, Any] = {}
     journal_end: int | None = None  # None: write a fresh journal
     if journal is not None and resume and journal.exists():
-        loaded = _load_journal(journal, kind, grid)
+        loaded = _read_journal(journal, f"{kind.name} journal {journal}", kind)
         if loaded is not None:
-            done, journal_end = loaded
+            _kind, identity, done, journal_end = loaded
+            if identity != grid.as_dict():
+                raise ConfigurationError(
+                    f"{kind.name} journal {journal} was written for a different "
+                    f"{kind.what}; pass resume=False (or a fresh path) to "
+                    f"overwrite it"
+                )
 
     pending = [point for point in points if point.key() not in done]
     if chunk_size is None:
@@ -266,4 +307,4 @@ def run_grid(
             obs.set_gauge("makespan.cache_size", counters["size"], kind=cache)
         obs.set_gauge(kind.resumed_metric, len(done) - evaluated)
 
-    return tuple(done[point.key()] for point in points if point.key() in done)
+    return _in_grid_order(grid, done)

@@ -373,7 +373,9 @@ _SWEEP = GridKind(
     what="grid",
     grid_line=_grid_line,
     rows_line=_rows_line,
+    grid_from_dict=SweepGrid.from_dict,
     row_from_dict=SweepRow.from_dict,
+    result=SweepResult,
     chunk_size=DEFAULT_CHUNK_SIZE,
     span="sweep.run",
     runs_metric="sweep.runs",

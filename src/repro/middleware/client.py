@@ -21,19 +21,30 @@ from repro.middleware.messages import (
     PerformanceReply,
     ServiceRequest,
 )
+from repro.middleware.network import MessageLogEntry
 
 __all__ = ["Client", "CampaignResult"]
 
 
 @dataclass(frozen=True)
 class CampaignResult:
-    """Outcome of one full protocol run."""
+    """Outcome of one full protocol run.
+
+    ``messages`` is the deployment's message log as the campaign ends:
+    this campaign's messages, after those of any earlier campaign run
+    over the same deployment.
+    """
 
     request: ServiceRequest
     replies: tuple[PerformanceReply, ...] = field(repr=False)
     repartition: Repartition
     reports: tuple[ExecutionReport, ...] = field(repr=False)
-    control_plane_seconds: float
+    messages: tuple[MessageLogEntry, ...] = field(repr=False)
+
+    @property
+    def control_plane_seconds(self) -> float:
+        """Simulated time the messages spent in transit."""
+        return sum(entry.transit_seconds for entry in self.messages)
 
     @property
     def makespan(self) -> float:
@@ -121,5 +132,5 @@ class Client:
             replies=tuple(replies),
             repartition=repartition,
             reports=tuple(reports),
-            control_plane_seconds=network.control_plane_seconds(),
+            messages=network.log,
         )

@@ -12,11 +12,12 @@ weeks, which is why the paper never discusses it).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.exceptions import MiddlewareError
 from repro.workflow.data import DataTransferModel
 
-__all__ = ["MessageLogEntry", "SimulatedNetwork"]
+__all__ = ["MessageLogEntry", "SimulatedNetwork", "describe_log"]
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,15 @@ class SimulatedNetwork:
 
     def describe(self) -> str:
         """Human-readable dump of the message log."""
-        lines = [f"{len(self._log)} messages, clock at {self._now:.4f}s:"]
-        for e in self._log:
-            lines.append(
-                f"  t={e.sent_at:9.4f}s  {e.sender} -> {e.receiver}: "
-                f"{e.kind} ({e.nbytes} B, {e.transit_seconds * 1000:.2f} ms)"
-            )
-        return "\n".join(lines)
+        return describe_log(self._log, self._now)
+
+
+def describe_log(log: Sequence[MessageLogEntry], now: float) -> str:
+    """Human-readable dump of a message log, the clock reading ``now``."""
+    lines = [f"{len(log)} messages, clock at {now:.4f}s:"]
+    for e in log:
+        lines.append(
+            f"  t={e.sent_at:9.4f}s  {e.sender} -> {e.receiver}: "
+            f"{e.kind} ({e.nbytes} B, {e.transit_seconds * 1000:.2f} ms)"
+        )
+    return "\n".join(lines)

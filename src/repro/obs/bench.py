@@ -66,7 +66,8 @@ BENCH_SCHEMA = "repro.bench/1"
 #: Baseline file schema identifier.
 BASELINE_SCHEMA = "repro.bench-baseline/1"
 
-#: Default repetitions / warmup when neither the spec nor the caller says.
+#: Default repetitions (when neither the spec nor the caller says) and
+#: warmup (when the caller does not).
 DEFAULT_REPETITIONS = 5
 DEFAULT_WARMUP = 1
 
@@ -98,9 +99,7 @@ class BenchSpec:
     unit: str
     direction: str
     run: Callable[[], float]
-    setup: Callable[[], None] | None = None
     repetitions: int | None = None
-    warmup: int | None = None
 
     def __post_init__(self) -> None:
         if self.direction not in _DIRECTIONS:
@@ -209,7 +208,8 @@ def run_bench(
 ) -> BenchResult:
     """Measure one spec under the common protocol.
 
-    Caller overrides win over spec defaults win over module defaults.
+    Caller overrides win over the spec's repetitions, which win over
+    the module defaults.
     The reported ``value`` is the median; p25/p75 bound the IQR so a
     noisy host is visible in the artifact itself.
     """
@@ -218,15 +218,11 @@ def run_bench(
         if repetitions is not None
         else (spec.repetitions or DEFAULT_REPETITIONS)
     )
-    warm = warmup if warmup is not None else (
-        DEFAULT_WARMUP if spec.warmup is None else spec.warmup
-    )
+    warm = DEFAULT_WARMUP if warmup is None else warmup
     if reps < 1:
         raise ConfigurationError(f"repetitions must be >= 1, got {reps!r}")
     if warm < 0:
         raise ConfigurationError(f"warmup must be >= 0, got {warm!r}")
-    if spec.setup is not None:
-        spec.setup()
     for _ in range(warm):
         spec.run()
     samples = [float(spec.run()) for _ in range(reps)]

@@ -9,14 +9,16 @@ Chrome Trace Event JSON or JSONL — into per-name span statistics.
 from __future__ import annotations
 
 import json
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.exceptions import ConfigurationError
 
 __all__ = [
+    "SPAN_COLUMNS",
     "load_trace_events",
     "render_metrics_summary",
     "render_trace_summary",
+    "span_rows",
 ]
 
 
@@ -120,8 +122,20 @@ def load_trace_events(text: str) -> list[dict[str, object]]:
     return events
 
 
-def render_trace_summary(events: list[dict[str, object]]) -> str:
-    """Aggregate complete ("X") spans by name: count, total and max duration."""
+#: The columns of :func:`span_rows`; durations in trace microseconds.
+SPAN_COLUMNS = ["name", "count", "total_dur", "mean_dur", "max_dur"]
+
+
+def span_rows(
+    events: Sequence[Mapping[str, object]],
+) -> tuple[str, list[list[str]]]:
+    """Complete ("X") spans aggregated by name, heaviest total first.
+
+    Returns a one-line header (spans, lanes, unit) and one row of
+    :data:`SPAN_COLUMNS` per span name; no complete span, no rows.  The
+    ``obs trace`` digest and the run report's span section both print
+    these rows.
+    """
     stats: dict[str, list[float]] = {}
     lanes: set[tuple[object, object]] = set()
     for event in events:
@@ -130,26 +144,26 @@ def render_trace_summary(events: list[dict[str, object]]) -> str:
         name = str(event.get("name", "?"))
         stats.setdefault(name, []).append(float(event.get("dur", 0.0)))
         lanes.add((event.get("pid"), event.get("tid")))
-    if not stats:
-        return "(no complete spans in trace)"
-    rows = []
-    for name, durs in sorted(
-        stats.items(), key=lambda item: -sum(item[1])
-    ):
-        rows.append(
-            [
-                name,
-                str(len(durs)),
-                _fmt(sum(durs)),
-                _fmt(sum(durs) / len(durs)),
-                _fmt(max(durs)),
-            ]
-        )
-    total_spans = sum(len(d) for d in stats.values())
+    rows = [
+        [
+            name,
+            str(len(durs)),
+            _fmt(sum(durs)),
+            _fmt(sum(durs) / len(durs)),
+            _fmt(max(durs)),
+        ]
+        for name, durs in sorted(stats.items(), key=lambda item: -sum(item[1]))
+    ]
     header = (
-        f"{total_spans} span(s) across {len(lanes)} lane(s); "
-        f"durations in trace microseconds"
+        f"{sum(len(d) for d in stats.values())} span(s) across {len(lanes)} "
+        f"lane(s); durations in trace microseconds"
     )
-    return header + "\n" + _table(
-        ["name", "count", "total_dur", "mean_dur", "max_dur"], rows
-    )
+    return header, rows
+
+
+def render_trace_summary(events: list[dict[str, object]]) -> str:
+    """The :func:`span_rows` digest of a trace as a text table."""
+    header, rows = span_rows(events)
+    if not rows:
+        return "(no complete spans in trace)"
+    return header + "\n" + _table(SPAN_COLUMNS, rows)

@@ -492,6 +492,32 @@ class ArenaResult:
             "win_matrix": self.win_matrix(),
         }
 
+    def standings(self) -> tuple[list[list[Any]], list[list[Any]]]:
+        """The standings and win-matrix rows, as every view prints them.
+
+        Standings rows are ``[scheduler, wins, mean gain vs basic (%)]``
+        in grid order, the gain as text: ``baseline`` for basic, ``-``
+        for a scheduler never scored.  Matrix rows are ``[a, *cells]``:
+        the cells where ``a`` strictly beats each column's scheduler,
+        ``-`` on the diagonal.
+        """
+        summary = self.summary()
+        gains = summary["mean_gain_over_basic"]
+        matrix = summary["win_matrix"]
+        names = self.grid.schedulers
+        standings = [
+            [
+                name,
+                summary["wins"][name],
+                "baseline" if name == "basic" else (
+                    f"{gains[name]:+.2f}" if name in gains else "-"
+                ),
+            ]
+            for name in names
+        ]
+        rows = [[a, *("-" if a == b else matrix[a][b] for b in names)] for a in names]
+        return standings, rows
+
 
 def _arena_payload(result: ArenaResult) -> dict[str, Any]:
     return {
@@ -682,7 +708,9 @@ _ARENA = GridKind(
     what="race",
     grid_line=_grid_line,
     rows_line=_rows_line,
+    grid_from_dict=ArenaGrid.from_dict,
     row_from_dict=ArenaRow.from_dict,
+    result=ArenaResult,
     chunk_size=DEFAULT_CHUNK_SIZE,
     span="arena.race",
     runs_metric="arena.races",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -14,7 +15,9 @@ from repro.analysis.runreport import (
 )
 from repro.cli import main
 from repro.exceptions import ConfigurationError
+from repro.experiments.results_io import load_result
 from repro.experiments.sweep import SweepGrid, run_sweep
+from repro.schedulers.arena import run_arena
 from repro.service.store import RunStore
 from repro.service.workers import execute_job
 
@@ -31,6 +34,20 @@ CAMPAIGN_PARAMS = {
     "scenarios": 3,
     "months": 2,
 }
+GRID_RUNS = {
+    "sweep": (
+        run_sweep,
+        {"r_min": 11, "r_max": 19, "step": 4, "scenarios": [4], "months": [4]},
+    ),
+    "arena": (
+        run_arena,
+        {
+            "preset": "fig7", "schedulers": ["basic", "knapsack"],
+            "fault_seeds": [3], "r_min": 11, "r_max": 17, "step": 3,
+            "scenarios": 4, "months": 4,
+        },
+    ),
+}
 
 
 def _stored_run(db_path, kind, params, trace_id="feedc0de00000000"):
@@ -40,6 +57,11 @@ def _stored_run(db_path, kind, params, trace_id="feedc0de00000000"):
         record = store.claim_next()
         store.mark_done(run_id, execute_job(record.kind, record.params))
     return run_id
+
+
+def _sections(html: str) -> list[tuple[str, str]]:
+    """A report's ``(heading, content)`` sections, in order."""
+    return re.findall(r"<h2>(.*?)</h2>\n(.*?)(?=\n<h2>|\n</body>)", html, re.S)
 
 
 def _assert_self_contained(html: str) -> None:
@@ -150,11 +172,68 @@ class TestJournalReport:
         with pytest.raises(ConfigurationError):
             report_for_journal(journal)
 
+    @pytest.mark.parametrize(
+        ("edit", "error"),
+        [
+            (
+                lambda line: line.replace('"cluster": ', '"site": ', 1),
+                "line 2 holds a malformed row",
+            ),
+            (
+                lambda line: line.replace('"sweep-rows"', '"arena-rows"'),
+                "line 2 has unexpected kind",
+            ),
+        ],
+        ids=["malformed-row", "foreign-kind"],
+    )
+    def test_corrupt_line_names_its_line(self, edit, error, tmp_path) -> None:
+        journal = tmp_path / "sweep.ndjson"
+        grid = SweepGrid.from_ranges(
+            r_min=11, r_max=11, scenarios=(4,), months=(4,)
+        )
+        run_sweep(grid, journal_path=journal, chunk_size=2)
+        lines = journal.read_text().splitlines(keepends=True)
+        assert len(lines) >= 3
+        lines[1] = edit(lines[1])
+        journal.write_text("".join(lines))
+        with pytest.raises(ConfigurationError, match=error):
+            report_for_journal(journal)
+
     def test_non_sweep_file_rejected(self, tmp_path) -> None:
         bogus = tmp_path / "bogus.ndjson"
         bogus.write_text('{"figure": "generic"}\n')
         with pytest.raises(ConfigurationError):
             report_for_journal(bogus)
+
+
+class TestGridRunReport:
+    """A stored sweep or race renders the sections of its journal."""
+
+    def test_stored_sweep_run_charts_makespan(self, tmp_path) -> None:
+        db = tmp_path / "runs.db"
+        run_id = _stored_run(db, "sweep", GRID_RUNS["sweep"][1])
+        html = report_for_run(db, run_id)
+        _assert_self_contained(html)
+        assert "Makespan vs resources" in html
+        assert "Best points" in html
+
+    @pytest.mark.parametrize("kind", sorted(GRID_RUNS))
+    def test_stored_run_carries_its_journal_sections(self, kind, tmp_path) -> None:
+        run, params = GRID_RUNS[kind]
+        db = tmp_path / "runs.db"
+        run_id = _stored_run(db, kind, params)
+        with RunStore(db) as store:
+            stored = load_result(store.get(run_id).result)
+        journal = tmp_path / f"{kind}.ndjson"
+        assert run(stored.grid, journal_path=journal, chunk_size=3) == stored
+        from_journal = _sections(report_for_journal(journal))
+        from_store = [
+            section
+            for section in _sections(report_for_run(db, run_id))
+            if section[0] not in ("Run", "Queue latency")
+        ]
+        assert "Makespan vs resources" in [heading for heading, _ in from_journal]
+        assert from_store == from_journal
 
 
 class TestRenderAssembler:

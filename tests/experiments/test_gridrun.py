@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.analysis.runreport import report_for_journal
+from repro.experiments.gridrun import load_journal
 from repro.experiments.sweep import SweepGrid, run_sweep
 from repro.schedulers.arena import ArenaGrid, run_arena
 
@@ -72,3 +73,14 @@ def test_report_renders_at_every_byte_offset(driver, tmp_path) -> None:
         )
         html = report_for_journal(journal)
         assert f"{points} evaluated point(s)" in html, f"cut at byte {cut}"
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_load_journal_returns_what_a_resume_would(driver, tmp_path) -> None:
+    """The report's reader and the resume share one rule: same rows."""
+    run, grid = DRIVERS[driver]
+    journal = tmp_path / "journal.ndjson"
+    partial = run(grid, journal_path=journal, chunk_size=CHUNK_SIZE, max_chunks=1)
+    assert not partial.complete
+    assert load_journal(journal) == partial
+    assert load_journal(journal) == run(grid, journal_path=journal, max_chunks=0)

@@ -206,6 +206,31 @@ class TestNewCommands:
         )
         assert "messages, clock at" in out
 
+    def test_campaign_show_messages_runs_one_campaign(
+        self, capsys, monkeypatch
+    ) -> None:
+        from repro.middleware.client import Client
+        from repro.middleware.deployment import deploy
+        from repro.platform.benchmarks import benchmark_grid
+
+        runs = []
+        original = Client.run_campaign
+
+        def counted(self, *args, **kwargs):
+            runs.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Client, "run_campaign", counted)
+        out = _run(
+            capsys, "campaign", "--clusters", "2", "--resources", "25",
+            "--scenarios", "3", "--months", "2", "--show-messages",
+        )
+        assert len(runs) == 1
+        # The printed log is that one campaign's.
+        client, agent, _seds = deploy(benchmark_grid(2, 25))
+        original(client, 3, 2)
+        assert agent.network.describe() in out
+
     def test_simulate_trace_json(self, capsys, tmp_path) -> None:
         import json
 
