@@ -6,11 +6,10 @@ processors be partitioned into moldable-task groups?*
 
 * :mod:`repro.core.makespan` — the closed-form makespan estimates of
   Section 4.1 (Equations 1–5).
-* :mod:`repro.core.basic` — the basic uniform-``G`` heuristic.
-* :mod:`repro.core.redistribute` — Improvement 1 (spread idle processors
-  across groups).
-* :mod:`repro.core.allpost_end` — Improvement 2 (no post pool, posts at
-  the end).
+* :mod:`repro.core.basic` — the basic uniform-``G`` heuristic and its
+  Improvements 1 (spread idle processors across groups) and 2 (no post
+  pool, posts at the end), one closed-form rule shared with the batch
+  planner.
 * :mod:`repro.core.knapsack_grouping` — Improvement 3 (knapsack-optimal
   multiset of group sizes).
 * :mod:`repro.core.performance_vector` / :mod:`repro.core.repartition` —
@@ -33,9 +32,12 @@ from repro.core.makespan import (
     makespan_cache_stats,
     set_makespan_cache_enabled,
 )
-from repro.core.basic import basic_grouping, best_uniform_group
-from repro.core.redistribute import redistribute_grouping
-from repro.core.allpost_end import allpost_end_grouping
+from repro.core.basic import (
+    allpost_end_grouping,
+    basic_grouping,
+    best_uniform_group,
+    redistribute_grouping,
+)
 from repro.core.knapsack_grouping import knapsack_grouping
 from repro.core.heuristics import (
     HEURISTICS,

@@ -21,18 +21,25 @@ kernels as numpy array operations over entire grids:
   of ``(R, NS, NM, heuristic)`` points (one sweep chunk, or the ``1..NS``
   entries of a performance vector), returning the
   same :class:`~repro.core.grouping.Grouping` objects the scalar
-  :func:`~repro.core.heuristics.plan_grouping` builds.
+  :func:`~repro.core.heuristics.plan_grouping` builds.  Both planners
+  turn ``G*`` into a grouping through one rule,
+  :func:`~repro.core.basic.uniform_family_grouping`.
 * :func:`batch_gains_over_baseline` — the Figure 8/10 gain metric over
   many cells at once.
 
 Every kernel is **bit-for-bit** equal to its scalar counterpart: the
 array expressions replicate the scalar code's float operations operand
 for operand, in the same order, so IEEE-754 rounding is identical.  The
-scalar kernels stay untouched as the differential oracle — the property
-suite in ``tests/property/test_batch_oracle.py`` enforces the equality
-(the knapsack's scalar loop is ``tests/knapsack/dp_oracle.py``), and
-the golden-parity suite re-derives the committed figure fixtures
-through these kernels.  Cells where a scalar kernel would raise
+scalar kernels kept in ``src/`` as differential oracles are the ``G*``
+selection (:func:`~repro.core.basic.best_uniform_group`) and Equations
+1–5 (:func:`~repro.core.makespan.analytic_breakdown`).  The property
+suite in ``tests/property/test_batch_oracle.py`` enforces the equality;
+the scalar oracles of the other kernels live in ``tests/``: the
+knapsack's loop in ``tests/knapsack/dp_oracle.py`` and the
+Improvement 1/2 round-robin loops in
+``tests/core/uniform_family_oracle.py``.  The golden-parity suite
+re-derives the committed figure fixtures through these kernels.  Cells
+where a scalar kernel would raise
 :class:`~repro.exceptions.SchedulingError` are *masked* (``feasible``
 False, makespan ``+inf``) rather than raised, so one bad cell cannot
 poison a grid.
@@ -40,7 +47,6 @@ poison a grid.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, TypeAlias
@@ -48,13 +54,13 @@ from typing import Iterable, Mapping, Sequence, TypeAlias
 import numpy as np
 
 from repro import obs
+from repro.core.basic import uniform_family_grouping
 from repro.core.grouping import Grouping
 from repro.core.heuristics import HeuristicName
 from repro.core.knapsack_grouping import throughput_knapsack
 from repro.core.makespan import (
     _RATIO_EPS,
     MakespanBreakdown,
-    _floor_ratio,
     makespan_cache_enabled,
 )
 from repro.exceptions import ConfigurationError, SchedulingError
@@ -288,46 +294,6 @@ def batch_best_uniform_group(
 # ---------------------------------------------------------------------------
 
 
-def _spread_surplus(
-    base: int, n_groups: int, surplus: int, max_size: int
-) -> tuple[list[int], int]:
-    """Round-robin ``surplus`` processors over ``n_groups`` equal groups.
-
-    Closed form of the scalar redistribute/allpost loops: groups start
-    equal, so each receives ``⌊surplus/n⌋`` (+1 for the first
-    ``surplus mod n``), capped at ``max_size``; the unabsorbed remainder
-    comes back.  Returns ``(sizes, leftover)``.
-    """
-    cap = max_size - base
-    if surplus >= n_groups * cap:
-        return [max_size] * n_groups, surplus - n_groups * cap
-    q, rem = divmod(surplus, n_groups)
-    sizes = [base + q + 1] * rem + [base + q] * (n_groups - rem)
-    return sizes, 0
-
-
-def _uniform_family_grouping(
-    timing: TimingModel, name: HeuristicName, r: int, g: int, scenarios: int
-) -> Grouping:
-    """Assemble one basic/redistribute/allpost grouping from ``G*``."""
-    nbmax = min(scenarios, r // g)
-    if name is HeuristicName.BASIC:
-        return Grouping.uniform(g, nbmax, r)
-    r2 = r - nbmax * g
-    if name is HeuristicName.REDISTRIBUTE:
-        if r2 == 0:
-            return Grouping.uniform(g, nbmax, r)
-        per_proc = _floor_ratio(timing.main_time(g), timing.post_time())
-        needed = nbmax if per_proc <= 0 else math.ceil(nbmax / per_proc)
-        post = min(r2, needed)
-        sizes, leftover = _spread_surplus(g, nbmax, r2 - post, timing.max_group)
-        return Grouping.from_sizes(sizes, r, post_pool=post + leftover)
-    # ALLPOST_END: every leftover processor joins a group; whatever no
-    # group can absorb keeps serving posts.
-    sizes, leftover = _spread_surplus(g, nbmax, r2, timing.max_group)
-    return Grouping.from_sizes(sizes, r, post_pool=leftover)
-
-
 def warm_dp_stack(timing: TimingModel, capacity: int, max_items: int) -> None:
     """Build the memoized ``dp`` stack of ``timing``'s items at these ceilings.
 
@@ -385,7 +351,9 @@ def batch_plan_groupings(
     host any group).  Basic, redistribute and allpost_end all start from
     the basic heuristic's ``G*``, so they share one
     :func:`batch_best_uniform_group` over the batch's distinct
-    ``(R, NS, NM)`` cells; the knapsack runs one DP for the whole batch.
+    ``(R, NS, NM)`` cells, then build each grouping with the scalar
+    planner's :func:`~repro.core.basic.uniform_family_grouping`; the
+    knapsack runs one DP for the whole batch.
     ``dp_ceiling`` ``(R, NS)`` asks that DP for at least that capacity
     and cap, so a caller planning a grid in batches of increasing ``R``
     builds the memoized stack once, at the grid's largest cell, rather
@@ -417,7 +385,7 @@ def batch_plan_groupings(
         else:
             g = best[r, ns, nm]
             groupings.append(
-                _uniform_family_grouping(timing, name, r, g, ns) if g else None
+                uniform_family_grouping(timing, name, r, g, ns) if g else None
             )
     if obs.enabled():
         counts = Counter(name.value for _, _, _, name in plan)

@@ -12,11 +12,9 @@ import time
 from typing import Callable
 
 from repro import obs
-from repro.core.allpost_end import allpost_end_grouping
-from repro.core.basic import basic_grouping
+from repro.core.basic import allpost_end_grouping, basic_grouping, redistribute_grouping
 from repro.core.grouping import Grouping
 from repro.core.knapsack_grouping import knapsack_grouping
-from repro.core.redistribute import redistribute_grouping
 from repro.exceptions import ConfigurationError
 from repro.platform.cluster import ClusterSpec
 from repro.workflow.ocean_atmosphere import EnsembleSpec

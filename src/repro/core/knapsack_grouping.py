@@ -28,9 +28,9 @@ from __future__ import annotations
 from typing import Callable
 
 from repro import obs
+from repro.core.basic import no_group_fits
 from repro.core.grouping import Grouping
 from repro.core.makespan import _memoized
-from repro.exceptions import SchedulingError
 from repro.knapsack.dp import solve_dp
 from repro.knapsack.items import CardinalityKnapsack, KnapsackSolution
 from repro.platform.cluster import ClusterSpec
@@ -108,9 +108,5 @@ def _plan(cluster: ClusterSpec, spec: EnsembleSpec, solver: Solver) -> Grouping:
     """One fresh solve of the cluster's knapsack, the rest packed as posts."""
     sizes = solver(knapsack_problem_for(cluster, spec)).as_multiset()
     if not sizes:
-        raise SchedulingError(
-            f"cluster {cluster.name!r} ({cluster.resources} processors) "
-            f"cannot host any main-task group (min size "
-            f"{cluster.timing.min_group})"
-        )
+        raise no_group_fits(cluster)
     return Grouping.from_sizes(sizes, cluster.resources)

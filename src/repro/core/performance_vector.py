@@ -20,10 +20,10 @@ so a repeated request is one lookup.
 
 from __future__ import annotations
 
+from repro.core.basic import no_group_fits
 from repro.core.batch import batch_plan_groupings
 from repro.core.heuristics import HeuristicName, plan_grouping
 from repro.core.makespan import _memoized, cached_simulated_makespan
-from repro.exceptions import SchedulingError
 from repro.platform.cluster import ClusterSpec
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 
@@ -81,9 +81,6 @@ def _build_vector(
     vector: list[float] = []
     for k, grouping in enumerate(groupings, start=1):
         if grouping is None:
-            raise SchedulingError(
-                f"cluster {cluster.name!r} ({cluster.resources} processors) "
-                f"cannot host any main-task group (min size {timing.min_group})"
-            )
+            raise no_group_fits(cluster)
         vector.append(cached_simulated_makespan(grouping, EnsembleSpec(k, spec.months), timing))
     return tuple(vector)

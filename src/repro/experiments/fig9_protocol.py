@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.middleware.client import CampaignResult
 from repro.middleware.deployment import deploy
-from repro.middleware.network import MessageLogEntry
 from repro.platform.benchmarks import benchmark_grid
 from repro.platform.grid import GridSpec
 
@@ -31,15 +30,14 @@ _STEP_OF_KIND = {
 
 @dataclass(frozen=True)
 class Fig9Result:
-    """A campaign plus the protocol exchange that produced it."""
+    """A campaign (its ``messages`` are the exchange) and its participants."""
 
     campaign: CampaignResult
-    log: tuple[MessageLogEntry, ...]
     participants: tuple[str, ...]
 
     def kinds_in_order(self) -> list[str]:
         """Message kinds in transmission order."""
-        return [entry.kind for entry in self.log]
+        return [entry.kind for entry in self.campaign.messages]
 
 
 def run(
@@ -54,7 +52,7 @@ def run(
     client, agent, _seds = deploy(grid)
     campaign = client.run_campaign(scenarios, months, heuristic)
     participants = (client.name, agent.name, *grid.names)
-    return Fig9Result(campaign, agent.network.log, participants)
+    return Fig9Result(campaign, participants)
 
 
 def render(result: Fig9Result) -> str:
@@ -78,7 +76,7 @@ def render(result: Fig9Result) -> str:
     lines.append("".join(header))
     lines.append(lifeline_row())
 
-    for entry in result.log:
+    for entry in result.campaign.messages:
         src, dst = positions[entry.sender], positions[entry.receiver]
         row = [" "] * total_width
         for p in participants:

@@ -497,7 +497,7 @@ def _run_fig9(params: Mapping[str, Any]):
                     "kind": entry.kind,
                     "nbytes": entry.nbytes,
                 }
-                for entry in result.log
+                for entry in result.campaign.messages
             ],
         },
     )

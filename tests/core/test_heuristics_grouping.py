@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.allpost_end import allpost_end_grouping
-from repro.core.basic import basic_grouping, best_uniform_group
+from repro.core.basic import (
+    allpost_end_grouping,
+    basic_grouping,
+    best_uniform_group,
+    redistribute_grouping,
+)
 from repro.core.heuristics import (
     HEURISTICS,
     HeuristicName,
@@ -18,14 +22,28 @@ from repro.core.makespan import (
     makespan_cache_disabled,
     makespan_cache_stats,
 )
-from repro.core.redistribute import needed_post_pool, redistribute_grouping
 from repro.exceptions import ConfigurationError, SchedulingError
 from repro.knapsack.greedy import solve_greedy
 from repro.platform.benchmarks import benchmark_cluster
 from repro.platform.cluster import ClusterSpec
 from repro.platform.timing import TableTimingModel, reference_timing
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.core import uniform_family_oracle as oracle
 from tests.knapsack.dp_oracle import scalar_knapsack_solver
+
+
+def _redistribute(cluster: ClusterSpec, spec: EnsembleSpec):
+    """Improvement 1's grouping, checked against the round-robin oracle."""
+    grouping = redistribute_grouping(cluster, spec)
+    assert grouping == oracle.redistribute_grouping(cluster, spec)
+    return grouping
+
+
+def _allpost_end(cluster: ClusterSpec, spec: EnsembleSpec):
+    """Improvement 2's grouping, checked against the round-robin oracle."""
+    grouping = allpost_end_grouping(cluster, spec)
+    assert grouping == oracle.allpost_end_grouping(cluster, spec)
+    return grouping
 
 
 class TestBasic:
@@ -97,7 +115,7 @@ class TestRedistribute:
         cluster = ClusterSpec("flat", 16, timing)
         spec = EnsembleSpec(4, 6)
         basic = basic_grouping(cluster, spec)
-        redis = redistribute_grouping(cluster, spec)
+        redis = _redistribute(cluster, spec)
         if basic.post_pool == 0:
             assert redis == basic
 
@@ -110,56 +128,60 @@ class TestRedistribute:
         cluster = ClusterSpec("paperlike", 53, TableTimingModel(table))
         spec = EnsembleSpec(10, 60)
         assert best_uniform_group(cluster, spec) == 7
-        redis = redistribute_grouping(cluster, spec)
+        redis = _redistribute(cluster, spec)
         assert sorted(redis.group_sizes, reverse=True) == [8, 8, 8, 7, 7, 7, 7]
         assert redis.post_pool == 1
 
     def test_never_exceeds_max_group(self, five_clusters, paper_spec) -> None:
         for cluster in five_clusters:
-            g = redistribute_grouping(cluster, paper_spec)
+            g = _redistribute(cluster, paper_spec)
             assert all(s <= cluster.timing.max_group for s in g.group_sizes)
 
     def test_no_idle_resources(self, five_clusters, paper_spec) -> None:
         for cluster in five_clusters:
-            g = redistribute_grouping(cluster, paper_spec)
+            g = _redistribute(cluster, paper_spec)
             assert g.idle_resources == 0
 
     def test_group_count_preserved(self, fast_cluster, paper_spec) -> None:
         basic = basic_grouping(fast_cluster, paper_spec)
-        redis = redistribute_grouping(fast_cluster, paper_spec)
+        redis = _redistribute(fast_cluster, paper_spec)
         assert redis.n_groups == basic.n_groups
 
     def test_needed_post_pool_formula(self) -> None:
         cluster = benchmark_cluster("sagittaire", 53)
         # T[7] ~ 1764 s, TP = 180 s -> 9 posts per processor per wave;
         # 7 groups need ceil(7/9) = 1 post processor.
-        assert needed_post_pool(cluster, 7, 7) == 1
+        assert oracle.needed_post_pool(cluster, 7, 7) == 1
 
     def test_needed_post_pool_when_posts_longer_than_mains(self) -> None:
         cluster = ClusterSpec(
             "weird", 20,
             TableTimingModel({g: 50.0 for g in range(4, 12)}, post_seconds=60.0),
         )
-        assert needed_post_pool(cluster, 4, 3) == 3
+        assert oracle.needed_post_pool(cluster, 4, 3) == 3
+        # G* = 4, 3 groups: one post processor per group, 5 spread.
+        redis = _redistribute(cluster, EnsembleSpec(3, 6))
+        assert redis.group_sizes == (6, 6, 5)
+        assert redis.post_pool == 3
 
 
 class TestAllPostEnd:
     def test_zero_post_pool_normally(self, five_clusters, paper_spec) -> None:
         for cluster in five_clusters:
-            g = allpost_end_grouping(cluster, paper_spec)
+            g = _allpost_end(cluster, paper_spec)
             # Post pool only non-zero when every group is saturated at 11.
             if any(s < cluster.timing.max_group for s in g.group_sizes):
                 assert g.post_pool == 0
             assert g.idle_resources == 0
 
     def test_absorbs_all_leftovers(self, fast_cluster, paper_spec) -> None:
-        g = allpost_end_grouping(fast_cluster, paper_spec)
+        g = _allpost_end(fast_cluster, paper_spec)
         assert g.main_resources + g.post_pool == fast_cluster.resources
 
     def test_saturated_groups_return_surplus_to_posts(self) -> None:
         # 2 scenarios on 30 processors: 2 groups cap at 11, 8 left over.
         cluster = benchmark_cluster("sagittaire", 30)
-        g = allpost_end_grouping(cluster, EnsembleSpec(2, 6))
+        g = _allpost_end(cluster, EnsembleSpec(2, 6))
         assert g.group_sizes == (11, 11)
         assert g.post_pool == 8
 
@@ -167,7 +189,7 @@ class TestAllPostEnd:
         self, five_clusters, paper_spec
     ) -> None:
         for cluster in five_clusters:
-            g = allpost_end_grouping(cluster, paper_spec)
+            g = _allpost_end(cluster, paper_spec)
             if max(g.group_sizes) < cluster.timing.max_group:
                 assert max(g.group_sizes) - min(g.group_sizes) <= 1
 

@@ -79,17 +79,22 @@ class TestPerformanceVector:
             assert corrupted != scratch
 
     def test_cluster_too_small_for_any_group(self) -> None:
-        """Raises exactly where the scalar oracle raises, on every heuristic."""
+        """Raises exactly where the scalar oracle raises, on every heuristic.
+
+        The text is the same whichever planner finds the cluster too
+        small: ``G*`` selection, the knapsack or the vector's batch plan.
+        """
         tiny = ClusterSpec(
             "tiny",
             3,
             TableTimingModel({g: 100.0 for g in range(4, 12)}, post_seconds=10.0),
         )
+        expected = "cluster 'tiny' (3 processors) cannot host any main-task group (min size 4)"
         for heuristic in HeuristicName:
-            with pytest.raises(SchedulingError):
-                scalar_performance_vector(tiny, EnsembleSpec(2, MONTHS), heuristic)
-            with pytest.raises(SchedulingError, match="cannot host any main-task group"):
-                performance_vector(tiny, EnsembleSpec(2, MONTHS), heuristic)
+            for vector in (scalar_performance_vector, performance_vector):
+                with pytest.raises(SchedulingError) as raised:
+                    vector(tiny, EnsembleSpec(2, MONTHS), heuristic)
+                assert str(raised.value) == expected
 
     @pytest.mark.parametrize("heuristic", list(HeuristicName))
     def test_counts_one_batch_plan_per_entry(self, heuristic) -> None:

@@ -17,11 +17,13 @@ Covered pairs:
   :class:`~repro.exceptions.SchedulingError` raises;
 * :func:`~repro.core.batch.batch_solve_dp` vs per-cell scalar DP
   (``tests/knapsack/dp_oracle.py``) over ``(capacity, max_items)``;
-* :func:`~repro.core.batch.batch_plan_groupings` vs
-  :func:`~repro.core.heuristics.plan_grouping` for every registered
-  heuristic, the knapsack planned by the scalar DP oracle, with the
-  makespan memo both enabled and disabled (the scalar path consults
-  it; the batch path must agree either way);
+* :func:`~repro.core.batch.batch_plan_groupings` and
+  :func:`~repro.core.heuristics.plan_grouping` vs the oracles for every
+  registered heuristic: the round-robin loops of
+  ``tests/core/uniform_family_oracle.py`` (fed the scalar ``G*``) for
+  basic, redistribute and allpost_end, the scalar DP oracle for the
+  knapsack, with the makespan memo both enabled and disabled (the
+  scalar path consults it; the batch path must agree either way);
 * :func:`~repro.core.batch.batch_best_uniform_group` vs
   :func:`~repro.core.basic.best_uniform_group` (same first-minimizer
   tie rule);
@@ -35,7 +37,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.gains import gains_over_baseline
@@ -59,6 +61,7 @@ from repro.knapsack.items import CardinalityKnapsack
 from repro.platform.cluster import ClusterSpec
 from repro.platform.timing import TableTimingModel, reference_timing
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.core.uniform_family_oracle import UNIFORM_ORACLES
 from tests.knapsack.dp_oracle import scalar_knapsack_solver, solve_dp
 
 GROUP_SIZES = range(4, 12)
@@ -226,15 +229,34 @@ def planning_batches(draw):
     return timing, draw(st.permutations(points))
 
 
+#: Pinned corners of the family rule: posts outlasting every main
+#: (``⌊TG/TP⌋ = 0``, one post processor per group), and ``G* = 11``
+#: groups that cannot absorb the surplus, which returns to the posts.
+_POSTS_OUTLAST_MAINS = (
+    TableTimingModel({g: 50.0 for g in GROUP_SIZES}, post_seconds=60.0),
+    [(5, 1, 1, HeuristicName.REDISTRIBUTE), (20, 3, 6, HeuristicName.REDISTRIBUTE)],
+)
+_SATURATED_GROUPS = (
+    TableTimingModel({g: 4000.0 - 400.0 * (g - 4) for g in GROUP_SIZES}),
+    [(30, 2, 6, HeuristicName.REDISTRIBUTE), (30, 2, 6, HeuristicName.ALLPOST_END)],
+)
+
+
 @pytest.mark.parametrize("cache_enabled", [True, False])
 @given(instance=planning_batches())
+@example(instance=_POSTS_OUTLAST_MAINS)
+@example(instance=_SATURATED_GROUPS)
 @settings(max_examples=60, deadline=None)
 def test_batch_plan_groupings_matches_scalar(cache_enabled, instance) -> None:
-    """Grouping-for-grouping parity with ``plan_grouping``, cache on/off.
+    """Both planners equal the oracles grouping for grouping, cache on/off.
 
-    A ``None`` entry must correspond exactly to a scalar
-    :class:`SchedulingError`; a planned entry must equal the scalar
-    grouping (sizes, post pool, everything ``Grouping.__eq__`` sees).
+    Both planners build the uniform heuristics through one closed form,
+    so the expectation comes from outside ``src/``: the round-robin
+    loops for basic, redistribute and allpost_end, the scalar DP for
+    the knapsack.  A ``None`` entry must correspond exactly to an
+    oracle :class:`SchedulingError` (and ``plan_grouping`` must raise
+    there too); a planned entry must equal the oracle grouping (sizes,
+    post pool, everything ``Grouping.__eq__`` sees).
     """
     timing, points = instance
     previous = set_makespan_cache_enabled(cache_enabled)
@@ -244,15 +266,20 @@ def test_batch_plan_groupings_matches_scalar(cache_enabled, instance) -> None:
         assert len(batched) == len(points)
         for (r, ns, nm, heuristic), got in zip(points, batched):
             cluster = ClusterSpec(f"c{r}", r, timing)
+            spec = EnsembleSpec(ns, nm)
             try:
-                with scalar_knapsack_solver():
-                    expected = plan_grouping(
-                        cluster, EnsembleSpec(ns, nm), heuristic
-                    )
+                if heuristic is HeuristicName.KNAPSACK:
+                    with scalar_knapsack_solver():
+                        expected = plan_grouping(cluster, spec, heuristic)
+                else:
+                    expected = UNIFORM_ORACLES[heuristic](cluster, spec)
             except SchedulingError:
                 assert got is None
+                with pytest.raises(SchedulingError):
+                    plan_grouping(cluster, spec, heuristic)
                 continue
             assert got == expected
+            assert plan_grouping(cluster, spec, heuristic) == expected
     finally:
         set_makespan_cache_enabled(previous)
         clear_makespan_cache()
